@@ -44,6 +44,7 @@ from .model import (
     StateDiagramGroup,
     SwirlyArrayPayload,
     Kind,
+    payload_type,
 )
 from .values import (
     BallInRange,
@@ -126,42 +127,31 @@ def _unquote(tok: _Token, raw: str) -> str:
     return "".join(out)
 
 
+# One token per match, after leading whitespace: a ``#`` that starts a
+# comment, a run of non-space characters and complete quoted strings (a
+# backslash inside quotes escapes the next character), a lone ``"`` that
+# opens a string never closed, or the end of the line.
+_TOKEN_RE = re.compile(r'\s*(?:(#)|((?:[^\s"]+|"[^"\\]*(?:\\.[^"\\]*)*")+)|(")|\Z)', re.DOTALL)
+
+
 def _tokenize_line(line: str, lineno: int) -> list[_Token]:
     tokens = []
-    i = 0
     n = len(line)
-    while i < n:
-        c = line[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "#":
-            break
-        start = i
-        in_quotes = False
-        while i < n:
-            c = line[i]
-            if in_quotes:
-                if c == "\\":
-                    i += 2
-                    continue
-                if c == '"':
-                    in_quotes = False
-                i += 1
-                continue
-            if c == '"':
-                in_quotes = True
-                i += 1
-                continue
-            if c.isspace():
-                break
-            i += 1
-        if in_quotes or i > n:
-            raise ParseError(
-                SourceSpan(lineno, start + 1, min(i, n)), "closing quote", "end of line"
-            )
-        tokens.append(_Token(line[start:i], SourceSpan(lineno, start + 1, i)))
-    return tokens
+    pos = 0
+    while True:
+        m = _TOKEN_RE.match(line, pos)
+        text = m.group(2)
+        if text is None:
+            if m.group(3) is not None:
+                raise ParseError(
+                    SourceSpan(lineno, m.start(3) + 1, n), "closing quote", "end of line"
+                )
+            return tokens
+        start, pos = m.span(2)
+        if pos < n and line[pos] == '"':
+            # The run stopped at a quote that no later quote closes.
+            raise ParseError(SourceSpan(lineno, start + 1, n), "closing quote", "end of line")
+        tokens.append(_Token(text, SourceSpan(lineno, start + 1, pos)))
 
 
 # --------------------------------------------------------------------------
@@ -321,8 +311,6 @@ def _decode_payload(kind: Kind, pairs: dict[str, tuple[_Token, str]]):
     def take(key: str) -> str | None:
         entry = pairs.pop(key, None)
         return None if entry is None else entry[1]
-
-    from .model import payload_type
 
     ptype = payload_type(kind)
     if ptype is GenericPayload:

@@ -9,6 +9,7 @@ table ships with defaults and can be overridden from a plain-text file.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -352,8 +353,9 @@ def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
             branch_counts[group.junction] = branch_counts.get(
                 group.junction, 0
             ) + len(group.branches)
+    child_counts = Counter(d.containment.values())
     for xid in d.elements_of_kind(Kind.XOR_BOX):
-        alternatives = len(d.children_of(xid)) + branch_counts.get(xid, 0)
+        alternatives = child_counts[xid] + branch_counts.get(xid, 0)
         if alternatives < 2:
             out.append(
                 Violation(
@@ -611,12 +613,16 @@ def resolve_query(d: Diagram, owner: str, attribute: str) -> Value:
     value = d.binding_value(owner, attribute)
     if value is not None:
         return value
-    for eid in sorted(d.edges):
-        edge = d.edges[eid]
-        if edge.kind is EdgeKind.RELATIONSHIP and edge.source == owner:
-            if edge.target is None:
-                continue
-            value = d.binding_value(edge.target, attribute)
-            if value is not None:
-                return value
+    hops = sorted(
+        eid
+        for eid, edge in d.edges.items()
+        if edge.kind is EdgeKind.RELATIONSHIP and edge.source == owner
+    )
+    for eid in hops:
+        target = d.edges[eid].target
+        if target is None:
+            continue
+        value = d.binding_value(target, attribute)
+        if value is not None:
+            return value
     return Wildcard.DK

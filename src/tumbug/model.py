@@ -470,6 +470,12 @@ Group = StateDiagramGroup | SplitTimeGroup
 class Diagram:
     """The scene graph: elements, containment forest, edges, bindings.
 
+    ``bindings`` is an ordered multiset of (owner, binding) pairs.  It may
+    hold duplicates and conflicting values (the parser and callers append
+    to it directly), which :func:`tumbug.grammar.validate` reports.  Readers
+    that need the bindings per owner group the list once per call instead
+    of keeping an index that appends could leave stale.
+
     Equality is structural and order-insensitive: two diagrams built by
     different insertion orders compare equal when their canonical forms
     coincide.
@@ -499,18 +505,19 @@ class Diagram:
 
     # -- id allocation ----------------------------------------------------
 
+    def _taken(self, i: str) -> bool:
+        return i in self.elements or i in self.edges or i in self.groups
+
     def _fresh_id(self, prefix: str) -> str:
         n = 1
-        taken = self.elements.keys() | self.edges.keys() | self.groups.keys()
-        while f"{prefix}{n}" in taken:
+        while self._taken(f"{prefix}{n}"):
             n += 1
         return f"{prefix}{n}"
 
     def _claim_id(self, requested: str | None, prefix: str) -> str:
         if requested is None:
             return self._fresh_id(prefix)
-        taken = self.elements.keys() | self.edges.keys() | self.groups.keys()
-        if requested in taken:
+        if self._taken(requested):
             raise DuplicateId(requested)
         return requested
 

@@ -12,7 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grammar import Violation, validate
-from .model import Diagram, Edge, EdgeKind, Element, Kind
+from .model import (
+    MOTIVATION_LEVELS,
+    ROBINSON_CATEGORIES,
+    AttributeBinding,
+    Diagram,
+    Edge,
+    EdgeKind,
+    Element,
+    Kind,
+)
 from .values import fmt_num
 from .dsl import value_literal
 
@@ -121,7 +130,9 @@ def _leaf_size(el: Element, font: int) -> tuple[float, float]:
     return max(72.0, text_w), 48.0
 
 
-def _layout(d: Diagram, options: RenderOptions) -> dict[str, _Box]:
+def _layout(
+    d: Diagram, options: RenderOptions, by_owner: dict[str, list[AttributeBinding]]
+) -> dict[str, _Box]:
     """Assign a box to every element: explicit positions win, containers
     pack their children, top-level elements are layered left-to-right by
     arrow topology."""
@@ -157,9 +168,7 @@ def _layout(d: Diagram, options: RenderOptions) -> dict[str, _Box]:
                 tallest = max(tallest, kh)
             size = (max(x, 72.0), tallest + 2 * pad + options.font_size)
         # Leave room under the element for its attribute lines.
-        n_attrs = len(d.bindings_of(eid))
-        if el.label:
-            n_attrs += 0  # label is drawn inside the shape
+        n_attrs = len(by_owner.get(eid, []))
         size = (size[0], size[1] + n_attrs * (options.font_size + 3))
         sizes[eid] = size
         return size
@@ -169,19 +178,22 @@ def _layout(d: Diagram, options: RenderOptions) -> dict[str, _Box]:
 
     roots = sorted(e for e in d.elements if e not in d.containment)
 
-    # Layer roots by non-tube arrow topology, sources leftmost.
+    # Layer roots by non-time arrow topology, sources leftmost.  The
+    # relaxation runs in edge-id order: on a cycle the result depends on
+    # that order, so it is part of the output format.
     layer: dict[str, int] = {r: 0 for r in roots}
+    root_arrows = []
+    for eid in sorted(d.edges):
+        edge = d.edges[eid]
+        src, dst = edge.source, edge.target
+        if edge.kind is not EdgeKind.TIME and src in layer and dst in layer and src != dst:
+            root_arrows.append((src, dst))
     for _ in range(len(roots)):
         changed = False
-        for eid in sorted(d.edges):
-            edge = d.edges[eid]
-            if edge.kind is EdgeKind.TIME:
-                continue
-            src, dst = edge.source, edge.target
-            if src in layer and dst in layer and src != dst:
-                if layer[dst] < layer[src] + 1:
-                    layer[dst] = layer[src] + 1
-                    changed = True
+        for src, dst in root_arrows:
+            if layer[dst] < layer[src] + 1:
+                layer[dst] = layer[src] + 1
+                changed = True
         if not changed:
             break
 
@@ -231,7 +243,11 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     if violations:
         raise InvalidDiagram(violations)
 
-    boxes = _layout(d, options)
+    # Each owner's bindings in list order, grouped once for the whole render.
+    by_owner: dict[str, list[AttributeBinding]] = {}
+    for owner, binding in d.bindings:
+        by_owner.setdefault(owner, []).append(binding)
+    boxes = _layout(d, options, by_owner)
     font = options.font_size
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -282,13 +298,14 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
         d.elements, key=lambda e: (_depth(d, e), e)
     )
     for eid in drawn_parents_first:
-        out.extend(_render_element(d, eid, boxes[eid], options))
+        out.extend(_render_element(d, eid, boxes[eid], by_owner.get(eid, []), options))
 
-    for eid in sorted(d.edges):
+    # A solitary arrow is placed by its ordinal among all edges, Time included.
+    for ordinal, eid in enumerate(sorted(d.edges), 1):
         edge = d.edges[eid]
         if edge.kind is EdgeKind.TIME:
             continue
-        out.extend(_render_edge(d, eid, edge, boxes, options))
+        out.extend(_render_edge(eid, edge, ordinal, boxes, by_owner.get(eid, []), options))
 
     # State-group token markers.
     for gid in sorted(d.groups):
@@ -314,16 +331,20 @@ def _depth(d: Diagram, eid: str) -> int:
     return depth
 
 
-def _render_element(d: Diagram, eid: str, box: _Box, options: RenderOptions) -> list[str]:
+def _render_element(
+    d: Diagram,
+    eid: str,
+    box: _Box,
+    bindings: list[AttributeBinding],
+    options: RenderOptions,
+) -> list[str]:
     el = d.elements[eid]
     kind = el.kind
     font = options.font_size
     out = [f'<g id="{_esc(eid)}" class="elem kind-{kind.value}">']
     fill = "none"
     if options.color and kind in _CIRCLE_KINDS:
-        role = None
-        if isinstance(el.payload, object):
-            role = getattr(el.payload, "props", {}).get("role")
+        role = getattr(el.payload, "props", {}).get("role")
         fill = _ROLE_COLORS.get(role, "none")
 
     x, y, w, h = box.x, box.y, box.w, box.h
@@ -387,8 +408,6 @@ def _render_element(d: Diagram, eid: str, box: _Box, options: RenderOptions) -> 
                 f'<line x1="{fmt_num(box.cx - inset)}" y1="{fmt_num(ly)}" '
                 f'x2="{fmt_num(box.cx + inset)}" y2="{fmt_num(ly)}" stroke="black"/>'
             )
-        from .model import MOTIVATION_LEVELS
-
         for level, valence in sorted(getattr(el.payload, "markers", ())):
             row = MOTIVATION_LEVELS.index(level)
             my = y + h * (3.5 - row) / 4
@@ -397,8 +416,6 @@ def _render_element(d: Diagram, eid: str, box: _Box, options: RenderOptions) -> 
     elif kind is Kind.ROBINSON_ICON:
         pts = _hexagon(box)
         out.append(f'<polygon points="{pts}" fill="none" stroke="black"/>')
-        from .model import ROBINSON_CATEGORIES
-
         active = getattr(el.payload, "active", frozenset())
         for i, cat in enumerate(ROBINSON_CATEGORIES):
             px, py = _hex_corner(box, i)
@@ -477,7 +494,7 @@ def _render_element(d: Diagram, eid: str, box: _Box, options: RenderOptions) -> 
 
     # Attribute lines hang under the element.
     ay = y + h + font
-    for binding in d.bindings_of(eid):
+    for binding in bindings:
         text = f"{binding.attribute} = {value_literal(binding.value)}"
         out.append(f'<text x="{fmt_num(x + 4)}" y="{fmt_num(ay)}" class="attr">{_esc(text)}</text>')
         ay += font + 3
@@ -510,7 +527,12 @@ _EDGE_STYLE = {
 
 
 def _render_edge(
-    d: Diagram, eid: str, edge: Edge, boxes: dict[str, _Box], options: RenderOptions
+    eid: str,
+    edge: Edge,
+    ordinal: int,
+    boxes: dict[str, _Box],
+    bindings: list[AttributeBinding],
+    options: RenderOptions,
 ) -> list[str]:
     style, tip_arrow, centered_arrow = _EDGE_STYLE[edge.kind]
     if edge.source is not None and edge.target is not None and edge.source != edge.target:
@@ -531,13 +553,12 @@ def _render_edge(
             f'{fmt_num(a.y - 36)} {fmt_num(a.cx - 40)} {fmt_num(a.y - 36)} '
             f'{fmt_num(a.cx - 4)} {fmt_num(a.y)}" fill="none" {style}{loop_marker}/>'
         )
-        out.extend(_edge_attr_texts(d, eid, a.cx, a.y - 40, options))
+        out.extend(_edge_attr_texts(bindings, a.cx, a.y - 40, options))
         out.append("</g>")
         return out
     else:  # fully solitary arrow
-        n = sum(1 for k in sorted(d.edges) if k <= eid)
-        x1, y1 = 70.0, 30.0 + n * 26
-        x2, y2 = 130.0, 30.0 + n * 26
+        x1, y1 = 70.0, 30.0 + ordinal * 26
+        x2, y2 = 130.0, 30.0 + ordinal * 26
     out = [f'<g id="{_esc(eid)}" class="edge kind-{edge.kind.value}">']
     marker = ' marker-end="url(#arrowhead)"' if tip_arrow else ""
     out.append(
@@ -551,16 +572,16 @@ def _render_edge(
             f'L {fmt_num(mx + 5)} {fmt_num(my)} L {fmt_num(mx - 5)} {fmt_num(my + 4)} z" '
             'fill="black"/>'
         )
-    out.extend(_edge_attr_texts(d, eid, (x1 + x2) / 2, (y1 + y2) / 2 - 8, options))
+    out.extend(_edge_attr_texts(bindings, (x1 + x2) / 2, (y1 + y2) / 2 - 8, options))
     out.append("</g>")
     return out
 
 
 def _edge_attr_texts(
-    d: Diagram, eid: str, x: float, y: float, options: RenderOptions
+    bindings: list[AttributeBinding], x: float, y: float, options: RenderOptions
 ) -> list[str]:
     out = []
-    for i, binding in enumerate(d.bindings_of(eid)):
+    for i, binding in enumerate(bindings):
         text = f"{binding.attribute} = {value_literal(binding.value)}"
         out.append(
             f'<text x="{fmt_num(x + 6)}" y="{fmt_num(y - i * (options.font_size + 2))}" '

@@ -298,6 +298,9 @@ class ExprSyntaxError(ValueError):
 class Const:
     value: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
+
 
 @dataclass(frozen=True)
 class SlotRef:

@@ -1,8 +1,11 @@
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tumbug.dsl import ParseError, parse, serialize
+from tumbug.dsl import ParseError, SourceSpan, _tokenize_line, parse, serialize
 from tumbug.model import (
     AttributeBinding,
     Edge,
@@ -270,3 +273,100 @@ class TestOddButLegalInputs:
     def test_equals_inside_quoted_value(self):
         d = parse('elem o1 PhysicalObjectCircle\nattr o1 note="a=b"\n')
         assert d.bindings[0][1].value == Text("a=b")
+
+
+def reference_tokenize(line: str, lineno: int) -> list[tuple[str, SourceSpan]]:
+    """Character-by-character tokenizer: the specification _tokenize_line
+    must match.  Whitespace separates tokens outside quotes, a backslash
+    inside quotes escapes the next character, and ``#`` at the start of a
+    token comments out the rest of the line."""
+    tokens = []
+    i = 0
+    n = len(line)
+    while i < n:
+        c = line[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == "#":
+            break
+        start = i
+        in_quotes = False
+        while i < n:
+            c = line[i]
+            if in_quotes:
+                if c == "\\":
+                    i += 2
+                    continue
+                if c == '"':
+                    in_quotes = False
+                i += 1
+                continue
+            if c == '"':
+                in_quotes = True
+                i += 1
+                continue
+            if c.isspace():
+                break
+            i += 1
+        if in_quotes or i > n:
+            raise ParseError(
+                SourceSpan(lineno, start + 1, min(i, n)), "closing quote", "end of line"
+            )
+        tokens.append((line[start:i], SourceSpan(lineno, start + 1, i)))
+    return tokens
+
+
+def _tokenize_outcome(tokenize, line: str):
+    try:
+        return tokenize(line, 7)
+    except ParseError as exc:
+        return ("error", exc.span, exc.expected, exc.found)
+
+
+def _tokens(line: str, lineno: int) -> list[tuple[str, SourceSpan]]:
+    return [(t.text, t.span) for t in _tokenize_line(line, lineno)]
+
+
+# Quotes, backslashes, comment marks and whitespace on which str.isspace and
+# the regex class \s could disagree (information separators, NEL, NBSP).
+_TOKENIZER_ALPHABET = st.one_of(
+    st.sampled_from('ab=#"\\ \t\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000'),
+    st.characters(),
+)
+
+
+class TestTokenizer:
+    def test_regex_whitespace_is_str_isspace(self):
+        every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(r"\s", every_char) == [c for c in every_char if c.isspace()]
+
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(st.text(alphabet=_TOKENIZER_ALPHABET, max_size=40))
+    def test_matches_reference_tokenizer(self, line):
+        assert _tokenize_outcome(_tokens, line) == _tokenize_outcome(
+            reference_tokenize, line
+        )
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "",
+            "   ",
+            "# only a comment",
+            'elem o1 Cell label="a b" # trailing',
+            'x"a\\"b"y next',
+            'open "quote',
+            'a "b\\',
+            'a "b\\"',
+            'a#b "#" #c',
+            '""',
+            '"',
+            'k="v"" w',
+            "tab\tsep\x1cinfo\x85nel\xa0nbsp",
+        ],
+    )
+    def test_matches_reference_on_edge_cases(self, line):
+        assert _tokenize_outcome(_tokens, line) == _tokenize_outcome(
+            reference_tokenize, line
+        )

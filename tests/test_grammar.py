@@ -332,6 +332,23 @@ class TestResolveQuery:
         d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source=grace, target=sweater, id="owns"))
         assert resolve_query(d, "grace", "clothing-type") == Text("sweater")
 
+    def test_lowest_edge_id_wins_between_competing_hops(self):
+        d = new_diagram()
+        for eid in ("grace", "jacket", "sweater", "scarf"):
+            d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
+        d.bind_attribute("jacket", AttributeBinding("clothing-type", Text("jacket")))
+        d.bind_attribute("sweater", AttributeBinding("clothing-type", Text("sweater")))
+        # Inserted in the opposite order to their ids; an edge into an
+        # unbound owner and an incoming edge come before both.
+        d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="grace", target="jacket", id="r3"))
+        d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="grace", target="sweater", id="r2"))
+        d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="grace", target="scarf", id="r1"))
+        d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="jacket", target="grace", id="r0"))
+        d.add_edge(Edge(kind=EdgeKind.MOTION, source="grace", target="jacket", id="m0"))
+        assert resolve_query(d, "grace", "clothing-type") == Text("sweater")
+        assert resolve_query(d, "jacket", "clothing-type") == Text("jacket")
+        assert resolve_query(d, "scarf", "clothing-type") is Wildcard.DK
+
     def test_unknown_owner(self):
         d = self.make_cars()
         with pytest.raises(UnknownOwner):

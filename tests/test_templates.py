@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tumbug.dsl import serialize
+from tumbug.dsl import parse, serialize
 from tumbug.grammar import validate
 from tumbug.model import EdgeKind, Kind, SplitTimeGroup, StateDiagramGroup, evaluate_correlation
 from tumbug.templates import (
@@ -335,3 +335,9 @@ def test_water_pour_ships_the_worked_numbers():
     assert d.binding_value("bottle", "weight") == Scalar(75)
     assert d.binding_value("cup", "weight") == Scalar(25)
     assert validate(d) == []
+
+
+def test_water_pour_with_int_arguments_serializes_canonically():
+    text = serialize(build_water_pour(100, 25))
+    assert 'eq.w1="100 - w2"' in text
+    assert serialize(parse(text)) == text
