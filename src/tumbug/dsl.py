@@ -22,10 +22,13 @@ decimal that round-trips.  parse(serialize(d)) reproduces d exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 from .model import (
+    ID_RE,
+    KEY_RE,
     AttributeBinding,
     CAPayload,
     CorrelationBoxPayload,
@@ -63,9 +66,6 @@ from .values import (
 
 __all__ = ["SourceSpan", "ParseError", "parse", "serialize", "value_literal", "parse_value_literal"]
 
-_ID_RE = re.compile(r"^[A-Za-z0-9_-]+$")
-_KEY_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
-_ATTR_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _NUMBER_RE = re.compile(r"^-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 _UNIT_RE = re.compile(r"^[A-Za-z%][A-Za-z0-9_%/-]*$")
 
@@ -209,7 +209,7 @@ def parse_value_literal(tok: _Token, raw: str) -> Value:
             raise ParseError(tok.span, "fuzzy[name:lo,peak,hi]", raw)
         name, _, nums = body.partition(":")
         parts = nums.split(",")
-        if len(parts) != 3 or not _ATTR_RE.match(name):
+        if len(parts) != 3 or not KEY_RE.fullmatch(name):
             raise ParseError(tok.span, "fuzzy[name:lo,peak,hi]", raw)
         lo, peak, hi = (_parse_number(tok, p) for p in parts)
         try:
@@ -220,17 +220,17 @@ def parse_value_literal(tok: _Token, raw: str) -> Value:
     if _NUMBER_RE.match(number):
         if unit and not _UNIT_RE.match(unit):
             raise ParseError(tok.span, "unit tag", unit)
-        try:
-            return Scalar(float(number), unit or None)
-        except ValueError as exc:
-            raise ParseError(tok.span, "finite number", raw) from exc
+        return Scalar(_parse_number(tok, number), unit or None)
     raise ParseError(tok.span, "value literal", raw)
 
 
 def _parse_number(tok: _Token, raw: str) -> float:
     if not _NUMBER_RE.match(raw):
         raise ParseError(tok.span, "number", raw)
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ParseError(tok.span, "finite number", raw)
+    return value
 
 
 def _parse_range_body(tok: _Token, body: str) -> Range:
@@ -463,8 +463,6 @@ def parse(text: str | bytes) -> Diagram:
         if pairs:
             stray = sorted(pairs)[0]
             raise ParseError(pairs[stray][0].span, f"no {stray!r} key on {kind.value}", stray)
-        if eid in d.elements:
-            raise ParseError(tokens[1].span, "unique element id", eid)
         try:
             d.add_element(Element(kind=kind, payload=payload, position=position, id=eid))
         except ModelError as exc:
@@ -492,7 +490,7 @@ def parse(text: str | bytes) -> Diagram:
         if owner not in d.elements and owner not in d.edges:
             raise ParseError(tokens[1].span, "existing owner", owner)
         name, _, raw = tokens[2].text.partition("=")
-        if not _ATTR_RE.match(name) or not raw:
+        if not KEY_RE.fullmatch(name) or not raw:
             raise ParseError(tokens[2].span, "attribute=value", tokens[2].text)
         value = parse_value_literal(tokens[2], raw)
         try:
@@ -506,14 +504,14 @@ def parse(text: str | bytes) -> Diagram:
 
 
 def _require_id(tok: _Token) -> str:
-    if not _ID_RE.match(tok.text):
+    if not ID_RE.fullmatch(tok.text):
         raise ParseError(tok.span, "identifier", tok.text)
     return tok.text
 
 
 def _split_pair(tok: _Token, quoted: bool) -> tuple[str, str]:
     key, sep, raw = tok.text.partition("=")
-    if not sep or not _KEY_RE.match(key):
+    if not sep or not KEY_RE.fullmatch(key):
         raise ParseError(tok.span, "key=\"value\"", tok.text)
     if quoted:
         return key, _unquote(tok, raw)
@@ -569,8 +567,6 @@ def _parse_edge(d: Diagram, tokens: list[_Token]) -> None:
         if key != "role":
             raise ParseError(tok.span, "role key", key)
         role = value
-    if eid in d.edges or eid in d.elements or eid in d.groups:
-        raise ParseError(tokens[1].span, "unique edge id", eid)
     try:
         d.add_edge(Edge(kind=kind, source=source, target=target, role=role, id=eid))
     except (ModelError, ValueError) as exc:
@@ -645,8 +641,6 @@ def _parse_group(d: Diagram, tokens: list[_Token]) -> None:
             )
         except (ModelError, ValueError) as exc:
             raise ParseError(tokens[1].span, "legal probabilities", str(exc)) from exc
-    if gid in d.groups or gid in d.elements or gid in d.edges:
-        raise ParseError(tokens[1].span, "unique group id", gid)
     try:
         d.add_group(group)
     except ModelError as exc:

@@ -9,6 +9,7 @@ table ships with defaults and can be overridden from a plain-text file.
 from __future__ import annotations
 
 import enum
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,16 +17,15 @@ from pathlib import Path
 from .model import (
     CHANGE_ARROW_KINDS,
     CONTAINER_KINDS,
+    KIND_FACTS,
     Diagram,
     Edge,
     EdgeKind,
-    GroupKind,
     Kind,
-    LOCATION_BOX_FAMILY,
-    NONQUAN_KINDS,
     SplitTimeGroup,
     StateDiagramGroup,
     UnknownOwner,
+    can_host,
 )
 from .values import Text, Value, Wildcard
 
@@ -56,44 +56,16 @@ class Shape(str, enum.Enum):
     SELF_LOOP = "SelfLoop"
 
 
-_ARROW_COLUMNS = (EdgeKind.TIME, EdgeKind.MOTION, EdgeKind.FORCE, EdgeKind.CAUSATION)
+_ARROW_COLUMNS = tuple(k for k in EdgeKind if k in CHANGE_ARROW_KINDS)
 
 LegalityTable = dict[tuple[Shape, EdgeKind], bool]
 
 
 def default_legality() -> LegalityTable:
-    """Built-in table: time never attaches, motion never points into its
-    mover from nowhere, force never self-loops; solitary anything is fine."""
-    legal_shapes = {
-        EdgeKind.TIME: {Shape.SOLITARY_ARROW, Shape.SOLITARY_NONQUAN},
-        EdgeKind.MOTION: {
-            Shape.SOLITARY_ARROW,
-            Shape.SOLITARY_NONQUAN,
-            Shape.ARROW_OUT,
-            Shape.ARROW_BETWEEN,
-            Shape.SELF_LOOP,
-        },
-        EdgeKind.FORCE: {
-            Shape.SOLITARY_ARROW,
-            Shape.SOLITARY_NONQUAN,
-            Shape.ARROW_OUT,
-            Shape.ARROW_IN,
-            Shape.ARROW_BETWEEN,
-        },
-        EdgeKind.CAUSATION: {
-            Shape.SOLITARY_ARROW,
-            Shape.SOLITARY_NONQUAN,
-            Shape.ARROW_OUT,
-            Shape.ARROW_IN,
-            Shape.ARROW_BETWEEN,
-            Shape.SELF_LOOP,
-        },
-    }
-    return {
-        (shape, kind): shape in legal_shapes[kind]
-        for shape in Shape
-        for kind in _ARROW_COLUMNS
-    }
+    """The shipped table, data/legality.tbl: time never attaches, motion never
+    points into its mover from nowhere, force never self-loops; solitary
+    anything is fine.  Each call returns a fresh copy."""
+    return dict(_shipped_legality())
 
 
 def parse_legality(text: str) -> LegalityTable:
@@ -128,6 +100,11 @@ def parse_legality(text: str) -> LegalityTable:
 
 def load_legality(path: str | Path) -> LegalityTable:
     return parse_legality(Path(path).read_text(encoding="utf-8"))
+
+
+@functools.cache
+def _shipped_legality() -> LegalityTable:
+    return load_legality(Path(__file__).parent / "data" / "legality.tbl")
 
 
 class ViolationCode(str, enum.Enum):
@@ -178,17 +155,6 @@ def _legality_code(kind: EdgeKind, shape: Shape) -> ViolationCode:
     return ViolationCode.ARROW_SHAPE_ILLEGAL
 
 
-# Box strictness: a looser box directly inside a stricter one inverts the
-# stricter box's constraints, which is disallowed.
-_STRICTNESS = {
-    Kind.VERBATIM_BOX: 3,
-    Kind.DESCRIPTIVE_BOX: 2,
-    Kind.AGGREGATION_BOX: 1,
-    Kind.CA_AGGREGATION_BOX: 1,
-    Kind.XOR_BOX: 1,
-}
-
-
 def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
     """Check a diagram against the combination grammar.
 
@@ -199,6 +165,7 @@ def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
     out: list[Violation] = []
 
     # Referential integrity and containment.
+    contained = []  # (child, parent) pairs of existing elements, by child id
     for child in sorted(d.containment):
         parent = d.containment[child]
         if child not in d.elements or parent not in d.elements:
@@ -210,6 +177,7 @@ def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
                 )
             )
             continue
+        contained.append((child, parent))
         if d.elements[parent].kind not in CONTAINER_KINDS:
             out.append(
                 Violation(
@@ -236,23 +204,19 @@ def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
 
     for eid in sorted(d.edges):
         edge = d.edges[eid]
-        for endpoint in (edge.source, edge.target):
-            if endpoint is not None and endpoint not in d.elements:
-                out.append(
-                    Violation(
-                        ViolationCode.UNKNOWN_REF,
-                        (eid, endpoint),
-                        "edge endpoint does not exist",
-                    )
+        for endpoint in d.missing_endpoints(edge):
+            out.append(
+                Violation(
+                    ViolationCode.UNKNOWN_REF,
+                    (eid, endpoint),
+                    "edge endpoint does not exist",
                 )
+            )
 
     # Fixed positions inside Verbatim and Descriptive boxes.
-    for child in sorted(d.containment):
-        parent = d.containment[child]
-        if child not in d.elements or parent not in d.elements:
-            continue
+    for child, parent in contained:
         pkind = d.elements[parent].kind
-        if pkind in (Kind.VERBATIM_BOX, Kind.DESCRIPTIVE_BOX):
+        if (KIND_FACTS[pkind].strictness or 0) > 1:
             if d.elements[child].position is None:
                 out.append(
                     Violation(
@@ -267,10 +231,7 @@ def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
         edge = d.edges[eid]
         if edge.kind not in CHANGE_ARROW_KINDS:
             continue
-        if any(
-            ep is not None and ep not in d.elements
-            for ep in (edge.source, edge.target)
-        ):
+        if d.missing_endpoints(edge):
             continue  # already reported as UNKNOWN_REF
         shape = edge_shape(edge)
         if not table[(shape, edge.kind)]:
@@ -286,7 +247,7 @@ def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
     for owner, binding in d.bindings:
         if owner in d.elements:
             kind = d.elements[owner].kind
-            if kind not in NONQUAN_KINDS:
+            if not can_host(kind):
                 out.append(
                     Violation(
                         ViolationCode.ATTR_HOST_ILLEGAL,
@@ -295,12 +256,13 @@ def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
                     )
                 )
         elif owner in d.edges:
-            if d.edges[owner].kind not in CHANGE_ARROW_KINDS:
+            kind = d.edges[owner].kind
+            if not can_host(kind):
                 out.append(
                     Violation(
                         ViolationCode.ATTR_HOST_ILLEGAL,
                         (owner,),
-                        f"{d.edges[owner].kind.value} edge cannot host attributes",
+                        f"{kind.value} edge cannot host attributes",
                     )
                 )
         else:
@@ -328,14 +290,12 @@ def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
         seen_attrs.setdefault(key, binding.value)
 
     # Box nesting direction.
-    for child in sorted(d.containment):
-        parent = d.containment[child]
-        if child not in d.elements or parent not in d.elements:
-            continue
+    for child, parent in contained:
         ck = d.elements[child].kind
         pk = d.elements[parent].kind
-        if ck in _STRICTNESS and pk in _STRICTNESS:
-            if _STRICTNESS[ck] < _STRICTNESS[pk]:
+        cs, ps = KIND_FACTS[ck].strictness, KIND_FACTS[pk].strictness
+        if cs is not None and ps is not None:
+            if cs < ps:
                 out.append(
                     Violation(
                         ViolationCode.BOX_NESTING,
@@ -346,16 +306,13 @@ def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
 
     # XOR boxes need something to choose between: contained alternatives or
     # split-time branches forking at the box.
-    branch_counts: dict[str, int] = {}
-    for gid in sorted(d.groups):
-        group = d.groups[gid]
+    branch_counts: Counter[str] = Counter()
+    for group in d.groups.values():
         if isinstance(group, SplitTimeGroup) and group.junction:
-            branch_counts[group.junction] = branch_counts.get(
-                group.junction, 0
-            ) + len(group.branches)
+            branch_counts[group.junction] += len(group.branches)
     child_counts = Counter(d.containment.values())
     for xid in d.elements_of_kind(Kind.XOR_BOX):
-        alternatives = child_counts[xid] + branch_counts.get(xid, 0)
+        alternatives = child_counts[xid] + branch_counts[xid]
         if alternatives < 2:
             out.append(
                 Violation(
@@ -429,21 +386,14 @@ def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
                         "split-time junction must be an XorBox",
                     )
                 )
-            if group.probabilities is not None:
-                probs = group.probabilities
-                bad = (
-                    len(probs) != len(group.branches)
-                    or any(not 0.0 <= p <= 1.0 for p in probs)
-                    or abs(sum(probs) - 1.0) > 1e-9
-                )
-                if bad:
-                    out.append(
-                        Violation(
-                            ViolationCode.SPLIT_PROBS_INVALID,
-                            (gid,),
-                            "branch probabilities must lie in [0,1] and sum to 1",
-                        )
+            if group.probabilities_problem() is not None:
+                out.append(
+                    Violation(
+                        ViolationCode.SPLIT_PROBS_INVALID,
+                        (gid,),
+                        "branch probabilities must lie in [0,1] and sum to 1",
                     )
+                )
 
     # Attend rings flag attention on data motion only.
     for rid in d.elements_of_kind(Kind.ATTEND_RING):
@@ -494,91 +444,30 @@ class UnknownKind(KeyError):
     pass
 
 
-# Pseudo-kinds: grammar concepts that are classifiable but are not diagram
-# elements themselves.
-PSEUDO_KINDS = ("AttributeLine", "Wildcard", "RangeCap")
-
-_SCOVA: dict[str, BasicKind] = {
-    Kind.PHYSICAL_OBJECT_CIRCLE.value: BasicKind.O,
-    Kind.DATA_OBJECT_CIRCLE.value: BasicKind.O,
-    Kind.CA_OBJECT_CIRCLE.value: BasicKind.O,
-    Kind.DATA_POINT.value: BasicKind.O,
-    Kind.STATE_CIRCLE.value: BasicKind.O,
-    Kind.CELL.value: BasicKind.O,
-    Kind.SENSOR_BAR.value: BasicKind.O,
-    Kind.MARKER_0D.value: BasicKind.O,
-    Kind.MARKER_1D.value: BasicKind.O,
-    Kind.MARKER_2D.value: BasicKind.O,
-    Kind.VERBATIM_BOX.value: BasicKind.O,
-    Kind.DESCRIPTIVE_BOX.value: BasicKind.O,
-    Kind.AGGREGATION_BOX.value: BasicKind.O,
-    Kind.CA_AGGREGATION_BOX.value: BasicKind.O,
-    Kind.XOR_BOX.value: BasicKind.O,
-    Kind.SWIRLY_ARRAY.value: BasicKind.O,
-    Kind.LABEL_STRING.value: BasicKind.O,
-    Kind.VALUE_BAR.value: BasicKind.V,
-    Kind.CORRELATION_BOX.value: BasicKind.C,
-    Kind.TIME_ANCHOR.value: BasicKind.C,
-    Kind.ATTEND_RING.value: BasicKind.A,
-    Kind.DATA_SET_BOX.value: BasicKind.S,
-    Kind.MOTIVATION_TRIANGLE.value: BasicKind.S,
-    Kind.ROBINSON_ICON.value: BasicKind.S,
-    Kind.MODAL_VERB_ICON.value: BasicKind.S,
-    Kind.ZOOM_BOX_PAIR.value: BasicKind.S,
-    EdgeKind.TIME.value: BasicKind.C,
-    EdgeKind.MOTION.value: BasicKind.C,
-    EdgeKind.FORCE.value: BasicKind.C,
-    EdgeKind.CAUSATION.value: BasicKind.C,
-    EdgeKind.TUBE.value: BasicKind.O,
-    EdgeKind.RELATIONSHIP.value: BasicKind.O,
-    GroupKind.STATE_DIAGRAM.value: BasicKind.S,
-    GroupKind.SPLIT_TIME.value: BasicKind.S,
-    "AttributeLine": BasicKind.A,
-    "Wildcard": BasicKind.V,
-    "RangeCap": BasicKind.V,
-}
-
-
-# Building-block names for the arrows and composites, accepted alongside
-# the bare edge/group kind names.
-_KIND_ALIASES = {
-    "TimeArrow": EdgeKind.TIME.value,
-    "MotionArrow": EdgeKind.MOTION.value,
-    "ForceArrow": EdgeKind.FORCE.value,
-    "CausationArrow": EdgeKind.CAUSATION.value,
-    "PathwayTube": EdgeKind.TUBE.value,
-    "RelationshipMarker": EdgeKind.RELATIONSHIP.value,
-    "StateDiagramGroup": GroupKind.STATE_DIAGRAM.value,
-    "SplitTimeGroup": GroupKind.SPLIT_TIME.value,
-    "SplitTimeArrow": GroupKind.SPLIT_TIME.value,
+# Every kind name and Building Block alias, to its row key in KIND_FACTS.
+_KEYS = {
+    name: key
+    for key, facts in KIND_FACTS.items()
+    for name in (getattr(key, "value", key), *facts.aliases)
 }
 
 
 def all_classifiable_kinds() -> list[str]:
     """Every canonical name scova_classify accepts (aliases excluded)."""
-    return sorted(_SCOVA)
+    return sorted(getattr(key, "value", key) for key in KIND_FACTS)
 
 
-def _kind_name(kind) -> str:
-    if isinstance(kind, enum.Enum):
-        name = kind.value
-    else:
-        name = str(kind)
-    return _KIND_ALIASES.get(name, name)
-
-
-def scova_classify(kind) -> BasicKind:
-    """Reduce any concrete Building Block to its Basic Building Block."""
-    name = _kind_name(kind)
+def _key(kind):
+    name = kind.value if isinstance(kind, enum.Enum) else str(kind)
     try:
-        return _SCOVA[name]
+        return _KEYS[name]
     except KeyError:
         raise UnknownKind(name) from None
 
 
-_IAM_KINDS = {k.value for k in LOCATION_BOX_FAMILY} | {GroupKind.STATE_DIAGRAM.value}
-_NONQUAN_NAMES = {k.value for k in NONQUAN_KINDS}
-_ARROW_NAMES = {k.value for k in CHANGE_ARROW_KINDS}
+def scova_classify(kind) -> BasicKind:
+    """Reduce any concrete Building Block to its Basic Building Block."""
+    return BasicKind(KIND_FACTS[_key(kind)].scova)
 
 
 def generalize(kind) -> frozenset[str]:
@@ -587,15 +476,14 @@ def generalize(kind) -> frozenset[str]:
     Location boxes sit on two axes at once (they are both nonquantified
     objects and interchangeably actualizable maps), so the result is a set.
     """
-    name = _kind_name(kind)
-    if name not in _SCOVA:
-        raise UnknownKind(name)
+    key = _key(kind)
+    facts = KIND_FACTS[key]
     axes = set()
-    if name in _NONQUAN_NAMES:
+    if facts.nonquan:
         axes.add("Nonquan")
-    if name in _IAM_KINDS:
+    if facts.iam:
         axes.add("IAM")
-    if name in _ARROW_NAMES:
+    if key in CHANGE_ARROW_KINDS:
         axes.add("ChangeArrow")
     if not axes:
         axes.add("Other")

@@ -9,11 +9,12 @@ so the set stays editable; the shipped file mirrors the fourteen heuristics.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .model import Diagram, EdgeKind, Kind, LOCATION_BOX_FAMILY, MARKER_KINDS
+from .model import CHANGE_ARROW_KINDS, KIND_FACTS, Diagram, Kind
 from .lexicon import tables_dir
 
 __all__ = [
@@ -60,23 +61,14 @@ class Trigger:
     cue: str | None = None
 
 
-# Requirement kinds: concrete element kinds, the arrow names, or the
+# Requirement kinds: concrete element kinds, the Change Arrow names, or the
 # abstract classes AnyBox / AnyMarker.
-_ARROW_NAMES = {
-    "TimeArrow": EdgeKind.TIME,
-    "MotionArrow": EdgeKind.MOTION,
-    "ForceArrow": EdgeKind.FORCE,
-    "CausationArrow": EdgeKind.CAUSATION,
-}
+_ARROW_NAMES = {name: k for k in CHANGE_ARROW_KINDS for name in KIND_FACTS[k].aliases}
 _ABSTRACT = ("AnyBox", "AnyMarker")
-
-_ANYBOX_KINDS = LOCATION_BOX_FAMILY | {Kind.DATA_SET_BOX}
 
 
 def _known_kind(name: str) -> bool:
-    if name in _ARROW_NAMES or name in _ABSTRACT:
-        return True
-    return name in {k.value for k in Kind}
+    return name in _ARROW_NAMES or name in _ABSTRACT or any(k.value == name for k in Kind)
 
 
 @dataclass(frozen=True)
@@ -135,14 +127,9 @@ def load_rules(path: str | Path | None = None) -> dict[TriggerTag, Rule]:
     return parse_rules(path.read_text(encoding="utf-8"))
 
 
-_DEFAULT_RULES: dict[TriggerTag, Rule] | None = None
-
-
+@functools.cache
 def default_rules() -> dict[TriggerTag, Rule]:
-    global _DEFAULT_RULES
-    if _DEFAULT_RULES is None:
-        _DEFAULT_RULES = load_rules()
-    return _DEFAULT_RULES
+    return load_rules()
 
 
 def requirements_for(
@@ -182,11 +169,10 @@ class CheckReport:
 def _present(d: Diagram, name: str) -> bool:
     if name in _ARROW_NAMES:
         return bool(d.edges_of_kind(_ARROW_NAMES[name]))
-    if name == "AnyBox":
-        return any(e.kind in _ANYBOX_KINDS for e in d.elements.values())
-    if name == "AnyMarker":
-        return any(e.kind in MARKER_KINDS for e in d.elements.values()) or bool(
-            d.edges_of_kind(EdgeKind.RELATIONSHIP)
+    if name in _ABSTRACT:
+        return any(
+            KIND_FACTS[x.kind].abstract == name
+            for x in (*d.elements.values(), *d.edges.values())
         )
     return any(e.kind.value == name for e in d.elements.values())
 

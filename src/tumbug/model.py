@@ -10,6 +10,7 @@ validator's job and lives in :mod:`tumbug.grammar`.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -28,6 +29,10 @@ __all__ = [
     "Kind",
     "EdgeKind",
     "GroupKind",
+    "KindFacts",
+    "KIND_FACTS",
+    "ID_RE",
+    "KEY_RE",
     "CHANGE_ARROW_KINDS",
     "CONTAINER_KINDS",
     "NONQUAN_KINDS",
@@ -55,6 +60,7 @@ __all__ = [
     "ParentNotContainer",
     "ContainmentCycle",
     "DuplicateId",
+    "InvalidId",
     "UnknownEndpoint",
     "UnknownOwner",
     "UnknownMember",
@@ -82,6 +88,10 @@ class ContainmentCycle(ModelError):
 
 
 class DuplicateId(ModelError):
+    pass
+
+
+class InvalidId(ModelError):
     pass
 
 
@@ -158,36 +168,6 @@ class GroupKind(str, enum.Enum):
     SPLIT_TIME = "SplitTime"
 
 
-CHANGE_ARROW_KINDS = frozenset(
-    {EdgeKind.TIME, EdgeKind.MOTION, EdgeKind.FORCE, EdgeKind.CAUSATION}
-)
-
-LOCATION_BOX_FAMILY = frozenset(
-    {
-        Kind.VERBATIM_BOX,
-        Kind.DESCRIPTIVE_BOX,
-        Kind.AGGREGATION_BOX,
-        Kind.CA_AGGREGATION_BOX,
-        Kind.XOR_BOX,
-    }
-)
-
-CONTAINER_KINDS = LOCATION_BOX_FAMILY | {Kind.DATA_SET_BOX, Kind.ZOOM_BOX_PAIR}
-
-# Nonquantified objects: the only elements that may host attribute bindings.
-NONQUAN_KINDS = frozenset(
-    {
-        Kind.PHYSICAL_OBJECT_CIRCLE,
-        Kind.DATA_OBJECT_CIRCLE,
-        Kind.CA_OBJECT_CIRCLE,
-        Kind.DATA_POINT,
-        Kind.SWIRLY_ARRAY,
-    }
-) | CONTAINER_KINDS
-
-MARKER_KINDS = frozenset({Kind.MARKER_0D, Kind.MARKER_1D, Kind.MARKER_2D})
-
-
 @dataclass(frozen=True)
 class Position:
     """Layout hint; mandatory only inside Verbatim and Descriptive boxes."""
@@ -200,6 +180,8 @@ class Position:
     def __post_init__(self):
         if (self.w is None) != (self.h is None):
             raise InvalidPayload("extent needs both w and h")
+        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h) if v is not None):
+            raise InvalidPayload("position and extent must be finite")
 
 
 @dataclass(frozen=True)
@@ -214,8 +196,12 @@ class AttributeBinding:
             raise InvalidPayload("attribute and value cannot both be DK")
 
 
+# Identifier syntax of element, edge and group ids, and of keys (property
+# keys and attribute names), which may also hold dots.
+ID_RE = re.compile(r"[A-Za-z0-9_-]+")
+KEY_RE = re.compile(r"[A-Za-z0-9_.-]+")
+
 _RESERVED_PROP_KEYS = frozenset({"label", "pos", "size"})
-_PROP_KEY_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 
 @dataclass
@@ -227,7 +213,7 @@ class GenericPayload:
 
     def __post_init__(self):
         for key in self.props:
-            if key in _RESERVED_PROP_KEYS or not _PROP_KEY_RE.match(key):
+            if key in _RESERVED_PROP_KEYS or not KEY_RE.fullmatch(key):
                 raise InvalidPayload(f"illegal property key {key!r}")
 
 
@@ -369,24 +355,93 @@ class SwirlyArrayPayload:
         object.__setattr__(self, "active", frozenset(self.active))
 
 
-Payload = object  # any of the payload classes above
+@dataclass(frozen=True)
+class KindFacts:
+    """What the package knows about one Building Block kind, short of how
+    svg draws each one."""
 
-_PAYLOAD_TYPES: dict[Kind, type] = {
-    Kind.CORRELATION_BOX: CorrelationBoxPayload,
-    Kind.CA_OBJECT_CIRCLE: CAPayload,
-    Kind.CA_AGGREGATION_BOX: CAPayload,
-    Kind.MOTIVATION_TRIANGLE: MotivationTrianglePayload,
-    Kind.ROBINSON_ICON: RobinsonIconPayload,
-    Kind.SWIRLY_ARRAY: SwirlyArrayPayload,
+    scova: str  # the Basic Building Block it reduces to: S, C, O, V or A
+    aliases: tuple[str, ...] = ()  # Building Block names accepted besides the kind's own
+    payload: type = GenericPayload  # payload class of elements of this kind
+    container: bool = False  # may hold other elements
+    nonquan: bool = False  # Nonquantified: the only elements that may host attributes
+    data: bool = False  # information rather than matter: drawn with a dotted outline
+    # Location boxes only: a looser box directly inside a stricter one would
+    # invert the stricter box's constraints; boxes above 1 fix child positions.
+    strictness: int | None = None
+    iam: bool = False  # interchangeably actualizable map
+    shape: str | None = None  # svg drawing class: circle, box (label on top), bar or cells
+    abstract: str | None = None  # heuristics requirement it meets: AnyBox or AnyMarker
+
+
+def _location_box(strictness: int, payload: type = GenericPayload) -> KindFacts:
+    """Location boxes are Nonquan containers and IAMs, drawn as boxes."""
+    return KindFacts(
+        "O", payload=payload, container=True, nonquan=True, strictness=strictness,
+        iam=True, shape="box", abstract="AnyBox",
+    )
+
+
+# One row per element, edge and group kind, plus the grammar's pseudo-kinds:
+# concepts that are classifiable but are not diagram elements themselves.
+KIND_FACTS: dict[Kind | EdgeKind | GroupKind | str, KindFacts] = {
+    Kind.PHYSICAL_OBJECT_CIRCLE: KindFacts("O", nonquan=True, shape="circle"),
+    Kind.DATA_OBJECT_CIRCLE: KindFacts("O", nonquan=True, data=True, shape="circle"),
+    Kind.CA_OBJECT_CIRCLE: KindFacts("O", payload=CAPayload, nonquan=True, shape="circle"),
+    Kind.DATA_POINT: KindFacts("O", nonquan=True, data=True, shape="circle"),
+    Kind.STATE_CIRCLE: KindFacts("O", shape="circle"),
+    Kind.CELL: KindFacts("O", shape="circle"),
+    Kind.SENSOR_BAR: KindFacts("O", shape="bar"),
+    Kind.MARKER_0D: KindFacts("O", abstract="AnyMarker"),
+    Kind.MARKER_1D: KindFacts("O", abstract="AnyMarker"),
+    Kind.MARKER_2D: KindFacts("O", abstract="AnyMarker"),
+    Kind.VERBATIM_BOX: _location_box(3),
+    Kind.DESCRIPTIVE_BOX: _location_box(2),
+    Kind.AGGREGATION_BOX: _location_box(1),
+    Kind.CA_AGGREGATION_BOX: _location_box(1, CAPayload),
+    Kind.XOR_BOX: _location_box(1),
+    Kind.SWIRLY_ARRAY: KindFacts("O", payload=SwirlyArrayPayload, nonquan=True, shape="cells"),
+    Kind.VALUE_BAR: KindFacts("V", shape="bar"),
+    Kind.CORRELATION_BOX: KindFacts("C", payload=CorrelationBoxPayload, shape="box"),
+    Kind.TIME_ANCHOR: KindFacts("C"),
+    Kind.DATA_SET_BOX: KindFacts(
+        "S", container=True, nonquan=True, shape="box", abstract="AnyBox"
+    ),
+    Kind.LABEL_STRING: KindFacts("O"),
+    Kind.ATTEND_RING: KindFacts("A"),
+    Kind.MOTIVATION_TRIANGLE: KindFacts("S", payload=MotivationTrianglePayload),
+    Kind.ROBINSON_ICON: KindFacts("S", payload=RobinsonIconPayload),
+    Kind.MODAL_VERB_ICON: KindFacts("S", shape="cells"),
+    Kind.ZOOM_BOX_PAIR: KindFacts("S", container=True, nonquan=True, shape="box"),
+    EdgeKind.TIME: KindFacts("C", ("TimeArrow",)),
+    EdgeKind.MOTION: KindFacts("C", ("MotionArrow",)),
+    EdgeKind.FORCE: KindFacts("C", ("ForceArrow",)),
+    EdgeKind.CAUSATION: KindFacts("C", ("CausationArrow",)),
+    EdgeKind.TUBE: KindFacts("O", ("PathwayTube",)),
+    EdgeKind.RELATIONSHIP: KindFacts("O", ("RelationshipMarker",), abstract="AnyMarker"),
+    GroupKind.STATE_DIAGRAM: KindFacts("S", ("StateDiagramGroup",), iam=True),
+    GroupKind.SPLIT_TIME: KindFacts("S", ("SplitTimeGroup", "SplitTimeArrow")),
+    "AttributeLine": KindFacts("A"),
+    "Wildcard": KindFacts("V"),
+    "RangeCap": KindFacts("V"),
 }
+
+# Change Arrows are the change-like (C) arrows.
+CHANGE_ARROW_KINDS = frozenset(k for k in EdgeKind if KIND_FACTS[k].scova == "C")
+CONTAINER_KINDS = frozenset(k for k in Kind if KIND_FACTS[k].container)
+NONQUAN_KINDS = frozenset(k for k in Kind if KIND_FACTS[k].nonquan)
+LOCATION_BOX_FAMILY = frozenset(k for k in Kind if KIND_FACTS[k].strictness is not None)
+MARKER_KINDS = frozenset(k for k in Kind if KIND_FACTS[k].abstract == "AnyMarker")
 
 
 def payload_type(kind: Kind) -> type:
-    return _PAYLOAD_TYPES.get(kind, GenericPayload)
+    return KIND_FACTS[kind].payload
 
 
-def default_payload(kind: Kind):
-    return payload_type(kind)()
+def can_host(kind: Kind | EdgeKind) -> bool:
+    """Whether elements or edges of this kind may carry attribute bindings:
+    Nonquan elements and Change Arrows may."""
+    return kind in NONQUAN_KINDS or kind in CHANGE_ARROW_KINDS
 
 
 @dataclass
@@ -399,9 +454,9 @@ class Element:
     id: str | None = None
 
     def __post_init__(self):
-        if self.payload is None:
-            self.payload = default_payload(self.kind)
         expected = payload_type(self.kind)
+        if self.payload is None:
+            self.payload = expected()
         if not isinstance(self.payload, expected):
             raise PayloadMismatch(
                 f"{self.kind.value} expects {expected.__name__}, "
@@ -453,14 +508,24 @@ class SplitTimeGroup:
 
     def __post_init__(self):
         if self.probabilities is not None:
-            probs = tuple(float(p) for p in self.probabilities)
-            if len(probs) != len(self.branches):
-                raise InvalidPayload("one probability per branch required")
-            if any(not 0.0 <= p <= 1.0 for p in probs):
-                raise InvalidPayload("branch probabilities must lie in [0, 1]")
-            if abs(sum(probs) - 1.0) > 1e-9:
-                raise InvalidPayload(f"branch probabilities sum to {sum(probs)}, not 1")
-            self.probabilities = probs
+            self.probabilities = tuple(float(p) for p in self.probabilities)
+            problem = self.probabilities_problem()
+            if problem is not None:
+                raise InvalidPayload(problem)
+
+    def probabilities_problem(self) -> str | None:
+        """What is wrong with the branch probabilities, or None when they are
+        absent or one per branch, each in [0, 1], summing to 1."""
+        probs = self.probabilities
+        if probs is None:
+            return None
+        if len(probs) != len(self.branches):
+            return "one probability per branch required"
+        if any(not 0.0 <= p <= 1.0 for p in probs):
+            return "branch probabilities must lie in [0, 1]"
+        if abs(sum(probs) - 1.0) > 1e-9:
+            return f"branch probabilities sum to {sum(probs)}, not 1"
+        return None
 
 
 Group = StateDiagramGroup | SplitTimeGroup
@@ -517,6 +582,8 @@ class Diagram:
     def _claim_id(self, requested: str | None, prefix: str) -> str:
         if requested is None:
             return self._fresh_id(prefix)
+        if not ID_RE.fullmatch(requested):
+            raise InvalidId(f"{requested!r} is not an identifier")
         if self._taken(requested):
             raise DuplicateId(requested)
         return requested
@@ -558,9 +625,9 @@ class Diagram:
         self, edge: Edge, attrs: Iterable[AttributeBinding] | None = None
     ) -> str:
         edge.id = self._claim_id(edge.id, "a")
-        for endpoint in (edge.source, edge.target):
-            if endpoint is not None and endpoint not in self.elements:
-                raise UnknownEndpoint(endpoint)
+        missing = self.missing_endpoints(edge)
+        if missing:
+            raise UnknownEndpoint(missing[0])
         self.edges[edge.id] = edge
         for binding in attrs or ():
             self.bind_attribute(edge.id, binding)
@@ -593,15 +660,12 @@ class Diagram:
         """
         if owner in self.elements:
             kind = self.elements[owner].kind
-            if kind not in NONQUAN_KINDS:
-                raise IllegalAttributeHost(
-                    f"{kind.value} cannot host attribute-value pairs"
-                )
+            if not can_host(kind):
+                raise IllegalAttributeHost(f"{kind.value} cannot host attribute-value pairs")
         elif owner in self.edges:
-            if self.edges[owner].kind not in CHANGE_ARROW_KINDS:
-                raise IllegalAttributeHost(
-                    f"{self.edges[owner].kind.value} edges cannot host attributes"
-                )
+            kind = self.edges[owner].kind
+            if not can_host(kind):
+                raise IllegalAttributeHost(f"{kind.value} edges cannot host attributes")
         else:
             raise UnknownOwner(owner)
         for existing_owner, existing in self.bindings:
@@ -611,6 +675,12 @@ class Diagram:
                         f"{owner}.{binding.attribute} already bound to a different value"
                     )
         self.bindings.append((owner, binding))
+
+    # -- integrity checks, shared with grammar.validate --------------------
+
+    def missing_endpoints(self, edge: Edge) -> list[str]:
+        """The edge's endpoints that name no element."""
+        return [e for e in (edge.source, edge.target) if e is not None and e not in self.elements]
 
     # -- queries -----------------------------------------------------------
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .grammar import Violation, validate
 from .model import (
+    KIND_FACTS,
     MOTIVATION_LEVELS,
     ROBINSON_CATEGORIES,
     AttributeBinding,
@@ -49,26 +50,6 @@ class RenderOptions:
             raise ValueError("font size and hatch spacing must be positive")
 
 
-_CIRCLE_KINDS = {
-    Kind.PHYSICAL_OBJECT_CIRCLE,
-    Kind.DATA_OBJECT_CIRCLE,
-    Kind.CA_OBJECT_CIRCLE,
-    Kind.DATA_POINT,
-    Kind.STATE_CIRCLE,
-    Kind.CELL,
-}
-
-_BOX_KINDS = {
-    Kind.VERBATIM_BOX,
-    Kind.DESCRIPTIVE_BOX,
-    Kind.AGGREGATION_BOX,
-    Kind.CA_AGGREGATION_BOX,
-    Kind.XOR_BOX,
-    Kind.DATA_SET_BOX,
-    Kind.ZOOM_BOX_PAIR,
-    Kind.CORRELATION_BOX,
-}
-
 # Grammatical-role hues, used only when options.color is on.
 _ROLE_COLORS = {"subject": "#d8ecff", "direct": "#ffe0cc", "indirect": "#e4ffd8"}
 
@@ -99,10 +80,11 @@ def _leaf_size(el: Element, font: int) -> tuple[float, float]:
     kind = el.kind
     label = el.label or ""
     text_w = max(36.0, len(label) * font * 0.62 + 12)
-    if kind in _CIRCLE_KINDS:
+    shape = KIND_FACTS[kind].shape
+    if shape == "circle":
         side = max(52.0, text_w)
         return side, side
-    if kind in (Kind.SENSOR_BAR, Kind.VALUE_BAR):
+    if shape == "bar":
         return max(84.0, text_w), 18.0
     if kind is Kind.MARKER_0D:
         return 12.0, 12.0
@@ -120,7 +102,7 @@ def _leaf_size(el: Element, font: int) -> tuple[float, float]:
         return 84.0, 72.0
     if kind is Kind.ROBINSON_ICON:
         return 84.0, 84.0
-    if kind in (Kind.MODAL_VERB_ICON, Kind.SWIRLY_ARRAY):
+    if shape == "cells":
         cells = getattr(el.payload, "cells", ())
         if cells:
             w = max(x for _, x, _ in cells) + 24
@@ -143,8 +125,7 @@ def _layout(
     sizes: dict[str, tuple[float, float]] = {}
 
     def measure(eid: str) -> tuple[float, float]:
-        if eid in sizes:
-            return sizes[eid]
+        """Size of an element whose children are all measured."""
         el = d.elements[eid]
         kids = children.get(eid, [])
         pad = 16.0
@@ -154,7 +135,7 @@ def _layout(
             right = 0.0
             bottom = 0.0
             for k in kids:
-                kw, kh = measure(k)
+                kw, kh = sizes[k]
                 pos = d.elements[k].position
                 right = max(right, pos.x + (pos.w or kw))
                 bottom = max(bottom, pos.y + (pos.h or kh))
@@ -163,20 +144,26 @@ def _layout(
             x = pad
             tallest = 0.0
             for k in kids:
-                kw, kh = measure(k)
+                kw, kh = sizes[k]
                 x += kw + pad
                 tallest = max(tallest, kh)
             size = (max(x, 72.0), tallest + 2 * pad + options.font_size)
         # Leave room under the element for its attribute lines.
         n_attrs = len(by_owner.get(eid, []))
-        size = (size[0], size[1] + n_attrs * (options.font_size + 3))
-        sizes[eid] = size
-        return size
-
-    for eid in sorted(d.elements):
-        measure(eid)
+        return (size[0], size[1] + n_attrs * (options.font_size + 3))
 
     roots = sorted(e for e in d.elements if e not in d.containment)
+
+    # Containers before their contents, depth first in child order, without
+    # recursion: containment may nest deeper than Python's recursion limit.
+    order: list[str] = []
+    stack = roots[::-1]
+    while stack:
+        eid = stack.pop()
+        order.append(eid)
+        stack.extend(reversed(children.get(eid, [])))
+    for eid in reversed(order):  # contents first
+        sizes[eid] = measure(eid)
 
     # Layer roots by non-time arrow topology, sources leftmost.  The
     # relaxation runs in edge-id order: on a cycle the result depends on
@@ -216,12 +203,11 @@ def _layout(
             widest = max(widest, boxes[r].w)
         col_x += widest + 64.0
 
-    def place_children(parent: str) -> None:
+    for parent in order:
         pbox = boxes[parent]
-        kids = children.get(parent, [])
         pad = 16.0
         x = pbox.x + pad
-        for k in kids:
+        for k in children.get(parent, []):
             kw, kh = sizes[k]
             pos = d.elements[k].position
             if pos is not None:
@@ -229,10 +215,6 @@ def _layout(
             else:
                 boxes[k] = _Box(x, pbox.y + pad + options.font_size, kw, kh)
                 x += kw + pad
-            place_children(k)
-
-    for r in roots:
-        place_children(r)
     return boxes
 
 
@@ -341,15 +323,16 @@ def _render_element(
     el = d.elements[eid]
     kind = el.kind
     font = options.font_size
+    shape = KIND_FACTS[kind].shape
     out = [f'<g id="{_esc(eid)}" class="elem kind-{kind.value}">']
     fill = "none"
-    if options.color and kind in _CIRCLE_KINDS:
+    if options.color and shape == "circle":
         role = getattr(el.payload, "props", {}).get("role")
         fill = _ROLE_COLORS.get(role, "none")
 
     x, y, w, h = box.x, box.y, box.w, box.h
-    if kind in _CIRCLE_KINDS:
-        dashed = ' stroke-dasharray="3,3"' if kind in (Kind.DATA_OBJECT_CIRCLE, Kind.DATA_POINT) else ""
+    if shape == "circle":
+        dashed = ' stroke-dasharray="3,3"' if KIND_FACTS[kind].data else ""
         out.append(
             f'<ellipse cx="{fmt_num(box.cx)}" cy="{fmt_num(box.cy)}" rx="{fmt_num(w / 2)}" '
             f'ry="{fmt_num(h / 2)}" fill="{fill}" stroke="black"{dashed}/>'
@@ -428,7 +411,7 @@ def _render_element(
             f'<text x="{fmt_num(box.cx - 4)}" y="{fmt_num(box.cy + 4)}">'
             f"{_esc(getattr(el.payload, 'valence', '+'))}</text>"
         )
-    elif kind in (Kind.SWIRLY_ARRAY, Kind.MODAL_VERB_ICON):
+    elif shape == "cells":
         out.append(
             f'<rect x="{fmt_num(x)}" y="{fmt_num(y)}" width="{fmt_num(w)}" height="{fmt_num(h)}" '
             'fill="none" stroke="black" stroke-dasharray="1,2"/>'
@@ -489,7 +472,7 @@ def _render_element(
 
     label = el.label
     if label:
-        ly = y + font + 2 if kind in _BOX_KINDS else box.cy + font / 3
+        ly = y + font + 2 if shape == "box" else box.cy + font / 3
         out.append(f'<text x="{fmt_num(x + 6)}" y="{fmt_num(ly)}" class="label">{_esc(label)}</text>')
 
     # Attribute lines hang under the element.

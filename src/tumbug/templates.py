@@ -24,6 +24,7 @@ from .model import (
     SlotSpec,
     SplitTimeGroup,
     StateDiagramGroup,
+    payload_type,
 )
 from .values import BinOp, Const, Scalar, SlotRef, Text, fmt_num
 
@@ -140,14 +141,7 @@ class _Builder:
         position: Position | None = None,
         props: dict[str, str] | None = None,
     ) -> str:
-        if payload is None and kind not in (
-            Kind.CORRELATION_BOX,
-            Kind.CA_OBJECT_CIRCLE,
-            Kind.CA_AGGREGATION_BOX,
-            Kind.MOTIVATION_TRIANGLE,
-            Kind.ROBINSON_ICON,
-            Kind.SWIRLY_ARRAY,
-        ):
+        if payload is None and payload_type(kind) is GenericPayload:
             payload = GenericPayload(label=label, props=dict(props or {}))
         eid = _slug(id_hint or label or kind.value, self.taken)
         return self.d.add_element(
@@ -170,10 +164,8 @@ class _Builder:
         role: str | None = None,
     ) -> str:
         eid = _slug(id_hint or kind.value, self.taken)
-        self.d.add_edge(Edge(kind=kind, source=source, target=target, role=role, id=eid))
-        for name, value in (attrs or {}).items():
-            self.d.bind_attribute(eid, AttributeBinding(name, value))
-        return eid
+        bindings = [AttributeBinding(name, value) for name, value in (attrs or {}).items()]
+        return self.d.add_edge(Edge(kind=kind, source=source, target=target, role=role, id=eid), bindings)
 
     def timeline(self, id_hint: str = "timeline") -> str:
         return self.edge(EdgeKind.TIME, id_hint=id_hint)

@@ -96,6 +96,8 @@ class Range:
     hi_inclusive: bool = True
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.lo, self.hi) if x is not None):
+            raise ValueError_("range ends must be finite or None (unbounded)")
         if self.lo is not None:
             object.__setattr__(self, "lo", float(self.lo))
         if self.hi is not None:
@@ -134,6 +136,8 @@ class FuzzyLabel:
     hi: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lo, self.peak, self.hi))):
+            raise ValueError_("fuzzy label bounds must be finite")
         if not self.lo <= self.peak <= self.hi:
             raise ValueError_("fuzzy label needs lo <= peak <= hi")
 
@@ -299,6 +303,8 @@ class Const:
     value: float
 
     def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError_("constants must be finite")
         object.__setattr__(self, "value", float(self.value))
 
 
@@ -368,7 +374,21 @@ def expr_text(e: Expr) -> str:
     return f"{left} {e.op} {right}"
 
 
+def _height(e: Expr) -> int:
+    """Operator nesting depth of an expression tree, found without recursion."""
+    height, stack = 0, [(e, 0)]
+    while stack:
+        node, depth = stack.pop()
+        height = max(height, depth)
+        if isinstance(node, BinOp):
+            stack += (node.left, depth + 1), (node.right, depth + 1)
+    return height
+
+
 class _ExprParser:
+    # Bounds the parser's recursion (parentheses, unary minus) and the height
+    # of the tree, which the recursive walkers above descend: a+a+... is flat
+    # text but a tree as tall as it has operators.
     _MAX_DEPTH = 200
 
     def __init__(self, text: str):
@@ -381,6 +401,8 @@ class _ExprParser:
         self.skip_ws()
         if self.pos != len(self.text):
             raise ExprSyntaxError(f"trailing input at {self.pos}: {self.text[self.pos:]!r}")
+        if _height(e) > self._MAX_DEPTH:
+            raise ExprSyntaxError("expression nests too deeply")
         return e
 
     def skip_ws(self):

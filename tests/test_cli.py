@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tumbug.cli import main
+from tumbug.cli import main, run
 from tumbug.dsl import parse, serialize
 from tumbug.grammar import validate
 from tumbug.lexicon import tables_dir
@@ -233,3 +234,44 @@ def test_tables_env_var_redirects_modal_lookup(tmp_path, monkeypatch, capsys):
     assert main(["modal", "can", "testing"]) == 0
     assert capsys.readouterr().out == "-\n"
     assert main(["modal", "can", "permission"]) == 2  # not in the override table
+
+
+def test_flat_expression_too_long_is_a_parse_error(tmp_path, capsys):
+    # A flat chain nests no parentheses but builds a tree as tall as it has
+    # operators; the recursive walkers over that tree used to overflow.
+    chain = "+".join(["a"] * 5000)
+    path = tmp_path / "flat.tb"
+    path.write_text(
+        f'elem o1 PhysicalObjectCircle\nelem c1 CorrelationBox slots="a:o1.w" eq.a="{chain}"\n',
+        encoding="utf-8",
+    )
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: 2:") and "Traceback" not in err
+
+
+_DSL_FRAGMENTS = st.sampled_from(
+    [
+        "elem ", "edge ", "contain ", "group ", "attr ", "meta ", "o1 ", "o2 ", "x ", "t1 ",
+        "PhysicalObjectCircle ", "AggregationBox ", "XorBox ", "AttendRing ", "StateCircle ",
+        "CorrelationBox ", "SwirlyArray ", "RobinsonIcon ", "MotivationTriangle ",
+        "CAObjectCircle ", "Time ", "Motion ", "Tube ", "Relationship ", "StateDiagram ",
+        "SplitTime ", "-> ", "members=o1,t1 ", "trunk=t1 ", "junction=x ", "probs=0.5,0.5 ",
+        "marker=o1 ", 'label="a" ', 'pos="1,2" ', 'size="3,4" ', 'edge="t1" ', 'slots="a:o1.w" ',
+        'eq.a="(a+1)*2" ', 'cells="c:1:2" ', 'active="c" ', 'markers="physical:+" ',
+        'forced.w=3 ', "w=range[0,1] ", "w=DK ", "moves=\"o1\" ", "\n", "#", '"', "\\", "=",
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.one_of(
+        st.binary(max_size=200),
+        st.lists(_DSL_FRAGMENTS, max_size=40).map(lambda parts: "".join(parts).encode()),
+    )
+)
+def test_validate_exits_0_1_or_2_on_any_file(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "blob.tb"
+    path.write_bytes(blob)
+    assert run(["validate", str(path)]) in (0, 1, 2)

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import sys
@@ -13,10 +14,13 @@ from tumbug.model import (
     Element,
     GenericPayload,
     Kind,
+    ModelError,
+    Position,
     new_diagram,
 )
 from tumbug.values import (
     BallInRange,
+    Const,
     ExistenceLevel,
     FuzzyLabel,
     Range,
@@ -169,6 +173,70 @@ class TestValueLiterals:
         for bad in ("range[5,-5]", "exist[2]", "fuzzy[x:3,2,1]", "range[a,b]", "nope["):
             with pytest.raises(ParseError):
                 parse(f"elem o1 PhysicalObjectCircle\nattr o1 a={bad}\n")
+
+
+class TestNonFiniteNumbers:
+    """Numbers that overflow to inf (or arrive as nan) have no literal that
+    parses back to them, so neither the parser nor the constructors take them."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("elem o1 PhysicalObjectCircle\nattr o1 a=range[0,1e999]\n", id="range-hi"),
+            pytest.param("elem o1 PhysicalObjectCircle\nattr o1 a=range[1e999,1e999]\n", id="range-both"),
+            pytest.param("elem o1 PhysicalObjectCircle\nattr o1 a=range[-1e999,0]\n", id="range-lo"),
+            pytest.param("elem o1 PhysicalObjectCircle\nattr o1 a=fuzzy[few:0,1,1e999]\n", id="fuzzy"),
+            pytest.param("elem o1 PhysicalObjectCircle\nattr o1 a=1e999\n", id="scalar"),
+            pytest.param('elem o1 PhysicalObjectCircle pos="1e999,0"\n', id="pos"),
+            pytest.param('elem o1 PhysicalObjectCircle pos="0,0" size="1,1e999"\n', id="size"),
+            pytest.param('elem c1 CorrelationBox slots="a:o1.w" eq.a="1e999"\n', id="equation"),
+            pytest.param('elem s1 SwirlyArray cells="c:1e999:0"\n', id="cell"),
+        ],
+    )
+    def test_parse_rejects(self, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda x: Range(x, None), id="Range-lo"),
+            pytest.param(lambda x: Range(None, x), id="Range-hi"),
+            pytest.param(lambda x: Range(0, x), id="Range-bounded"),
+            pytest.param(lambda x: FuzzyLabel("few", 0, 0, x), id="FuzzyLabel-hi"),
+            pytest.param(lambda x: FuzzyLabel("few", x, x, x), id="FuzzyLabel-all"),
+            pytest.param(lambda x: Position(x, 0), id="Position-x"),
+            pytest.param(lambda x: Position(0, x), id="Position-y"),
+            pytest.param(lambda x: Position(0, 0, 1, x), id="Position-h"),
+            pytest.param(lambda x: Const(x), id="Const"),
+        ],
+    )
+    def test_constructors_reject(self, build, bad):
+        with pytest.raises((ValueError, ModelError)):
+            build(bad)
+
+
+class TestDuplicateIds:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("elem o1 PhysicalObjectCircle\nelem o1 Cell\n", id="element"),
+            pytest.param("elem o1 PhysicalObjectCircle\nedge o1 Time ->\n", id="edge-on-element"),
+            pytest.param("edge t1 Time ->\nedge t1 Motion ->\n", id="edge"),
+            pytest.param(
+                "elem x XorBox\nedge t0 Time ->\nedge t1 Time ->\n"
+                "group t1 SplitTime members=t1 trunk=t0 junction=x\n",
+                id="group-on-edge",
+            ),
+        ],
+    )
+    def test_error_points_at_the_second_id(self, text):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        lines = text.splitlines()
+        start = lines[-1].index(" ") + 2  # the id is the second token
+        assert err.value.span == SourceSpan(len(lines), start, start + 1)
 
 
 class TestSerializeCanonical:

@@ -39,6 +39,27 @@ from conftest import random_diagram
 
 CHANGE_KINDS = (EdgeKind.TIME, EdgeKind.MOTION, EdgeKind.FORCE, EdgeKind.CAUSATION)
 
+# The legal shapes of each Change Arrow, written out by hand: an independent
+# reference for the shipped data/legality.tbl that default_legality() reads.
+LEGAL_SHAPES = {
+    EdgeKind.TIME: {Shape.SOLITARY_ARROW, Shape.SOLITARY_NONQUAN},
+    EdgeKind.MOTION: {
+        Shape.SOLITARY_ARROW,
+        Shape.SOLITARY_NONQUAN,
+        Shape.ARROW_OUT,
+        Shape.ARROW_BETWEEN,
+        Shape.SELF_LOOP,
+    },
+    EdgeKind.FORCE: {
+        Shape.SOLITARY_ARROW,
+        Shape.SOLITARY_NONQUAN,
+        Shape.ARROW_OUT,
+        Shape.ARROW_IN,
+        Shape.ARROW_BETWEEN,
+    },
+    EdgeKind.CAUSATION: set(Shape),
+}
+
 
 def cell_diagram(shape: Shape, kind: EdgeKind) -> Diagram:
     """Minimal diagram exercising one legality-table cell."""
@@ -96,6 +117,15 @@ class TestLegalityTable:
 
     def test_shipped_table_file_matches_defaults(self):
         assert load_legality(tables_dir() / "legality.tbl") == default_legality()
+
+    def test_default_table_matches_hand_written_reference(self):
+        expected = {
+            (shape, kind): shape in LEGAL_SHAPES[kind]
+            for shape in Shape
+            for kind in CHANGE_KINDS
+        }
+        assert len(expected) == 24
+        assert default_legality() == expected
 
     def test_override_table(self):
         text = "\n".join(

@@ -14,7 +14,9 @@ from tumbug.model import (
     EdgeKind,
     Element,
     GenericPayload,
+    GroupKind,
     IllegalAttributeHost,
+    InvalidId,
     InvalidPayload,
     Kind,
     MotivationTrianglePayload,
@@ -295,3 +297,102 @@ def test_structural_equality_ignores_insertion_order():
 def test_random_diagrams_equal_themselves_rebuilt():
     rng1, rng2 = random.Random(123), random.Random(123)
     assert random_diagram(rng1) == random_diagram(rng2)
+
+
+# Literal values taken from the hand-kept tables the kind-facts table replaced.
+PARENT_SETS = {
+    "CONTAINER_KINDS": {
+        "AggregationBox", "CAAggregationBox", "DataSetBox", "DescriptiveBox", "VerbatimBox",
+        "XorBox", "ZoomBoxPair",
+    },
+    "NONQUAN_KINDS": {
+        "AggregationBox", "CAAggregationBox", "CAObjectCircle", "DataObjectCircle", "DataPoint",
+        "DataSetBox", "DescriptiveBox", "PhysicalObjectCircle", "SwirlyArray", "VerbatimBox",
+        "XorBox", "ZoomBoxPair",
+    },
+    "LOCATION_BOX_FAMILY": {
+        "AggregationBox", "CAAggregationBox", "DescriptiveBox", "VerbatimBox", "XorBox",
+    },
+    "MARKER_KINDS": {"Marker0D", "Marker1D", "Marker2D"},
+    "CHANGE_ARROW_KINDS": {"Causation", "Force", "Motion", "Time"},
+}
+PARENT_SCOVA = {
+    "AggregationBox": "O", "AttendRing": "A", "AttributeLine": "A", "CAAggregationBox": "O",
+    "CAObjectCircle": "O", "Causation": "C", "Cell": "O", "CorrelationBox": "C",
+    "DataObjectCircle": "O", "DataPoint": "O", "DataSetBox": "S", "DescriptiveBox": "O",
+    "Force": "C", "LabelString": "O", "Marker0D": "O", "Marker1D": "O", "Marker2D": "O",
+    "ModalVerbIcon": "S", "Motion": "C", "MotivationTriangle": "S", "PhysicalObjectCircle": "O",
+    "RangeCap": "V", "Relationship": "O", "RobinsonIcon": "S", "SensorBar": "O",
+    "SplitTime": "S", "StateCircle": "O", "StateDiagram": "S", "SwirlyArray": "O", "Time": "C",
+    "TimeAnchor": "C", "Tube": "O", "ValueBar": "V", "VerbatimBox": "O", "Wildcard": "V",
+    "XorBox": "O", "ZoomBoxPair": "S",
+}
+PARENT_ALIASES = {
+    "TimeArrow": "Time", "MotionArrow": "Motion", "ForceArrow": "Force",
+    "CausationArrow": "Causation", "PathwayTube": "Tube", "RelationshipMarker": "Relationship",
+    "StateDiagramGroup": "StateDiagram", "SplitTimeGroup": "SplitTime",
+    "SplitTimeArrow": "SplitTime",
+}
+PARENT_GENERALIZE = {
+    **{k: {"IAM", "Nonquan"} for k in PARENT_SETS["LOCATION_BOX_FAMILY"]},
+    **{k: {"Nonquan"} for k in ("CAObjectCircle", "DataObjectCircle", "DataPoint",
+                                 "DataSetBox", "PhysicalObjectCircle", "SwirlyArray",
+                                 "ZoomBoxPair")},
+    **{k: {"ChangeArrow"} for k in PARENT_SETS["CHANGE_ARROW_KINDS"]},
+    "StateDiagram": {"IAM"},
+}
+PARENT_PAYLOADS = {
+    "CAObjectCircle": CAPayload, "CAAggregationBox": CAPayload,
+    "SwirlyArray": SwirlyArrayPayload, "CorrelationBox": CorrelationBoxPayload,
+    "MotivationTriangle": MotivationTrianglePayload, "RobinsonIcon": RobinsonIconPayload,
+}
+PARENT_REQUIREMENT_NAMES = {
+    "AggregationBox", "AnyBox", "AnyMarker", "AttendRing", "CAAggregationBox", "CAObjectCircle",
+    "CausationArrow", "Cell", "CorrelationBox", "DataObjectCircle", "DataPoint", "DataSetBox",
+    "DescriptiveBox", "ForceArrow", "LabelString", "Marker0D", "Marker1D", "Marker2D",
+    "ModalVerbIcon", "MotionArrow", "MotivationTriangle", "PhysicalObjectCircle",
+    "RobinsonIcon", "SensorBar", "StateCircle", "SwirlyArray", "TimeAnchor", "TimeArrow",
+    "ValueBar", "VerbatimBox", "XorBox", "ZoomBoxPair",
+}
+
+
+def test_kind_facts_table_has_one_row_per_kind_and_keeps_every_derived_fact():
+    from tumbug import grammar, heuristics, model
+
+    expected_keys = [*Kind, *EdgeKind, *GroupKind, "AttributeLine", "Wildcard", "RangeCap"]
+    assert len(model.KIND_FACTS) == len(expected_keys)
+    assert set(model.KIND_FACTS) == set(expected_keys)
+
+    for name, members in PARENT_SETS.items():
+        assert {k.value for k in getattr(model, name)} == members, name
+    assert {
+        k.value: payload_type(k) for k in Kind if payload_type(k) is not GenericPayload
+    } == PARENT_PAYLOADS
+
+    assert grammar.all_classifiable_kinds() == sorted(PARENT_SCOVA)
+    for name, letter in PARENT_SCOVA.items():
+        assert grammar.scova_classify(name).value == letter, name
+        assert grammar.generalize(name) == PARENT_GENERALIZE.get(name, {"Other"}), name
+    for alias, name in PARENT_ALIASES.items():
+        assert grammar.scova_classify(alias) == grammar.scova_classify(name)
+        assert grammar.generalize(alias) == grammar.generalize(name)
+    with pytest.raises(grammar.UnknownKind):
+        grammar.scova_classify("Gizmo")
+
+    candidates = set(PARENT_SCOVA) | set(PARENT_ALIASES) | {"AnyBox", "AnyMarker"}
+    accepted = {name for name in candidates if heuristics._known_kind(name)}
+    assert accepted == PARENT_REQUIREMENT_NAMES
+    assert "PathwayTube" not in accepted and "RelationshipMarker" not in accepted
+
+
+@pytest.mark.parametrize("bad", ["a b", "", "x.y", 'q"', "a\n", "é"])
+def test_ids_outside_identifier_syntax_are_rejected(bad):
+    d = new_diagram()
+    with pytest.raises(InvalidId):
+        d.add_element(Element(kind=Kind.CELL, id=bad))
+    d.add_element(Element(kind=Kind.CELL, id="ok_1-2"))
+    with pytest.raises(InvalidId):
+        d.add_edge(Edge(kind=EdgeKind.TIME, id=bad))
+    with pytest.raises(InvalidId):
+        d.add_group(StateDiagramGroup(states=("ok_1-2",), id=bad))
+    assert list(d.elements) == ["ok_1-2"] and not d.edges and not d.groups

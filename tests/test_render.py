@@ -163,3 +163,20 @@ def test_positions_honored_inside_verbatim():
     )
     svg = render(d)
     assert 'id="o"' in svg
+
+
+def test_deep_containment_chain_renders():
+    # Deeper than Python's recursion limit: layout walks with explicit stacks.
+    depth = 2000
+    d = new_diagram()
+    d.add_element(Element(kind=Kind.AGGREGATION_BOX, id="b0"))
+    for i in range(1, depth):
+        d.add_element(Element(kind=Kind.AGGREGATION_BOX, id=f"b{i}"), parent=f"b{i - 1}")
+    svg = render(d)
+    rects = re.findall(r'<g id="b(\d+)"[^>]*>\n<rect x="([^"]+)" y="[^"]+" width="([^"]+)"', svg)
+    assert [int(i) for i, _, _ in rects] == list(range(depth))
+    xs = [float(x) for _, x, _ in rects]
+    widths = [float(w) for _, _, w in rects]
+    # Each box sits 16 units inside its parent and is 32 units narrower.
+    assert all(b - a == 16 for a, b in zip(xs, xs[1:]))
+    assert all(a - b == 32 for a, b in zip(widths, widths[1:]))
