@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import dsl, grammar, heuristics, lexicon, templates
 from .dsl import ParseError
-from .model import ModelError
+from .model import ModelError, StateDiagramGroup
 from .svg import InvalidDiagram, RenderOptions, render as render_svg
 from .templates import (
     AspectSpec,
@@ -83,7 +83,7 @@ def _roles_dict(pairs: list[str]) -> dict[str, str]:
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep:
-            raise ValueError(f"role {pair!r} is not KEY=VALUE")
+            raise ValueError(f"{pair!r} is not KEY=VALUE")
         roles[key] = value
     return roles
 
@@ -223,76 +223,17 @@ def _cmd_query(args) -> int:
 
 def _cmd_trace(args) -> int:
     d = _load_diagram(args.file)
-    groups = [g for g in sorted(d.groups) if hasattr(d.groups[g], "states")]
+    groups = [g for g in sorted(d.groups) if isinstance(d.groups[g], StateDiagramGroup)]
     if not groups:
         print("no state-diagram group in file", file=sys.stderr)
         return 2
-    group = d.groups[groups[0]]
-    schedule = dict(
-        item.partition("=")[::2] for item in args.schedule.split(",") if "=" in item
-    )
+    schedule = _roles_dict([item for item in args.schedule.split(",") if item])
+    unknown = sorted(set(schedule) - {"iterations", "take"})
+    if unknown:
+        raise ValueError(f"unknown schedule key {unknown[0]!r}; expected iterations or take")
     iterations = int(schedule.get("iterations", "1"))
-    take = schedule.get("take")
-    print(" ".join(run_trace(d, group, iterations=iterations, take=take)))
+    print(" ".join(templates.run_trace(d, d.groups[groups[0]], iterations, schedule.get("take"))))
     return 0
-
-
-def run_trace(d, group, iterations: int = 1, take: str | None = None) -> list[str]:
-    """Walk a statement graph the way a 0D marker would.
-
-    Back edges (to already-discovered states) repeat while iterations
-    remain; at forward forks the `take` label picks the branch.
-    """
-    labels = {sid: (d.elements[sid].label or sid) for sid in group.states}
-    succ: dict[str, list[str]] = {s: [] for s in group.states}
-    for tid in group.tubes:
-        tube = d.edges[tid]
-        if tube.source in succ and tube.target in succ:
-            succ[tube.source].append(tube.target)
-    for s in succ:
-        succ[s] = sorted(set(succ[s]))
-    incoming = {t for targets in succ.values() for t in targets}
-    if group.marker in succ:
-        start = group.marker
-    else:
-        roots = [s for s in group.states if s not in incoming]
-        if not roots:
-            roots = sorted(group.states)
-        start = roots[0]
-
-    # Discovery order from the start defines which tubes are back edges.
-    disc: dict[str, int] = {start: 0}
-    frontier = [start]
-    while frontier:
-        node = frontier.pop(0)
-        for nxt in succ[node]:
-            if nxt not in disc:
-                disc[nxt] = len(disc)
-                frontier.append(nxt)
-
-    trace = [start]
-    current = start
-    back_taken = 0
-    for _ in range(100_000):
-        nexts = [n for n in succ[current] if n in disc]
-        if not nexts:
-            break
-        back = [n for n in nexts if disc[n] <= disc[current]]
-        forward = [n for n in nexts if disc[n] > disc[current]]
-        if back and back_taken < iterations - 1:
-            back_taken += 1
-            current = back[0]
-        elif forward:
-            current = forward[0]
-            if len(forward) > 1 and take is not None:
-                for n in forward:
-                    if labels[n] == take or n == take:
-                        current = n
-                        break
-        else:
-            break
-        trace.append(current)
-    return [labels[s] for s in trace]
 
 
 _COMMANDS = {
@@ -329,7 +270,7 @@ def run(argv: list[str] | None = None) -> int:
         lexicon.TableFormatError,
         lexicon.SchemaMismatch,
         lexicon.EmptyLexicon,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,12 +85,15 @@ class SourceSpan:
 
 
 class ParseError(Exception):
+    """A fault at ``span``; the message cuts ``found`` to 60 characters."""
+
     def __init__(self, span: SourceSpan, expected: str, found: str):
         self.span = span
         self.expected = expected
         self.found = found
+        shown = found if len(found) <= 60 else found[:59] + "…"
         super().__init__(
-            f"{span.line}:{span.col_start}-{span.col_end}: expected {expected}, found {found}"
+            f"{span.line}:{span.col_start}-{span.col_end}: expected {expected}, found {shown}"
         )
 
 
@@ -490,7 +493,7 @@ def parse(text: str | bytes) -> Diagram:
         if owner not in d.elements and owner not in d.edges:
             raise ParseError(tokens[1].span, "existing owner", owner)
         name, _, raw = tokens[2].text.partition("=")
-        if not KEY_RE.fullmatch(name) or not raw:
+        if not raw:
             raise ParseError(tokens[2].span, "attribute=value", tokens[2].text)
         value = parse_value_literal(tokens[2], raw)
         try:
@@ -655,6 +658,8 @@ def serialize(d: Diagram) -> str:
     """Canonical text for a diagram; stable across runs and insert orders."""
     lines: list[str] = []
     for key in sorted(d.meta):
+        if not KEY_RE.fullmatch(key):
+            raise ValueError(f"meta key {key!r} is not a key the DSL can write")
         lines.append(f"meta {key}={_quote(d.meta[key])}")
     for eid in sorted(d.elements):
         el = d.elements[eid]

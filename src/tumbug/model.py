@@ -192,6 +192,8 @@ class AttributeBinding:
     value: Value
 
     def __post_init__(self):
+        if not KEY_RE.fullmatch(self.attribute):
+            raise InvalidPayload(f"illegal attribute name {self.attribute!r}")
         if self.attribute == "DK" and self.value is Wildcard.DK:
             raise InvalidPayload("attribute and value cannot both be DK")
 
@@ -224,6 +226,14 @@ class SlotSpec:
     name: str
     element: str
     attribute: str
+
+    def __post_init__(self):
+        if not (
+            ID_RE.fullmatch(self.name)
+            and ID_RE.fullmatch(self.element)
+            and KEY_RE.fullmatch(self.attribute)
+        ):
+            raise InvalidPayload(f"illegal slot name, element or attribute in {self!r}")
 
 
 @dataclass
@@ -347,6 +357,9 @@ class SwirlyArrayPayload:
 
     def __post_init__(self):
         names = [c[0] for c in self.cells]
+        bad = [n for n in names if not n or "," in n or ":" in n]
+        if bad:
+            raise InvalidPayload(f"cell name {bad[0]!r} is empty or holds ',' or ':'")
         if len(names) != len(set(names)):
             raise InvalidPayload("duplicate cell names in swirly array")
         missing = set(self.active) - set(names)

@@ -41,6 +41,8 @@ __all__ = [
     "build_syllogism",
     "build_arithmetic",
     "build_flowchart",
+    "run_trace",
+    "TraceError",
     "build_passive",
     "build_water_pour",
 ]
@@ -56,6 +58,10 @@ class UnsupportedOperator(ValueError):
 
 class EmptyProgram(ValueError):
     pass
+
+
+class TraceError(ValueError):
+    """A marker walk that cannot run: no states, iterations < 1, or too long."""
 
 
 class PrimitiveAct(enum.Enum):
@@ -518,7 +524,9 @@ def build_flowchart(
     """Pathway-tube program graph plus the 0D-marker execution trace.
 
     kinds: sequential; loop (schedule: body=[...], iterations=n); branch
-    (schedule: then=[...], else=[...], take="then"|"else").
+    (schedule: then=[...], else=[...], take="then"|"else").  The marker
+    starts on the first statement, and the trace is `run_trace` of the
+    drawn graph, given the loop's iterations or the chosen arm's first state.
     """
     if not statements:
         raise EmptyProgram("no statements")
@@ -532,31 +540,30 @@ def build_flowchart(
             b.edge(EdgeKind.TUBE, source=states[a], target=states[z], id_hint=f"{a}-{z}")
         )
 
+    iterations, take = 1, None
     if kind == "sequential":
         for a, z in zip(statements, statements[1:]):
             tube(a, z)
-        trace = list(statements)
     elif kind == "loop":
         body = list(schedule.get("body") or ())
         iterations = int(schedule.get("iterations", 1))
-        if not body or any(s not in statements for s in body) or iterations < 1:
-            raise EmptyProgram("loop needs a body drawn from the statements and iterations >= 1")
+        if not body or any(s not in statements for s in body):
+            raise EmptyProgram("loop needs a body drawn from the statements")
         first, last = body[0], body[-1]
+        if statements.index(last) < statements.index(first):
+            raise EmptyProgram("loop body must not end before its first statement")
         for a, z in zip(statements, statements[1:]):
             tube(a, z)
         tube(last, first)  # the loop-back pathway
-        i0 = statements.index(first)
-        i1 = statements.index(last)
-        prefix = statements[:i0]
-        suffix = statements[i1 + 1 :]
-        trace = prefix + statements[i0 : i1 + 1] * iterations + suffix
     elif kind == "branch":
         then_stmts = list(schedule.get("then") or ())
         else_stmts = list(schedule.get("else") or ())
-        take = schedule.get("take", "then")
+        chosen = schedule.get("take", "then")
         branch_set = set(then_stmts) | set(else_stmts)
         if not then_stmts or not else_stmts or not branch_set <= set(statements):
             raise EmptyProgram("branch needs then/else statements drawn from the statements")
+        if chosen not in ("then", "else"):
+            raise EmptyProgram(f"branch take must be 'then' or 'else', not {chosen!r}")
         positions = [statements.index(s) for s in branch_set]
         before = statements[: min(positions)]
         after = statements[max(positions) + 1 :]
@@ -572,20 +579,76 @@ def build_flowchart(
             tube(arm[-1], join)
         for a, z in zip(after, after[1:]):
             tube(a, z)
-        chosen = then_stmts if take == "then" else else_stmts
-        trace = before + chosen + after
+        take = states[(then_stmts if chosen == "then" else else_stmts)[0]]
     else:
         raise EmptyProgram(f"unknown flowchart kind {kind!r}")
 
     group = StateDiagramGroup(
         states=tuple(states[s] for s in statements),
         tubes=tuple(tubes),
-        marker=states[trace[0]],
+        marker=states[statements[0]],
         id="program",
     )
     b.taken.add("program")
     b.d.add_group(group)
-    return b.d, trace
+    return b.d, run_trace(b.d, group, iterations, take)
+
+
+def run_trace(
+    d: Diagram, group: StateDiagramGroup, iterations: int = 1, take: str | None = None
+) -> list[str]:
+    """Walk a statement graph the way a 0D marker would; returns state labels.
+
+    The walk starts at the marker, else at the first state without an incoming
+    tube.  A back edge, a tube to a state on the depth-first stack (Tarjan
+    1972), is taken while its target has repeated fewer than ``iterations - 1``
+    times since it was entered by a forward tube.  At a fork the forward tube
+    to the state whose id or label is ``take`` wins, else the least id.
+    """
+    if iterations < 1:
+        raise TraceError(f"iterations must be >= 1, not {iterations}")
+    if not group.states:
+        raise TraceError("state diagram has no states")
+    succ: dict[str, list[str]] = {s: [] for s in group.states}
+    for tube in (d.edges[t] for t in group.tubes):
+        if tube.source in succ and tube.target in succ:
+            succ[tube.source].append(tube.target)
+    succ = {s: sorted(set(targets)) for s, targets in succ.items()}
+    incoming = {t for targets in succ.values() for t in targets}
+    roots = [s for s in group.states if s not in incoming] or sorted(group.states)
+    start = group.marker if group.marker in succ else roots[0]
+
+    back: set[tuple[str, str]] = set()
+    open_, stack = {start: True}, [(start, iter(succ[start]))]  # visited -> still on stack
+    while stack:
+        node, todo = stack[-1]
+        nxt = next(todo, None)
+        if nxt is None:
+            open_[stack.pop()[0]] = False
+        elif open_.get(nxt):
+            back.add((node, nxt))
+        elif nxt not in open_:
+            open_[nxt] = True
+            stack.append((nxt, iter(succ[nxt])))
+
+    labels = {s: d.elements[s].label or s for s in group.states}
+    repeats: dict[str, int] = {}  # loop header -> back edges taken since its entry
+    current, trace = start, [labels[start]]
+    while True:
+        loops = [n for n in succ[current] if (current, n) in back]
+        forward = [n for n in succ[current] if (current, n) not in back]
+        header = next((n for n in loops if repeats.get(n, 0) < iterations - 1), None)
+        if header is not None:
+            repeats[header] = repeats.get(header, 0) + 1
+            current = header
+        elif forward:
+            current = next((n for n in forward if take in (n, labels[n])), forward[0])
+            repeats[current] = 0
+        else:
+            return trace
+        trace.append(labels[current])
+        if len(trace) > 100_000:
+            raise TraceError("trace longer than 100,000 states; lower the iterations")
 
 
 # Body parts implied by particular actions; anything else gets a plain

@@ -377,3 +377,18 @@ def random_diagram(rng: random.Random) -> Diagram:
     issues = validate(d)
     assert issues == [], f"generator produced an invalid diagram: {issues}"
     return d
+
+
+# S1 -> S2 -> S3 -> S4 with an inner loop S3 -> S2 and an outer loop S4 -> S1.
+NESTED_LOOPS = """\
+elem s1 StateCircle label="S1"
+elem s2 StateCircle label="S2"
+elem s3 StateCircle label="S3"
+elem s4 StateCircle label="S4"
+edge s1-s2 Tube s1 -> s2
+edge s2-s3 Tube s2 -> s3
+edge s3-s2 Tube s3 -> s2
+edge s3-s4 Tube s3 -> s4
+edge s4-s1 Tube s4 -> s1
+group program StateDiagram members=s1,s2,s3,s4,s1-s2,s2-s3,s3-s4,s3-s2,s4-s1 marker=s1
+"""

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tumbug.cli import main, run
-from tumbug.dsl import parse, serialize
+from tumbug.dsl import ParseError, parse, serialize
 from tumbug.grammar import validate
 from tumbug.lexicon import tables_dir
+
+from conftest import NESTED_LOOPS
 
 
 @pytest.fixture
@@ -46,6 +48,11 @@ class TestValidate:
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "/nonexistent/x.tb"]) == 2
 
+    def test_directory_argument_exits_two(self, tmp_path, capsys):
+        assert main(["validate", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_usage_error_exits_two(self, capsys):
         assert main(["validate"]) == 2
         assert main(["frobnicate"]) == 2
@@ -57,6 +64,13 @@ class TestRender:
         assert main(["render", str(fox_fixture), "-o", str(out)]) == 0
         svg = out.read_text(encoding="utf-8")
         assert svg.startswith("<?xml") and "</svg>" in svg
+
+    def test_unwritable_output_exits_two(self, fox_fixture, tmp_path, capsys):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("", encoding="utf-8")
+        for output in (tmp_path, not_a_dir / "fox.svg"):
+            assert main(["render", str(fox_fixture), "-o", str(output)]) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_invalid_diagram_exits_one(self, bad_time_fixture, tmp_path, capsys):
         out = tmp_path / "bad.svg"
@@ -202,6 +216,38 @@ class TestTrace:
     def test_file_without_group_exits_two(self, fox_fixture, capsys):
         assert main(["trace", str(fox_fixture)]) == 2
 
+    def test_branch_arms_of_different_lengths(self, tmp_path, capsys):
+        path = self._emit(
+            tmp_path, capsys, "branch", "statements=S1,S2,S3,S4,S5", "then=S2", "else=S3,S4"
+        )
+        assert main(["trace", str(path), "--schedule", "take=S3"]) == 0
+        assert capsys.readouterr().out == "S1 S3 S4 S5\n"
+
+    def test_nested_loops_repeat_per_entry(self, tmp_path, capsys):
+        path = tmp_path / "nested.tb"
+        path.write_text(NESTED_LOOPS, encoding="utf-8")
+        assert main(["trace", str(path), "--schedule", "iterations=2"]) == 0
+        assert capsys.readouterr().out == "S1 S2 S3 S2 S3 S4 S1 S2 S3 S2 S3 S4\n"
+
+    @pytest.mark.parametrize(
+        "schedule", ["iterations=1000000000", "iterations=0", "iteration=2", "take", "iterations=x"]
+    )
+    def test_bad_schedule_exits_two_with_one_error_line(self, tmp_path, capsys, schedule):
+        path = tmp_path / "nested.tb"
+        path.write_text(NESTED_LOOPS, encoding="utf-8")
+        assert main(["trace", str(path), "--schedule", schedule]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_state_diagram_without_states_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "stateless.tb"
+        path.write_text(
+            "elem s1 StateCircle\nedge t1 Tube s1 -> s1\ngroup g StateDiagram members=t1\n",
+            encoding="utf-8",
+        )
+        assert main(["trace", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 def test_output_is_byte_stable_across_invocations(capsys):
     main(["template", "mtrans", "--roles", "sender=A", "receiver=B"])
@@ -234,6 +280,21 @@ def test_tables_env_var_redirects_modal_lookup(tmp_path, monkeypatch, capsys):
     assert main(["modal", "can", "testing"]) == 0
     assert capsys.readouterr().out == "-\n"
     assert main(["modal", "can", "permission"]) == 2  # not in the override table
+
+
+def test_long_offending_text_is_cut_in_the_message(tmp_path, capsys):
+    chain = "+".join(["a"] * 5000)
+    path = tmp_path / "flat.tb"
+    path.write_text(
+        f'elem o1 PhysicalObjectCircle\nelem c1 CorrelationBox slots="a:o1.w" eq.a="{chain}"\n',
+        encoding="utf-8",
+    )
+    assert run(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200
+    with pytest.raises(ParseError) as info:
+        parse(path.read_text(encoding="utf-8"))
+    assert info.value.found == chain and str(info.value).endswith("…")
 
 
 def test_flat_expression_too_long_is_a_parse_error(tmp_path, capsys):
@@ -275,3 +336,16 @@ def test_validate_exits_0_1_or_2_on_any_file(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "blob.tb"
     path.write_bytes(blob)
     assert run(["validate", str(path)]) in (0, 1, 2)
+
+
+_SCHEDULE_FRAGMENTS = st.sampled_from(
+    ["iterations", "take", "iteration", "=", ",", "0", "1", "2", "-1", "99999999", "S3", "s2", " "]
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(st.text(max_size=40), st.lists(_SCHEDULE_FRAGMENTS, max_size=12).map("".join)))
+def test_trace_exits_0_1_or_2_on_any_schedule(tmp_path_factory, schedule):
+    path = tmp_path_factory.getbasetemp() / "nested.tb"
+    path.write_text(NESTED_LOOPS, encoding="utf-8")
+    assert run(["trace", str(path), f"--schedule={schedule}"]) in (0, 1, 2)

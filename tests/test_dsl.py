@@ -239,6 +239,21 @@ class TestDuplicateIds:
         assert err.value.span == SourceSpan(len(lines), start, start + 1)
 
 
+class TestUnwritableNames:
+    def test_meta_key_outside_key_syntax_is_refused_by_name(self):
+        d = new_diagram()
+        d.meta["a b"] = "x"
+        with pytest.raises(ValueError, match="'a b'"):
+            serialize(d)
+
+    def test_bad_attribute_name_is_the_models_error_at_the_token(self):
+        text = 'elem o1 PhysicalObjectCircle\nattr o1 a/b="x"\n'
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.span == SourceSpan(2, 9, 15)
+        assert "illegal attribute name 'a/b'" in str(err.value)
+
+
 class TestSerializeCanonical:
     def test_fox_round_trip(self):
         d = parse(fox_text())

@@ -396,3 +396,27 @@ def test_ids_outside_identifier_syntax_are_rejected(bad):
     with pytest.raises(InvalidId):
         d.add_group(StateDiagramGroup(states=("ok_1-2",), id=bad))
     assert list(d.elements) == ["ok_1-2"] and not d.edges and not d.groups
+
+
+class TestNamesTheDslCanWriteBack:
+    @pytest.mark.parametrize("bad", ["a b", "", 'q"', "a=b", "a,b"])
+    def test_attribute_names_are_keys(self, bad):
+        d = new_diagram()
+        d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o1"))
+        with pytest.raises(InvalidPayload):
+            d.bind_attribute("o1", AttributeBinding(bad, Text("x")))
+        assert not d.bindings
+        AttributeBinding("forced.w-2_x", Text("x"))
+
+    @pytest.mark.parametrize("name", ["a,b", "a:b", ""])
+    def test_swirly_cell_names_hold_no_separator(self, name):
+        with pytest.raises(InvalidPayload):
+            SwirlyArrayPayload(cells=((name, 1.0, 2.0),))
+
+    @pytest.mark.parametrize(
+        "slot", [("a b", "x", "w"), ("a", "x.y", "w"), ("a", "x", "w,v"), ("a:b", "x", "w")]
+    )
+    def test_slot_parts_are_ids_and_keys(self, slot):
+        with pytest.raises(InvalidPayload):
+            SlotSpec(*slot)
+        SlotSpec("a", "x", "w.v")

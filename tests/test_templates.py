@@ -13,6 +13,7 @@ from tumbug.templates import (
     MissingRole,
     PrimitiveAct,
     TENSES,
+    TraceError,
     UnsupportedOperator,
     build_arithmetic,
     build_aspect,
@@ -22,8 +23,11 @@ from tumbug.templates import (
     build_primitive,
     build_syllogism,
     build_water_pour,
+    run_trace,
 )
 from tumbug.values import Scalar, Text
+
+from conftest import NESTED_LOOPS
 
 ACT_ROLES = {
     PrimitiveAct.ATRANS: {"giver": "Ann", "receiver": "Joe"},
@@ -311,6 +315,83 @@ class TestFlowcharts:
             build_flowchart("sequential", [])
         with pytest.raises(EmptyProgram):
             build_flowchart("loop", ["S1"], {"body": [], "iterations": 2})
+
+
+def _flowchart_cases():
+    """Every sequential, loop and branch program over S1..SN, N = 3..7, with
+    the trace its schedule means: (kind, statements, schedule, walker
+    arguments, expected trace)."""
+    for n in range(3, 8):
+        stmts = [f"S{i}" for i in range(1, n + 1)]
+        yield "sequential", stmts, {}, {}, stmts
+        for i in range(n):
+            for j in range(i, n):
+                for iterations in (1, 2, 3):
+                    schedule = {"body": stmts[i : j + 1], "iterations": iterations}
+                    trace = stmts[:i] + stmts[i : j + 1] * iterations + stmts[j + 1 :]
+                    yield "loop", stmts, schedule, {"iterations": iterations}, trace
+        for i in range(1, n):  # the then arm is stmts[i:j], the else arm stmts[j:k]
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    arms = {"then": stmts[i:j], "else": stmts[j:k]}
+                    for take in ("then", "else"):
+                        schedule = {**arms, "take": take}
+                        trace = stmts[:i] + arms[take] + stmts[k:]
+                        yield "branch", stmts, schedule, {"take": arms[take][0]}, trace
+
+
+FLOWCHART_CASES = list(_flowchart_cases())
+
+
+def _case_id(case):
+    kind, stmts, schedule, _, _ = case
+    parts = [f"{k}={','.join(v) if isinstance(v, list) else v}" for k, v in schedule.items()]
+    return " ".join([kind, f"S1..{stmts[-1]}", *parts])
+
+
+def _program(d):
+    return next(g for g in d.groups.values() if isinstance(g, StateDiagramGroup))
+
+
+class TestRunTrace:
+    def test_sweep_covers_315_programs(self):
+        assert len(FLOWCHART_CASES) == 315
+
+    @pytest.mark.parametrize("case", FLOWCHART_CASES, ids=_case_id)
+    def test_walker_on_the_saved_diagram_follows_the_schedule(self, case):
+        kind, stmts, schedule, walk, expected = case
+        d, trace = build_flowchart(kind, stmts, schedule)
+        assert trace == expected
+        saved = parse(serialize(d))
+        assert run_trace(saved, _program(saved), **walk) == expected
+
+    def test_nested_loops_each_repeat_per_entry(self):
+        d = parse(NESTED_LOOPS)
+        g = _program(d)
+        assert run_trace(d, g, iterations=2) == "S1 S2 S3 S2 S3 S4 S1 S2 S3 S2 S3 S4".split()
+        assert run_trace(d, g) == ["S1", "S2", "S3", "S4"]
+
+    def test_long_program_walks_without_recursion(self):
+        stmts = [f"S{i}" for i in range(5000)]
+        d, trace = build_flowchart("loop", stmts, {"body": stmts[1:], "iterations": 2})
+        assert trace == stmts + stmts[1:]
+
+    def test_bad_iterations_and_overlong_traces_raise(self):
+        d, _ = build_flowchart("loop", ["S1", "S2", "S3"], {"body": ["S2"], "iterations": 2})
+        for iterations in (0, -1):
+            with pytest.raises(TraceError):
+                run_trace(d, _program(d), iterations=iterations)
+        with pytest.raises(TraceError):
+            run_trace(d, _program(d), iterations=10**9)
+        with pytest.raises(TraceError):
+            run_trace(d, StateDiagramGroup(id="empty"))
+
+    def test_schedules_that_draw_no_loop_or_branch_are_rejected(self):
+        stmts = ["S1", "S2", "S3", "S4"]
+        with pytest.raises(EmptyProgram):
+            build_flowchart("loop", stmts, {"body": ["S3", "S2"], "iterations": 2})
+        with pytest.raises(EmptyProgram):
+            build_flowchart("branch", stmts, {"then": ["S2"], "else": ["S3"], "take": "S3"})
 
 
 class TestPassive:
