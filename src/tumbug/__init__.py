@@ -5,78 +5,102 @@ combination grammar, round-trip them through a canonical text format,
 render them to SVG, build the stock constructions (primitive acts, sentence
 patterns, aspects, syllogisms, flowcharts), and run concept-vector matching
 for modal verbs and translation lexicons.
+
+``import tumbug`` runs no submodule: each public name below is imported from
+its module on first access (PEP 562), so a command loads only what it uses.
 """
 
-from .model import (
-    AttributeBinding,
-    CAPayload,
-    CorrelationBoxPayload,
-    Diagram,
-    Edge,
-    EdgeKind,
-    Element,
-    GenericPayload,
-    GroupKind,
-    Kind,
-    MotivationTrianglePayload,
-    Position,
-    RobinsonIconPayload,
-    SlotSpec,
-    SplitTimeGroup,
-    StateDiagramGroup,
-    SwirlyArrayPayload,
-    evaluate_correlation,
-    new_diagram,
-)
-from .values import (
-    BallInRange,
-    ExistenceLevel,
-    FuzzyBand,
-    FuzzyLabel,
-    Match,
-    Range,
-    Scalar,
-    Text,
-    Wildcard,
-    classify_count,
-    classify_ratio,
-    wildcard_matches,
-)
-from .grammar import (
-    BasicKind,
-    LegalityTable,
-    Violation,
-    ViolationCode,
-    generalize,
-    resolve_query,
-    scova_classify,
-    validate,
-)
-from .dsl import ParseError, SourceSpan, parse, serialize
-from .svg import InvalidDiagram, RenderOptions, render
-from .templates import (
-    AspectSpec,
-    BasicPattern,
-    PrimitiveAct,
-    build_arithmetic,
-    build_aspect,
-    build_flowchart,
-    build_passive,
-    build_pattern,
-    build_primitive,
-    build_syllogism,
-    build_water_pour,
-)
-from .lexicon import (
-    Cell,
-    ConceptVector,
-    Lexicon,
-    ModalTable,
-    match_count,
-    modal_concepts,
-    modal_icon,
-    select_word,
-)
-from .heuristics import Requirement, Trigger, TriggerTag, check, requirements_for
+import importlib
 
+# Each submodule and the public names it provides; _HOME maps name -> submodule.
+_EXPORTS = {
+    "model": (
+        "AttributeBinding",
+        "CAPayload",
+        "CorrelationBoxPayload",
+        "Diagram",
+        "Edge",
+        "EdgeKind",
+        "Element",
+        "GenericPayload",
+        "GroupKind",
+        "Kind",
+        "MotivationTrianglePayload",
+        "Position",
+        "RobinsonIconPayload",
+        "SlotSpec",
+        "SplitTimeGroup",
+        "StateDiagramGroup",
+        "SwirlyArrayPayload",
+        "evaluate_correlation",
+        "new_diagram",
+    ),
+    "values": (
+        "BallInRange",
+        "ExistenceLevel",
+        "FuzzyBand",
+        "FuzzyLabel",
+        "Match",
+        "Range",
+        "Scalar",
+        "Text",
+        "Wildcard",
+        "classify_count",
+        "classify_ratio",
+        "wildcard_matches",
+    ),
+    "grammar": (
+        "BasicKind",
+        "LegalityTable",
+        "Violation",
+        "ViolationCode",
+        "generalize",
+        "resolve_query",
+        "scova_classify",
+        "validate",
+    ),
+    "dsl": ("ParseError", "SourceSpan", "parse", "serialize"),
+    "svg": ("InvalidDiagram", "RenderOptions", "render"),
+    "templates": (
+        "AspectSpec",
+        "BasicPattern",
+        "PrimitiveAct",
+        "build_arithmetic",
+        "build_aspect",
+        "build_flowchart",
+        "build_passive",
+        "build_pattern",
+        "build_primitive",
+        "build_syllogism",
+        "build_water_pour",
+    ),
+    "lexicon": (
+        "Cell",
+        "ConceptVector",
+        "Lexicon",
+        "ModalTable",
+        "match_count",
+        "modal_concepts",
+        "modal_icon",
+        "select_word",
+    ),
+    "heuristics": ("Requirement", "Trigger", "TriggerTag", "check", "requirements_for"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_HOME])
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -2,8 +2,9 @@
 
 Subcommands: validate, render, template, match, modal, heuristics,
 classify, query, trace.  Exit status 0 = success, 1 = violations or missing
-requirements found, 2 = usage or parse error.  Output is plain text, stable
-across runs, so fixtures double as golden files.
+requirements found, 2 = usage, parse or any other error, reported as one line
+on stderr.  Output is plain text, stable across runs, so fixtures double as
+golden files.
 """
 
 from __future__ import annotations
@@ -12,18 +13,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import dsl, grammar, heuristics, lexicon, templates
+# Only what every subcommand needs loads here; each _cmd_* imports the rest,
+# so a run pays for the modules its subcommand uses and no others.
+from . import dsl
 from .dsl import ParseError
 from .model import ModelError, StateDiagramGroup
-from .svg import InvalidDiagram, RenderOptions, render as render_svg
-from .templates import (
-    AspectSpec,
-    BasicPattern,
-    EmptyProgram,
-    MissingRole,
-    PrimitiveAct,
-    UnsupportedOperator,
-)
 
 __all__ = ["main", "run"]
 
@@ -89,6 +83,8 @@ def _roles_dict(pairs: list[str]) -> dict[str, str]:
 
 
 def _cmd_validate(args) -> int:
+    from . import grammar
+
     d = _load_diagram(args.file)
     table = grammar.load_legality(args.legality) if args.legality else None
     violations = grammar.validate(d, table)
@@ -97,7 +93,16 @@ def _cmd_validate(args) -> int:
     return 1 if violations else 0
 
 
+def render_svg(d, options):
+    """svg.render, imported on the first call so that only render loads svg."""
+    from .svg import render
+
+    return render(d, options)
+
+
 def _cmd_render(args) -> int:
+    from .svg import InvalidDiagram, RenderOptions
+
     d = _load_diagram(args.file)
     options = RenderOptions(color=args.color, width=args.width, height=args.height)
     try:
@@ -110,19 +115,19 @@ def _cmd_render(args) -> int:
     return 0
 
 
-_PATTERN_NAMES = {p.value: p for p in BasicPattern}
-_ACT_NAMES = {a.value: a for a in PrimitiveAct}
-
-
 def _template_diagram(name: str, roles: dict[str, str]):
+    from . import templates
+
     name = name.lower()
-    if name in _ACT_NAMES:
-        return templates.build_primitive(_ACT_NAMES[name], **roles)
-    if name in _PATTERN_NAMES:
+    acts = {a.value: a for a in templates.PrimitiveAct}
+    patterns = {p.value: p for p in templates.BasicPattern}
+    if name in acts:
+        return templates.build_primitive(acts[name], **roles)
+    if name in patterns:
         labels = [l for l in roles.get("labels", "").split(",") if l]
-        return templates.build_pattern(_PATTERN_NAMES[name], *labels)
+        return templates.build_pattern(patterns[name], *labels)
     if name == "aspect":
-        spec = AspectSpec(
+        spec = templates.AspectSpec(
             roles.get("tense", "past"),
             roles.get("aspect", "simple"),
             roles.get("continuation", "continues"),
@@ -131,7 +136,7 @@ def _template_diagram(name: str, roles: dict[str, str]):
     if name in ("barbara", "celarent", "darii"):
         terms = tuple(t for t in roles.get("terms", "").split(",") if t)
         if len(terms) != 3:
-            raise MissingRole("terms=a,b,c")
+            raise templates.MissingRole("terms=a,b,c")
         steps = templates.build_syllogism(name, terms, roles.get("swap", "") == "true")
         step = int(roles.get("step", "3"))
         return steps[step - 1]
@@ -147,8 +152,7 @@ def _template_diagram(name: str, roles: dict[str, str]):
             "else": [s for s in roles.get("else", "").split(",") if s],
             "take": roles.get("take", "then"),
         }
-        diagram, _ = templates.build_flowchart(name, statements, schedule)
-        return diagram
+        return templates.draw_flowchart(name, statements, schedule)
     if name == "passive":
         return templates.build_passive(
             roles.get("action", "acted"), roles.get("object", "object"), roles.get("agent") or None
@@ -157,7 +161,7 @@ def _template_diagram(name: str, roles: dict[str, str]):
         return templates.build_water_pour(
             float(roles.get("total", "100")), float(roles.get("cup", "25"))
         )
-    raise MissingRole(f"unknown template {name!r}")
+    raise templates.MissingRole(f"unknown template {name!r}")
 
 
 def _cmd_template(args) -> int:
@@ -167,6 +171,8 @@ def _cmd_template(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    from . import lexicon
+
     context_table = lexicon.load_table(args.context)
     if not context_table.rows:
         print("context table has no rows", file=sys.stderr)
@@ -181,6 +187,8 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_modal(args) -> int:
+    from . import lexicon
+
     table = lexicon.load_default_modal_table()
     concepts = lexicon.modal_concepts(table, args.verb, args.meaning)
     parts = sorted(concepts.active) + [f"({c})" for c in sorted(concepts.implied)]
@@ -189,6 +197,8 @@ def _cmd_modal(args) -> int:
 
 
 def _cmd_heuristics(args) -> int:
+    from . import heuristics
+
     triggers = []
     for item in args.tags.split(","):
         item = item.strip()
@@ -210,11 +220,15 @@ def _cmd_heuristics(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from . import grammar
+
     print(grammar.scova_classify(args.kind).value)
     return 0
 
 
 def _cmd_query(args) -> int:
+    from . import grammar
+
     d = _load_diagram(args.file)
     value = grammar.resolve_query(d, args.owner, args.attr)
     print(dsl.value_literal(value))
@@ -222,6 +236,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .templates import run_trace
+
     d = _load_diagram(args.file)
     groups = [g for g in sorted(d.groups) if isinstance(d.groups[g], StateDiagramGroup)]
     if not groups:
@@ -232,7 +248,7 @@ def _cmd_trace(args) -> int:
     if unknown:
         raise ValueError(f"unknown schedule key {unknown[0]!r}; expected iterations or take")
     iterations = int(schedule.get("iterations", "1"))
-    print(" ".join(templates.run_trace(d, d.groups[groups[0]], iterations, schedule.get("take"))))
+    print(" ".join(run_trace(d, d.groups[groups[0]], iterations, schedule.get("take"))))
     return 0
 
 
@@ -260,20 +276,11 @@ def run(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (
-        ModelError,
-        MissingRole,
-        UnsupportedOperator,
-        EmptyProgram,
-        grammar.UnknownKind,
-        lexicon.UnknownModalRow,
-        lexicon.TableFormatError,
-        lexicon.SchemaMismatch,
-        lexicon.EmptyLexicon,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (ModelError, KeyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault in tumbug itself: one line, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "build_syllogism",
     "build_arithmetic",
     "build_flowchart",
+    "draw_flowchart",
     "run_trace",
     "TraceError",
     "build_passive",
@@ -528,6 +529,19 @@ def build_flowchart(
     starts on the first statement, and the trace is `run_trace` of the
     drawn graph, given the loop's iterations or the chosen arm's first state.
     """
+    d, iterations, take = _flowchart(kind, statements, schedule)
+    return d, run_trace(d, d.groups["program"], iterations, take)
+
+
+def draw_flowchart(kind: str, statements: list[str], schedule: dict | None = None) -> Diagram:
+    """The graph of `build_flowchart` without walking its trace."""
+    return _flowchart(kind, statements, schedule)[0]
+
+
+def _flowchart(
+    kind: str, statements: list[str], schedule: dict | None
+) -> tuple[Diagram, int, str | None]:
+    """The drawn program, its loop iterations and the state a branch takes."""
     if not statements:
         raise EmptyProgram("no statements")
     schedule = schedule or {}
@@ -552,6 +566,8 @@ def build_flowchart(
         first, last = body[0], body[-1]
         if statements.index(last) < statements.index(first):
             raise EmptyProgram("loop body must not end before its first statement")
+        if iterations < 1:
+            raise TraceError(f"iterations must be >= 1, not {iterations}")
         for a, z in zip(statements, statements[1:]):
             tube(a, z)
         tube(last, first)  # the loop-back pathway
@@ -562,6 +578,8 @@ def build_flowchart(
         branch_set = set(then_stmts) | set(else_stmts)
         if not then_stmts or not else_stmts or not branch_set <= set(statements):
             raise EmptyProgram("branch needs then/else statements drawn from the statements")
+        if set(then_stmts) & set(else_stmts):
+            raise EmptyProgram("branch arms must not share statements")
         if chosen not in ("then", "else"):
             raise EmptyProgram(f"branch take must be 'then' or 'else', not {chosen!r}")
         positions = [statements.index(s) for s in branch_set]
@@ -591,7 +609,7 @@ def build_flowchart(
     )
     b.taken.add("program")
     b.d.add_group(group)
-    return b.d, run_trace(b.d, group, iterations, take)
+    return b.d, iterations, take
 
 
 def run_trace(

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tumbug import cli
 from tumbug.cli import main, run
 from tumbug.dsl import ParseError, parse, serialize
 from tumbug.grammar import validate
@@ -109,6 +110,28 @@ class TestTemplate:
         assert main(argv) == 0
         d = parse(capsys.readouterr().out)
         assert validate(d) == []
+
+    def test_loop_drawing_does_not_depend_on_iterations(self, capsys):
+        # The drawn graph is the same for any count, so no trace is walked:
+        # 40,000 iterations used to fail on the 100,000-state trace cap.
+        roles = ["statements=S1,S2,S3", "body=S1,S3"]
+        assert main(["template", "loop", "--roles", *roles, "iterations=1"]) == 0
+        once = capsys.readouterr().out
+        assert main(["template", "loop", "--roles", *roles, "iterations=40000"]) == 0
+        assert capsys.readouterr().out == once
+
+    @pytest.mark.parametrize("iterations", ["0", "-3"])
+    def test_loop_iterations_below_one_exit_two(self, iterations, capsys):
+        roles = ["statements=S1,S2,S3", "body=S1,S3", f"iterations={iterations}"]
+        assert main(["template", "loop", "--roles", *roles]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_branch_arms_sharing_a_statement_exit_two(self, capsys):
+        roles = ["statements=S1,S2,S3", "then=S2", "else=S2"]
+        assert main(["template", "branch", "--roles", *roles]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: branch arms must not share statements\n"
 
 
 class TestMatch:
@@ -247,6 +270,46 @@ class TestTrace:
         )
         assert main(["trace", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestUnexpectedErrors:
+    def test_any_exception_is_one_error_line_and_exit_two(self, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "classify", broken)
+        assert run(["classify", "Time"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["template", "mtrans"], "error: 'sender, receiver'\n"),
+            (["classify", "Nonsense"], "error: 'Nonsense'\n"),
+            (["modal", "cann", "x"], "error: 'cann (x)'\n"),
+        ],
+    )
+    def test_key_errors_keep_their_message(self, argv, err, capsys):
+        # MissingRole, UnknownKind and UnknownModalRow are KeyErrors, caught
+        # as such, so their lines keep KeyError's quotes and no type name.
+        assert run(argv) == 2
+        assert capsys.readouterr().err == err
+
+    def test_render_calls_the_patchable_module_level_renderer(
+        self, monkeypatch, fox_fixture, tmp_path
+    ):
+        seen = []
+        real = cli.render_svg
+
+        def spy(d, options):
+            seen.append(options.width)
+            return real(d, options)
+
+        monkeypatch.setattr(cli, "render_svg", spy)
+        out = str(tmp_path / "x.svg")
+        assert run(["render", str(fox_fixture), "-o", out, "--width", "500"]) == 0
+        assert seen == [500]
 
 
 def test_output_is_byte_stable_across_invocations(capsys):

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from tumbug.dsl import ParseError, SourceSpan, _tokenize_line, parse, serialize
 from tumbug.model import (
     AttributeBinding,
+    Diagram,
     Edge,
     EdgeKind,
     Element,
     GenericPayload,
+    GroupKind,
     Kind,
     ModelError,
     Position,
@@ -356,6 +358,116 @@ class TestOddButLegalInputs:
     def test_equals_inside_quoted_value(self):
         d = parse('elem o1 PhysicalObjectCircle\nattr o1 note="a=b"\n')
         assert d.bindings[0][1].value == Text("a=b")
+
+
+# Documents in the DSL's shapes, from its own words: every record keyword and
+# kind, few ids (so that references resolve), and per key a value it accepts
+# followed by edge cases, most of them wrong for it.  Every record but the
+# last takes the accepted values, so that parsing gets deep; the last may take
+# any of them.
+_VALUES = {
+    "label": ["a", "", "\\q", "é"],
+    "pos": ["1,2", "1e999,0", "1", ",", "a,b", "-0,.5"],
+    "size": ["3,4", "3", "1,1e999"],
+    "slots": ["a:o1.w,b:o2.w", "a:o1.", "::", "a:o1.w,a:o1.w", "é:o1.w", ","],
+    "eq.a": ["(b+1)*2", "a/0", "1e999", "٣", "((((b", "b+", "a-(-(-1))", "b.c"],
+    "cells": ["c:1:2", "c:1:2,c:1:2", ":1:2", "c:1e999:0", "c:1", ","],
+    "active": ["c", "d", ","],
+    "markers": ["physical:+", "physical:x", "x:+", ":", ","],
+    "forced.w": ["3", "-0", "1e999", "range(1,0)", "exist[2]", "fuzzy[a:1,0,2]", "3:", "DK"],
+    "detected.w": ["DK", "ball(1,1)", "range[-inf,inf]", "3:kg", "fuzzy[:1,1,1]", "exist[]"],
+    "ellipsis": ["true", "false"],
+    "valence": ["-", "+", "x"],
+    "target": ["o1", ""],
+    "role": ["exerts", "acted-upon", "r", ""],
+    "marker": ["o1", "t1", "zz"],
+    "owner": ["o1", "t1", "zz"],
+    "trunk": ["t1", "o1", "zz"],
+    "junction": ["x", "o1", ""],
+    "probs": ["0.5,0.5", "1", "0.2,0.2", "-1,2", "1e999", ",", "a"],
+    "w": ["range[0,1]", '"a"', "range(1,0)", "-0", "1e999", '"\\q"', '"', "DK", "STAR"],
+    "DK": ["DK", "1"],
+}
+
+
+def _pairs(keys: str, quoted: bool, bad: bool, min_size: int, max_size: int):
+    """key=value words as elem, edge and meta records (quoted) or group and
+    attr records (bare) write them."""
+
+    def value_for(key):
+        values = st.sampled_from(_VALUES[key]) if bad else st.just(_VALUES[key][0])
+        return values.map(lambda value: f'{key}="{value}"' if quoted else f"{key}={value}")
+
+    pair = st.sampled_from(keys.split()).flatmap(value_for)
+    return st.lists(
+        pair, min_size=min_size, max_size=max_size, unique_by=lambda p: p.partition("=")[0]
+    )
+
+
+def _words(*parts):
+    return st.tuples(*parts).map(
+        lambda words: " ".join(w for p in words for w in ([p] if isinstance(p, str) else p))
+    )
+
+
+def _record(bad: bool):
+    def ids(*good):
+        return st.sampled_from([*good, *(["é", "a.b", "-", "1e999"] if bad else [])])
+
+    elem_keys = "label pos size slots eq.a cells active markers forced.w detected.w ellipsis"
+    elem = _words(
+        st.just("elem"), ids("o1", "o2", "x"), st.sampled_from([k.value for k in Kind]),
+        _pairs(elem_keys + " valence target", True, bad, 0, 3),
+    )
+    records = [
+        elem,
+        elem,
+        _words(
+            st.just("edge"), ids("t1", "t2"), st.sampled_from([k.value for k in EdgeKind]),
+            st.sampled_from(["->", "-> o1", "o1 ->", "o1 -> o1", "o1 -> o2", "-> t1", "x -> x"]),
+            _pairs("role", True, bad, 0, 1),
+        ),
+        _words(
+            st.just("group"), ids("g1", "g2"), st.sampled_from([k.value for k in GroupKind]),
+            st.sampled_from(["members=o1,t1", "members=t1", "members=o1"]),
+            _pairs("marker owner trunk junction probs", False, bad, 0, 4),
+        ),
+        _words(
+            st.just("attr"), ids("o1", "t1"), _pairs("w DK forced.w detected.w", False, bad, 1, 1)
+        ),
+        _words(st.just("meta"), _pairs("label w DK role", True, bad, 1, 1)),
+    ]
+    if bad:
+        records.append(_words(st.just("contain"), ids("o1", "x"), ids("o2", "x")))
+    return st.one_of(records)
+
+
+_DOCUMENTS = st.builds(
+    lambda good, bad: "\n".join(good + bad),
+    st.lists(_record(False), max_size=8),
+    st.lists(_record(True), max_size=1),
+)
+
+
+class TestParseRaisesOnlyParseError:
+    """parse either returns a Diagram or raises ParseError, on any input."""
+
+    @staticmethod
+    def _outcome(text):
+        try:
+            return parse(text)
+        except ParseError as exc:
+            return exc
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.one_of(st.binary(max_size=300), st.text(max_size=200)))
+    def test_arbitrary_bytes_and_text(self, blob):
+        assert isinstance(self._outcome(blob), (Diagram, ParseError))
+
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(_DOCUMENTS)
+    def test_dsl_fragments(self, text):
+        assert isinstance(self._outcome(text), (Diagram, ParseError))
 
 
 def reference_tokenize(line: str, lineno: int) -> list[tuple[str, SourceSpan]]:

@@ -23,6 +23,7 @@ from tumbug.templates import (
     build_primitive,
     build_syllogism,
     build_water_pour,
+    draw_flowchart,
     run_trace,
 )
 from tumbug.values import Scalar, Text
@@ -364,6 +365,7 @@ class TestRunTrace:
         assert trace == expected
         saved = parse(serialize(d))
         assert run_trace(saved, _program(saved), **walk) == expected
+        assert serialize(draw_flowchart(kind, stmts, schedule)) == serialize(d)
 
     def test_nested_loops_each_repeat_per_entry(self):
         d = parse(NESTED_LOOPS)
@@ -392,6 +394,28 @@ class TestRunTrace:
             build_flowchart("loop", stmts, {"body": ["S3", "S2"], "iterations": 2})
         with pytest.raises(EmptyProgram):
             build_flowchart("branch", stmts, {"then": ["S2"], "else": ["S3"], "take": "S3"})
+
+    @pytest.mark.parametrize(
+        "arms",
+        [(["S2"], ["S2"]), (["S2", "S3"], ["S3"]), (["S2"], ["S3", "S2"])],
+        ids=["same", "then-holds-else", "else-holds-then"],
+    )
+    def test_branch_arms_that_share_a_statement_are_rejected(self, arms):
+        # Shared arms drew a second S1->S2 tube (s1-s2-2) and no branch.
+        schedule = {"then": arms[0], "else": arms[1]}
+        for build in (build_flowchart, draw_flowchart):
+            with pytest.raises(EmptyProgram, match="share"):
+                build("branch", ["S1", "S2", "S3", "S4"], schedule)
+
+    def test_drawing_ignores_iterations_but_still_rejects_below_one(self):
+        schedule = {"body": ["S1", "S3"], "iterations": 40_000}
+        once = draw_flowchart("loop", ["S1", "S2", "S3"], {**schedule, "iterations": 1})
+        assert serialize(draw_flowchart("loop", ["S1", "S2", "S3"], schedule)) == serialize(once)
+        with pytest.raises(TraceError):
+            build_flowchart("loop", ["S1", "S2", "S3"], schedule)
+        for iterations in (0, -1):
+            with pytest.raises(TraceError):
+                draw_flowchart("loop", ["S1", "S2", "S3"], {**schedule, "iterations": iterations})
 
 
 class TestPassive:
