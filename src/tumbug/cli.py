@@ -276,12 +276,21 @@ def run(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ModelError, KeyError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        print(_error_line(exc), file=sys.stderr)
         return 2
-    except Exception as exc:  # a fault in tumbug itself: one line, never a traceback
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+
+
+def _error_line(exc: Exception) -> str:
+    """`error: <message>` for an error about the input; any other exception
+    is a fault in tumbug itself, reported as `error: <Type>: <message>` in
+    one line, never a traceback.  A KeyError is about the input only when it
+    is one of tumbug's own (MissingRole, UnknownKind, UnknownModalRow, ...);
+    a bare KeyError is a failed lookup in the code."""
+    own_key_error = isinstance(exc, KeyError) and type(exc).__module__.startswith("tumbug.")
+    if own_key_error or isinstance(exc, (ModelError, OSError, ValueError)):
+        return f"error: {exc}"
+    return f"error: {type(exc).__name__}: {exc}"
 
 
 def main(argv: list[str] | None = None) -> int:

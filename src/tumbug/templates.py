@@ -529,19 +529,19 @@ def build_flowchart(
     starts on the first statement, and the trace is `run_trace` of the
     drawn graph, given the loop's iterations or the chosen arm's first state.
     """
-    d, iterations, take = _flowchart(kind, statements, schedule)
-    return d, run_trace(d, d.groups["program"], iterations, take)
+    d = draw_flowchart(kind, statements, schedule)
+    schedule = schedule or {}
+    group = d.groups["program"]
+    iterations = int(schedule.get("iterations", 1)) if kind == "loop" else 1
+    take = None
+    if kind == "branch":
+        arm = schedule["then"] if schedule.get("take", "then") == "then" else schedule["else"]
+        take = dict(zip(statements, group.states))[arm[0]]
+    return d, run_trace(d, group, iterations, take)
 
 
 def draw_flowchart(kind: str, statements: list[str], schedule: dict | None = None) -> Diagram:
     """The graph of `build_flowchart` without walking its trace."""
-    return _flowchart(kind, statements, schedule)[0]
-
-
-def _flowchart(
-    kind: str, statements: list[str], schedule: dict | None
-) -> tuple[Diagram, int, str | None]:
-    """The drawn program, its loop iterations and the state a branch takes."""
     if not statements:
         raise EmptyProgram("no statements")
     schedule = schedule or {}
@@ -554,7 +554,6 @@ def _flowchart(
             b.edge(EdgeKind.TUBE, source=states[a], target=states[z], id_hint=f"{a}-{z}")
         )
 
-    iterations, take = 1, None
     if kind == "sequential":
         for a, z in zip(statements, statements[1:]):
             tube(a, z)
@@ -597,7 +596,6 @@ def _flowchart(
             tube(arm[-1], join)
         for a, z in zip(after, after[1:]):
             tube(a, z)
-        take = states[(then_stmts if chosen == "then" else else_stmts)[0]]
     else:
         raise EmptyProgram(f"unknown flowchart kind {kind!r}")
 
@@ -609,7 +607,7 @@ def _flowchart(
     )
     b.taken.add("program")
     b.d.add_group(group)
-    return b.d, iterations, take
+    return b.d
 
 
 def run_trace(

@@ -1,3 +1,7 @@
+import contextlib
+import io
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +12,26 @@ from tumbug.grammar import validate
 from tumbug.lexicon import tables_dir
 
 from conftest import NESTED_LOOPS
+
+# run() reports a fault in tumbug itself (an exception that is no error about
+# the input) as `error: <Type>: <message>`; an error about the input never
+# starts with a class name.  Tests that check an exit status also check that
+# it did not come from a fault, so a crash still fails them.
+_FAULT_LINE = re.compile(r"error: [A-Z]\w*: ")
+
+
+def _no_fault(err: str) -> None:
+    assert not _FAULT_LINE.match(err), err
+
+
+def _status(argv: list[str]) -> int:
+    """run(argv)'s exit status, failing on a fault; for Hypothesis tests,
+    which cannot take the function-scoped capsys."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = run(argv)
+    _no_fault(err.getvalue())
+    return status
 
 
 @pytest.fixture
@@ -48,11 +72,13 @@ class TestValidate:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "/nonexistent/x.tb"]) == 2
+        _no_fault(capsys.readouterr().err)
 
     def test_directory_argument_exits_two(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        _no_fault(err)
 
     def test_usage_error_exits_two(self, capsys):
         assert main(["validate"]) == 2
@@ -71,7 +97,9 @@ class TestRender:
         not_a_dir.write_text("", encoding="utf-8")
         for output in (tmp_path, not_a_dir / "fox.svg"):
             assert main(["render", str(fox_fixture), "-o", str(output)]) == 2
-            assert capsys.readouterr().err.startswith("error: ")
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            _no_fault(err)
 
     def test_invalid_diagram_exits_one(self, bad_time_fixture, tmp_path, capsys):
         out = tmp_path / "bad.svg"
@@ -90,9 +118,11 @@ class TestTemplate:
 
     def test_missing_role_is_usage_error(self, capsys):
         assert main(["template", "mtrans"]) == 2
+        _no_fault(capsys.readouterr().err)
 
     def test_unknown_template_is_usage_error(self, capsys):
         assert main(["template", "zeppelin"]) == 2
+        _no_fault(capsys.readouterr().err)
 
     @pytest.mark.parametrize(
         "argv",
@@ -126,6 +156,7 @@ class TestTemplate:
         assert main(["template", "loop", "--roles", *roles]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        _no_fault(err)
 
     def test_branch_arms_sharing_a_statement_exit_two(self, capsys):
         roles = ["statements=S1,S2,S3", "then=S2", "else=S2"]
@@ -162,6 +193,7 @@ class TestModal:
 
     def test_unknown_row_exits_two(self, capsys):
         assert main(["modal", "can", "levitate"]) == 2
+        _no_fault(capsys.readouterr().err)
 
 
 class TestClassify:
@@ -182,6 +214,7 @@ class TestClassify:
 
     def test_unknown_kind_exits_two(self, capsys):
         assert main(["classify", "Gizmo"]) == 2
+        _no_fault(capsys.readouterr().err)
 
 
 class TestQuery:
@@ -195,6 +228,7 @@ class TestQuery:
 
     def test_unknown_owner_exits_two(self, fox_fixture, capsys):
         assert main(["query", str(fox_fixture), "--owner", "zz", "--attr", "x"]) == 2
+        _no_fault(capsys.readouterr().err)
 
 
 class TestHeuristics:
@@ -238,6 +272,7 @@ class TestTrace:
 
     def test_file_without_group_exits_two(self, fox_fixture, capsys):
         assert main(["trace", str(fox_fixture)]) == 2
+        _no_fault(capsys.readouterr().err)
 
     def test_branch_arms_of_different_lengths(self, tmp_path, capsys):
         path = self._emit(
@@ -261,6 +296,7 @@ class TestTrace:
         assert main(["trace", str(path), "--schedule", schedule]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        _no_fault(err)
 
     def test_state_diagram_without_states_exits_two(self, tmp_path, capsys):
         path = tmp_path / "stateless.tb"
@@ -269,7 +305,9 @@ class TestTrace:
             encoding="utf-8",
         )
         assert main(["trace", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        _no_fault(err)
 
 
 class TestUnexpectedErrors:
@@ -281,6 +319,26 @@ class TestUnexpectedErrors:
         assert run(["classify", "Time"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == "error: RuntimeError: boom\n"
+        with pytest.raises(AssertionError):
+            _no_fault(err)
+
+    def test_a_bare_key_error_is_a_fault(self, monkeypatch, capsys):
+        def broken(args):
+            return {}["S9"]
+
+        monkeypatch.setitem(cli._COMMANDS, "classify", broken)
+        assert run(["classify", "Time"]) == 2
+        assert capsys.readouterr().err == "error: KeyError: 'S9'\n"
+
+    def test_tumbugs_own_key_errors_print_their_message(self, monkeypatch, capsys):
+        from tumbug.values import UnboundSlots
+
+        def unbound(args):
+            raise UnboundSlots("S9")
+
+        monkeypatch.setitem(cli._COMMANDS, "classify", unbound)
+        assert run(["classify", "Time"]) == 2
+        assert capsys.readouterr().err == "error: 'S9'\n"
 
     @pytest.mark.parametrize(
         "argv, err",
@@ -343,6 +401,7 @@ def test_tables_env_var_redirects_modal_lookup(tmp_path, monkeypatch, capsys):
     assert main(["modal", "can", "testing"]) == 0
     assert capsys.readouterr().out == "-\n"
     assert main(["modal", "can", "permission"]) == 2  # not in the override table
+    _no_fault(capsys.readouterr().err)
 
 
 def test_long_offending_text_is_cut_in_the_message(tmp_path, capsys):
@@ -398,7 +457,7 @@ _DSL_FRAGMENTS = st.sampled_from(
 def test_validate_exits_0_1_or_2_on_any_file(tmp_path_factory, blob):
     path = tmp_path_factory.getbasetemp() / "blob.tb"
     path.write_bytes(blob)
-    assert run(["validate", str(path)]) in (0, 1, 2)
+    assert _status(["validate", str(path)]) in (0, 1, 2)
 
 
 _SCHEDULE_FRAGMENTS = st.sampled_from(
@@ -411,4 +470,4 @@ _SCHEDULE_FRAGMENTS = st.sampled_from(
 def test_trace_exits_0_1_or_2_on_any_schedule(tmp_path_factory, schedule):
     path = tmp_path_factory.getbasetemp() / "nested.tb"
     path.write_text(NESTED_LOOPS, encoding="utf-8")
-    assert run(["trace", str(path), f"--schedule={schedule}"]) in (0, 1, 2)
+    assert _status(["trace", str(path), f"--schedule={schedule}"]) in (0, 1, 2)
