@@ -11,6 +11,8 @@ its module on first access (PEP 562), so a command loads only what it uses.
 """
 
 import importlib
+import os
+from pathlib import Path
 
 # Each submodule and the public names it provides; _HOME maps name -> submodule.
 _EXPORTS = {
@@ -90,6 +92,17 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted([*_EXPORTS, *_HOME])
 __version__ = "0.1.0"
+
+
+def tables_dir() -> Path:
+    """Directory holding the shipped data tables; TUMBUG_TABLES overrides.
+
+    It lives here, not in a submodule, so that every module that reads a
+    table finds it without loading another."""
+    override = os.environ.get("TUMBUG_TABLES")
+    if override:
+        return Path(override)
+    return Path(__file__).parent / "data"
 
 
 def __getattr__(name: str):

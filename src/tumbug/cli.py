@@ -138,8 +138,10 @@ def _template_diagram(name: str, roles: dict[str, str]):
         if len(terms) != 3:
             raise templates.MissingRole("terms=a,b,c")
         steps = templates.build_syllogism(name, terms, roles.get("swap", "") == "true")
-        step = int(roles.get("step", "3"))
-        return steps[step - 1]
+        step = roles.get("step", "3")
+        if not (step.isdecimal() and 1 <= int(step) <= len(steps)):
+            raise templates.MissingRole(f"step=1..{len(steps)}")
+        return steps[int(step) - 1]
     if name == "arithmetic":
         inputs = [float(x) for x in roles.get("inputs", "").split(",") if x]
         return templates.build_arithmetic(roles.get("op", "+"), inputs)

@@ -15,6 +15,13 @@ a wildcard keyword (``DK DC DNE STAR PLUS OPT``), ``range[lo,hi]`` with
 ``(`` / ``)`` for excluded end points, ``ball[lo,hi]``, ``exist[x]``, or
 ``fuzzy[name:lo,peak,hi]``.
 
+Inside ``"..."`` a backslash escapes: ``\\\\`` and ``\\"`` for themselves,
+``\\n \\r \\t`` for newline, carriage return and tab, and ``\\uXXXX`` (four
+hex digits) for any code point but a surrogate.  Serialization writes
+``\\uXXXX`` for the other characters ``str.splitlines`` breaks on (``\\x0b
+\\x0c \\x1c \\x1d \\x1e \\x85 \\u2028 \\u2029``), so a quoted string never
+spans two lines.
+
 Serialization is canonical: elements sort by id, then containment, edges,
 groups, and bindings by (owner, attribute).  Numbers print as the shortest
 decimal that round-trips.  parse(serialize(d)) reproduces d exactly.
@@ -69,8 +76,11 @@ __all__ = ["SourceSpan", "ParseError", "parse", "serialize", "value_literal", "p
 _NUMBER_RE = re.compile(r"^-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 _UNIT_RE = re.compile(r"^[A-Za-z%][A-Za-z0-9_%/-]*$")
 
+# Each line boundary str.splitlines knows is escaped, so a quoted string is one line.
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_ESCAPES.update((c, f"\\u{ord(c):04x}") for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_HEX4_RE = re.compile(r"[0-9A-Fa-f]{4}")
 
 
 @dataclass(frozen=True)
@@ -97,10 +107,14 @@ class ParseError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    span: SourceSpan
+# A token is a tuple (text, line, col_start, col_end) of str and int only, so
+# the cyclic GC stops tracking it; a record is a tuple of tokens.
+_Token = tuple[str, int, int, int]
+
+
+def _span(tok: _Token) -> SourceSpan:
+    """The one place a SourceSpan is built, so that a clean parse builds none."""
+    return SourceSpan(tok[1], tok[2], tok[3])
 
 
 def _quote(s: str) -> str:
@@ -109,21 +123,38 @@ def _quote(s: str) -> str:
 
 def _unquote(tok: _Token, raw: str) -> str:
     if len(raw) < 2 or not raw.startswith('"') or not raw.endswith('"'):
-        raise ParseError(tok.span, "quoted string", raw)
+        raise ParseError(_span(tok), "quoted string", raw)
+    body = raw[1:-1]
+    if "\\" in body or '"' in body:
+        return _unescape(tok, raw)
+    return body
+
+
+def _unescape(tok: _Token, raw: str) -> str:
+    """The body of the quoted string ``raw`` with its escapes resolved."""
     out = []
     i = 1
     while i < len(raw) - 1:
         c = raw[i]
         if c == "\\":
             if i + 1 >= len(raw) - 1:
-                raise ParseError(tok.span, "escape sequence", raw)
+                raise ParseError(_span(tok), "escape sequence", raw)
             esc = raw[i + 1]
+            if esc == "u":
+                # The closing quote is no hex digit, so a cut-short escape fails
+                # here.  A lone surrogate could not be written as UTF-8.
+                digits = raw[i + 2 : i + 6]
+                if not _HEX4_RE.fullmatch(digits) or 0xD800 <= int(digits, 16) <= 0xDFFF:
+                    raise ParseError(_span(tok), "\\uXXXX, not a surrogate", f"\\u{digits}")
+                out.append(chr(int(digits, 16)))
+                i += 6
+                continue
             if esc not in _UNESCAPES:
-                raise ParseError(tok.span, "known escape", f"\\{esc}")
+                raise ParseError(_span(tok), "known escape", f"\\{esc}")
             out.append(_UNESCAPES[esc])
             i += 2
         elif c == '"':
-            raise ParseError(tok.span, "escaped quote", raw)
+            raise ParseError(_span(tok), "escaped quote", raw)
         else:
             out.append(c)
             i += 1
@@ -137,7 +168,7 @@ def _unquote(tok: _Token, raw: str) -> str:
 _TOKEN_RE = re.compile(r'\s*(?:(#)|((?:[^\s"]+|"[^"\\]*(?:\\.[^"\\]*)*")+)|(")|\Z)', re.DOTALL)
 
 
-def _tokenize_line(line: str, lineno: int) -> list[_Token]:
+def _tokenize_line(line: str, lineno: int) -> tuple[_Token, ...]:
     tokens = []
     n = len(line)
     pos = 0
@@ -146,15 +177,14 @@ def _tokenize_line(line: str, lineno: int) -> list[_Token]:
         text = m.group(2)
         if text is None:
             if m.group(3) is not None:
-                raise ParseError(
-                    SourceSpan(lineno, m.start(3) + 1, n), "closing quote", "end of line"
-                )
-            return tokens
+                unclosed = ('"', lineno, m.start(3) + 1, n)
+                raise ParseError(_span(unclosed), "closing quote", "end of line")
+            return tuple(tokens)
         start, pos = m.span(2)
         if pos < n and line[pos] == '"':
             # The run stopped at a quote that no later quote closes.
-            raise ParseError(SourceSpan(lineno, start + 1, n), "closing quote", "end of line")
-        tokens.append(_Token(text, SourceSpan(lineno, start + 1, pos)))
+            raise ParseError(_span((text, lineno, start + 1, n)), "closing quote", "end of line")
+        tokens.append((text, lineno, start + 1, pos))
 
 
 # --------------------------------------------------------------------------
@@ -205,51 +235,51 @@ def parse_value_literal(tok: _Token, raw: str) -> Value:
         try:
             return ExistenceLevel(level)
         except ValueError as exc:
-            raise ParseError(tok.span, "existence level in [0,1]", raw) from exc
+            raise ParseError(_span(tok), "existence level in [0,1]", raw) from exc
     if raw.startswith("fuzzy[") and raw.endswith("]"):
         body = raw[6:-1]
         if ":" not in body:
-            raise ParseError(tok.span, "fuzzy[name:lo,peak,hi]", raw)
+            raise ParseError(_span(tok), "fuzzy[name:lo,peak,hi]", raw)
         name, _, nums = body.partition(":")
         parts = nums.split(",")
         if len(parts) != 3 or not KEY_RE.fullmatch(name):
-            raise ParseError(tok.span, "fuzzy[name:lo,peak,hi]", raw)
+            raise ParseError(_span(tok), "fuzzy[name:lo,peak,hi]", raw)
         lo, peak, hi = (_parse_number(tok, p) for p in parts)
         try:
             return FuzzyLabel(name, lo, peak, hi)
         except ValueError as exc:
-            raise ParseError(tok.span, "lo <= peak <= hi", raw) from exc
+            raise ParseError(_span(tok), "lo <= peak <= hi", raw) from exc
     number, _, unit = raw.partition(":")
     if _NUMBER_RE.match(number):
         if unit and not _UNIT_RE.match(unit):
-            raise ParseError(tok.span, "unit tag", unit)
+            raise ParseError(_span(tok), "unit tag", unit)
         return Scalar(_parse_number(tok, number), unit or None)
-    raise ParseError(tok.span, "value literal", raw)
+    raise ParseError(_span(tok), "value literal", raw)
 
 
 def _parse_number(tok: _Token, raw: str) -> float:
     if not _NUMBER_RE.match(raw):
-        raise ParseError(tok.span, "number", raw)
+        raise ParseError(_span(tok), "number", raw)
     value = float(raw)
     if not math.isfinite(value):
-        raise ParseError(tok.span, "finite number", raw)
+        raise ParseError(_span(tok), "finite number", raw)
     return value
 
 
 def _parse_range_body(tok: _Token, body: str) -> Range:
     if len(body) < 4 or body[0] not in "[(" or body[-1] not in "])":
-        raise ParseError(tok.span, "range[lo,hi]", body)
+        raise ParseError(_span(tok), "range[lo,hi]", body)
     lo_inc = body[0] == "["
     hi_inc = body[-1] == "]"
     parts = body[1:-1].split(",")
     if len(parts) != 2:
-        raise ParseError(tok.span, "two range bounds", body)
+        raise ParseError(_span(tok), "two range bounds", body)
     lo = None if parts[0] == "-inf" else _parse_number(tok, parts[0])
     hi = None if parts[1] == "inf" else _parse_number(tok, parts[1])
     try:
         return Range(lo, hi, lo_inc, hi_inc)
     except ValueError as exc:
-        raise ParseError(tok.span, "lo <= hi", body) from exc
+        raise ParseError(_span(tok), "lo <= hi", body) from exc
 
 
 # --------------------------------------------------------------------------
@@ -329,7 +359,7 @@ def _decode_payload(kind: Kind, pairs: dict[str, tuple[_Token, str]]):
             for part in filter(None, text.split(",")):
                 m = re.match(r"^([A-Za-z0-9_-]+):([A-Za-z0-9_-]+)\.(.+)$", part)
                 if not m:
-                    raise ParseError(tok.span, "slot as name:element.attribute", part)
+                    raise ParseError(_span(tok), "slot as name:element.attribute", part)
                 slots.append(SlotSpec(m.group(1), m.group(2), m.group(3)))
         equations = {}
         for key in sorted(k for k in pairs if k.startswith("eq.")):
@@ -337,7 +367,7 @@ def _decode_payload(kind: Kind, pairs: dict[str, tuple[_Token, str]]):
             try:
                 equations[key[3:]] = parse_expr(text)
             except ExprSyntaxError as exc:
-                raise ParseError(tok.span, "arithmetic expression", text) from exc
+                raise ParseError(_span(tok), "arithmetic expression", text) from exc
         return CorrelationBoxPayload(slots=tuple(slots), equations=equations)
     if ptype is CAPayload:
         label = take("label")
@@ -363,7 +393,7 @@ def _decode_payload(kind: Kind, pairs: dict[str, tuple[_Token, str]]):
             for part in filter(None, text.split(",")):
                 level, sep, valence = part.partition(":")
                 if not sep:
-                    raise ParseError(tok.span, "marker as level:valence", part)
+                    raise ParseError(_span(tok), "marker as level:valence", part)
                 markers.add((level, valence))
         return MotivationTrianglePayload(
             markers=frozenset(markers), robinson=robinson, label=label
@@ -387,7 +417,7 @@ def _decode_payload(kind: Kind, pairs: dict[str, tuple[_Token, str]]):
             for part in filter(None, text.split(",")):
                 bits = part.split(":")
                 if len(bits) != 3:
-                    raise ParseError(tok.span, "cell as name:x:y", part)
+                    raise ParseError(_span(tok), "cell as name:x:y", part)
                 cells.append((bits[0], _parse_number(tok, bits[1]), _parse_number(tok, bits[2])))
         active = take("active")
         return SwirlyArrayPayload(
@@ -408,98 +438,88 @@ def parse(text: str | bytes) -> Diagram:
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(SourceSpan(1, 1, 1), "UTF-8 text", "invalid bytes") from exc
+            raise ParseError(_span(("", 1, 1, 1)), "UTF-8 text", "invalid bytes") from exc
 
-    elems: list[tuple[int, list[_Token]]] = []
-    contains: list[tuple[int, list[_Token]]] = []
-    edges: list[tuple[int, list[_Token]]] = []
-    groups: list[tuple[int, list[_Token]]] = []
-    attrs: list[tuple[int, list[_Token]]] = []
-    metas: list[tuple[int, list[_Token]]] = []
-    buckets = {
-        "elem": elems,
-        "contain": contains,
-        "edge": edges,
-        "group": groups,
-        "attr": attrs,
-        "meta": metas,
+    # Every line is tokenized before any record is built, so a syntax fault
+    # anywhere is reported before a fault in a record on an earlier line.
+    buckets: dict[str, list[tuple[_Token, ...]]] = {
+        key: [] for key in ("meta", "elem", "contain", "edge", "group", "attr")
     }
-
     for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(line, lineno)
         if not tokens:
             continue
         head = tokens[0]
-        if head.text not in buckets:
-            raise ParseError(head.span, "record keyword", head.text)
-        buckets[head.text].append((lineno, tokens))
+        if head[0] not in buckets:
+            raise ParseError(_span(head), "record keyword", head[0])
+        buckets[head[0]].append(tokens)
 
     d = Diagram()
 
-    for lineno, tokens in metas:
+    for tokens in buckets["meta"]:
         if len(tokens) != 2:
-            raise ParseError(tokens[0].span, "meta key=\"value\"", " ".join(t.text for t in tokens))
+            raise ParseError(_span(tokens[0]), "meta key=\"value\"", " ".join(t[0] for t in tokens))
         key, value = _split_pair(tokens[1], quoted=True)
         if key in d.meta:
-            raise ParseError(tokens[1].span, "unique meta key", key)
+            raise ParseError(_span(tokens[1]), "unique meta key", key)
         d.meta[key] = value
 
-    for lineno, tokens in elems:
+    for tokens in buckets["elem"]:
         if len(tokens) < 3:
-            raise ParseError(tokens[0].span, "elem <id> <Kind>", "end of record")
+            raise ParseError(_span(tokens[0]), "elem <id> <Kind>", "end of record")
         eid = _require_id(tokens[1])
         try:
-            kind = Kind(tokens[2].text)
+            kind = Kind(tokens[2][0])
         except ValueError:
-            raise ParseError(tokens[2].span, "element kind", tokens[2].text) from None
+            raise ParseError(_span(tokens[2]), "element kind", tokens[2][0]) from None
         pairs: dict[str, tuple[_Token, str]] = {}
         for tok in tokens[3:]:
             key, value = _split_pair(tok, quoted=True)
             if key in pairs:
-                raise ParseError(tok.span, "unique key", key)
+                raise ParseError(_span(tok), "unique key", key)
             pairs[key] = (tok, value)
         position = _take_position(pairs)
         try:
             payload = _decode_payload(kind, pairs)
         except (ModelError, ValueError) as exc:
-            raise ParseError(tokens[2].span, "well-formed payload", str(exc)) from exc
+            raise ParseError(_span(tokens[2]), "well-formed payload", str(exc)) from exc
         if pairs:
             stray = sorted(pairs)[0]
-            raise ParseError(pairs[stray][0].span, f"no {stray!r} key on {kind.value}", stray)
+            raise ParseError(_span(pairs[stray][0]), f"no {stray!r} key on {kind.value}", stray)
         try:
             d.add_element(Element(kind=kind, payload=payload, position=position, id=eid))
         except ModelError as exc:
-            raise ParseError(tokens[1].span, "insertable element", str(exc)) from exc
+            raise ParseError(_span(tokens[1]), "insertable element", str(exc)) from exc
 
-    for lineno, tokens in contains:
+    for tokens in buckets["contain"]:
         if len(tokens) != 3:
-            raise ParseError(tokens[0].span, "contain <child> <parent>", "record shape")
+            raise ParseError(_span(tokens[0]), "contain <child> <parent>", "record shape")
         child, parent = _require_id(tokens[1]), _require_id(tokens[2])
         try:
             d.contain(child, parent)
         except ModelError as exc:
-            raise ParseError(tokens[1].span, "legal containment", str(exc)) from exc
+            raise ParseError(_span(tokens[1]), "legal containment", str(exc)) from exc
 
-    for lineno, tokens in edges:
+    for tokens in buckets["edge"]:
         _parse_edge(d, tokens)
 
-    for lineno, tokens in groups:
+    for tokens in buckets["group"]:
         _parse_group(d, tokens)
 
-    for lineno, tokens in attrs:
+    for tokens in buckets["attr"]:
         if len(tokens) != 3:
-            raise ParseError(tokens[0].span, "attr <owner> <attribute>=<value>", "record shape")
+            raise ParseError(_span(tokens[0]), "attr <owner> <attribute>=<value>", "record shape")
         owner = _require_id(tokens[1])
         if owner not in d.elements and owner not in d.edges:
-            raise ParseError(tokens[1].span, "existing owner", owner)
-        name, _, raw = tokens[2].text.partition("=")
+            raise ParseError(_span(tokens[1]), "existing owner", owner)
+        name, _, raw = tokens[2][0].partition("=")
         if not raw:
-            raise ParseError(tokens[2].span, "attribute=value", tokens[2].text)
+            raise ParseError(_span(tokens[2]), "attribute=value", tokens[2][0])
         value = parse_value_literal(tokens[2], raw)
         try:
             binding = AttributeBinding(name, value)
         except ModelError as exc:
-            raise ParseError(tokens[2].span, "legal binding", str(exc)) from exc
+            raise ParseError(_span(tokens[2]), "legal binding", str(exc)) from exc
         # Hosting legality is the validator's concern, not the parser's.
         d.bindings.append((owner, binding))
 
@@ -507,15 +527,15 @@ def parse(text: str | bytes) -> Diagram:
 
 
 def _require_id(tok: _Token) -> str:
-    if not ID_RE.fullmatch(tok.text):
-        raise ParseError(tok.span, "identifier", tok.text)
-    return tok.text
+    if not ID_RE.fullmatch(tok[0]):
+        raise ParseError(_span(tok), "identifier", tok[0])
+    return tok[0]
 
 
 def _split_pair(tok: _Token, quoted: bool) -> tuple[str, str]:
-    key, sep, raw = tok.text.partition("=")
+    key, sep, raw = tok[0].partition("=")
     if not sep or not KEY_RE.fullmatch(key):
-        raise ParseError(tok.span, "key=\"value\"", tok.text)
+        raise ParseError(_span(tok), "key=\"value\"", tok[0])
     if quoted:
         return key, _unquote(tok, raw)
     return key, raw
@@ -526,69 +546,69 @@ def _take_position(pairs: dict[str, tuple[_Token, str]]) -> Position | None:
     size = pairs.pop("size", None)
     if pos is None:
         if size is not None:
-            raise ParseError(size[0].span, "pos together with size", "size alone")
+            raise ParseError(_span(size[0]), "pos together with size", "size alone")
         return None
     tok, text = pos
     parts = text.split(",")
     if len(parts) != 2:
-        raise ParseError(tok.span, "pos as x,y", text)
+        raise ParseError(_span(tok), "pos as x,y", text)
     x, y = (_parse_number(tok, p) for p in parts)
     w = h = None
     if size is not None:
         stok, stext = size
         sparts = stext.split(",")
         if len(sparts) != 2:
-            raise ParseError(stok.span, "size as w,h", stext)
+            raise ParseError(_span(stok), "size as w,h", stext)
         w, h = (_parse_number(stok, p) for p in sparts)
     return Position(x, y, w, h)
 
 
-def _parse_edge(d: Diagram, tokens: list[_Token]) -> None:
+def _parse_edge(d: Diagram, tokens: tuple[_Token, ...]) -> None:
     if len(tokens) < 3:
-        raise ParseError(tokens[0].span, "edge <id> <Kind> [src] -> [dst]", "end of record")
+        raise ParseError(_span(tokens[0]), "edge <id> <Kind> [src] -> [dst]", "end of record")
     eid = _require_id(tokens[1])
     try:
-        kind = EdgeKind(tokens[2].text)
+        kind = EdgeKind(tokens[2][0])
     except ValueError:
-        raise ParseError(tokens[2].span, "edge kind", tokens[2].text) from None
+        raise ParseError(_span(tokens[2]), "edge kind", tokens[2][0]) from None
     rest = tokens[3:]
     source = target = role = None
     i = 0
-    if i < len(rest) and rest[i].text != "->" and "=" not in rest[i].text:
+    if i < len(rest) and rest[i][0] != "->" and "=" not in rest[i][0]:
         source = _require_id(rest[i])
         i += 1
-    if i >= len(rest) or rest[i].text != "->":
-        span = rest[i].span if i < len(rest) else tokens[-1].span
-        found = rest[i].text if i < len(rest) else "end of record"
-        raise ParseError(span, "'->'", found)
+    if i >= len(rest) or rest[i][0] != "->":
+        if i < len(rest):
+            raise ParseError(_span(rest[i]), "'->'", rest[i][0])
+        raise ParseError(_span(tokens[-1]), "'->'", "end of record")
     i += 1
-    if i < len(rest) and "=" not in rest[i].text:
+    if i < len(rest) and "=" not in rest[i][0]:
         target = _require_id(rest[i])
         i += 1
     for tok in rest[i:]:
         key, value = _split_pair(tok, quoted=True)
         if key != "role":
-            raise ParseError(tok.span, "role key", key)
+            raise ParseError(_span(tok), "role key", key)
         role = value
     try:
         d.add_edge(Edge(kind=kind, source=source, target=target, role=role, id=eid))
     except (ModelError, ValueError) as exc:
-        raise ParseError(tokens[1].span, "insertable edge", str(exc)) from exc
+        raise ParseError(_span(tokens[1]), "insertable edge", str(exc)) from exc
 
 
-def _parse_group(d: Diagram, tokens: list[_Token]) -> None:
+def _parse_group(d: Diagram, tokens: tuple[_Token, ...]) -> None:
     if len(tokens) < 3:
-        raise ParseError(tokens[0].span, "group <id> <Kind>", "end of record")
+        raise ParseError(_span(tokens[0]), "group <id> <Kind>", "end of record")
     gid = _require_id(tokens[1])
     try:
-        gkind = GroupKind(tokens[2].text)
+        gkind = GroupKind(tokens[2][0])
     except ValueError:
-        raise ParseError(tokens[2].span, "group kind", tokens[2].text) from None
+        raise ParseError(_span(tokens[2]), "group kind", tokens[2][0]) from None
     keys: dict[str, tuple[_Token, str]] = {}
     for tok in tokens[3:]:
         key, value = _split_pair(tok, quoted=False)
         if key in keys:
-            raise ParseError(tok.span, "unique key", key)
+            raise ParseError(_span(tok), "unique key", key)
         keys[key] = (tok, value)
 
     def take(key: str) -> tuple[_Token, str] | None:
@@ -596,7 +616,7 @@ def _parse_group(d: Diagram, tokens: list[_Token]) -> None:
 
     members_entry = take("members")
     if members_entry is None:
-        raise ParseError(tokens[2].span, "members=<id,...>", "no members key")
+        raise ParseError(_span(tokens[2]), "members=<id,...>", "no members key")
     members_tok, members_raw = members_entry
     members = [m for m in members_raw.split(",") if m]
 
@@ -608,12 +628,12 @@ def _parse_group(d: Diagram, tokens: list[_Token]) -> None:
             elif m in d.edges:
                 tubes.append(m)
             else:
-                raise ParseError(members_tok.span, "existing member id", m)
+                raise ParseError(_span(members_tok), "existing member id", m)
         marker = take("marker")
         owner = take("owner")
         if keys:
             stray = sorted(keys)[0]
-            raise ParseError(keys[stray][0].span, "StateDiagram group key", stray)
+            raise ParseError(_span(keys[stray][0]), "StateDiagram group key", stray)
         group = StateDiagramGroup(
             states=tuple(states),
             tubes=tuple(tubes),
@@ -625,7 +645,7 @@ def _parse_group(d: Diagram, tokens: list[_Token]) -> None:
         trunk = take("trunk")
         junction = take("junction")
         if trunk is None or junction is None:
-            raise ParseError(tokens[2].span, "trunk= and junction=", "missing keys")
+            raise ParseError(_span(tokens[2]), "trunk= and junction=", "missing keys")
         probs_entry = take("probs")
         probabilities = None
         if probs_entry is not None:
@@ -633,7 +653,7 @@ def _parse_group(d: Diagram, tokens: list[_Token]) -> None:
             probabilities = tuple(_parse_number(ptok, p) for p in praw.split(",") if p)
         if keys:
             stray = sorted(keys)[0]
-            raise ParseError(keys[stray][0].span, "SplitTime group key", stray)
+            raise ParseError(_span(keys[stray][0]), "SplitTime group key", stray)
         try:
             group = SplitTimeGroup(
                 trunk=trunk[1],
@@ -643,11 +663,11 @@ def _parse_group(d: Diagram, tokens: list[_Token]) -> None:
                 id=gid,
             )
         except (ModelError, ValueError) as exc:
-            raise ParseError(tokens[1].span, "legal probabilities", str(exc)) from exc
+            raise ParseError(_span(tokens[1]), "legal probabilities", str(exc)) from exc
     try:
         d.add_group(group)
     except ModelError as exc:
-        raise ParseError(tokens[1].span, "resolvable group members", str(exc)) from exc
+        raise ParseError(_span(tokens[1]), "resolvable group members", str(exc)) from exc
 
 
 # --------------------------------------------------------------------------

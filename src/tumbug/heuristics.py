@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from . import tables_dir
 from .model import CHANGE_ARROW_KINDS, KIND_FACTS, Diagram, Kind
-from .lexicon import tables_dir
 
 __all__ = [
     "TriggerTag",

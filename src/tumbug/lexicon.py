@@ -18,10 +18,10 @@ cells in header order.  Modal tables additionally use ``(T)`` for implied
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import tables_dir
 from .model import SwirlyArrayPayload
 
 __all__ = [
@@ -386,14 +386,6 @@ def _plain_cell(token: str) -> Cell:
     if token == "(T)":
         raise TableFormatError("implied (T) cells belong to modal tables only")
     return Cell(token)
-
-
-def tables_dir() -> Path:
-    """Directory holding the shipped data tables; TUMBUG_TABLES overrides."""
-    override = os.environ.get("TUMBUG_TABLES")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
 
 
 def load_default_modal_table() -> ModalTable:

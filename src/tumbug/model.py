@@ -565,6 +565,11 @@ class Diagram:
     groups: dict[str, Group] = field(default_factory=dict)
     bindings: list[tuple[str, AttributeBinding]] = field(default_factory=list)
     meta: dict[str, str] = field(default_factory=dict)
+    # Per id prefix, where the next _fresh_id probe starts.  No method frees
+    # an id, so the smallest free one never goes down and probing resumes.
+    _fresh_from: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def canonical_key(self):
         return (
@@ -587,9 +592,10 @@ class Diagram:
         return i in self.elements or i in self.edges or i in self.groups
 
     def _fresh_id(self, prefix: str) -> str:
-        n = 1
+        n = self._fresh_from.get(prefix, 1)
         while self._taken(f"{prefix}{n}"):
             n += 1
+        self._fresh_from[prefix] = n
         return f"{prefix}{n}"
 
     def _claim_id(self, requested: str | None, prefix: str) -> str:

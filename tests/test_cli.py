@@ -141,6 +141,19 @@ class TestTemplate:
         d = parse(capsys.readouterr().out)
         assert validate(d) == []
 
+    @pytest.mark.parametrize("step", ["0", "-1", "4", "9", "x"])
+    def test_syllogism_step_outside_its_steps_is_usage_error(self, step, capsys):
+        roles = ["terms=men,mortal,Socrates", f"step={step}"]
+        assert run(["template", "barbara", "--roles", *roles]) == 2
+        assert capsys.readouterr() == ("", "error: 'step=1..3'\n")
+
+    def test_syllogism_steps_differ_and_the_last_is_the_default(self, capsys):
+        outs = []
+        for roles in (["step=1"], ["step=2"], ["step=3"], []):
+            assert run(["template", "darii", "--roles", "terms=a,b,c", *roles]) == 0
+            outs.append(capsys.readouterr().out)
+        assert len(set(outs[:3])) == 3 and outs[3] == outs[2]
+
     def test_loop_drawing_does_not_depend_on_iterations(self, capsys):
         # The drawn graph is the same for any count, so no trace is walked:
         # 40,000 iterations used to fail on the 100,000-state trace cap.

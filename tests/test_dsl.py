@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tumbug import dsl
 from tumbug.dsl import ParseError, SourceSpan, _tokenize_line, parse, serialize
 from tumbug.model import (
     AttributeBinding,
@@ -520,7 +521,7 @@ def _tokenize_outcome(tokenize, line: str):
 
 
 def _tokens(line: str, lineno: int) -> list[tuple[str, SourceSpan]]:
-    return [(t.text, t.span) for t in _tokenize_line(line, lineno)]
+    return [(t[0], SourceSpan(*t[1:])) for t in _tokenize_line(line, lineno)]
 
 
 # Quotes, backslashes, comment marks and whitespace on which str.isspace and
@@ -565,3 +566,133 @@ class TestTokenizer:
         assert _tokenize_outcome(_tokens, line) == _tokenize_outcome(
             reference_tokenize, line
         )
+
+
+def _generated_text(n_boxes: int) -> str:
+    """A clean document of ten elements per box that uses every record
+    keyword and value literal, with quoted strings both with and without
+    escapes."""
+    literals = [
+        '"x"', '"a\\tb \\"c\\""', "3:kg", "-0.5", "DK", "range[0,1)", "ball(-inf,2]",
+        "exist[0.5]", "fuzzy[warm:1,2,3]",
+    ]
+    lines = ['meta title="a \\"quoted\\" scene"', "edge t0 Time ->", "elem x0 XorBox"]
+    for b in range(n_boxes):
+        o = [f"o{b}-{i}" for i in range(9)]
+        lines.append(f'elem b{b} AggregationBox label="box {b}"')
+        for i, eid in enumerate(o):
+            lines.append(f'elem {eid} PhysicalObjectCircle label="fox" pos="{b},{i}" size="4,3"')
+            lines.append(f"contain {eid} b{b}")
+        lines += [
+            f"edge m{b} Motion {o[0]} -> {o[1]}",
+            f'edge f{b} Force {o[2]} -> {o[3]} role="exerts"',
+            f"edge s{b} Tube {o[4]} -> {o[5]}",
+            f"group g{b} StateDiagram members={o[4]},{o[5]},s{b} marker={o[4]}",
+            f"group h{b} SplitTime members=m{b} trunk=t0 junction=x0 probs=1",
+            f"attr {o[0]} v={literals[b % len(literals)]}",
+            f"attr m{b} speed=2:m/s",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+class TestTokensKeepNoSpans:
+    def test_clean_parse_builds_no_source_span(self, monkeypatch):
+        built = []
+
+        class CountingSpan(SourceSpan):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(dsl, "SourceSpan", CountingSpan)
+        text = _generated_text(100)
+        assert len(parse(text).elements) == 1001
+        rng = random.Random(6)
+        for _ in range(30):
+            parse(serialize(random_diagram(rng)))
+        assert built == []
+        with pytest.raises(ParseError) as err:
+            parse(text + "elem b0 Cell\n")
+        assert built == [err.value.span]
+
+    def test_every_line_is_tokenized_before_any_record_is_built(self):
+        lines = ["elem o1 PhysicalObjectCircle", "elem o2 NoSuchKind"]
+        lines += [f"elem o{i} Cell" for i in range(3, 9)]
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.span == SourceSpan(2, 9, 18)
+        with pytest.raises(ParseError) as err:
+            parse(text + 'elem o9 Cell label="open\n')
+        assert err.value.span == SourceSpan(9, 14, 24)
+        assert (err.value.expected, err.value.found) == ("closing quote", "end of line")
+
+
+def _unquote_outcome(unquote, raw: str):
+    try:
+        return unquote((raw, 1, 1, len(raw)), raw)
+    except ParseError as exc:
+        return ("error", exc.span, exc.expected, exc.found)
+
+
+# Every character str.splitlines breaks a line on, besides \n and \r.
+_LINE_BOUNDARIES = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+class TestQuotedStrings:
+    @settings(max_examples=1000, deadline=None, database=None)
+    @given(st.text(alphabet=st.one_of(st.sampled_from('"\\nrtuU0aF9g'), st.characters())))
+    def test_fast_path_agrees_with_the_checked_loop(self, body):
+        raw = f'"{body}"'
+        assert _unquote_outcome(dsl._unquote, raw) == _unquote_outcome(dsl._unescape, raw)
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.text(alphabet=st.one_of(st.sampled_from('"\\\n\r' + _LINE_BOUNDARIES), st.characters())))
+    def test_quoted_text_is_one_line_and_reads_back(self, s):
+        raw = dsl._quote(s)
+        assert raw.splitlines() == [raw]
+        assert _unquote_outcome(dsl._unquote, raw) == s
+
+    def test_line_boundaries_are_the_ones_splitlines_knows(self):
+        every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+        # Every piece but the last ends at a boundary.
+        ends = {line[-1] for line in every_char.splitlines(keepends=True)[:-1]}
+        assert ends == set("\n\r" + _LINE_BOUNDARIES)
+
+    @pytest.mark.parametrize("char", _LINE_BOUNDARIES, ids=lambda c: f"U+{ord(c):04X}")
+    def test_label_text_and_meta_round_trip(self, char):
+        s = f"a{char}b"
+        d = new_diagram()
+        d.meta["title"] = s
+        d.add_element(
+            Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, payload=GenericPayload(label=s), id="o1")
+        )
+        d.bind_attribute("o1", AttributeBinding("note", Text(s)))
+        text = serialize(d)
+        assert text.count(f"a\\u{ord(char):04x}b") == 3
+        assert len(text.splitlines()) == 3
+        again = parse(text)
+        assert again == d
+        assert serialize(again) == text
+
+    @pytest.mark.parametrize("char", _LINE_BOUNDARIES, ids=lambda c: f"U+{ord(c):04X}")
+    def test_edge_role_reads_the_escape(self, char):
+        # The model admits only two roles, so no line boundary round-trips in
+        # one; the escape is still read, and the model refuses what it gives.
+        head = "elem a PhysicalObjectCircle\nelem b PhysicalObjectCircle\nedge f Force a -> b "
+        d = parse(head + 'role="acted\\u002Dupon"\n')
+        assert d.edges["f"].role == "acted-upon"
+        assert serialize(d).endswith(' role="acted-upon"\n')
+        with pytest.raises(ParseError) as err:
+            parse(head + f'role="\\u{ord(char):04x}"\n')
+        assert err.value.expected == "insertable edge"
+        assert err.value.found == f"unknown force role {char!r}"
+
+    @pytest.mark.parametrize(
+        "body", ["\\u", "\\u12", "\\u12x4", "\\uZZZZ", "\\u+123", "\\ud800", "\\uDFFF"]
+    )
+    def test_short_or_bad_unicode_escape_is_refused(self, body):
+        with pytest.raises(ParseError) as err:
+            parse(f'elem o1 PhysicalObjectCircle label="{body}"\n')
+        assert err.value.span == SourceSpan(1, 30, 37 + len(body))
+        assert err.value.expected == "\\uXXXX, not a surrogate"

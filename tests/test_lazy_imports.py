@@ -92,8 +92,7 @@ _ALWAYS = {"tumbug", "tumbug.cli", "tumbug.dsl", "tumbug.model", "tumbug.values"
         (["trace", "nested.tb"], 0, {"templates"}),
         (["modal", "can", "permission"], 0, {"lexicon"}),
         (["match", "--context", "context.tbl", "--lexicon", "fr.tbl"], 0, {"lexicon"}),
-        # heuristics finds its rule table through lexicon.tables_dir.
-        (["heuristics", "--tags", "barrier", "fox.tb"], 1, {"heuristics", "lexicon"}),
+        (["heuristics", "--tags", "barrier", "fox.tb"], 1, {"heuristics"}),
     ],
     ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None,
 )

@@ -1,6 +1,8 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tumbug.model import (
     AttributeBinding,
@@ -420,3 +422,62 @@ class TestNamesTheDslCanWriteBack:
         with pytest.raises(InvalidPayload):
             SlotSpec(*slot)
         SlotSpec("a", "x", "w.v")
+
+
+def _in_use(d: Diagram, i: str) -> bool:
+    return i in d.elements or i in d.edges or i in d.groups
+
+
+def _naive_fresh_id(d: Diagram, prefix: str) -> str:
+    """The smallest free id with the prefix, probed from 1."""
+    n = 1
+    while _in_use(d, f"{prefix}{n}"):
+        n += 1
+    return f"{prefix}{n}"
+
+
+# One insert: which table, an explicit id (any table's prefix) or None for a
+# fresh one, and whether the insert fails after its id is claimed.
+_INSERTS = st.lists(
+    st.tuples(
+        st.sampled_from("nag"),
+        st.one_of(st.none(), st.builds("{}{}".format, st.sampled_from("nag"), st.integers(1, 12))),
+        st.booleans(),
+    ),
+    max_size=60,
+)
+
+
+class TestFreshIds:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(_INSERTS)
+    def test_fresh_ids_match_the_naive_probe(self, inserts):
+        d = new_diagram()
+        for prefix, explicit, fails in inserts:
+            if prefix == "n":
+                item = Element(kind=Kind.CELL, id=explicit)
+                insert = lambda: d.add_element(item, parent="ghost" if fails else None)
+            elif prefix == "a":
+                item = Edge(kind=EdgeKind.TIME, source="ghost" if fails else None, id=explicit)
+                insert = lambda: d.add_edge(item)
+            else:
+                item = StateDiagramGroup(states=("ghost",) if fails else (), id=explicit)
+                insert = lambda: d.add_group(item)
+            expected = explicit or _naive_fresh_id(d, prefix)
+            taken = explicit is not None and _in_use(d, explicit)
+            try:
+                insert()
+            except (DuplicateId, UnknownParent, UnknownEndpoint, UnknownMember):
+                assert fails or taken
+            else:
+                assert not fails and not taken
+            if not taken:
+                assert item.id == expected
+
+    def test_8000_fresh_inserts_take_under_a_second(self):
+        d = new_diagram()
+        start = time.perf_counter()
+        for _ in range(8000):
+            d.add_element(Element(kind=Kind.CELL))
+        assert time.perf_counter() - start < 1.0
+        assert set(d.elements) == {f"n{i}" for i in range(1, 8001)}
