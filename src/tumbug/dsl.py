@@ -22,6 +22,10 @@ hex digits) for any code point but a surrogate.  Serialization writes
 \\x0c \\x1c \\x1d \\x1e \\x85 \\u2028 \\u2029``), so a quoted string never
 spans two lines.
 
+An element's payload keys are read and written by one table, ``_CODEC``:
+per payload type, one row per key (``label``, ``slots``, ``eq.<slot>``,
+``forced.<attribute>``, ...), so a payload field is one row.
+
 Serialization is canonical: elements sort by id, then containment, edges,
 groups, and bindings by (owner, attribute).  Numbers print as the shortest
 decimal that round-trips.  parse(serialize(d)) reproduces d exactly.
@@ -79,6 +83,7 @@ _UNIT_RE = re.compile(r"^[A-Za-z%][A-Za-z0-9_%/-]*$")
 # Each line boundary str.splitlines knows is escaped, so a quoted string is one line.
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _ESCAPES.update((c, f"\\u{ord(c):04x}") for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+_ESCAPE_RE = re.compile("[" + re.escape("".join(_ESCAPES)) + "]")
 _UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 _HEX4_RE = re.compile(r"[0-9A-Fa-f]{4}")
 
@@ -118,7 +123,7 @@ def _span(tok: _Token) -> SourceSpan:
 
 
 def _quote(s: str) -> str:
-    return '"' + "".join(_ESCAPES.get(c, c) for c in s) + '"'
+    return '"' + _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group()], s) + '"'
 
 
 def _unquote(tok: _Token, raw: str) -> str:
@@ -283,149 +288,141 @@ def _parse_range_body(tok: _Token, body: str) -> Range:
 
 
 # --------------------------------------------------------------------------
-# Payload encoding.
+# Payload codec: per payload type, one row per DSL key, in decode order.
+#
+# A row is (key, attribute, encode, decode).  For a plain key, encode gives
+# the text to write, or None to write nothing, and decode(tok, text) gives
+# the attribute; an absent key leaves the payload's default.  A prefix key
+# (ending in "." or empty) holds every key that starts with it: encode gives
+# (suffix, text) pairs, and decode gets the [(suffix, tok, text)] pairs in
+# key order.
+
+
+def _same(value):
+    return value
+
+
+def _text(tok: _Token, text: str) -> str:
+    return text
+
+
+def _list(key: str, attribute: str, show, read, collect=tuple):
+    """The row of a comma-separated list: show writes one item and
+    read(tok, part) reads one; a set (collect=frozenset) is written sorted."""
+    order = sorted if collect is frozenset else tuple
+    return (
+        key,
+        attribute,
+        lambda items: ",".join(map(show, order(items))) or None,
+        lambda tok, text: collect(read(tok, part) for part in text.split(",") if part),
+    )
+
+
+_SLOT_RE = re.compile(r"^([A-Za-z0-9_-]+):([A-Za-z0-9_-]+)\.(.+)$")
+
+
+def _slot(tok: _Token, part: str) -> SlotSpec:
+    m = _SLOT_RE.match(part)
+    if not m:
+        raise ParseError(_span(tok), "slot as name:element.attribute", part)
+    return SlotSpec(*m.groups())
+
+
+def _marker(tok: _Token, part: str) -> tuple[str, str]:
+    level, sep, valence = part.partition(":")
+    if not sep:
+        raise ParseError(_span(tok), "marker as level:valence", part)
+    return level, valence
+
+
+def _cell(tok: _Token, part: str) -> tuple[str, float, float]:
+    bits = part.split(":")
+    if len(bits) != 3:
+        raise ParseError(_span(tok), "cell as name:x:y", part)
+    return bits[0], _parse_number(tok, bits[1]), _parse_number(tok, bits[2])
+
+
+def _expr(tok: _Token, text: str):
+    try:
+        return parse_expr(text)
+    except ExprSyntaxError as exc:
+        raise ParseError(_span(tok), "arithmetic expression", text) from exc
+
+
+def _literals(bindings) -> list[tuple[str, str]]:
+    return [(b.attribute, value_literal(b.value)) for b in bindings]
+
+
+def _bindings(items) -> tuple[AttributeBinding, ...]:
+    return tuple(AttributeBinding(s, parse_value_literal(tok, text)) for s, tok, text in items)
+
+
+_LABEL = ("label", "label", _same, _text)
+_ACTIVE = _list("active", "active", str, _text, frozenset)
+
+_CODEC = {
+    GenericPayload: (_LABEL, ("", "props", dict.items, lambda items: {s: t for s, _, t in items})),
+    CorrelationBoxPayload: (
+        _list("slots", "slots", lambda s: f"{s.name}:{s.element}.{s.attribute}", _slot),
+        (
+            "eq.",
+            "equations",
+            lambda eqs: [(name, expr_text(eqs[name])) for name in sorted(eqs)],
+            lambda items: {s: _expr(tok, text) for s, tok, text in items},
+        ),
+    ),
+    CAPayload: (
+        _LABEL,
+        ("ellipsis", "open_ended", lambda on: "true" if on else None, lambda tok, text: text == "true"),
+        ("detected.", "detected", _literals, _bindings),
+        ("forced.", "forced", _literals, _bindings),
+    ),
+    MotivationTrianglePayload: (
+        _LABEL,
+        ("robinson", "robinson", _same, _text),
+        _list("markers", "markers", ":".join, _marker, frozenset),
+    ),
+    RobinsonIconPayload: (
+        _LABEL,
+        _ACTIVE,
+        ("valence", "valence", _same, lambda tok, text: text or "+"),
+        ("subnode", "subnode", _same, _text),
+        ("target", "cathected_target", _same, _text),
+    ),
+    SwirlyArrayPayload: (
+        _LABEL,
+        _list("cells", "cells", lambda c: f"{c[0]}:{fmt_num(c[1])}:{fmt_num(c[2])}", _cell),
+        _ACTIVE,
+    ),
+}
 
 
 def _encode_payload(el: Element) -> dict[str, str]:
-    p = el.payload
+    payload = el.payload
     pairs: dict[str, str] = {}
-    if isinstance(p, GenericPayload):
-        if p.label is not None:
-            pairs["label"] = p.label
-        pairs.update(p.props)
-    elif isinstance(p, CorrelationBoxPayload):
-        if p.slots:
-            pairs["slots"] = ",".join(
-                f"{s.name}:{s.element}.{s.attribute}" for s in p.slots
-            )
-        for name in sorted(p.equations):
-            pairs[f"eq.{name}"] = expr_text(p.equations[name])
-    elif isinstance(p, CAPayload):
-        if p.label is not None:
-            pairs["label"] = p.label
-        if p.open_ended:
-            pairs["ellipsis"] = "true"
-        for b in p.forced:
-            pairs[f"forced.{b.attribute}"] = value_literal(b.value)
-        for b in p.detected:
-            pairs[f"detected.{b.attribute}"] = value_literal(b.value)
-    elif isinstance(p, MotivationTrianglePayload):
-        if p.label is not None:
-            pairs["label"] = p.label
-        if p.markers:
-            pairs["markers"] = ",".join(f"{lv}:{va}" for lv, va in sorted(p.markers))
-        if p.robinson is not None:
-            pairs["robinson"] = p.robinson
-    elif isinstance(p, RobinsonIconPayload):
-        if p.label is not None:
-            pairs["label"] = p.label
-        if p.active:
-            pairs["active"] = ",".join(sorted(p.active))
-        pairs["valence"] = p.valence
-        if p.subnode is not None:
-            pairs["subnode"] = p.subnode
-        if p.cathected_target is not None:
-            pairs["target"] = p.cathected_target
-    elif isinstance(p, SwirlyArrayPayload):
-        if p.label is not None:
-            pairs["label"] = p.label
-        if p.cells:
-            pairs["cells"] = ",".join(
-                f"{name}:{fmt_num(x)}:{fmt_num(y)}" for name, x, y in p.cells
-            )
-        if p.active:
-            pairs["active"] = ",".join(sorted(p.active))
+    for key, attribute, encode, _ in _CODEC[payload_type(el.kind)]:
+        written = encode(getattr(payload, attribute))
+        if not key or key[-1] == ".":
+            for suffix, text in written:
+                pairs[key + suffix] = text
+        elif written is not None:
+            pairs[key] = written
     return pairs
 
 
 def _decode_payload(kind: Kind, pairs: dict[str, tuple[_Token, str]]):
     """Build the kind's payload from decoded key/value pairs (consumes them)."""
-
-    def take(key: str) -> str | None:
-        entry = pairs.pop(key, None)
-        return None if entry is None else entry[1]
-
     ptype = payload_type(kind)
-    if ptype is GenericPayload:
-        label = take("label")
-        props = {k: v for k, (_, v) in sorted(pairs.items())}
-        pairs.clear()
-        return GenericPayload(label=label, props=props)
-    if ptype is CorrelationBoxPayload:
-        slots = []
-        raw_slots = pairs.pop("slots", None)
-        if raw_slots is not None:
-            tok, text = raw_slots
-            for part in filter(None, text.split(",")):
-                m = re.match(r"^([A-Za-z0-9_-]+):([A-Za-z0-9_-]+)\.(.+)$", part)
-                if not m:
-                    raise ParseError(_span(tok), "slot as name:element.attribute", part)
-                slots.append(SlotSpec(m.group(1), m.group(2), m.group(3)))
-        equations = {}
-        for key in sorted(k for k in pairs if k.startswith("eq.")):
-            tok, text = pairs.pop(key)
-            try:
-                equations[key[3:]] = parse_expr(text)
-            except ExprSyntaxError as exc:
-                raise ParseError(_span(tok), "arithmetic expression", text) from exc
-        return CorrelationBoxPayload(slots=tuple(slots), equations=equations)
-    if ptype is CAPayload:
-        label = take("label")
-        open_ended = take("ellipsis") == "true"
-        forced = []
-        detected = []
-        for key in sorted(pairs):
-            if key.startswith("forced.") or key.startswith("detected."):
-                tok, text = pairs.pop(key)
-                prefix, _, attr = key.partition(".")
-                binding = AttributeBinding(attr, parse_value_literal(tok, text))
-                (forced if prefix == "forced" else detected).append(binding)
-        return CAPayload(
-            forced=tuple(forced), detected=tuple(detected), open_ended=open_ended, label=label
-        )
-    if ptype is MotivationTrianglePayload:
-        label = take("label")
-        robinson = take("robinson")
-        markers = set()
-        raw = pairs.pop("markers", None)
-        if raw is not None:
-            tok, text = raw
-            for part in filter(None, text.split(",")):
-                level, sep, valence = part.partition(":")
-                if not sep:
-                    raise ParseError(_span(tok), "marker as level:valence", part)
-                markers.add((level, valence))
-        return MotivationTrianglePayload(
-            markers=frozenset(markers), robinson=robinson, label=label
-        )
-    if ptype is RobinsonIconPayload:
-        label = take("label")
-        active = take("active")
-        return RobinsonIconPayload(
-            active=frozenset(filter(None, (active or "").split(","))),
-            valence=take("valence") or "+",
-            subnode=take("subnode"),
-            cathected_target=take("target"),
-            label=label,
-        )
-    if ptype is SwirlyArrayPayload:
-        label = take("label")
-        cells = []
-        raw = pairs.pop("cells", None)
-        if raw is not None:
-            tok, text = raw
-            for part in filter(None, text.split(",")):
-                bits = part.split(":")
-                if len(bits) != 3:
-                    raise ParseError(_span(tok), "cell as name:x:y", part)
-                cells.append((bits[0], _parse_number(tok, bits[1]), _parse_number(tok, bits[2])))
-        active = take("active")
-        return SwirlyArrayPayload(
-            cells=tuple(cells),
-            active=frozenset(filter(None, (active or "").split(","))),
-            label=label,
-        )
-    raise AssertionError(f"unhandled payload type {ptype}")
+    fields = {}
+    for key, attribute, _, decode in _CODEC[ptype]:
+        if not pairs:
+            break  # every row left would decode to the payload's default
+        if not key or key[-1] == ".":
+            taken = [(k[len(key):], *pairs.pop(k)) for k in sorted(pairs) if k.startswith(key)]
+            fields[attribute] = decode(taken)
+        elif key in pairs:
+            fields[attribute] = decode(*pairs.pop(key))
+    return ptype(**fields)
 
 
 # --------------------------------------------------------------------------
