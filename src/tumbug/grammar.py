@@ -13,6 +13,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 from .model import (
     CHANGE_ARROW_KINDS,
@@ -38,6 +39,7 @@ __all__ = [
     "ViolationCode",
     "Violation",
     "validate",
+    "RULES",
     "BasicKind",
     "scova_classify",
     "generalize",
@@ -155,157 +157,128 @@ def _legality_code(kind: EdgeKind, shape: Shape) -> ViolationCode:
     return ViolationCode.ARROW_SHAPE_ILLEGAL
 
 
-def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
-    """Check a diagram against the combination grammar.
+# --------------------------------------------------------------------------
+# Validation: each rule yields its violations; RULES fixes their order.
 
-    Returns violations as data; an empty list means the diagram is clean.
-    Pure and deterministic: equal diagrams yield equal violation lists.
-    """
-    table = table if table is not None else default_legality()
-    out: list[Violation] = []
 
-    # Referential integrity and containment.
-    contained = []  # (child, parent) pairs of existing elements, by child id
+def _containment_refs(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
     for child in sorted(d.containment):
         parent = d.containment[child]
         if child not in d.elements or parent not in d.elements:
-            out.append(
-                Violation(
-                    ViolationCode.UNKNOWN_REF,
-                    (child, parent),
-                    "containment references a missing element",
-                )
+            yield Violation(
+                ViolationCode.UNKNOWN_REF, (child, parent), "containment references a missing element"
             )
-            continue
-        contained.append((child, parent))
-        if d.elements[parent].kind not in CONTAINER_KINDS:
-            out.append(
-                Violation(
-                    ViolationCode.CONTAINMENT_INVALID,
-                    (child, parent),
-                    f"parent {parent} is not a container",
-                )
+        elif d.elements[parent].kind not in CONTAINER_KINDS:
+            yield Violation(
+                ViolationCode.CONTAINMENT_INVALID, (child, parent), f"parent {parent} is not a container"
             )
+
+
+def _containment_cycles(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
     for child in sorted(d.containment):
         seen = {child}
         node = d.containment.get(child)
         while node is not None:
             if node in seen:
-                out.append(
-                    Violation(
-                        ViolationCode.CONTAINMENT_INVALID,
-                        (child,),
-                        "containment cycle",
-                    )
-                )
+                yield Violation(ViolationCode.CONTAINMENT_INVALID, (child,), "containment cycle")
                 break
             seen.add(node)
             node = d.containment.get(node)
 
+
+def _edge_endpoints(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
     for eid in sorted(d.edges):
-        edge = d.edges[eid]
-        for endpoint in d.missing_endpoints(edge):
-            out.append(
-                Violation(
-                    ViolationCode.UNKNOWN_REF,
-                    (eid, endpoint),
-                    "edge endpoint does not exist",
-                )
+        for endpoint in d.missing_endpoints(d.edges[eid]):
+            yield Violation(ViolationCode.UNKNOWN_REF, (eid, endpoint), "edge endpoint does not exist")
+
+
+def _contained(d: Diagram) -> Iterator[tuple[str, str]]:
+    """(child, parent) pairs of existing elements, by child id."""
+    for child in sorted(d.containment):
+        parent = d.containment[child]
+        if child in d.elements and parent in d.elements:
+            yield child, parent
+
+
+def _fixed_positions(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
+    """Elements inside Verbatim and Descriptive boxes need fixed positions."""
+    for child, parent in _contained(d):
+        pkind = d.elements[parent].kind
+        if (KIND_FACTS[pkind].strictness or 0) > 1 and d.elements[child].position is None:
+            yield Violation(
+                ViolationCode.POSITION_REQUIRED,
+                (child, parent),
+                f"elements inside a {pkind.value} need fixed positions",
             )
 
-    # Fixed positions inside Verbatim and Descriptive boxes.
-    for child, parent in contained:
-        pkind = d.elements[parent].kind
-        if (KIND_FACTS[pkind].strictness or 0) > 1:
-            if d.elements[child].position is None:
-                out.append(
-                    Violation(
-                        ViolationCode.POSITION_REQUIRED,
-                        (child, parent),
-                        f"elements inside a {pkind.value} need fixed positions",
-                    )
-                )
 
-    # Legality table over change arrows.
+def _arrow_shapes(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
+    """The legality table over change arrows whose endpoints exist."""
     for eid in sorted(d.edges):
         edge = d.edges[eid]
-        if edge.kind not in CHANGE_ARROW_KINDS:
+        if edge.kind not in CHANGE_ARROW_KINDS or d.missing_endpoints(edge):
             continue
-        if d.missing_endpoints(edge):
-            continue  # already reported as UNKNOWN_REF
         shape = edge_shape(edge)
         if not table[(shape, edge.kind)]:
-            out.append(
-                Violation(
-                    _legality_code(edge.kind, shape),
-                    (eid,),
-                    f"{edge.kind.value} arrow not meaningful as {shape.value}",
-                )
+            yield Violation(
+                _legality_code(edge.kind, shape),
+                (eid,),
+                f"{edge.kind.value} arrow not meaningful as {shape.value}",
             )
 
-    # Attribute hosting.
+
+def _attribute_hosts(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
     for owner, binding in d.bindings:
         if owner in d.elements:
             kind = d.elements[owner].kind
             if not can_host(kind):
-                out.append(
-                    Violation(
-                        ViolationCode.ATTR_HOST_ILLEGAL,
-                        (owner,),
-                        f"{kind.value} cannot host attribute {binding.attribute!r}",
-                    )
+                yield Violation(
+                    ViolationCode.ATTR_HOST_ILLEGAL,
+                    (owner,),
+                    f"{kind.value} cannot host attribute {binding.attribute!r}",
                 )
         elif owner in d.edges:
             kind = d.edges[owner].kind
             if not can_host(kind):
-                out.append(
-                    Violation(
-                        ViolationCode.ATTR_HOST_ILLEGAL,
-                        (owner,),
-                        f"{kind.value} edge cannot host attributes",
-                    )
+                yield Violation(
+                    ViolationCode.ATTR_HOST_ILLEGAL, (owner,), f"{kind.value} edge cannot host attributes"
                 )
         else:
-            out.append(
-                Violation(
-                    ViolationCode.UNKNOWN_REF,
-                    (owner,),
-                    "binding owner does not exist",
-                )
-            )
-    seen_attrs: dict[tuple[str, str], Value] = {}
+            yield Violation(ViolationCode.UNKNOWN_REF, (owner,), "binding owner does not exist")
+
+
+def _attribute_conflicts(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
+    """One violation per (owner, attribute) bound to two different values."""
+    first: dict[tuple[str, str], Value] = {}
     conflicted: set[tuple[str, str]] = set()
     for owner, binding in d.bindings:
         key = (owner, binding.attribute)
-        if key in seen_attrs and seen_attrs[key] != binding.value:
-            if key not in conflicted:
-                conflicted.add(key)
-                out.append(
-                    Violation(
-                        ViolationCode.ATTR_CONFLICT,
-                        (owner,),
-                        f"attribute {binding.attribute!r} bound to conflicting values",
-                    )
-                )
-        seen_attrs.setdefault(key, binding.value)
+        if key in first and first[key] != binding.value and key not in conflicted:
+            conflicted.add(key)
+            yield Violation(
+                ViolationCode.ATTR_CONFLICT,
+                (owner,),
+                f"attribute {binding.attribute!r} bound to conflicting values",
+            )
+        first.setdefault(key, binding.value)
 
-    # Box nesting direction.
-    for child, parent in contained:
-        ck = d.elements[child].kind
-        pk = d.elements[parent].kind
+
+def _box_nesting(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
+    """No location box directly inside a stricter one."""
+    for child, parent in _contained(d):
+        ck, pk = d.elements[child].kind, d.elements[parent].kind
         cs, ps = KIND_FACTS[ck].strictness, KIND_FACTS[pk].strictness
-        if cs is not None and ps is not None:
-            if cs < ps:
-                out.append(
-                    Violation(
-                        ViolationCode.BOX_NESTING,
-                        (child, parent),
-                        f"{ck.value} is looser than enclosing {pk.value}",
-                    )
-                )
+        if cs is not None and ps is not None and cs < ps:
+            yield Violation(
+                ViolationCode.BOX_NESTING,
+                (child, parent),
+                f"{ck.value} is looser than enclosing {pk.value}",
+            )
 
-    # XOR boxes need something to choose between: contained alternatives or
-    # split-time branches forking at the box.
+
+def _xor_alternatives(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
+    """XOR boxes need something to choose between: contained alternatives or
+    split-time branches forking at the box."""
     branch_counts: Counter[str] = Counter()
     for group in d.groups.values():
         if isinstance(group, SplitTimeGroup) and group.junction:
@@ -314,106 +287,116 @@ def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
     for xid in d.elements_of_kind(Kind.XOR_BOX):
         alternatives = child_counts[xid] + branch_counts[xid]
         if alternatives < 2:
-            out.append(
-                Violation(
-                    ViolationCode.XOR_TOO_FEW,
-                    (xid,),
-                    f"XOR box offers {alternatives} alternatives, needs at least 2",
-                )
+            yield Violation(
+                ViolationCode.XOR_TOO_FEW,
+                (xid,),
+                f"XOR box offers {alternatives} alternatives, needs at least 2",
             )
 
-    # Groups.
+
+def _groups(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
     for gid in sorted(d.groups):
         group = d.groups[gid]
         if isinstance(group, StateDiagramGroup):
-            for sid in group.states:
-                if sid not in d.elements or d.elements[sid].kind is not Kind.STATE_CIRCLE:
-                    out.append(
-                        Violation(
-                            ViolationCode.GROUP_MEMBER_INVALID,
-                            (gid, sid),
-                            "state member must be an existing StateCircle",
-                        )
-                    )
-            for tid in group.tubes:
-                tube = d.edges.get(tid)
-                if tube is None or tube.kind is not EdgeKind.TUBE:
-                    out.append(
-                        Violation(
-                            ViolationCode.GROUP_MEMBER_INVALID,
-                            (gid, tid),
-                            "tube member must be an existing Tube edge",
-                        )
-                    )
-                    continue
-                for endpoint in (tube.source, tube.target):
-                    if endpoint not in group.states:
-                        out.append(
-                            Violation(
-                                ViolationCode.STATE_TUBE_ENDPOINT,
-                                (gid, tid),
-                                "tube endpoint is not a member state",
-                            )
-                        )
-            if group.marker is not None:
-                if group.marker not in group.states and group.marker not in group.tubes:
-                    out.append(
-                        Violation(
-                            ViolationCode.STATE_MARKER_MISPLACED,
-                            (gid, group.marker),
-                            "marker must sit on a member state or tube",
-                        )
-                    )
+            yield from _state_group(d, gid, group)
         else:
-            for tid in (group.trunk, *group.branches):
-                edge = d.edges.get(tid)
-                if edge is None or edge.kind is not EdgeKind.TIME:
-                    out.append(
-                        Violation(
-                            ViolationCode.GROUP_MEMBER_INVALID,
-                            (gid, tid),
-                            "split-time member must be an existing Time edge",
-                        )
-                    )
-            if group.junction and (
-                group.junction not in d.elements
-                or d.elements[group.junction].kind is not Kind.XOR_BOX
-            ):
-                out.append(
-                    Violation(
-                        ViolationCode.GROUP_MEMBER_INVALID,
-                        (gid, group.junction),
-                        "split-time junction must be an XorBox",
-                    )
-                )
-            if group.probabilities_problem() is not None:
-                out.append(
-                    Violation(
-                        ViolationCode.SPLIT_PROBS_INVALID,
-                        (gid,),
-                        "branch probabilities must lie in [0,1] and sum to 1",
-                    )
-                )
+            yield from _split_group(d, gid, group)
 
-    # Attend rings flag attention on data motion only.
+
+def _state_group(d: Diagram, gid: str, group: StateDiagramGroup) -> Iterator[Violation]:
+    for sid in group.states:
+        if sid not in d.elements or d.elements[sid].kind is not Kind.STATE_CIRCLE:
+            yield Violation(
+                ViolationCode.GROUP_MEMBER_INVALID,
+                (gid, sid),
+                "state member must be an existing StateCircle",
+            )
+    for tid in group.tubes:
+        tube = d.edges.get(tid)
+        if tube is None or tube.kind is not EdgeKind.TUBE:
+            yield Violation(
+                ViolationCode.GROUP_MEMBER_INVALID,
+                (gid, tid),
+                "tube member must be an existing Tube edge",
+            )
+            continue
+        for endpoint in (tube.source, tube.target):
+            if endpoint not in group.states:
+                yield Violation(
+                    ViolationCode.STATE_TUBE_ENDPOINT, (gid, tid), "tube endpoint is not a member state"
+                )
+    if group.marker is not None and group.marker not in (*group.states, *group.tubes):
+        yield Violation(
+            ViolationCode.STATE_MARKER_MISPLACED,
+            (gid, group.marker),
+            "marker must sit on a member state or tube",
+        )
+
+
+def _split_group(d: Diagram, gid: str, group: SplitTimeGroup) -> Iterator[Violation]:
+    for tid in (group.trunk, *group.branches):
+        edge = d.edges.get(tid)
+        if edge is None or edge.kind is not EdgeKind.TIME:
+            yield Violation(
+                ViolationCode.GROUP_MEMBER_INVALID,
+                (gid, tid),
+                "split-time member must be an existing Time edge",
+            )
+    junction = group.junction
+    if junction and (junction not in d.elements or d.elements[junction].kind is not Kind.XOR_BOX):
+        yield Violation(
+            ViolationCode.GROUP_MEMBER_INVALID, (gid, junction), "split-time junction must be an XorBox"
+        )
+    if group.probabilities_problem() is not None:
+        yield Violation(
+            ViolationCode.SPLIT_PROBS_INVALID,
+            (gid,),
+            "branch probabilities must lie in [0,1] and sum to 1",
+        )
+
+
+def _attend_rings(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
+    """Attend rings flag attention on data motion only."""
     for rid in d.elements_of_kind(Kind.ATTEND_RING):
-        ring = d.elements[rid]
-        edge_id = ring.payload.props.get("edge")
-        problem = None
+        edge_id = d.elements[rid].payload.props.get("edge")
         if edge_id is None or edge_id not in d.edges:
             problem = "attend ring must reference a Motion edge"
+        elif d.edges[edge_id].kind is not EdgeKind.MOTION:
+            problem = f"attend ring sits on a {d.edges[edge_id].kind.value} edge"
         else:
-            edge = d.edges[edge_id]
-            if edge.kind is not EdgeKind.MOTION:
-                problem = f"attend ring sits on a {edge.kind.value} edge"
-            else:
-                moved = _moved_element(d, edge_id)
-                if moved is None or d.elements[moved].kind is not Kind.DATA_OBJECT_CIRCLE:
-                    problem = "attended motion must move a DataObjectCircle"
-        if problem is not None:
-            out.append(Violation(ViolationCode.ATTEND_NOT_DATA, (rid,), problem))
+            moved = _moved_element(d, edge_id)
+            if moved is not None and d.elements[moved].kind is Kind.DATA_OBJECT_CIRCLE:
+                continue
+            problem = "attended motion must move a DataObjectCircle"
+        yield Violation(ViolationCode.ATTEND_NOT_DATA, (rid,), problem)
 
-    return out
+
+# The grammar's rules in reporting order; violation lists are part of the
+# output format, so the order is too.
+RULES: tuple[Callable[[Diagram, LegalityTable], Iterable[Violation]], ...] = (
+    _containment_refs,
+    _containment_cycles,
+    _edge_endpoints,
+    _fixed_positions,
+    _arrow_shapes,
+    _attribute_hosts,
+    _attribute_conflicts,
+    _box_nesting,
+    _xor_alternatives,
+    _groups,
+    _attend_rings,
+)
+
+
+def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
+    """Check a diagram against the combination grammar: every rule of
+    ``RULES``, in order, against ``table`` (default: the shipped one).
+
+    Returns violations as data; an empty list means the diagram is clean.
+    Pure and deterministic: equal diagrams yield equal violation lists.
+    """
+    table = table if table is not None else default_legality()
+    return [violation for rule in RULES for violation in rule(d, table)]
 
 
 def _moved_element(d: Diagram, edge_id: str) -> str | None:
