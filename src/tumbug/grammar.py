@@ -175,15 +175,20 @@ def _containment_refs(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
 
 
 def _containment_cycles(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
+    """Every child whose walk up to its root runs into a cycle.  Each node's
+    verdict is kept, so a walk stops at the first node already judged and the
+    rule is linear even on deep containment."""
+    reaches_cycle: dict[str, bool] = {}
     for child in sorted(d.containment):
-        seen = {child}
-        node = d.containment.get(child)
-        while node is not None:
-            if node in seen:
-                yield Violation(ViolationCode.CONTAINMENT_INVALID, (child,), "containment cycle")
-                break
-            seen.add(node)
+        path: dict[str, None] = {}
+        node = child
+        while node is not None and node not in reaches_cycle and node not in path:
+            path[node] = None
             node = d.containment.get(node)
+        verdict = node is not None and (node in path or reaches_cycle[node])
+        reaches_cycle.update(dict.fromkeys(path, verdict))
+        if reaches_cycle[child]:
+            yield Violation(ViolationCode.CONTAINMENT_INVALID, (child,), "containment cycle")
 
 
 def _edge_endpoints(d: Diagram, table: LegalityTable) -> Iterator[Violation]:

