@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 from .model import (
     ID_RE,
-    KEY_RE,
     AttributeBinding,
     CAPayload,
     CorrelationBoxPayload,
@@ -61,6 +60,8 @@ from .model import (
     payload_type,
 )
 from .values import (
+    KEY_RE,
+    UNIT_RE,
     BallInRange,
     ExistenceLevel,
     ExprSyntaxError,
@@ -78,7 +79,6 @@ from .values import (
 __all__ = ["SourceSpan", "ParseError", "parse", "serialize", "value_literal", "parse_value_literal"]
 
 _NUMBER_RE = re.compile(r"^-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-_UNIT_RE = re.compile(r"^[A-Za-z%][A-Za-z0-9_%/-]*$")
 
 # Each line boundary str.splitlines knows is escaped, so a quoted string is one line.
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
@@ -256,7 +256,7 @@ def parse_value_literal(tok: _Token, raw: str) -> Value:
             raise ParseError(_span(tok), "lo <= peak <= hi", raw) from exc
     number, _, unit = raw.partition(":")
     if _NUMBER_RE.match(number):
-        if unit and not _UNIT_RE.match(unit):
+        if unit and not UNIT_RE.match(unit):
             raise ParseError(_span(tok), "unit tag", unit)
         return Scalar(_parse_number(tok, number), unit or None)
     raise ParseError(_span(tok), "value literal", raw)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .values import (
+    KEY_RE,
     Expr,
     NoEquationForSlot,
     UnboundSlots,
@@ -32,7 +33,6 @@ __all__ = [
     "KindFacts",
     "KIND_FACTS",
     "ID_RE",
-    "KEY_RE",
     "CHANGE_ARROW_KINDS",
     "CONTAINER_KINDS",
     "NONQUAN_KINDS",
@@ -198,10 +198,9 @@ class AttributeBinding:
             raise InvalidPayload("attribute and value cannot both be DK")
 
 
-# Identifier syntax of element, edge and group ids, and of keys (property
-# keys and attribute names), which may also hold dots.
+# Identifier syntax of element, edge and group ids; keys (values.KEY_RE) may
+# also hold dots.
 ID_RE = re.compile(r"[A-Za-z0-9_-]+")
-KEY_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 _RESERVED_PROP_KEYS = frozenset({"label", "pos", "size"})
 

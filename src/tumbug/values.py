@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -40,11 +41,20 @@ __all__ = [
     "DivisionByZero",
     "ExprSyntaxError",
     "fmt_num",
+    "classify_count",
+    "KEY_RE",
+    "UNIT_RE",
 ]
 
 
 class ValueError_(ValueError):
     """Base for value construction errors."""
+
+
+# Syntax of keys (property keys, attribute names, fuzzy label names) and of
+# unit tags, the names the DSL can write back unquoted.
+KEY_RE = re.compile(r"[A-Za-z0-9_.-]+")
+UNIT_RE = re.compile(r"^[A-Za-z%][A-Za-z0-9_%/-]*$")
 
 
 def fmt_num(x: float) -> str:
@@ -62,6 +72,8 @@ class Scalar:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError_("scalar values must be finite")
+        if self.unit is not None and not UNIT_RE.match(self.unit):
+            raise ValueError_(f"unit {self.unit!r} is not a unit tag")
         object.__setattr__(self, "value", float(self.value))
 
 
@@ -136,6 +148,8 @@ class FuzzyLabel:
     hi: float
 
     def __post_init__(self):
+        if not KEY_RE.fullmatch(self.name):
+            raise ValueError_(f"fuzzy label name {self.name!r} is not a key")
         if not all(map(math.isfinite, (self.lo, self.peak, self.hi))):
             raise ValueError_("fuzzy label bounds must be finite")
         if not self.lo <= self.peak <= self.hi:

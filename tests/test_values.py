@@ -61,6 +61,22 @@ class TestValueInvariants:
         with pytest.raises(ValueError):
             FuzzyLabel("few", 0.5, 0.2, 0.9)
 
+    @pytest.mark.parametrize("unit", ["a b", "", "1kg", "kg:", "k\"g", "é"])
+    def test_scalar_unit_must_be_a_unit_tag(self, unit):
+        # The DSL writes a unit unquoted after "number:", so it could not be
+        # read back; an empty unit would read back as no unit.
+        with pytest.raises(ValueError):
+            Scalar(1, unit)
+
+    @pytest.mark.parametrize("unit", [None, "kg", "m/s", "%", "kg_2-x"])
+    def test_scalar_units_the_dsl_writes(self, unit):
+        assert Scalar(1, unit).unit == unit
+
+    @pytest.mark.parametrize("name", ["a b", "", "a:b", "few]", "é"])
+    def test_fuzzy_label_name_must_be_a_key(self, name):
+        with pytest.raises(ValueError):
+            FuzzyLabel(name, 0, 1, 2)
+
     def test_wildcard_set_is_exactly_six(self):
         assert {w.value for w in Wildcard} == {"STAR", "OPT", "PLUS", "DK", "DC", "DNE"}
 
