@@ -4,6 +4,10 @@ Arrows and object-like blocks combine in six shapes (solitary arrow,
 solitary nonquan, arrow out, arrow in, arrow between, self loop).  Which
 shape is meaningful for which arrow kind is data, not code: the legality
 table ships with defaults and can be overridden from a plain-text file.
+
+``validate`` runs the rules of ``RULES`` in order.  Each rule is a function
+of the diagram and the legality table that yields its violations, so the
+order of ``RULES`` is the order of every violation list.
 """
 
 from __future__ import annotations
