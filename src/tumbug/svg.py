@@ -237,18 +237,17 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{options.width}" '
         f'height="{options.height}" font-size="{FONT_SIZE}" font-family="sans-serif">'
     )
-    spacing = HATCH_SPACING
     out.append("<defs>")
     out.append(
-        f'<pattern id="hatch-neg45" width="{spacing}" height="{spacing}" '
+        f'<pattern id="hatch-neg45" width="{HATCH_SPACING}" height="{HATCH_SPACING}" '
         'patternUnits="userSpaceOnUse" patternTransform="rotate(-45)">'
-        f'<line x1="0" y1="0" x2="0" y2="{spacing}" stroke="black" stroke-width="1"/>'
+        f'<line x1="0" y1="0" x2="0" y2="{HATCH_SPACING}" stroke="black" stroke-width="1"/>'
         "</pattern>"
     )
     out.append(
-        f'<pattern id="hatch-pos45" width="{spacing}" height="{spacing}" '
+        f'<pattern id="hatch-pos45" width="{HATCH_SPACING}" height="{HATCH_SPACING}" '
         'patternUnits="userSpaceOnUse" patternTransform="rotate(45)">'
-        f'<line x1="0" y1="0" x2="0" y2="{spacing}" stroke="black" stroke-width="1"/>'
+        f'<line x1="0" y1="0" x2="0" y2="{HATCH_SPACING}" stroke="black" stroke-width="1"/>'
         "</pattern>"
     )
     out.append(
