@@ -182,15 +182,18 @@ def _containment_cycles(d: Diagram, table: LegalityTable) -> Iterator[Violation]
     """Every child whose walk up to its root runs into a cycle.  Each node's
     verdict is kept, so a walk stops at the first node already judged and the
     rule is linear even on deep containment."""
-    reaches_cycle: dict[str, bool] = {}
-    for child in sorted(d.containment):
-        path: dict[str, None] = {}
+    containment = d.containment
+    reaches_cycle: dict[str, bool | None] = {}  # None while on the current walk
+    for child in sorted(containment):
+        walk = []
         node = child
-        while node is not None and node not in reaches_cycle and node not in path:
-            path[node] = None
-            node = d.containment.get(node)
-        verdict = node is not None and (node in path or reaches_cycle[node])
-        reaches_cycle.update(dict.fromkeys(path, verdict))
+        while node in containment and node not in reaches_cycle:
+            reaches_cycle[node] = None
+            walk.append(node)
+            node = containment[node]
+        verdict = node in reaches_cycle and reaches_cycle[node] is not False
+        for step in walk:
+            reaches_cycle[step] = verdict
         if reaches_cycle[child]:
             yield Violation(ViolationCode.CONTAINMENT_INVALID, (child,), "containment cycle")
 
