@@ -48,5 +48,6 @@ def test_no_unused_top_level_import(path):
 
 
 def test_unused_import_check_sees_an_unused_import():
-    tree = ast.parse("import os\nimport re\nfrom math import pi, tau\n__all__ = ['tau']\nre.compile(pi)\n")
+    source = "import os\nimport re\nfrom math import pi, tau\n__all__ = ['tau']\nre.compile(pi)\n"
+    tree = ast.parse(source)
     assert _unused_imports(tree) == ["os"]
