@@ -58,10 +58,12 @@ UNIT_RE = re.compile(r"^[A-Za-z%][A-Za-z0-9_%/-]*$")
 
 
 def fmt_num(x: float) -> str:
-    """Shortest decimal that round-trips through float()."""
-    if isinstance(x, float) and x.is_integer() and math.isfinite(x):
+    """Shortest decimal that round-trips through float(), the same for equal
+    numbers of any type: 20 and 20.0 both print as 20."""
+    x = float(x)
+    if x.is_integer():
         return str(int(x))
-    return repr(float(x))
+    return repr(x)
 
 
 @dataclass(frozen=True)

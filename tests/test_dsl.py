@@ -21,6 +21,8 @@ from tumbug.model import (
     Position,
     new_diagram,
 )
+from tumbug.svg import render
+from tumbug.templates import build_syllogism
 from tumbug.values import (
     BallInRange,
     Const,
@@ -291,6 +293,24 @@ class TestSerializeCanonical:
         d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o"))
         d.bind_attribute("o", AttributeBinding("n", Scalar(3.0)))
         assert 'attr o n=3' in serialize(d).splitlines()[-1]
+
+    def test_int_and_float_numbers_print_alike(self):
+        def build(x, y, w, h):
+            d = new_diagram()
+            d.add_element(Element(kind=Kind.VERBATIM_BOX, position=Position(x, y, w, h), id="v"))
+            return d
+
+        ints, floats = build(1, 2, 30, 40), build(1.0, 2.0, 30.0, 40.0)
+        assert ints == floats
+        assert serialize(ints) == serialize(floats)
+        assert 'pos="1,2" size="30,40"' in serialize(ints)
+        assert render(ints) == render(floats)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_darii_text_is_a_fixed_point(self, swap):
+        for step in build_syllogism("darii", ("rabbits", "furry animals", "pets"), swap):
+            text = serialize(step)
+            assert serialize(parse(text)) == text
 
 
 class TestRoundTripProperty:

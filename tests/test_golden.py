@@ -46,7 +46,7 @@ from tumbug.values import Scalar, Text, Wildcard
 from conftest import random_diagram
 from test_templates import ACT_ROLES, PATTERN_LABELS
 
-GOLDEN_SHA256 = "664788dadb658b4ae260ec845baf4aaf49d7dbb6cfdded4ee7b3bd6c08345530"
+GOLDEN_SHA256 = "75ba15db693fe9d6750e9b8755fc7c4b4e1786d05980366268ef154859a1a6ec"
 
 
 def _template_diagrams() -> list[Diagram]:
