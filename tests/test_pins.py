@@ -1,11 +1,11 @@
-"""Behaviour pins for the payload codec and the validator.
+"""Behaviour pins for the payload codec, the validator and the SVG writer.
 
-Two fixed answers, taken from the code as it was before the codec became a
-table and validate a tuple of rules: the exact violation list of a scene
-that raises every ViolationCode, and one sha256 over the parse outcomes of
-seeded documents whose values are the edge cases in test_dsl's _VALUES.  A
-change to how parse, serialize or validate are written must leave both as
-they are.
+Fixed answers, each taken from the code as it was before the part it pins
+was rewritten: the exact violation list of a scene that raises every
+ViolationCode, one sha256 over the parse outcomes of seeded documents whose
+values are the edge cases in test_dsl's _VALUES, and one sha256 over the SVG
+of a valid scene that draws every Kind.  A change to how parse, serialize,
+validate or render are written must leave all three as they are.
 """
 
 import hashlib
@@ -31,6 +31,7 @@ from tumbug.model import (
     SwirlyArrayPayload,
     payload_type,
 )
+from tumbug.svg import RenderOptions, render
 from tumbug.values import Scalar, Text
 
 from test_dsl import _VALUES
@@ -239,3 +240,88 @@ def test_parse_outcomes_of_seeded_documents():
         h.update(len(data).to_bytes(8, "big"))
         h.update(data)
     assert h.hexdigest() == PARSE_OUTCOMES_SHA256
+
+
+def _every_kind_scene() -> Diagram:
+    """A valid scene with one element of every Kind, each payload variant
+    that changes the drawing, and an edge of every shape."""
+    d = Diagram()
+    roles = ("subject", "direct", "indirect")
+    for i, kind in enumerate(Kind):
+        if payload_type(kind) is GenericPayload:
+            props = {"role": roles[i % 3]}
+            if kind is Kind.ATTEND_RING:
+                props["edge"] = "mv"
+            d.add_element(Element(kind=kind, payload=GenericPayload(kind.value, props), id=f"k{i}"))
+    ca = CAPayload(
+        forced=(AttributeBinding("w", Scalar(2, "kg")),), open_ended=True, label="ca open"
+    )
+    d.add_element(Element(kind=Kind.CA_AGGREGATION_BOX, payload=ca, id="ca_box"))
+    d.add_element(Element(kind=Kind.CA_OBJECT_CIRCLE, payload=CAPayload(label="ca"), id="ca"))
+    d.add_element(Element(kind=Kind.CORRELATION_BOX, payload=CorrelationBoxPayload(), id="corr"))
+    markers = frozenset({("automaton", "+"), ("emotional", "-"), ("intellectual", "+")})
+    d.add_element(
+        Element(
+            kind=Kind.MOTIVATION_TRIANGLE,
+            payload=MotivationTrianglePayload(markers=markers, label="wants"),
+            id="mot",
+        )
+    )
+    active = frozenset({"FutureAppraisal", "EventRelated"})
+    d.add_element(
+        Element(
+            kind=Kind.ROBINSON_ICON,
+            payload=RobinsonIconPayload(active=active, valence="-", label="feels"),
+            id="rob",
+        )
+    )
+    cells = (("c1", 0.0, 0.0), ("c2", 30.0, 10.0), ("c3", 12.5, 40.0))
+    d.add_element(
+        Element(
+            kind=Kind.SWIRLY_ARRAY,
+            payload=SwirlyArrayPayload(cells=cells, active=frozenset({"c2"}), label="swirl"),
+            id="swirl",
+        )
+    )
+    verbatim = f"k{list(Kind).index(Kind.VERBATIM_BOX)}"
+    descriptive = f"k{list(Kind).index(Kind.DESCRIPTIVE_BOX)}"
+    xor = f"k{list(Kind).index(Kind.XOR_BOX)}"
+    zoom = f"k{list(Kind).index(Kind.ZOOM_BOX_PAIR)}"
+    data = f"k{list(Kind).index(Kind.DATA_OBJECT_CIRCLE)}"
+    circle = Kind.PHYSICAL_OBJECT_CIRCLE
+    for eid, parent, pos in (
+        ("in_verbatim", verbatim, Position(10, 20)),
+        ("in_descriptive", descriptive, Position(5.5, 30, 60, 40)),
+    ):
+        d.add_element(
+            Element(kind=circle, payload=GenericPayload(eid), position=pos, id=eid), parent=parent
+        )
+    for eid in ("alt1", "alt2"):
+        _el(d, eid, Kind.STATE_CIRCLE, parent=xor)
+    _el(d, "zoomed", circle, parent=zoom)
+    d.add_edge(Edge(kind=EdgeKind.MOTION, source=data, target="ca", id="mv"))
+    d.add_edge(Edge(kind=EdgeKind.TIME, id="time"))
+    d.add_edge(Edge(kind=EdgeKind.CAUSATION, id="solitary"))
+    d.add_edge(Edge(kind=EdgeKind.FORCE, source="k0", role="exerts", id="out"))
+    d.add_edge(Edge(kind=EdgeKind.FORCE, target="zoomed", id="in"))
+    d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="k0", target="swirl", id="rel"))
+    d.add_edge(Edge(kind=EdgeKind.CAUSATION, source="alt1", target="alt1", id="loop"))
+    d.add_edge(Edge(kind=EdgeKind.TUBE, source="alt1", target="alt2", id="tube"))
+    d.add_group(StateDiagramGroup(states=("alt1", "alt2"), tubes=("tube",), marker="alt2"))
+    d.bindings.append(("k0", AttributeBinding("w", Scalar(3.25, "kg"))))
+    d.bindings.append(("mv", AttributeBinding("speed", Text("fast"))))
+    d.bindings.append(("loop", AttributeBinding("n", Scalar(2))))
+    return d
+
+
+EVERY_KIND_SVG_SHA256 = "72ea8a43a8375e14111474b0dd59d5dd47c9956aaae1cf044f58fcba9874036f"
+
+
+def test_every_kind_scene_svg():
+    d = _every_kind_scene()
+    assert validate(d) == []
+    assert {el.kind for el in d.elements.values()} == set(Kind)
+    h = hashlib.sha256()
+    for options in (RenderOptions(), RenderOptions(color=True)):
+        h.update(render(d, options).encode("utf-8"))
+    assert h.hexdigest() == EVERY_KIND_SVG_SHA256
