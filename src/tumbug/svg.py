@@ -238,18 +238,12 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
         f'height="{options.height}" font-size="{FONT_SIZE}" font-family="sans-serif">'
     )
     out.append("<defs>")
-    out.append(
-        f'<pattern id="hatch-neg45" width="{HATCH_SPACING}" height="{HATCH_SPACING}" '
-        'patternUnits="userSpaceOnUse" patternTransform="rotate(-45)">'
-        f'<line x1="0" y1="0" x2="0" y2="{HATCH_SPACING}" stroke="black" stroke-width="1"/>'
-        "</pattern>"
-    )
-    out.append(
-        f'<pattern id="hatch-pos45" width="{HATCH_SPACING}" height="{HATCH_SPACING}" '
-        'patternUnits="userSpaceOnUse" patternTransform="rotate(45)">'
-        f'<line x1="0" y1="0" x2="0" y2="{HATCH_SPACING}" stroke="black" stroke-width="1"/>'
-        "</pattern>"
-    )
+    hatch = _line(0, 0, 0, HATCH_SPACING, 'stroke="black" stroke-width="1"')
+    for name, angle in (("neg45", -45), ("pos45", 45)):
+        out.append(
+            f'<pattern id="hatch-{name}" width="{HATCH_SPACING}" height="{HATCH_SPACING}" '
+            f'patternUnits="userSpaceOnUse" patternTransform="rotate({angle})">{hatch}</pattern>'
+        )
     out.append(
         '<marker id="arrowhead" markerWidth="10" markerHeight="8" refX="9" refY="4" '
         'orient="auto"><path d="M0,0 L10,4 L0,8 z" fill="black"/></marker>'
@@ -257,20 +251,14 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     out.append("</defs>")
 
     # Time arrows run down the left-hand side, each with its "0" tick.
-    time_edges = d.edges_of_kind(EdgeKind.TIME)
-    for i, eid in enumerate(time_edges):
+    top, bottom = 30, options.height - 40
+    zero_y = (top + bottom) // 2
+    stroke = 'stroke="black" stroke-width="1.5"'
+    for i, eid in enumerate(d.edges_of_kind(EdgeKind.TIME)):
         x = 28 + i * 34
-        top, bottom = 30, options.height - 40
-        zero_y = (top + bottom) // 2
         out.append(f'<g id="{_esc(eid)}" class="edge time-arrow">')
-        out.append(
-            f'<line x1="{x}" y1="{top}" x2="{x}" y2="{bottom}" stroke="black" '
-            'stroke-width="1.5" marker-end="url(#arrowhead)"/>'
-        )
-        out.append(
-            f'<line x1="{x - 6}" y1="{zero_y}" x2="{x + 6}" y2="{zero_y}" '
-            'stroke="black" stroke-width="1.5"/>'
-        )
+        out.append(_line(x, top, x, bottom, stroke + ' marker-end="url(#arrowhead)"'))
+        out.append(_line(x - 6, zero_y, x + 6, zero_y, stroke))
         out.append(f'<text x="{x + 9}" y="{zero_y + 4}">0</text>')
         out.append(f'<text x="{x - 6}" y="{top - 8}">t</text>')
         out.append("</g>")
@@ -320,149 +308,87 @@ def _render_element(
         role = getattr(el.payload, "props", {}).get("role")
         fill = _ROLE_COLORS.get(role, "none")
 
-    x, y, w, h = box.x, box.y, box.w, box.h
+    x, y, w, h, cx, cy = box.x, box.y, box.w, box.h, box.cx, box.cy
     if shape == "circle":
         dashed = ' stroke-dasharray="3,3"' if KIND_FACTS[kind].data else ""
         out.append(
-            f'<ellipse cx="{fmt_num(box.cx)}" cy="{fmt_num(box.cy)}" rx="{fmt_num(w / 2)}" '
+            f'<ellipse cx="{fmt_num(cx)}" cy="{fmt_num(cy)}" rx="{fmt_num(w / 2)}" '
             f'ry="{fmt_num(h / 2)}" fill="{fill}" stroke="black"{dashed}/>'
         )
         if kind is Kind.STATE_CIRCLE:
-            out.append(
-                f'<line x1="{fmt_num(x + w * 0.2)}" y1="{fmt_num(y + h * 0.85)}" '
-                f'x2="{fmt_num(x + w * 0.8)}" y2="{fmt_num(y + h * 0.15)}" stroke="black"/>'
-            )
+            out.append(_line(x + w * 0.2, y + h * 0.85, x + w * 0.8, y + h * 0.15, 'stroke="black"'))
     elif kind is Kind.SENSOR_BAR:
-        out.append(
-            f'<rect x="{fmt_num(x)}" y="{fmt_num(y)}" width="{fmt_num(w)}" height="{fmt_num(h)}" '
-            'fill="url(#hatch-neg45)" stroke="black"/>'
-        )
+        out.append(_rect(x, y, w, h, 'fill="url(#hatch-neg45)" stroke="black"'))
     elif kind is Kind.MARKER_2D:
-        out.append(
-            f'<rect x="{fmt_num(x)}" y="{fmt_num(y)}" width="{fmt_num(w)}" height="{fmt_num(h)}" '
-            'fill="url(#hatch-pos45)" stroke="none"/>'
-        )
+        out.append(_rect(x, y, w, h, 'fill="url(#hatch-pos45)" stroke="none"'))
     elif kind is Kind.MARKER_0D:
-        out.append(
-            f'<circle cx="{fmt_num(box.cx)}" cy="{fmt_num(box.cy)}" r="6" fill="red"/>'
-        )
+        out.append(_circle(cx, cy, 6, 'fill="red"'))
     elif kind is Kind.MARKER_1D:
-        out.append(
-            f'<line x1="{fmt_num(x)}" y1="{fmt_num(box.cy)}" x2="{fmt_num(x + w)}" '
-            f'y2="{fmt_num(box.cy)}" stroke="black" stroke-dasharray="5,4"/>'
-        )
+        out.append(_line(x, cy, x + w, cy, 'stroke="black" stroke-dasharray="5,4"'))
     elif kind is Kind.VALUE_BAR:
-        out.append(
-            f'<rect x="{fmt_num(x)}" y="{fmt_num(y)}" width="{fmt_num(w)}" height="{fmt_num(h)}" '
-            'fill="none" stroke="black"/>'
-        )
-        out.append(
-            f'<line x1="{fmt_num(x)}" y1="{fmt_num(y - 3)}" x2="{fmt_num(x)}" '
-            f'y2="{fmt_num(y + h + 3)}" stroke="black"/>'
-        )
-        out.append(
-            f'<line x1="{fmt_num(x + w)}" y1="{fmt_num(y - 3)}" x2="{fmt_num(x + w)}" '
-            f'y2="{fmt_num(y + h + 3)}" stroke="black"/>'
-        )
+        out.append(_rect(x, y, w, h, 'fill="none" stroke="black"'))
+        for end in (x, x + w):
+            out.append(_line(end, y - 3, end, y + h + 3, 'stroke="black"'))
     elif kind is Kind.ATTEND_RING:
-        out.append(
-            f'<circle cx="{fmt_num(box.cx)}" cy="{fmt_num(box.cy)}" r="{fmt_num(w / 2)}" '
-            'fill="none" stroke="black" stroke-width="2"/>'
-        )
+        out.append(_circle(cx, cy, w / 2, 'fill="none" stroke="black" stroke-width="2"'))
     elif kind is Kind.MOTIVATION_TRIANGLE:
         out.append(
-            f'<polygon points="{fmt_num(box.cx)},{fmt_num(y)} {fmt_num(x)},{fmt_num(y + h)} '
+            f'<polygon points="{fmt_num(cx)},{fmt_num(y)} {fmt_num(x)},{fmt_num(y + h)} '
             f'{fmt_num(x + w)},{fmt_num(y + h)}" fill="none" stroke="black"/>'
         )
         for i in range(1, 4):
-            ly = y + h * i / 4
-            inset = w * i / 8
-            out.append(
-                f'<line x1="{fmt_num(box.cx - inset)}" y1="{fmt_num(ly)}" '
-                f'x2="{fmt_num(box.cx + inset)}" y2="{fmt_num(ly)}" stroke="black"/>'
-            )
+            ly, inset = y + h * i / 4, w * i / 8
+            out.append(_line(cx - inset, ly, cx + inset, ly, 'stroke="black"'))
         for level, valence in sorted(getattr(el.payload, "markers", ())):
-            row = MOTIVATION_LEVELS.index(level)
-            my = y + h * (3.5 - row) / 4
-            mx = box.cx - 6 if valence == "+" else box.cx + 6
-            out.append(f'<circle cx="{fmt_num(mx)}" cy="{fmt_num(my)}" r="4" fill="red"/>')
+            my = y + h * (3.5 - MOTIVATION_LEVELS.index(level)) / 4
+            out.append(_circle(cx - 6 if valence == "+" else cx + 6, my, 4, 'fill="red"'))
     elif kind is Kind.ROBINSON_ICON:
-        pts = _hexagon(box)
-        out.append(f'<polygon points="{pts}" fill="none" stroke="black"/>')
+        out.append(f'<polygon points="{_hexagon(box)}" fill="none" stroke="black"/>')
         active = getattr(el.payload, "active", frozenset())
         for i, cat in enumerate(ROBINSON_CATEGORIES):
-            px, py = _hex_corner(box, i)
             filled = "black" if cat in active else "white"
-            out.append(
-                f'<circle cx="{fmt_num(px)}" cy="{fmt_num(py)}" r="5" fill="{filled}" '
-                'stroke="black"/>'
-            )
+            out.append(_circle(*_hex_corner(box, i), 5, f'fill="{filled}" stroke="black"'))
         out.append(
-            f'<text x="{fmt_num(box.cx - 4)}" y="{fmt_num(box.cy + 4)}">'
+            f'<text x="{fmt_num(cx - 4)}" y="{fmt_num(cy + 4)}">'
             f"{_esc(getattr(el.payload, 'valence', '+'))}</text>"
         )
     elif shape == "cells":
-        out.append(
-            f'<rect x="{fmt_num(x)}" y="{fmt_num(y)}" width="{fmt_num(w)}" height="{fmt_num(h)}" '
-            'fill="none" stroke="black" stroke-dasharray="1,2"/>'
-        )
+        out.append(_rect(x, y, w, h, 'fill="none" stroke="black" stroke-dasharray="1,2"'))
         active = getattr(el.payload, "active", frozenset())
-        for name, cx, cy in getattr(el.payload, "cells", ()):
+        for name, dx, dy in getattr(el.payload, "cells", ()):
             filled = "black" if name in active else "white"
-            out.append(
-                f'<circle cx="{fmt_num(x + 12 + cx)}" cy="{fmt_num(y + 12 + cy)}" r="5" '
-                f'fill="{filled}" stroke="black"/>'
-            )
+            out.append(_circle(x + 12 + dx, y + 12 + dy, 5, f'fill="{filled}" stroke="black"'))
     elif kind is Kind.LABEL_STRING:
         pass  # text only, emitted below
     elif kind is Kind.TIME_ANCHOR:
-        out.append(
-            f'<line x1="{fmt_num(x)}" y1="{fmt_num(box.cy)}" x2="{fmt_num(x + 12)}" '
-            f'y2="{fmt_num(box.cy)}" stroke="black" stroke-width="1.5"/>'
-        )
+        out.append(_line(x, cy, x + 12, cy, 'stroke="black" stroke-width="1.5"'))
     elif kind is Kind.ZOOM_BOX_PAIR:
         # Static depiction: a small pane beside its magnified pane, corners tied.
         small = _Box(x, y + h * 0.3, w * 0.3, h * 0.4)
         big = _Box(x + w * 0.45, y, w * 0.55, h)
         for pane in (small, big):
-            out.append(
-                f'<rect x="{fmt_num(pane.x)}" y="{fmt_num(pane.y)}" width="{fmt_num(pane.w)}" '
-                f'height="{fmt_num(pane.h)}" fill="none" stroke="black"/>'
-            )
+            out.append(_rect(pane.x, pane.y, pane.w, pane.h, 'fill="none" stroke="black"'))
         for sy, by in ((small.y, big.y), (small.y + small.h, big.y + big.h)):
-            out.append(
-                f'<line x1="{fmt_num(small.x + small.w)}" y1="{fmt_num(sy)}" '
-                f'x2="{fmt_num(big.x)}" y2="{fmt_num(by)}" stroke="black" '
-                'stroke-dasharray="4,3"/>'
-            )
+            out.append(_line(small.x + small.w, sy, big.x, by, 'stroke="black" stroke-dasharray="4,3"'))
     else:
-        borders = 2 if kind is Kind.VERBATIM_BOX else 1
-        out.append(
-            f'<rect x="{fmt_num(x)}" y="{fmt_num(y)}" width="{fmt_num(w)}" height="{fmt_num(h)}" '
-            f'fill="{fill}" stroke="black"/>'
-        )
-        if borders == 2:
-            out.append(
-                f'<rect x="{fmt_num(x + 4)}" y="{fmt_num(y + 4)}" width="{fmt_num(w - 8)}" '
-                f'height="{fmt_num(h - 8)}" fill="none" stroke="black"/>'
-            )
+        out.append(_rect(x, y, w, h, f'fill="{fill}" stroke="black"'))
+        if kind is Kind.VERBATIM_BOX:  # one border more than the other boxes
+            out.append(_rect(x + 4, y + 4, w - 8, h - 8, 'fill="none" stroke="black"'))
         if kind is Kind.XOR_BOX:
             for dx, dy in ((4, 4), (w - 4, 4), (4, h - 4), (w - 4, h - 4)):
-                out.append(
-                    f'<circle cx="{fmt_num(x + dx)}" cy="{fmt_num(y + dy)}" r="2.5" fill="black"/>'
-                )
+                out.append(_circle(x + dx, y + dy, 2.5, 'fill="black"'))
         if kind is Kind.CORRELATION_BOX:
             out.append(
-                f'<path d="M {fmt_num(x + 6)} {fmt_num(y + h - 8)} Q {fmt_num(box.cx)} '
+                f'<path d="M {fmt_num(x + 6)} {fmt_num(y + h - 8)} Q {fmt_num(cx)} '
                 f'{fmt_num(y + 4)} {fmt_num(x + w - 6)} {fmt_num(y + 8)}" fill="none" '
                 'stroke="black"/>'
             )
         if kind is Kind.CA_AGGREGATION_BOX and getattr(el.payload, "open_ended", False):
-            out.append(f'<text x="{fmt_num(box.cx - 8)}" y="{fmt_num(box.cy)}">...</text>')
+            out.append(f'<text x="{fmt_num(cx - 8)}" y="{fmt_num(cy)}">...</text>')
 
     label = el.label
     if label:
-        ly = y + FONT_SIZE + 2 if shape == "box" else box.cy + FONT_SIZE / 3
+        ly = y + FONT_SIZE + 2 if shape == "box" else cy + FONT_SIZE / 3
         out.append(f'<text x="{fmt_num(x + 6)}" y="{fmt_num(ly)}" class="label">{_esc(label)}</text>')
 
     # Attribute lines hang under the element.
@@ -474,6 +400,18 @@ def _render_element(
 
     out.append("</g>")
     return out
+
+
+def _rect(x: float, y: float, w: float, h: float, rest: str) -> str:
+    return f'<rect x="{fmt_num(x)}" y="{fmt_num(y)}" width="{fmt_num(w)}" height="{fmt_num(h)}" {rest}/>'
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, rest: str) -> str:
+    return f'<line x1="{fmt_num(x1)}" y1="{fmt_num(y1)}" x2="{fmt_num(x2)}" y2="{fmt_num(y2)}" {rest}/>'
+
+
+def _circle(cx: float, cy: float, r: float, rest: str) -> str:
+    return f'<circle cx="{fmt_num(cx)}" cy="{fmt_num(cy)}" r="{fmt_num(r)}" {rest}/>'
 
 
 def _hexagon(box: _Box) -> str:
@@ -507,6 +445,9 @@ def _render_edge(
     bindings: list[AttributeBinding],
 ) -> list[str]:
     style, tip_arrow, centered_arrow = _EDGE_STYLE[edge.kind]
+    if tip_arrow:
+        style += ' marker-end="url(#arrowhead)"'
+    out = [f'<g id="{_esc(eid)}" class="edge kind-{edge.kind.value}">']
     if edge.source is not None and edge.target is not None and edge.source != edge.target:
         a, b = boxes[edge.source], boxes[edge.target]
         x1, y1, x2, y2 = a.cx, a.cy, b.cx, b.cy
@@ -518,12 +459,10 @@ def _render_edge(
         x1, y1, x2, y2 = b.x - 48, b.cy, b.x, b.cy
     elif edge.source is not None:  # self loop
         a = boxes[edge.source]
-        loop_marker = ' marker-end="url(#arrowhead)"' if tip_arrow else ""
-        out = [f'<g id="{_esc(eid)}" class="edge kind-{edge.kind.value}">']
         out.append(
             f'<path d="M {fmt_num(a.cx)} {fmt_num(a.y)} C {fmt_num(a.cx + 40)} '
             f'{fmt_num(a.y - 36)} {fmt_num(a.cx - 40)} {fmt_num(a.y - 36)} '
-            f'{fmt_num(a.cx - 4)} {fmt_num(a.y)}" fill="none" {style}{loop_marker}/>'
+            f'{fmt_num(a.cx - 4)} {fmt_num(a.y)}" fill="none" {style}/>'
         )
         out.extend(_edge_attr_texts(bindings, a.cx, a.y - 40))
         out.append("</g>")
@@ -531,12 +470,7 @@ def _render_edge(
     else:  # fully solitary arrow
         x1, y1 = 70.0, 30.0 + ordinal * 26
         x2, y2 = 130.0, 30.0 + ordinal * 26
-    out = [f'<g id="{_esc(eid)}" class="edge kind-{edge.kind.value}">']
-    marker = ' marker-end="url(#arrowhead)"' if tip_arrow else ""
-    out.append(
-        f'<line x1="{fmt_num(x1)}" y1="{fmt_num(y1)}" x2="{fmt_num(x2)}" y2="{fmt_num(y2)}" '
-        f"{style}{marker}/>"
-    )
+    out.append(_line(x1, y1, x2, y2, style))
     if centered_arrow:
         mx, my = (x1 + x2) / 2, (y1 + y2) / 2
         out.append(
