@@ -24,7 +24,10 @@ spans two lines.
 
 An element's payload keys are read and written by one table, ``_CODEC``:
 per payload type, one row per key (``label``, ``slots``, ``eq.<slot>``,
-``forced.<attribute>``, ...), so a payload field is one row.
+``forced.<attribute>``, ...), so a payload field is one row.  Group fields
+are codec rows too: ``_GROUP_CODEC`` holds, per group kind, one row per key
+in write order.  One reader takes the key=value words of every elem, edge
+and group record, and refuses a key that comes twice.
 
 Serialization is canonical: elements sort by id, then containment, edges,
 groups, and bindings by (owner, attribute).  Numbers print as the shortest
@@ -426,6 +429,67 @@ def _decode_payload(kind: Kind, pairs: dict[str, tuple[_Token, str]]):
 
 
 # --------------------------------------------------------------------------
+# Group codec: per group kind, its constructor and one row per DSL key, in
+# write order.  A row is (key, attribute, encode, decode): encode(group) gives
+# the text to write, or None to write nothing, and decode(d, tok, text) gives
+# the constructor's argument ``attribute``.  An absent key keeps its default,
+# or raises its fault in _GROUP_MISSING.
+
+
+def _items(d: Diagram, tok: _Token, text: str) -> tuple[str, ...]:
+    return tuple(part for part in text.split(",") if part)
+
+
+def _word(d: Diagram, tok: _Token, text: str) -> str:
+    return text
+
+
+def _numbers(d: Diagram, tok: _Token, text: str) -> tuple[float, ...]:
+    return tuple(_parse_number(tok, part) for part in _items(d, tok, text))
+
+
+def _states_and_tubes(d: Diagram, tok: _Token, text: str) -> tuple[tuple[str, ...], ...]:
+    """An id that names an element is a state, one that names an edge a tube."""
+    members = _items(d, tok, text)
+    for m in members:
+        if m not in d.elements and m not in d.edges:
+            raise ParseError(_span(tok), "existing member id", m)
+    states = tuple(m for m in members if m in d.elements)
+    return states, tuple(m for m in members if m not in d.elements)
+
+
+def _probs(g: SplitTimeGroup) -> str | None:
+    return None if g.probabilities is None else ",".join(map(fmt_num, g.probabilities))
+
+
+_GROUP_CODEC = {
+    GroupKind.STATE_DIAGRAM: (
+        lambda members, **fields: StateDiagramGroup(*members, **fields),
+        (
+            ("members", "members", lambda g: ",".join((*g.states, *g.tubes)), _states_and_tubes),
+            ("marker", "marker", lambda g: g.marker, _word),
+            ("owner", "owner", lambda g: g.owner, _word),
+        ),
+    ),
+    GroupKind.SPLIT_TIME: (
+        SplitTimeGroup,
+        (
+            ("members", "branches", lambda g: ",".join(g.branches), _items),
+            ("trunk", "trunk", lambda g: g.trunk, _word),
+            ("junction", "junction", lambda g: g.junction, _word),
+            ("probs", "probabilities", _probs, _numbers),
+        ),
+    ),
+}
+_GROUP_KIND = {StateDiagramGroup: GroupKind.STATE_DIAGRAM, SplitTimeGroup: GroupKind.SPLIT_TIME}
+_GROUP_MISSING = {
+    "members": ("members=<id,...>", "no members key"),
+    "trunk": ("trunk= and junction=", "missing keys"),
+    "junction": ("trunk= and junction=", "missing keys"),
+}
+
+
+# --------------------------------------------------------------------------
 # Parsing.
 
 
@@ -462,19 +526,8 @@ def parse(text: str | bytes) -> Diagram:
         d.meta[key] = value
 
     for tokens in buckets["elem"]:
-        if len(tokens) < 3:
-            raise ParseError(_span(tokens[0]), "elem <id> <Kind>", "end of record")
-        eid = _require_id(tokens[1])
-        try:
-            kind = Kind(tokens[2][0])
-        except ValueError:
-            raise ParseError(_span(tokens[2]), "element kind", tokens[2][0]) from None
-        pairs: dict[str, tuple[_Token, str]] = {}
-        for tok in tokens[3:]:
-            key, value = _split_pair(tok, quoted=True)
-            if key in pairs:
-                raise ParseError(_span(tok), "unique key", key)
-            pairs[key] = (tok, value)
+        eid, kind = _record_head(tokens, Kind, "elem <id> <Kind>", "element kind")
+        pairs = _read_pairs(tokens[3:], quoted=True)
         position = _take_position(pairs)
         try:
             payload = _decode_payload(kind, pairs)
@@ -529,6 +582,17 @@ def _require_id(tok: _Token) -> str:
     return tok[0]
 
 
+def _record_head(tokens: tuple[_Token, ...], kinds: type, shape: str, expected: str) -> tuple:
+    """The id and kind of an elem, edge or group record."""
+    if len(tokens) < 3:
+        raise ParseError(_span(tokens[0]), shape, "end of record")
+    eid = _require_id(tokens[1])
+    try:
+        return eid, kinds(tokens[2][0])
+    except ValueError:
+        raise ParseError(_span(tokens[2]), expected, tokens[2][0]) from None
+
+
 def _split_pair(tok: _Token, quoted: bool) -> tuple[str, str]:
     key, sep, raw = tok[0].partition("=")
     if not sep or not KEY_RE.fullmatch(key):
@@ -538,6 +602,22 @@ def _split_pair(tok: _Token, quoted: bool) -> tuple[str, str]:
     return key, raw
 
 
+def _read_pairs(
+    tokens: tuple[_Token, ...], quoted: bool, only: str | None = None
+) -> dict[str, tuple[_Token, str]]:
+    """The key=value words of an elem, edge or group record, by key, each with
+    its token.  A key may come once, and when ``only`` is given no other key."""
+    pairs: dict[str, tuple[_Token, str]] = {}
+    for tok in tokens:
+        key, value = _split_pair(tok, quoted)
+        if key in pairs:
+            raise ParseError(_span(tok), "unique key", key)
+        if only is not None and key != only:
+            raise ParseError(_span(tok), f"{only} key", key)
+        pairs[key] = (tok, value)
+    return pairs
+
+
 def _take_position(pairs: dict[str, tuple[_Token, str]]) -> Position | None:
     pos = pairs.pop("pos", None)
     size = pairs.pop("size", None)
@@ -545,31 +625,22 @@ def _take_position(pairs: dict[str, tuple[_Token, str]]) -> Position | None:
         if size is not None:
             raise ParseError(_span(size[0]), "pos together with size", "size alone")
         return None
-    tok, text = pos
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(_span(tok), "pos as x,y", text)
-    x, y = (_parse_number(tok, p) for p in parts)
-    w = h = None
-    if size is not None:
-        stok, stext = size
-        sparts = stext.split(",")
-        if len(sparts) != 2:
-            raise ParseError(_span(stok), "size as w,h", stext)
-        w, h = (_parse_number(stok, p) for p in sparts)
+    x, y = _number_pair(*pos, "pos as x,y")
+    w, h = (None, None) if size is None else _number_pair(*size, "size as w,h")
     return Position(x, y, w, h)
 
 
+def _number_pair(tok: _Token, text: str, expected: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ParseError(_span(tok), expected, text)
+    return _parse_number(tok, parts[0]), _parse_number(tok, parts[1])
+
+
 def _parse_edge(d: Diagram, tokens: tuple[_Token, ...]) -> None:
-    if len(tokens) < 3:
-        raise ParseError(_span(tokens[0]), "edge <id> <Kind> [src] -> [dst]", "end of record")
-    eid = _require_id(tokens[1])
-    try:
-        kind = EdgeKind(tokens[2][0])
-    except ValueError:
-        raise ParseError(_span(tokens[2]), "edge kind", tokens[2][0]) from None
+    eid, kind = _record_head(tokens, EdgeKind, "edge <id> <Kind> [src] -> [dst]", "edge kind")
     rest = tokens[3:]
-    source = target = role = None
+    source = target = None
     i = 0
     if i < len(rest) and rest[i][0] != "->" and "=" not in rest[i][0]:
         source = _require_id(rest[i])
@@ -582,11 +653,8 @@ def _parse_edge(d: Diagram, tokens: tuple[_Token, ...]) -> None:
     if i < len(rest) and "=" not in rest[i][0]:
         target = _require_id(rest[i])
         i += 1
-    for tok in rest[i:]:
-        key, value = _split_pair(tok, quoted=True)
-        if key != "role":
-            raise ParseError(_span(tok), "role key", key)
-        role = value
+    pairs = _read_pairs(rest[i:], quoted=True, only="role")
+    role = pairs["role"][1] if pairs else None
     try:
         d.add_edge(Edge(kind=kind, source=source, target=target, role=role, id=eid))
     except (ModelError, ValueError) as exc:
@@ -594,73 +662,23 @@ def _parse_edge(d: Diagram, tokens: tuple[_Token, ...]) -> None:
 
 
 def _parse_group(d: Diagram, tokens: tuple[_Token, ...]) -> None:
-    if len(tokens) < 3:
-        raise ParseError(_span(tokens[0]), "group <id> <Kind>", "end of record")
-    gid = _require_id(tokens[1])
+    gid, gkind = _record_head(tokens, GroupKind, "group <id> <Kind>", "group kind")
+    pairs = _read_pairs(tokens[3:], quoted=False)
+    make, rows = _GROUP_CODEC[gkind]
+    fields = {"id": gid}
+    for key, attribute, _, decode in rows:
+        entry = pairs.pop(key, None)
+        if entry is not None:
+            fields[attribute] = decode(d, *entry)
+        elif key in _GROUP_MISSING:
+            raise ParseError(_span(tokens[2]), *_GROUP_MISSING[key])
+    if pairs:
+        stray = min(pairs)
+        raise ParseError(_span(pairs[stray][0]), f"{gkind.value} group key", stray)
     try:
-        gkind = GroupKind(tokens[2][0])
-    except ValueError:
-        raise ParseError(_span(tokens[2]), "group kind", tokens[2][0]) from None
-    keys: dict[str, tuple[_Token, str]] = {}
-    for tok in tokens[3:]:
-        key, value = _split_pair(tok, quoted=False)
-        if key in keys:
-            raise ParseError(_span(tok), "unique key", key)
-        keys[key] = (tok, value)
-
-    def take(key: str) -> tuple[_Token, str] | None:
-        return keys.pop(key, None)
-
-    members_entry = take("members")
-    if members_entry is None:
-        raise ParseError(_span(tokens[2]), "members=<id,...>", "no members key")
-    members_tok, members_raw = members_entry
-    members = [m for m in members_raw.split(",") if m]
-
-    if gkind is GroupKind.STATE_DIAGRAM:
-        states, tubes = [], []
-        for m in members:
-            if m in d.elements:
-                states.append(m)
-            elif m in d.edges:
-                tubes.append(m)
-            else:
-                raise ParseError(_span(members_tok), "existing member id", m)
-        marker = take("marker")
-        owner = take("owner")
-        if keys:
-            stray = sorted(keys)[0]
-            raise ParseError(_span(keys[stray][0]), "StateDiagram group key", stray)
-        group = StateDiagramGroup(
-            states=tuple(states),
-            tubes=tuple(tubes),
-            marker=None if marker is None else marker[1],
-            owner=None if owner is None else owner[1],
-            id=gid,
-        )
-    else:
-        trunk = take("trunk")
-        junction = take("junction")
-        if trunk is None or junction is None:
-            raise ParseError(_span(tokens[2]), "trunk= and junction=", "missing keys")
-        probs_entry = take("probs")
-        probabilities = None
-        if probs_entry is not None:
-            ptok, praw = probs_entry
-            probabilities = tuple(_parse_number(ptok, p) for p in praw.split(",") if p)
-        if keys:
-            stray = sorted(keys)[0]
-            raise ParseError(_span(keys[stray][0]), "SplitTime group key", stray)
-        try:
-            group = SplitTimeGroup(
-                trunk=trunk[1],
-                branches=tuple(members),
-                junction=junction[1],
-                probabilities=probabilities,
-                id=gid,
-            )
-        except (ModelError, ValueError) as exc:
-            raise ParseError(_span(tokens[1]), "legal probabilities", str(exc)) from exc
+        group = make(**fields)
+    except (ModelError, ValueError) as exc:
+        raise ParseError(_span(tokens[1]), "legal probabilities", str(exc)) from exc
     try:
         d.add_group(group)
     except ModelError as exc:
@@ -702,28 +720,12 @@ def serialize(d: Diagram) -> str:
         lines.append(" ".join(parts))
     for gid in sorted(d.groups):
         g = d.groups[gid]
-        if isinstance(g, StateDiagramGroup):
-            parts = [
-                "group",
-                gid,
-                GroupKind.STATE_DIAGRAM.value,
-                "members=" + ",".join((*g.states, *g.tubes)),
-            ]
-            if g.marker is not None:
-                parts.append(f"marker={g.marker}")
-            if g.owner is not None:
-                parts.append(f"owner={g.owner}")
-        else:
-            parts = [
-                "group",
-                gid,
-                GroupKind.SPLIT_TIME.value,
-                "members=" + ",".join(g.branches),
-                f"trunk={g.trunk}",
-                f"junction={g.junction}",
-            ]
-            if g.probabilities is not None:
-                parts.append("probs=" + ",".join(fmt_num(p) for p in g.probabilities))
+        kind = _GROUP_KIND[type(g)]
+        parts = ["group", gid, kind.value]
+        for key, _, encode, _ in _GROUP_CODEC[kind][1]:
+            text = encode(g)
+            if text is not None:
+                parts.append(f"{key}={text}")
         lines.append(" ".join(parts))
     rendered = [
         (owner, binding.attribute, value_literal(binding.value))
