@@ -180,6 +180,10 @@ class _Builder:
     def bind(self, owner: str, name: str, value) -> None:
         self.d.bind_attribute(owner, AttributeBinding(name, value))
 
+    def group(self, group: StateDiagramGroup | SplitTimeGroup, id_hint: str) -> str:
+        group.id = _slug(id_hint, self.taken)
+        return self.d.add_group(group)
+
 
 def _roles(given: dict[str, str], *needed: str) -> list[str]:
     missing = [r for r in needed if not given.get(r)]
@@ -298,14 +302,9 @@ def _ownership_states(b: _Builder, giver: str, receiver: str, owner_of: str) -> 
         b.edge(EdgeKind.TUBE, source=states[1], target=states[3], id_hint="own-release"),
     ]
     group = StateDiagramGroup(
-        states=tuple(states),
-        tubes=tuple(tubes),
-        marker=states[1],
-        owner=owner_of,
-        id="ownership-states",
+        states=tuple(states), tubes=tuple(tubes), marker=states[1], owner=owner_of
     )
-    b.taken.add("ownership-states")
-    b.d.add_group(group)
+    b.group(group, "ownership-states")
 
 
 def build_pattern(pattern: BasicPattern, *labels: str) -> Diagram:
@@ -394,11 +393,8 @@ def build_aspect(spec: AspectSpec, actor: str, action: str) -> Diagram:
             branch_b = b.edge(EdgeKind.TIME, id_hint="branch-stops")
             b.bind(branch_a, "outcome", Text("continues"))
             b.bind(branch_b, "outcome", Text("stops"))
-            group = SplitTimeGroup(
-                trunk=trunk, branches=(branch_a, branch_b), junction=junction, id="alternatives"
-            )
-            b.taken.add("alternatives")
-            b.d.add_group(group)
+            group = SplitTimeGroup(trunk=trunk, branches=(branch_a, branch_b), junction=junction)
+            b.group(group, "alternatives")
         else:
             b.bind(event, "continues", Text("true" if spec.continuation == "continues" else "false"))
     return b.d
@@ -529,9 +525,9 @@ def build_flowchart(
     starts on the first statement, and the trace is `run_trace` of the
     drawn graph, given the loop's iterations or the chosen arm's first state.
     """
-    d = draw_flowchart(kind, statements, schedule)
+    d, gid = _flowchart(kind, statements, schedule)
     schedule = schedule or {}
-    group = d.groups["program"]
+    group = d.groups[gid]
     iterations = int(schedule.get("iterations", 1)) if kind == "loop" else 1
     take = None
     if kind == "branch":
@@ -542,6 +538,11 @@ def build_flowchart(
 
 def draw_flowchart(kind: str, statements: list[str], schedule: dict | None = None) -> Diagram:
     """The graph of `build_flowchart` without walking its trace."""
+    return _flowchart(kind, statements, schedule)[0]
+
+
+def _flowchart(kind: str, statements: list[str], schedule: dict | None) -> tuple[Diagram, str]:
+    """The flowchart graph and the id of its program group."""
     if not statements:
         raise EmptyProgram("no statements")
     schedule = schedule or {}
@@ -603,11 +604,8 @@ def draw_flowchart(kind: str, statements: list[str], schedule: dict | None = Non
         states=tuple(states[s] for s in statements),
         tubes=tuple(tubes),
         marker=states[statements[0]],
-        id="program",
     )
-    b.taken.add("program")
-    b.d.add_group(group)
-    return b.d
+    return b.d, b.group(group, "program")
 
 
 def run_trace(

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tumbug.cli import main
 from tumbug.dsl import parse, serialize
 from tumbug.grammar import validate
 from tumbug.model import EdgeKind, Kind, SplitTimeGroup, StateDiagramGroup, evaluate_correlation
@@ -200,6 +201,44 @@ class TestAspects:
             AspectSpec("sometime", "simple")
         with pytest.raises(ValueError):
             AspectSpec("past", "gnomic")
+
+
+class TestGroupIds:
+    """A template's group claims its id after the labels have claimed theirs,
+    so a label that spells the group's usual id keeps it."""
+
+    @pytest.mark.parametrize(
+        "build, label",
+        [
+            pytest.param(
+                lambda: build_flowchart("sequential", ["program", "S2"])[0], "program", id="flowchart"
+            ),
+            pytest.param(
+                lambda: build_primitive(
+                    PrimitiveAct.ATRANS, giver="ownership-states", receiver="Joe", comprehensive="y"
+                ),
+                "ownership-states",
+                id="atrans",
+            ),
+            pytest.param(
+                lambda: build_aspect(
+                    AspectSpec("future", "perfect-progressive", "both"), "alternatives", "drive"
+                ),
+                "alternatives",
+                id="aspect",
+            ),
+        ],
+    )
+    def test_label_spelling_the_group_id(self, build, label):
+        d = build()
+        assert d.elements[label].label == label
+        assert list(d.groups) == [f"{label}-2"]
+        assert validate(d) == []
+
+    def test_flowchart_trace_and_cli(self, capsys):
+        assert build_flowchart("sequential", ["program", "S2"])[1] == ["program", "S2"]
+        assert main(["template", "sequential", "--roles", "statements=program,S2"]) == 0
+        assert "group program-2 StateDiagram" in capsys.readouterr().out
 
 
 class TestSyllogisms:
