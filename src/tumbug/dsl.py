@@ -259,7 +259,7 @@ def parse_value_literal(tok: _Token, raw: str) -> Value:
             raise ParseError(_span(tok), "lo <= peak <= hi", raw) from exc
     number, _, unit = raw.partition(":")
     if _NUMBER_RE.match(number):
-        if unit and not UNIT_RE.match(unit):
+        if unit and not UNIT_RE.fullmatch(unit):
             raise ParseError(_span(tok), "unit tag", unit)
         return Scalar(_parse_number(tok, number), unit or None)
     raise ParseError(_span(tok), "value literal", raw)
@@ -321,11 +321,11 @@ def _list(key: str, attribute: str, show, read, collect=tuple):
     )
 
 
-_SLOT_RE = re.compile(r"^([A-Za-z0-9_-]+):([A-Za-z0-9_-]+)\.(.+)$")
+_SLOT_RE = re.compile(r"([A-Za-z0-9_-]+):([A-Za-z0-9_-]+)\.(.+)")
 
 
 def _slot(tok: _Token, part: str) -> SlotSpec:
-    m = _SLOT_RE.match(part)
+    m = _SLOT_RE.fullmatch(part)
     if not m:
         raise ParseError(_span(tok), "slot as name:element.attribute", part)
     return SlotSpec(*m.groups())

@@ -305,7 +305,7 @@ class MotivationTrianglePayload:
     label: str | None = None
 
     def __post_init__(self):
-        for level, valence in self.markers:
+        for level, valence in sorted(self.markers):
             if level not in MOTIVATION_LEVELS:
                 raise InvalidPayload(f"unknown motivation level {level!r}")
             if valence not in VALENCES:

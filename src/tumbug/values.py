@@ -54,7 +54,7 @@ class ValueError_(ValueError):
 # Syntax of keys (property keys, attribute names, fuzzy label names) and of
 # unit tags, the names the DSL can write back unquoted.
 KEY_RE = re.compile(r"[A-Za-z0-9_.-]+")
-UNIT_RE = re.compile(r"^[A-Za-z%][A-Za-z0-9_%/-]*$")
+UNIT_RE = re.compile(r"[A-Za-z%][A-Za-z0-9_%/-]*")
 
 
 def fmt_num(x: float) -> str:
@@ -74,7 +74,7 @@ class Scalar:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ValueError_("scalar values must be finite")
-        if self.unit is not None and not UNIT_RE.match(self.unit):
+        if self.unit is not None and not UNIT_RE.fullmatch(self.unit):
             raise ValueError_(f"unit {self.unit!r} is not a unit tag")
         object.__setattr__(self, "value", float(self.value))
 

@@ -180,6 +180,15 @@ class TestValueLiterals:
                 parse(f"elem o1 PhysicalObjectCircle\nattr o1 a={bad}\n")
 
 
+class TestWholeTokenPatterns:
+    """A slot must match as a whole: a pattern ending in ``$`` would also
+    match before a final newline (test_values checks unit tags)."""
+
+    def test_slot_with_a_final_newline_is_refused(self):
+        with pytest.raises(ParseError) as err:
+            parse('elem c1 CorrelationBox slots="a:o1.w\\n"\n')
+        assert (err.value.expected, err.value.found) == ("slot as name:element.attribute", "a:o1.w\n")
+
 class TestNonFiniteNumbers:
     """Numbers that overflow to inf (or arrive as nan) have no literal that
     parses back to them, so neither the parser nor the constructors take them."""
@@ -242,6 +251,33 @@ class TestDuplicateIds:
         lines = text.splitlines()
         start = lines[-1].index(" ") + 2  # the id is the second token
         assert err.value.span == SourceSpan(len(lines), start, start + 1)
+
+
+class TestRepeatedKeys:
+    """elem, edge and group records share one key=value reader, which
+    refuses a key that comes twice at its second word."""
+
+    @pytest.mark.parametrize(
+        "record, key",
+        [
+            pytest.param('elem o2 Cell label="a" label="b"', "label", id="elem"),
+            pytest.param(
+                'edge f Force o1 -> o2 role="exerts" role="acted-upon"', "role", id="edge-role"
+            ),
+            pytest.param("group g StateDiagram members=o1 owner=o1 owner=o2", "owner", id="group"),
+        ],
+    )
+    def test_second_key_is_refused(self, record, key):
+        with pytest.raises(ParseError) as err:
+            parse(f"elem o1 StateCircle\n{record}\n")
+        assert (err.value.expected, err.value.found) == ("unique key", key)
+        start = record.rindex(" ") + 2
+        assert err.value.span == SourceSpan(2, start, len(record))
+
+    def test_other_edge_key_is_still_a_role_key_error(self):
+        with pytest.raises(ParseError) as err:
+            parse('edge f Force -> role="exerts" kind="x"\n')
+        assert (err.value.expected, err.value.found) == ("role key", "kind")
 
 
 class TestUnwritableNames:

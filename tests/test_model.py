@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,6 +105,29 @@ class TestPayloadInvariants:
             MotivationTrianglePayload(markers=frozenset({("spiritual", "+")}))
         with pytest.raises(InvalidPayload):
             MotivationTrianglePayload(markers=frozenset({("physical", "?")}))
+
+    def test_motivation_marker_error_does_not_depend_on_the_hash_seed(self):
+        # A frozenset of strings iterates in an order set by PYTHONHASHSEED.
+        code = (
+            "from tumbug.dsl import ParseError, parse\n"
+            "try:\n"
+            "    parse('elem m MotivationTriangle markers=\"a:+,b:+\"')\n"
+            "except ParseError as exc:\n"
+            "    print(exc.found)\n"
+        )
+        src = str(Path(__file__).parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        errors = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2", "3", "4")
+        }
+        assert errors == {"unknown motivation level 'a'\n"}
 
     def test_robinson_cathected_target_requires_category(self):
         RobinsonIconPayload(active=frozenset({"Cathected"}), cathected_target="o1")

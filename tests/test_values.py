@@ -61,7 +61,7 @@ class TestValueInvariants:
         with pytest.raises(ValueError):
             FuzzyLabel("few", 0.5, 0.2, 0.9)
 
-    @pytest.mark.parametrize("unit", ["a b", "", "1kg", "kg:", "k\"g", "é"])
+    @pytest.mark.parametrize("unit", ["a b", "", "1kg", "kg:", "k\"g", "é", "kg\n"])
     def test_scalar_unit_must_be_a_unit_tag(self, unit):
         # The DSL writes a unit unquoted after "number:", so it could not be
         # read back; an empty unit would read back as no unit.
