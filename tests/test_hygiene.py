@@ -51,3 +51,12 @@ def test_unused_import_check_sees_an_unused_import():
     source = "import os\nimport re\nfrom math import pi, tau\n__all__ = ['tau']\nre.compile(pi)\n"
     tree = ast.parse(source)
     assert _unused_imports(tree) == ["os"]
+
+
+MAX_LINE = 106  # the longest line in src/ when this check was added
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_line_is_wider_than_the_limit(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [n for n, line in enumerate(lines, 1) if len(line) > MAX_LINE] == []
