@@ -94,7 +94,10 @@ def _cmd_validate(args) -> int:
 
 
 def render_svg(d, options):
-    """svg.render, imported on the first call so that only render loads svg."""
+    """svg.render under a name of this module: the render subcommand calls
+    through it, so tests and perfbench's tracer can patch that one call.
+    ``_cmd_render`` has already loaded svg; importing it here keeps it out
+    of this module's own imports."""
     from .svg import render
 
     return render(d, options)
