@@ -242,83 +242,65 @@ def test_parse_outcomes_of_seeded_documents():
     assert h.hexdigest() == PARSE_OUTCOMES_SHA256
 
 
-def _every_kind_scene() -> Diagram:
-    """A valid scene with one element of every Kind, each payload variant
-    that changes the drawing, and an edge of every shape."""
-    d = Diagram()
-    roles = ("subject", "direct", "indirect")
-    for i, kind in enumerate(Kind):
-        if payload_type(kind) is GenericPayload:
-            props = {"role": roles[i % 3]}
-            if kind is Kind.ATTEND_RING:
-                props["edge"] = "mv"
-            d.add_element(Element(kind=kind, payload=GenericPayload(kind.value, props), id=f"k{i}"))
-    ca = CAPayload(
-        forced=(AttributeBinding("w", Scalar(2, "kg")),), open_ended=True, label="ca open"
-    )
-    d.add_element(Element(kind=Kind.CA_AGGREGATION_BOX, payload=ca, id="ca_box"))
-    d.add_element(Element(kind=Kind.CA_OBJECT_CIRCLE, payload=CAPayload(label="ca"), id="ca"))
-    d.add_element(Element(kind=Kind.CORRELATION_BOX, payload=CorrelationBoxPayload(), id="corr"))
-    markers = frozenset({("automaton", "+"), ("emotional", "-"), ("intellectual", "+")})
-    d.add_element(
-        Element(
-            kind=Kind.MOTIVATION_TRIANGLE,
-            payload=MotivationTrianglePayload(markers=markers, label="wants"),
-            id="mot",
-        )
-    )
-    active = frozenset({"FutureAppraisal", "EventRelated"})
-    d.add_element(
-        Element(
-            kind=Kind.ROBINSON_ICON,
-            payload=RobinsonIconPayload(active=active, valence="-", label="feels"),
-            id="rob",
-        )
-    )
-    cells = (("c1", 0.0, 0.0), ("c2", 30.0, 10.0), ("c3", 12.5, 40.0))
-    d.add_element(
-        Element(
-            kind=Kind.SWIRLY_ARRAY,
-            payload=SwirlyArrayPayload(cells=cells, active=frozenset({"c2"}), label="swirl"),
-            id="swirl",
-        )
-    )
-    verbatim = f"k{list(Kind).index(Kind.VERBATIM_BOX)}"
-    descriptive = f"k{list(Kind).index(Kind.DESCRIPTIVE_BOX)}"
-    xor = f"k{list(Kind).index(Kind.XOR_BOX)}"
-    zoom = f"k{list(Kind).index(Kind.ZOOM_BOX_PAIR)}"
-    data = f"k{list(Kind).index(Kind.DATA_OBJECT_CIRCLE)}"
-    circle = Kind.PHYSICAL_OBJECT_CIRCLE
-    for eid, parent, pos in (
-        ("in_verbatim", verbatim, Position(10, 20)),
-        ("in_descriptive", descriptive, Position(5.5, 30, 60, 40)),
-    ):
-        d.add_element(
-            Element(kind=circle, payload=GenericPayload(eid), position=pos, id=eid), parent=parent
-        )
-    for eid in ("alt1", "alt2"):
-        _el(d, eid, Kind.STATE_CIRCLE, parent=xor)
-    _el(d, "zoomed", circle, parent=zoom)
-    d.add_edge(Edge(kind=EdgeKind.MOTION, source=data, target="ca", id="mv"))
-    d.add_edge(Edge(kind=EdgeKind.TIME, id="time"))
-    d.add_edge(Edge(kind=EdgeKind.CAUSATION, id="solitary"))
-    d.add_edge(Edge(kind=EdgeKind.FORCE, source="k0", role="exerts", id="out"))
-    d.add_edge(Edge(kind=EdgeKind.FORCE, target="zoomed", id="in"))
-    d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="k0", target="swirl", id="rel"))
-    d.add_edge(Edge(kind=EdgeKind.CAUSATION, source="alt1", target="alt1", id="loop"))
-    d.add_edge(Edge(kind=EdgeKind.TUBE, source="alt1", target="alt2", id="tube"))
-    d.add_group(StateDiagramGroup(states=("alt1", "alt2"), tubes=("tube",), marker="alt2"))
-    d.bindings.append(("k0", AttributeBinding("w", Scalar(3.25, "kg"))))
-    d.bindings.append(("mv", AttributeBinding("speed", Text("fast"))))
-    d.bindings.append(("loop", AttributeBinding("n", Scalar(2))))
-    return d
+# A valid scene with one element of every Kind, each payload variant that
+# changes the drawing, and an edge of every shape.
+EVERY_KIND_SCENE = """\
+elem alt1 StateCircle
+elem alt2 StateCircle
+elem ca CAObjectCircle label="ca"
+elem ca_box CAAggregationBox ellipsis="true" forced.w="2:kg" label="ca open"
+elem corr CorrelationBox
+elem in_descriptive PhysicalObjectCircle label="in_descriptive" pos="5.5,30" size="60,40"
+elem in_verbatim PhysicalObjectCircle label="in_verbatim" pos="10,20"
+elem k0 PhysicalObjectCircle label="PhysicalObjectCircle" role="subject"
+elem k1 DataObjectCircle label="DataObjectCircle" role="direct"
+elem k10 VerbatimBox label="VerbatimBox" role="direct"
+elem k11 DescriptiveBox label="DescriptiveBox" role="indirect"
+elem k12 AggregationBox label="AggregationBox" role="subject"
+elem k14 XorBox label="XorBox" role="indirect"
+elem k16 ValueBar label="ValueBar" role="direct"
+elem k18 TimeAnchor label="TimeAnchor" role="subject"
+elem k19 DataSetBox label="DataSetBox" role="direct"
+elem k20 LabelString label="LabelString" role="indirect"
+elem k21 AttendRing edge="mv" label="AttendRing" role="subject"
+elem k24 ModalVerbIcon label="ModalVerbIcon" role="subject"
+elem k25 ZoomBoxPair label="ZoomBoxPair" role="direct"
+elem k3 DataPoint label="DataPoint" role="subject"
+elem k4 StateCircle label="StateCircle" role="direct"
+elem k5 Cell label="Cell" role="indirect"
+elem k6 SensorBar label="SensorBar" role="subject"
+elem k7 Marker0D label="Marker0D" role="direct"
+elem k8 Marker1D label="Marker1D" role="indirect"
+elem k9 Marker2D label="Marker2D" role="subject"
+elem mot MotivationTriangle label="wants" markers="automaton:+,emotional:-,intellectual:+"
+elem rob RobinsonIcon active="EventRelated,FutureAppraisal" label="feels" valence="-"
+elem swirl SwirlyArray active="c2" cells="c1:0:0,c2:30:10,c3:12.5:40" label="swirl"
+elem zoomed PhysicalObjectCircle
+contain alt1 k14
+contain alt2 k14
+contain in_descriptive k11
+contain in_verbatim k10
+contain zoomed k25
+edge in Force -> zoomed
+edge loop Causation alt1 -> alt1
+edge mv Motion k1 -> ca
+edge out Force k0 -> role="exerts"
+edge rel Relationship k0 -> swirl
+edge solitary Causation ->
+edge time Time ->
+edge tube Tube alt1 -> alt2
+group g1 StateDiagram members=alt1,alt2,tube marker=alt2
+attr k0 w=3.25:kg
+attr loop n=2
+attr mv speed="fast"
+"""
 
 
 EVERY_KIND_SVG_SHA256 = "72ea8a43a8375e14111474b0dd59d5dd47c9956aaae1cf044f58fcba9874036f"
 
 
 def test_every_kind_scene_svg():
-    d = _every_kind_scene()
+    d = parse(EVERY_KIND_SCENE)
     assert validate(d) == []
     assert {el.kind for el in d.elements.values()} == set(Kind)
     h = hashlib.sha256()
