@@ -448,17 +448,9 @@ def _render_edge(
     if tip_arrow:
         style += ' marker-end="url(#arrowhead)"'
     out = [f'<g id="{_esc(eid)}" class="edge kind-{edge.kind.value}">']
-    if edge.source is not None and edge.target is not None and edge.source != edge.target:
-        a, b = boxes[edge.source], boxes[edge.target]
-        x1, y1, x2, y2 = a.cx, a.cy, b.cx, b.cy
-    elif edge.source is not None and edge.target is None:
-        a = boxes[edge.source]
-        x1, y1, x2, y2 = a.x + a.w, a.cy, a.x + a.w + 48, a.cy
-    elif edge.source is None and edge.target is not None:
-        b = boxes[edge.target]
-        x1, y1, x2, y2 = b.x - 48, b.cy, b.x, b.cy
-    elif edge.source is not None:  # self loop
-        a = boxes[edge.source]
+    a = None if edge.source is None else boxes[edge.source]
+    b = None if edge.target is None else boxes[edge.target]
+    if a is not None and edge.source == edge.target:  # self loop
         out.append(
             f'<path d="M {fmt_num(a.cx)} {fmt_num(a.y)} C {fmt_num(a.cx + 40)} '
             f'{fmt_num(a.y - 36)} {fmt_num(a.cx - 40)} {fmt_num(a.y - 36)} '
@@ -467,6 +459,12 @@ def _render_edge(
         out.extend(_edge_attr_texts(bindings, a.cx, a.y - 40))
         out.append("</g>")
         return out
+    if a is not None and b is not None:
+        x1, y1, x2, y2 = a.cx, a.cy, b.cx, b.cy
+    elif a is not None:
+        x1, y1, x2, y2 = a.x + a.w, a.cy, a.x + a.w + 48, a.cy
+    elif b is not None:
+        x1, y1, x2, y2 = b.x - 48, b.cy, b.x, b.cy
     else:  # fully solitary arrow
         x1, y1 = 70.0, 30.0 + ordinal * 26
         x2, y2 = 130.0, 30.0 + ordinal * 26
