@@ -337,11 +337,14 @@ def _render_element(
             f'{fmt_num(x + w)},{fmt_num(y + h)}" fill="none" stroke="black"/>'
         )
         for i in range(1, 4):
-            ly, inset = y + h * i / 4, w * i / 8
+            ly = y + h * i / 4
+            inset = w * i / 8
             out.append(_line(cx - inset, ly, cx + inset, ly, 'stroke="black"'))
         for level, valence in sorted(getattr(el.payload, "markers", ())):
-            my = y + h * (3.5 - MOTIVATION_LEVELS.index(level)) / 4
-            out.append(_circle(cx - 6 if valence == "+" else cx + 6, my, 4, 'fill="red"'))
+            row = MOTIVATION_LEVELS.index(level)
+            my = y + h * (3.5 - row) / 4
+            mx = cx - 6 if valence == "+" else cx + 6
+            out.append(_circle(mx, my, 4, 'fill="red"'))
     elif kind is Kind.ROBINSON_ICON:
         out.append(f'<polygon points="{_hexagon(box)}" fill="none" stroke="black"/>')
         active = getattr(el.payload, "active", frozenset())
