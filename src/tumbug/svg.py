@@ -259,8 +259,8 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
         out.append(f'<g id="{_esc(eid)}" class="edge time-arrow">')
         out.append(_line(x, top, x, bottom, stroke + ' marker-end="url(#arrowhead)"'))
         out.append(_line(x - 6, zero_y, x + 6, zero_y, stroke))
-        out.append(_text(x + 9, zero_y + 4, "0"))
-        out.append(_text(x - 6, top - 8, "t"))
+        out.append(f'<text x="{x + 9}" y="{zero_y + 4}">0</text>')
+        out.append(f'<text x="{x - 6}" y="{top - 8}">t</text>')
         out.append("</g>")
 
     # Drawn by containment depth, then id, so that contents paint over boxes.
@@ -351,7 +351,10 @@ def _render_element(
         for i, cat in enumerate(ROBINSON_CATEGORIES):
             filled = "black" if cat in active else "white"
             out.append(_circle(*_hex_corner(box, i), 5, f'fill="{filled}" stroke="black"'))
-        out.append(_text(cx - 4, cy + 4, _esc(getattr(el.payload, "valence", "+"))))
+        out.append(
+            f'<text x="{fmt_num(cx - 4)}" y="{fmt_num(cy + 4)}">'
+            f"{_esc(getattr(el.payload, 'valence', '+'))}</text>"
+        )
     elif shape == "cells":
         out.append(_rect(x, y, w, h, 'fill="none" stroke="black" stroke-dasharray="1,2"'))
         active = getattr(el.payload, "active", frozenset())
@@ -384,17 +387,18 @@ def _render_element(
                 'stroke="black"/>'
             )
         if kind is Kind.CA_AGGREGATION_BOX and getattr(el.payload, "open_ended", False):
-            out.append(_text(cx - 8, cy, "..."))
+            out.append(f'<text x="{fmt_num(cx - 8)}" y="{fmt_num(cy)}">...</text>')
 
     label = el.label
     if label:
         ly = y + FONT_SIZE + 2 if shape == "box" else cy + FONT_SIZE / 3
-        out.append(_text(x + 6, ly, _esc(label), ' class="label"'))
+        out.append(f'<text x="{fmt_num(x + 6)}" y="{fmt_num(ly)}" class="label">{_esc(label)}</text>')
 
     # Attribute lines hang under the element.
     ay = y + h + FONT_SIZE
     for binding in bindings:
-        out.append(_attr_text(binding, x + 4, ay))
+        text = f"{binding.attribute} = {value_literal(binding.value)}"
+        out.append(f'<text x="{fmt_num(x + 4)}" y="{fmt_num(ay)}" class="attr">{_esc(text)}</text>')
         ay += FONT_SIZE + 3
 
     out.append("</g>")
@@ -411,10 +415,6 @@ def _line(x1: float, y1: float, x2: float, y2: float, rest: str) -> str:
 
 def _circle(cx: float, cy: float, r: float, rest: str) -> str:
     return f'<circle cx="{fmt_num(cx)}" cy="{fmt_num(cy)}" r="{fmt_num(r)}" {rest}/>'
-
-
-def _text(x: float, y: float, body: str, rest: str = "") -> str:
-    return f'<text x="{fmt_num(x)}" y="{fmt_num(y)}"{rest}>{body}</text>'
 
 
 def _hexagon(box: _Box) -> str:
@@ -485,8 +485,11 @@ def _render_edge(
 
 
 def _edge_attr_texts(bindings: list[AttributeBinding], x: float, y: float) -> list[str]:
-    return [_attr_text(b, x + 6, y - i * (FONT_SIZE + 2)) for i, b in enumerate(bindings)]
-
-
-def _attr_text(binding: AttributeBinding, x: float, y: float) -> str:
-    return _text(x, y, _esc(f"{binding.attribute} = {value_literal(binding.value)}"), ' class="attr"')
+    out = []
+    for i, binding in enumerate(bindings):
+        text = f"{binding.attribute} = {value_literal(binding.value)}"
+        out.append(
+            f'<text x="{fmt_num(x + 6)}" y="{fmt_num(y - i * (FONT_SIZE + 2))}" '
+            f'class="attr">{_esc(text)}</text>'
+        )
+    return out
