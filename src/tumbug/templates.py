@@ -302,7 +302,10 @@ def _ownership_states(b: _Builder, giver: str, receiver: str, owner_of: str) -> 
         b.edge(EdgeKind.TUBE, source=states[1], target=states[3], id_hint="own-release"),
     ]
     group = StateDiagramGroup(
-        states=tuple(states), tubes=tuple(tubes), marker=states[1], owner=owner_of
+        states=tuple(states),
+        tubes=tuple(tubes),
+        marker=states[1],
+        owner=owner_of,
     )
     b.group(group, "ownership-states")
 
