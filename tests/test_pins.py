@@ -1,11 +1,13 @@
-"""Behaviour pins for the payload codec, the validator and the SVG writer.
+"""Behaviour pins for the payload codec, the validator, the SVG writer and
+the expression parser.
 
 Fixed answers, each taken from the code as it was before the part it pins
 was rewritten: the exact violation list of a scene that raises every
 ViolationCode, one sha256 over the parse outcomes of seeded documents whose
-values are the edge cases in test_dsl's _VALUES, and one sha256 over the SVG
-of a valid scene that draws every Kind.  A change to how parse, serialize,
-validate or render are written must leave all three as they are.
+values are the edge cases in test_dsl's _VALUES, one sha256 over the SVG
+of a valid scene that draws every Kind, and one sha256 over the outcomes of
+parse_expr on seeded strings.  A change to how parse, serialize, validate,
+render or parse_expr are written must leave all four as they are.
 """
 
 import hashlib
@@ -32,7 +34,7 @@ from tumbug.model import (
     payload_type,
 )
 from tumbug.svg import RenderOptions, render
-from tumbug.values import Scalar, Text
+from tumbug.values import Scalar, Text, parse_expr
 
 from test_dsl import _VALUES
 
@@ -307,3 +309,34 @@ def test_every_kind_scene_svg():
     for options in (RenderOptions(), RenderOptions(color=True)):
         h.update(render(d, options).encode("utf-8"))
     assert h.hexdigest() == EVERY_KIND_SVG_SHA256
+
+
+# Expression outcomes: short strings over the characters the expression
+# parser treats specially (digits, exponent, operators, parentheses, names,
+# whitespace including NBSP, and non-ASCII digits and letters), plus the
+# edges of the nesting bound.
+_EXPR_CHARS = list("0123456789.eE+-*/()ab_c \t ٣²éⅫ")
+
+
+def _expr_inputs() -> list[str]:
+    rng = random.Random(2024)
+    texts = ["".join(rng.choices(_EXPR_CHARS, k=rng.randint(0, 16))) for _ in range(20000)]
+    for n in (199, 200, 201):
+        texts += ["(" * n + "1" + ")" * n, "-" * n + "a"]
+    for n in (201, 202):
+        texts.append(" + ".join(["a"] * n))
+    return texts
+
+
+EXPR_OUTCOMES_SHA256 = "df12267528fcc1881ce83e6bae9fbefebffee1ee33eb548bf6cb01e5dadc7e18"
+
+
+def test_expr_outcomes_of_seeded_strings():
+    h = hashlib.sha256()
+    for text in _expr_inputs():
+        try:
+            outcome = repr(parse_expr(text))
+        except ValueError as exc:
+            outcome = f"error: {exc}"
+        h.update(f"{text!r} {outcome}\n".encode("utf-8"))
+    assert h.hexdigest() == EXPR_OUTCOMES_SHA256
