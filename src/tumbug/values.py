@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -44,6 +45,7 @@ __all__ = [
     "classify_count",
     "KEY_RE",
     "UNIT_RE",
+    "OPERATORS",
 ]
 
 
@@ -279,12 +281,7 @@ def classify_ratio(
     Count-domain bands are skipped here; feed counts through
     :func:`classify_count` instead.
     """
-    out = []
-    for band in bands:
-        if band.domain != "ratio":
-            continue
-        out.append((band.label, band.membership(r)))
-    return out
+    return [(b.label, b.membership(r)) for b in bands if b.domain == "ratio"]
 
 
 def classify_count(
@@ -314,6 +311,15 @@ class ExprSyntaxError(ValueError):
     pass
 
 
+# The operators of an equation: precedence (higher binds tighter) and function.
+OPERATORS = {
+    "+": (1, operator.add),
+    "-": (1, operator.sub),
+    "*": (2, operator.mul),
+    "/": (2, operator.truediv),
+}
+
+
 @dataclass(frozen=True)
 class Const:
     value: float
@@ -331,12 +337,12 @@ class SlotRef:
 
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # one of + - * /
+    op: str  # a key of OPERATORS
     left: "Expr"
     right: "Expr"
 
     def __post_init__(self):
-        if self.op not in "+-*/":
+        if self.op not in OPERATORS:
             raise ValueError_(f"unsupported operator {self.op!r}")
 
 
@@ -352,15 +358,9 @@ def eval_expr(e: Expr, env: Mapping[str, float]) -> float:
         return env[e.name]
     left = eval_expr(e.left, env)
     right = eval_expr(e.right, env)
-    if e.op == "+":
-        return left + right
-    if e.op == "-":
-        return left - right
-    if e.op == "*":
-        return left * right
-    if right == 0:
+    if e.op == "/" and right == 0:
         raise DivisionByZero(f"{left} / 0")
-    return left / right
+    return OPERATORS[e.op][1](left, right)
 
 
 def expr_slots(e: Expr) -> set[str]:
@@ -371,9 +371,6 @@ def expr_slots(e: Expr) -> set[str]:
     return set()
 
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
 def expr_text(e: Expr) -> str:
     """Canonical rendering; parse_expr(expr_text(e)) == e."""
     if isinstance(e, Const):
@@ -382,10 +379,10 @@ def expr_text(e: Expr) -> str:
         return e.name
     left = expr_text(e.left)
     right = expr_text(e.right)
-    if isinstance(e.left, BinOp) and _PRECEDENCE[e.left.op] < _PRECEDENCE[e.op]:
+    if isinstance(e.left, BinOp) and OPERATORS[e.left.op][0] < OPERATORS[e.op][0]:
         left = f"({left})"
     # Right operand needs parens at equal precedence too: a - (b - c).
-    if isinstance(e.right, BinOp) and _PRECEDENCE[e.right.op] <= _PRECEDENCE[e.op]:
+    if isinstance(e.right, BinOp) and OPERATORS[e.right.op][0] <= OPERATORS[e.op][0]:
         right = f"({right})"
     return f"{left} {e.op} {right}"
 
@@ -413,43 +410,30 @@ class _ExprParser:
         self.depth = 0
 
     def parse(self) -> Expr:
-        e = self.sum()
-        self.skip_ws()
-        if self.pos != len(self.text):
+        e = self.operation(1)
+        if self.peek():
             raise ExprSyntaxError(f"trailing input at {self.pos}: {self.text[self.pos:]!r}")
         if _height(e) > self._MAX_DEPTH:
             raise ExprSyntaxError("expression nests too deeply")
         return e
 
-    def skip_ws(self):
+    def peek(self) -> str:
+        """The next character after any whitespace, or "" at the end."""
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
+        return self.text[self.pos : self.pos + 1]
 
-    def sum(self) -> Expr:
-        e = self.term()
-        while True:
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] in "+-":
-                op = self.text[self.pos]
-                self.pos += 1
-                e = BinOp(op, e, self.term())
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.atom()
-        while True:
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] in "*/":
-                op = self.text[self.pos]
-                self.pos += 1
-                e = BinOp(op, e, self.atom())
-            else:
-                return e
+    def operation(self, level: int) -> Expr:
+        """Operands joined left to right by the operators of precedence
+        ``level``; an operand is an operation one level up, past 2 an atom."""
+        e = self.operation(2) if level == 1 else self.atom()
+        while (op := self.peek()) in OPERATORS and OPERATORS[op][0] == level:
+            self.pos += 1
+            e = BinOp(op, e, self.operation(2) if level == 1 else self.atom())
+        return e
 
     def atom(self) -> Expr:
-        self.skip_ws()
-        if self.pos >= len(self.text):
+        if not self.peek():
             raise ExprSyntaxError("unexpected end of expression")
         self.depth += 1
         if self.depth > self._MAX_DEPTH:
@@ -463,9 +447,8 @@ class _ExprParser:
         ch = self.text[self.pos]
         if ch == "(":
             self.pos += 1
-            e = self.sum()
-            self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] != ")":
+            e = self.operation(1)
+            if self.peek() != ")":
                 raise ExprSyntaxError("missing closing paren")
             self.pos += 1
             return e

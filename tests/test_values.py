@@ -207,6 +207,13 @@ class TestExpressions:
             e = tree(4)
             assert parse_expr(expr_text(e)) == e
 
+    @pytest.mark.parametrize("op", ["", "+-", "*/", "%"])
+    def test_binop_refuses_unknown_operators(self, op):
+        # A substring test once let "" and "+-" through, and serialize then
+        # wrote equations that parse refuses or reads back differently.
+        with pytest.raises(ValueError, match="unsupported operator"):
+            BinOp(op, Const(6.0), SlotRef("w2"))
+
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
             eval_expr(parse_expr("1 / x"), {"x": 0})
