@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 from .model import (
     AttributeBinding,
@@ -26,7 +27,7 @@ from .model import (
     StateDiagramGroup,
     payload_type,
 )
-from .values import BinOp, Const, Scalar, SlotRef, Text, fmt_num
+from .values import OPERATORS, BinOp, Const, Scalar, SlotRef, Text, fmt_num
 
 __all__ = [
     "PrimitiveAct",
@@ -487,26 +488,16 @@ def _darii(terms: tuple[str, str, str], facts: set[str]) -> Diagram:
     return b.d
 
 
-_ARITH_OPS = {
-    "+": lambda acc, x: acc + x,
-    "-": lambda acc, x: acc - x,
-    "*": lambda acc, x: acc * x,
-    "/": lambda acc, x: acc / x,
-}
-
-
 def build_arithmetic(op: str, inputs: list[float]) -> Diagram:
     """Data objects flowing into a virtual operator that causes the result.
 
     A timeline is always present: calculation takes time.
     """
-    if op not in _ARITH_OPS:
+    if op not in OPERATORS:
         raise UnsupportedOperator(op)
     if not inputs:
         raise MissingRole("at least one input number")
-    result = float(inputs[0])
-    for x in inputs[1:]:
-        result = _ARITH_OPS[op](result, float(x))
+    result = reduce(OPERATORS[op][1], map(float, inputs))
 
     b = _Builder()
     b.timeline()
@@ -528,15 +519,8 @@ def build_flowchart(
     starts on the first statement, and the trace is `run_trace` of the
     drawn graph, given the loop's iterations or the chosen arm's first state.
     """
-    d, gid = _flowchart(kind, statements, schedule)
-    schedule = schedule or {}
-    group = d.groups[gid]
-    iterations = int(schedule.get("iterations", 1)) if kind == "loop" else 1
-    take = None
-    if kind == "branch":
-        arm = schedule["then"] if schedule.get("take", "then") == "then" else schedule["else"]
-        take = dict(zip(statements, group.states))[arm[0]]
-    return d, run_trace(d, group, iterations, take)
+    d, gid, iterations, take = _flowchart(kind, statements, schedule)
+    return d, run_trace(d, d.groups[gid], iterations, take)
 
 
 def draw_flowchart(kind: str, statements: list[str], schedule: dict | None = None) -> Diagram:
@@ -544,23 +528,28 @@ def draw_flowchart(kind: str, statements: list[str], schedule: dict | None = Non
     return _flowchart(kind, statements, schedule)[0]
 
 
-def _flowchart(kind: str, statements: list[str], schedule: dict | None) -> tuple[Diagram, str]:
-    """The flowchart graph and the id of its program group."""
+def _flowchart(
+    kind: str, statements: list[str], schedule: dict | None
+) -> tuple[Diagram, str, int, str | None]:
+    """The flowchart graph, the id of its program group, the loop's iterations
+    and the id of the taken branch arm's first state."""
     if not statements:
         raise EmptyProgram("no statements")
     schedule = schedule or {}
     b = _Builder()
     states = {s: b.elem(Kind.STATE_CIRCLE, s, id_hint=s) for s in statements}
     tubes: list[str] = []
+    iterations, take = 1, None
 
-    def tube(a: str, z: str) -> None:
-        tubes.append(
-            b.edge(EdgeKind.TUBE, source=states[a], target=states[z], id_hint=f"{a}-{z}")
-        )
+    def chain(path: list[str]) -> None:
+        """A tube from each statement of the path to the next."""
+        for a, z in zip(path, path[1:]):
+            tubes.append(
+                b.edge(EdgeKind.TUBE, source=states[a], target=states[z], id_hint=f"{a}-{z}")
+            )
 
     if kind == "sequential":
-        for a, z in zip(statements, statements[1:]):
-            tube(a, z)
+        chain(statements)
     elif kind == "loop":
         body = list(schedule.get("body") or ())
         iterations = int(schedule.get("iterations", 1))
@@ -571,9 +560,8 @@ def _flowchart(kind: str, statements: list[str], schedule: dict | None) -> tuple
             raise EmptyProgram("loop body must not end before its first statement")
         if iterations < 1:
             raise TraceError(f"iterations must be >= 1, not {iterations}")
-        for a, z in zip(statements, statements[1:]):
-            tube(a, z)
-        tube(last, first)  # the loop-back pathway
+        chain(statements)
+        chain([last, first])  # the loop-back pathway
     elif kind == "branch":
         then_stmts = list(schedule.get("then") or ())
         else_stmts = list(schedule.get("else") or ())
@@ -591,15 +579,11 @@ def _flowchart(kind: str, statements: list[str], schedule: dict | None) -> tuple
         if not before or not after:
             raise EmptyProgram("branch needs a statement before and after the fork")
         fork, join = before[-1], after[0]
-        for a, z in zip(before, before[1:]):
-            tube(a, z)
+        chain(before)
         for arm in (then_stmts, else_stmts):
-            tube(fork, arm[0])
-            for a, z in zip(arm, arm[1:]):
-                tube(a, z)
-            tube(arm[-1], join)
-        for a, z in zip(after, after[1:]):
-            tube(a, z)
+            chain([fork, *arm, join])
+        chain(after)
+        take = states[(then_stmts if chosen == "then" else else_stmts)[0]]
     else:
         raise EmptyProgram(f"unknown flowchart kind {kind!r}")
 
@@ -608,7 +592,7 @@ def _flowchart(kind: str, statements: list[str], schedule: dict | None) -> tuple
         tubes=tuple(tubes),
         marker=states[statements[0]],
     )
-    return b.d, b.group(group, "program")
+    return b.d, b.group(group, "program"), iterations, take
 
 
 def run_trace(
