@@ -82,6 +82,11 @@ def _roles_dict(pairs: list[str]) -> dict[str, str]:
     return roles
 
 
+def _items(text: str) -> list[str]:
+    """The non-empty items of a comma-separated list."""
+    return [item for item in text.split(",") if item]
+
+
 def _cmd_validate(args) -> int:
     from . import grammar
 
@@ -127,8 +132,7 @@ def _template_diagram(name: str, roles: dict[str, str]):
     if name in acts:
         return templates.build_primitive(acts[name], **roles)
     if name in patterns:
-        labels = [l for l in roles.get("labels", "").split(",") if l]
-        return templates.build_pattern(patterns[name], *labels)
+        return templates.build_pattern(patterns[name], *_items(roles.get("labels", "")))
     if name == "aspect":
         spec = templates.AspectSpec(
             roles.get("tense", "past"),
@@ -137,7 +141,7 @@ def _template_diagram(name: str, roles: dict[str, str]):
         )
         return templates.build_aspect(spec, roles.get("actor", "actor"), roles.get("action", "act"))
     if name in ("barbara", "celarent", "darii"):
-        terms = tuple(t for t in roles.get("terms", "").split(",") if t)
+        terms = tuple(_items(roles.get("terms", "")))
         if len(terms) != 3:
             raise templates.MissingRole("terms=a,b,c")
         steps = templates.build_syllogism(name, terms, roles.get("swap", "") == "true")
@@ -146,18 +150,12 @@ def _template_diagram(name: str, roles: dict[str, str]):
             raise templates.MissingRole(f"step=1..{len(steps)}")
         return steps[int(step) - 1]
     if name == "arithmetic":
-        inputs = [float(x) for x in roles.get("inputs", "").split(",") if x]
+        inputs = [float(x) for x in _items(roles.get("inputs", ""))]
         return templates.build_arithmetic(roles.get("op", "+"), inputs)
     if name in ("sequential", "loop", "branch"):
-        statements = [s for s in roles.get("statements", "").split(",") if s]
-        schedule = {
-            "body": [s for s in roles.get("body", "").split(",") if s],
-            "iterations": int(roles.get("iterations", "1")),
-            "then": [s for s in roles.get("then", "").split(",") if s],
-            "else": [s for s in roles.get("else", "").split(",") if s],
-            "take": roles.get("take", "then"),
-        }
-        return templates.draw_flowchart(name, statements, schedule)
+        schedule = {key: _items(roles.get(key, "")) for key in ("body", "then", "else")}
+        schedule.update(iterations=int(roles.get("iterations", "1")), take=roles.get("take", "then"))
+        return templates.draw_flowchart(name, _items(roles.get("statements", "")), schedule)
     if name == "passive":
         return templates.build_passive(
             roles.get("action", "acted"), roles.get("object", "object"), roles.get("agent") or None
@@ -248,7 +246,7 @@ def _cmd_trace(args) -> int:
     if not groups:
         print("no state-diagram group in file", file=sys.stderr)
         return 2
-    schedule = _roles_dict([item for item in args.schedule.split(",") if item])
+    schedule = _roles_dict(_items(args.schedule))
     unknown = sorted(set(schedule) - {"iterations", "take"})
     if unknown:
         raise ValueError(f"unknown schedule key {unknown[0]!r}; expected iterations or take")
