@@ -13,6 +13,7 @@ its module on first access (PEP 562), so a command loads only what it uses.
 import importlib
 import os
 from pathlib import Path
+from typing import Iterator
 
 # Each submodule and the public names it provides; _HOME maps name -> submodule.
 _EXPORTS = {
@@ -103,6 +104,15 @@ def tables_dir() -> Path:
     if override:
         return Path(override)
     return Path(__file__).parent / "data"
+
+
+def table_lines(text: str) -> Iterator[tuple[int, str, str]]:
+    """``(line number, raw line, text)`` for each line of a data table that holds
+    more than a ``#`` comment; the text is the line without it, stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, raw, line
 
 
 def __getattr__(name: str):

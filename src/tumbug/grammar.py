@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
+from . import table_lines
 from .model import (
     CHANGE_ARROW_KINDS,
     CONTAINER_KINDS,
@@ -78,10 +79,7 @@ def parse_legality(text: str) -> LegalityTable:
     """Parse a 6x4 L/I table: one row per shape, columns Time Motion Force
     Causation.  ``#`` starts a comment."""
     table: LegalityTable = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for _, raw, line in table_lines(text):
         parts = line.split()
         if len(parts) != 5:
             raise ValueError(f"expected '<Shape> L/I L/I L/I L/I', got {raw!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from . import tables_dir
+from . import table_lines, tables_dir
 from .model import CHANGE_ARROW_KINDS, KIND_FACTS, Diagram, Kind
 
 __all__ = [
@@ -99,10 +99,7 @@ def parse_rules(text: str) -> dict[TriggerTag, Rule]:
     """Parse the rule file: ``<index> <tag> <mandatory> <advisory> <cues>``
     per line, comma-separated kind lists, ``-`` for empty."""
     rules: dict[TriggerTag, Rule] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, _, line in table_lines(text):
         parts = line.split()
         if len(parts) != 5:
             raise RuleSetError(f"line {lineno}: expected 5 fields, got {len(parts)}")

@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import tables_dir
+from . import table_lines, tables_dir
 from .model import SwirlyArrayPayload
 
 __all__ = [
@@ -351,10 +351,7 @@ class TableData:
 def load_table_text(text: str) -> TableData:
     attributes: tuple[str, ...] | None = None
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, _, line in table_lines(text):
         if attributes is None:
             attributes = tuple(a.strip() for a in line.split(","))
             if any(not a for a in attributes):
