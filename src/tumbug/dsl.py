@@ -81,7 +81,7 @@ from .values import (
 
 __all__ = ["SourceSpan", "ParseError", "parse", "serialize", "value_literal", "parse_value_literal"]
 
-_NUMBER_RE = re.compile(r"^-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+_NUMBER_RE = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 # Each line boundary str.splitlines knows is escaped, so a quoted string is one line.
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
@@ -258,7 +258,7 @@ def parse_value_literal(tok: _Token, raw: str) -> Value:
         except ValueError as exc:
             raise ParseError(_span(tok), "lo <= peak <= hi", raw) from exc
     number, _, unit = raw.partition(":")
-    if _NUMBER_RE.match(number):
+    if _NUMBER_RE.fullmatch(number):
         if unit and not UNIT_RE.fullmatch(unit):
             raise ParseError(_span(tok), "unit tag", unit)
         return Scalar(_parse_number(tok, number), unit or None)
@@ -266,7 +266,7 @@ def parse_value_literal(tok: _Token, raw: str) -> Value:
 
 
 def _parse_number(tok: _Token, raw: str) -> float:
-    if not _NUMBER_RE.match(raw):
+    if not _NUMBER_RE.fullmatch(raw):
         raise ParseError(_span(tok), "number", raw)
     value = float(raw)
     if not math.isfinite(value):

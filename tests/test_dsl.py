@@ -181,13 +181,22 @@ class TestValueLiterals:
 
 
 class TestWholeTokenPatterns:
-    """A slot must match as a whole: a pattern ending in ``$`` would also
-    match before a final newline (test_values checks unit tags)."""
+    """A slot or number must match as a whole: a pattern ending in ``$`` would
+    also match before a final newline (test_values checks unit tags)."""
 
     def test_slot_with_a_final_newline_is_refused(self):
         with pytest.raises(ParseError) as err:
             parse('elem c1 CorrelationBox slots="a:o1.w\\n"\n')
         assert (err.value.expected, err.value.found) == ("slot as name:element.attribute", "a:o1.w\n")
+
+    @pytest.mark.parametrize(
+        "record", ['elem v VerbatimBox pos="1,2\\n"', 'elem s SwirlyArray cells="c:1:2\\n"']
+    )
+    def test_number_with_a_final_newline_is_refused(self, record):
+        with pytest.raises(ParseError) as err:
+            parse(record + "\n")
+        assert (err.value.expected, err.value.found) == ("number", "2\n")
+
 
 class TestNonFiniteNumbers:
     """Numbers that overflow to inf (or arrive as nan) have no literal that
