@@ -234,8 +234,8 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{options.width}" '
-        f'height="{options.height}" font-size="{FONT_SIZE}" font-family="sans-serif">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt_num(options.width)}" '
+        f'height="{fmt_num(options.height)}" font-size="{FONT_SIZE}" font-family="sans-serif">'
     )
     out.append("<defs>")
     hatch = _line(0, 0, 0, HATCH_SPACING, 'stroke="black" stroke-width="1"')
@@ -259,7 +259,7 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
         out.append(f'<g id="{_esc(eid)}" class="edge time-arrow">')
         out.append(_line(x, top, x, bottom, stroke + ' marker-end="url(#arrowhead)"'))
         out.append(_line(x - 6, zero_y, x + 6, zero_y, stroke))
-        out.append(f'<text x="{x + 9}" y="{zero_y + 4}">0</text>')
+        out.append(f'<text x="{x + 9}" y="{fmt_num(zero_y + 4)}">0</text>')
         out.append(f'<text x="{x - 6}" y="{top - 8}">t</text>')
         out.append("</g>")
 

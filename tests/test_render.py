@@ -80,6 +80,12 @@ def test_time_arrow_conventions():
     assert 'class="edge time-arrow"' in svg
 
 
+def test_float_canvas_sizes_render_the_integer_bytes():
+    d = new_diagram()
+    d.add_edge(Edge(kind=EdgeKind.TIME, id="t"))
+    assert render(d, RenderOptions(width=960.0, height=640.0)) == render(d)
+
+
 def test_data_circle_dotted_vs_solid():
     d = new_diagram()
     d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="p"))
