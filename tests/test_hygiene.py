@@ -1,8 +1,10 @@
 """Module hygiene: what each module says it exports exists, the package's lazy
-exports agree with the modules, and no module imports a name it never uses."""
+exports agree with the modules, no module imports a name it never uses or a
+private name of another module, and the package version is the project's."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -60,3 +62,37 @@ MAX_LINE = 106  # the longest line in src/ when this check was added
 def test_no_line_is_wider_than_the_limit(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [n for n, line in enumerate(lines, 1) if len(line) > MAX_LINE] == []
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Underscore names imported from tumbug modules, at any depth."""
+    return sorted(
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "tumbug")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_is_imported_from_another_module(path):
+    # Tables shared between modules are imported by their public names.
+    assert _private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_private_import_check_sees_a_private_import():
+    source = (
+        "from .dsl import _CODEC, parse\n"
+        "from os import _exit\n"
+        "def f():\n"
+        "    from tumbug.values import _height\n"
+    )
+    assert _private_imports(ast.parse(source)) == ["_CODEC", "_height"]
+
+
+def test_version_is_the_project_version():
+    # A regex, not tomllib: the project supports Pythons older than 3.11.
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "([^"]*)"$', pyproject, re.MULTILINE) == [tumbug.__version__]
