@@ -3,6 +3,8 @@
 Values are what attribute bindings carry. Matching against wildcards is
 tri-state: ``DK`` (don't know) is deliberately not collapsed into a plain
 mismatch, because "don't know" and "don't care" mean different things.
+``OPERATORS`` is the one table of the equation operators: the parser, the
+evaluator and the printer here, and the arithmetic template, all read it.
 """
 
 from __future__ import annotations
