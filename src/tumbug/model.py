@@ -549,9 +549,12 @@ class Diagram:
 
     ``bindings`` is an ordered multiset of (owner, binding) pairs.  It may
     hold duplicates and conflicting values (the parser and callers append
-    to it directly), which :func:`tumbug.grammar.validate` reports.  Readers
-    that need the bindings per owner group the list once per call instead
-    of keeping an index that appends could leave stale.
+    to it directly), which :func:`tumbug.grammar.validate` reports.  It is
+    append-only: ``bind_attribute`` and ``binding_value`` read a private
+    index of the first value bound per (owner, attribute), which follows
+    appends and is rebuilt when ``bindings`` is replaced by another list,
+    shortened, or no longer holds the same entry where the indexed part
+    ended.  Editing entries in place is not followed.
 
     Equality is structural and order-insensitive: two diagrams built by
     different insertion orders compare equal when their canonical forms
@@ -568,6 +571,13 @@ class Diagram:
     # an id, so the smallest free one never goes down and probing resumes.
     _fresh_from: dict[str, int] = field(
         default_factory=dict, init=False, repr=False, compare=False
+    )
+    # The binding index, (source, count, last, first, conflicting): first maps
+    # each (owner, attribute) to the first value bound and conflicting holds
+    # the keys also bound to a different value, over the first count entries
+    # of the list object source, of which last is the final one.
+    _binding_index: tuple = field(
+        default=(None, 0, None, None, None), init=False, repr=False, compare=False
     )
 
     def canonical_key(self):
@@ -686,13 +696,34 @@ class Diagram:
                 raise IllegalAttributeHost(f"{kind.value} edges cannot host attributes")
         else:
             raise UnknownOwner(owner)
-        for existing_owner, existing in self.bindings:
-            if existing_owner == owner and existing.attribute == binding.attribute:
-                if existing.value != binding.value:
-                    raise ConflictingDuplicate(
-                        f"{owner}.{binding.attribute} already bound to a different value"
-                    )
-        self.bindings.append((owner, binding))
+        first, conflicting = self._indexed_bindings()
+        key = (owner, binding.attribute)
+        value = first.setdefault(key, binding.value)
+        if key in conflicting or (value is not binding.value and value != binding.value):
+            raise ConflictingDuplicate(
+                f"{owner}.{binding.attribute} already bound to a different value"
+            )
+        # Index the new entry here, so that the next read has none to catch up.
+        self.bindings.append(entry := (owner, binding))
+        self._binding_index = (self.bindings, len(self.bindings), entry, first, conflicting)
+
+    def _indexed_bindings(self) -> tuple[dict[tuple[str, str], Value], set[tuple[str, str]]]:
+        """``(first, conflicting)`` of the binding index, caught up with
+        ``bindings``: entries appended since the last call are added, and
+        another list, a shorter one, or another entry where the indexed part
+        ended starts a new index."""
+        bindings = self.bindings
+        source, n, last, first, conflicting = self._binding_index
+        if bindings is not source or len(bindings) < n or (n and bindings[n - 1] is not last):
+            first, conflicting, n = {}, set(), 0
+        if n < len(bindings):
+            for owner, binding in bindings[n:]:
+                key = (owner, binding.attribute)
+                value = first.setdefault(key, binding.value)
+                if value is not binding.value and value != binding.value:
+                    conflicting.add(key)
+            self._binding_index = (bindings, len(bindings), bindings[-1], first, conflicting)
+        return first, conflicting
 
     # -- integrity checks, shared with grammar.validate --------------------
 
@@ -706,10 +737,8 @@ class Diagram:
         return [b for o, b in self.bindings if o == owner]
 
     def binding_value(self, owner: str, attribute: str) -> Value | None:
-        for o, b in self.bindings:
-            if o == owner and b.attribute == attribute:
-                return b.value
-        return None
+        """The first value bound to owner's attribute, or None."""
+        return self._indexed_bindings()[0].get((owner, attribute))
 
     def children_of(self, parent: str) -> list[str]:
         return sorted(c for c, p in self.containment.items() if p == parent)

@@ -1,3 +1,4 @@
+import copy
 import os
 import random
 import subprocess
@@ -6,7 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from tumbug.model import (
     AttributeBinding,
@@ -40,6 +42,8 @@ from tumbug.model import (
     new_diagram,
     payload_type,
 )
+from tumbug.dsl import parse, serialize
+from tumbug.grammar import resolve_query
 from tumbug.values import Scalar, Text, Wildcard
 
 from conftest import random_diagram
@@ -508,3 +512,129 @@ class TestFreshIds:
             d.add_element(Element(kind=Kind.CELL))
         assert time.perf_counter() - start < 1.0
         assert set(d.elements) == {f"n{i}" for i in range(1, 8001)}
+
+
+def test_16000_binds_on_one_owner_take_under_half_a_second():
+    d = new_diagram()
+    o = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE))
+    start = time.perf_counter()
+    for i in range(8000):
+        d.bind_attribute(o, AttributeBinding(f"a{i}", Scalar(i)))
+        d.bind_attribute(o, AttributeBinding("same", Text("x")))  # a same-value rebind
+    assert time.perf_counter() - start < 0.5
+    assert d.binding_value(o, "a7999") == Scalar(7999) and len(d.bindings) == 16000
+
+
+# The binding index against a linear scan.  r1 is the Relationship hop that
+# resolve_query follows from o1 to o2; Scalar(1) and Scalar(1.0) are equal
+# values held by distinct objects.
+_OWNERS = ("o1", "o2", "m1")
+_ATTRIBUTES = ("color", "speed")
+_BOUND = (Text("red"), Text("blue"), Scalar(1), Scalar(1.0), Wildcard.DK)
+_HOPS = {"o1": "o2"}
+_PAIRS = st.builds(
+    lambda o, a, v: (o, AttributeBinding(a, v)),
+    st.sampled_from(_OWNERS),
+    st.sampled_from(_ATTRIBUTES),
+    st.sampled_from(_BOUND),
+)
+
+
+def _scan(ref: list, owner: str | None, attribute: str) -> list:
+    return [b.value for o, b in ref if o == owner and b.attribute == attribute]
+
+
+def _conflicts(ref: list, owner: str, binding: AttributeBinding) -> bool:
+    return any(v != binding.value for v in _scan(ref, owner, binding.attribute))
+
+
+def _refused(d: Diagram, owner: str, binding: AttributeBinding) -> bool:
+    """Whether bind_attribute raises ConflictingDuplicate; else it binds."""
+    try:
+        d.bind_attribute(owner, binding)
+    except ConflictingDuplicate:
+        return True
+    return False
+
+
+class BindingIndexMachine(RuleBasedStateMachine):
+    """Writes to a diagram's bindings, mirrored into a reference list, and
+    after each one, bind_attribute, binding_value and resolve_query compared
+    with a scan of that list."""
+
+    def __init__(self):
+        super().__init__()
+        self.d = new_diagram()
+        for eid in ("o1", "o2"):
+            self.d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
+        self.d.add_edge(Edge(kind=EdgeKind.MOTION, source="o1", target="o2", id="m1"))
+        self.d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="o1", target="o2", id="r1"))
+        self.ref: list[tuple[str, AttributeBinding]] = []
+
+    @rule(pair=_PAIRS)
+    def bind(self, pair):
+        conflict = _conflicts(self.ref, *pair)
+        assert _refused(self.d, *pair) == conflict
+        if not conflict:
+            self.ref.append(pair)
+
+    @precondition(lambda self: self.ref)
+    @rule(data=st.data())
+    def rebind_same_value(self, data):
+        owner, binding = data.draw(st.sampled_from(self.ref))
+        assume(not _conflicts(self.ref, owner, binding))
+        pair = (owner, AttributeBinding(binding.attribute, binding.value))
+        assert not _refused(self.d, *pair)
+        self.ref.append(pair)
+
+    @rule(pair=_PAIRS)
+    def append(self, pair):
+        self.d.bindings.append(pair)
+        self.ref.append(pair)
+
+    @rule(first=st.lists(_PAIRS, max_size=1))
+    def replace_the_list(self, first):
+        """A copy of the list, or one whose first entry is another."""
+        self.d.bindings = [*first, *self.d.bindings[len(first):]]
+        self.ref[: len(first)] = first
+
+    @precondition(lambda self: self.ref)
+    @rule()
+    def pop(self):
+        self.d.bindings.pop()
+        self.ref.pop()
+
+    @precondition(lambda self: self.ref)
+    @rule(pair=_PAIRS)
+    def pop_and_append(self, pair):
+        assume(pair != self.ref[-1])
+        self.d.bindings.pop()
+        self.d.bindings.append(pair)
+        self.ref[-1] = pair
+
+    @invariant()
+    def agrees_with_a_scan(self):
+        # A bind that must raise goes to d itself.  Every bind also goes to a
+        # copy of d, whose index starts where d's is, mirrored in probe_ref.
+        probe, probe_ref = copy.deepcopy(self.d), list(self.ref)
+        for owner in _OWNERS:
+            for attribute in _ATTRIBUTES:
+                bound = _scan(self.ref, owner, attribute)
+                assert self.d.binding_value(owner, attribute) == (bound[0] if bound else None)
+                answer = bound or _scan(self.ref, _HOPS.get(owner), attribute) or [Wildcard.DK]
+                assert resolve_query(self.d, owner, attribute) == answer[0]
+                for value in _BOUND:
+                    pair = (owner, AttributeBinding(attribute, value))
+                    if _conflicts(self.ref, *pair):
+                        assert _refused(self.d, *pair)
+                    conflict = _conflicts(probe_ref, *pair)
+                    assert _refused(probe, *pair) == conflict
+                    if not conflict:
+                        probe_ref.append(pair)
+        assert parse(serialize(self.d)) == self.d
+
+
+BindingIndexMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None, database=None
+)
+TestBindingIndex = BindingIndexMachine.TestCase
