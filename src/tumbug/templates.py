@@ -8,6 +8,7 @@ diagram regardless of construction order.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 from functools import reduce
@@ -35,6 +36,7 @@ __all__ = [
     "AspectSpec",
     "MissingRole",
     "UnsupportedOperator",
+    "InvalidArithmetic",
     "EmptyProgram",
     "build_primitive",
     "build_pattern",
@@ -56,6 +58,10 @@ class MissingRole(KeyError):
 
 class UnsupportedOperator(ValueError):
     pass
+
+
+class InvalidArithmetic(ValueError):
+    """An arithmetic input or result that is not finite, or a zero divisor."""
 
 
 class EmptyProgram(ValueError):
@@ -491,19 +497,28 @@ def _darii(terms: tuple[str, str, str], facts: set[str]) -> Diagram:
 def build_arithmetic(op: str, inputs: list[float]) -> Diagram:
     """Data objects flowing into a virtual operator that causes the result.
 
-    A timeline is always present: calculation takes time.
+    A timeline is always present: calculation takes time.  A zero divisor,
+    or an input or result that is not finite, raises InvalidArithmetic.
     """
     if op not in OPERATORS:
         raise UnsupportedOperator(op)
     if not inputs:
         raise MissingRole("at least one input number")
-    result = reduce(OPERATORS[op][1], map(float, inputs))
+    numbers = [float(x) for x in inputs]
+    for i, x in enumerate(numbers, start=1):
+        if not math.isfinite(x):
+            raise InvalidArithmetic(f"input {i} is {x}, not a finite number")
+        if op == "/" and i > 1 and x == 0:
+            raise InvalidArithmetic(f"division by zero: input {i} is 0")
+    result = reduce(OPERATORS[op][1], numbers)
+    if not math.isfinite(result):
+        raise InvalidArithmetic(f"the result of {op} is not a finite number")
 
     b = _Builder()
     b.timeline()
     box = b.elem(Kind.AGGREGATION_BOX, "operands", id_hint="operands")
-    for i, x in enumerate(inputs):
-        b.data(fmt_num(float(x)), parent=box, id_hint=f"in-{i + 1}")
+    for i, x in enumerate(numbers, start=1):
+        b.data(fmt_num(x), parent=box, id_hint=f"in-{i}")
     out = b.data(fmt_num(result), id_hint="out")
     b.edge(EdgeKind.CAUSATION, source=box, target=out, id_hint="apply", attrs={"label": Text(op)})
     return b.d

@@ -141,6 +141,18 @@ class TestTemplate:
         d = parse(capsys.readouterr().out)
         assert validate(d) == []
 
+    @pytest.mark.parametrize(
+        "roles, err",
+        [
+            (["op=/", "inputs=1,0"], "error: division by zero: input 2 is 0\n"),
+            (["op=*", "inputs=1e200,1e200"], "error: the result of * is not a finite number\n"),
+            (["op=+", "inputs=nan,1"], "error: input 1 is nan, not a finite number\n"),
+        ],
+    )
+    def test_arithmetic_refuses_zero_divisors_and_non_finite_numbers(self, roles, err, capsys):
+        assert run(["template", "arithmetic", "--roles", *roles]) == 2
+        assert capsys.readouterr() == ("", err)
+
     @pytest.mark.parametrize("step", ["0", "-1", "4", "9", "x"])
     def test_syllogism_step_outside_its_steps_is_usage_error(self, step, capsys):
         roles = ["terms=men,mortal,Socrates", f"step={step}"]

@@ -11,6 +11,7 @@ from tumbug.templates import (
     AspectSpec,
     BasicPattern,
     EmptyProgram,
+    InvalidArithmetic,
     MissingRole,
     PrimitiveAct,
     TENSES,
@@ -317,6 +318,18 @@ class TestArithmetic:
     def test_unsupported_operator(self):
         with pytest.raises(UnsupportedOperator):
             build_arithmetic("^", [1, 2])
+
+    @pytest.mark.parametrize(
+        "op, nums",
+        [("/", [1, 0]), ("/", [0, 2, -0.0]), ("*", [1e200, 1e200]), ("+", [1e308, 1e308]),
+         ("-", [float("inf"), 1]), ("+", [1, float("nan")])],
+    )
+    def test_zero_divisor_and_non_finite_numbers_are_refused(self, op, nums):
+        with pytest.raises(InvalidArithmetic):
+            build_arithmetic(op, nums)
+
+    def test_zero_dividend_is_fine(self):
+        assert build_arithmetic("/", [0, 2]).elements["out"].label == "0"
 
     def test_all_outputs_validate(self):
         for op, nums in (("+", [1, 2]), ("-", [9, 4]), ("*", [3, 5]), ("/", [8, 2])):
