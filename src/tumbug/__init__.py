@@ -115,6 +115,11 @@ def table_lines(text: str) -> Iterator[tuple[int, str, str]]:
             yield lineno, raw, line
 
 
+def list_items(text: str) -> tuple[str, ...]:
+    """The non-empty items of a comma-separated list."""
+    return tuple(filter(None, text.split(",")))
+
+
 def __getattr__(name: str):
     if name in _EXPORTS:
         return importlib.import_module(f".{name}", __name__)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 # Only what every subcommand needs loads here; each _cmd_* imports the rest,
 # so a run pays for the modules its subcommand uses and no others.
-from . import dsl
+from . import dsl, list_items
 from .dsl import ParseError
 from .model import ModelError, StateDiagramGroup
 
@@ -82,11 +82,6 @@ def _roles_dict(pairs: list[str]) -> dict[str, str]:
     return roles
 
 
-def _items(text: str) -> list[str]:
-    """The non-empty items of a comma-separated list."""
-    return [item for item in text.split(",") if item]
-
-
 def _cmd_validate(args) -> int:
     from . import grammar
 
@@ -132,7 +127,7 @@ def _template_diagram(name: str, roles: dict[str, str]):
     if name in acts:
         return templates.build_primitive(acts[name], **roles)
     if name in patterns:
-        return templates.build_pattern(patterns[name], *_items(roles.get("labels", "")))
+        return templates.build_pattern(patterns[name], *list_items(roles.get("labels", "")))
     if name == "aspect":
         spec = templates.AspectSpec(
             roles.get("tense", "past"),
@@ -141,7 +136,7 @@ def _template_diagram(name: str, roles: dict[str, str]):
         )
         return templates.build_aspect(spec, roles.get("actor", "actor"), roles.get("action", "act"))
     if name in ("barbara", "celarent", "darii"):
-        terms = tuple(_items(roles.get("terms", "")))
+        terms = list_items(roles.get("terms", ""))
         if len(terms) != 3:
             raise templates.MissingRole("terms=a,b,c")
         steps = templates.build_syllogism(name, terms, roles.get("swap", "") == "true")
@@ -150,12 +145,12 @@ def _template_diagram(name: str, roles: dict[str, str]):
             raise templates.MissingRole(f"step=1..{len(steps)}")
         return steps[int(step) - 1]
     if name == "arithmetic":
-        inputs = [float(x) for x in _items(roles.get("inputs", ""))]
+        inputs = [float(x) for x in list_items(roles.get("inputs", ""))]
         return templates.build_arithmetic(roles.get("op", "+"), inputs)
     if name in ("sequential", "loop", "branch"):
-        schedule = {key: _items(roles.get(key, "")) for key in ("body", "then", "else")}
+        schedule = {key: list_items(roles.get(key, "")) for key in ("body", "then", "else")}
         schedule.update(iterations=int(roles.get("iterations", "1")), take=roles.get("take", "then"))
-        return templates.draw_flowchart(name, _items(roles.get("statements", "")), schedule)
+        return templates.draw_flowchart(name, list_items(roles.get("statements", "")), schedule)
     if name == "passive":
         return templates.build_passive(
             roles.get("action", "acted"), roles.get("object", "object"), roles.get("agent") or None
@@ -246,7 +241,7 @@ def _cmd_trace(args) -> int:
     if not groups:
         print("no state-diagram group in file", file=sys.stderr)
         return 2
-    schedule = _roles_dict(_items(args.schedule))
+    schedule = _roles_dict(list_items(args.schedule))
     unknown = sorted(set(schedule) - {"iterations", "take"})
     if unknown:
         raise ValueError(f"unknown schedule key {unknown[0]!r}; expected iterations or take")

@@ -40,6 +40,7 @@ import math
 import re
 from dataclasses import dataclass
 
+from . import list_items
 from .model import (
     ID_RE,
     AttributeBinding,
@@ -317,7 +318,7 @@ def _list(key: str, attribute: str, show, read, collect=tuple):
         key,
         attribute,
         lambda items: ",".join(map(show, order(items))) or None,
-        lambda tok, text: collect(read(tok, part) for part in text.split(",") if part),
+        lambda tok, text: collect(read(tok, part) for part in list_items(text)),
     )
 
 
@@ -437,7 +438,7 @@ def _decode_payload(kind: Kind, pairs: dict[str, tuple[_Token, str]]):
 
 
 def _items(d: Diagram, tok: _Token, text: str) -> tuple[str, ...]:
-    return tuple(part for part in text.split(",") if part)
+    return list_items(text)
 
 
 def _word(d: Diagram, tok: _Token, text: str) -> str:
@@ -445,12 +446,12 @@ def _word(d: Diagram, tok: _Token, text: str) -> str:
 
 
 def _numbers(d: Diagram, tok: _Token, text: str) -> tuple[float, ...]:
-    return tuple(_parse_number(tok, part) for part in _items(d, tok, text))
+    return tuple(_parse_number(tok, part) for part in list_items(text))
 
 
 def _states_and_tubes(d: Diagram, tok: _Token, text: str) -> tuple[tuple[str, ...], ...]:
     """An id that names an element is a state, one that names an edge a tube."""
-    members = _items(d, tok, text)
+    members = list_items(text)
     for m in members:
         if m not in d.elements and m not in d.edges:
             raise ParseError(_span(tok), "existing member id", m)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from . import table_lines, tables_dir
+from . import list_items, table_lines, tables_dir
 from .model import CHANGE_ARROW_KINDS, KIND_FACTS, Diagram, Kind
 
 __all__ = [
@@ -111,7 +111,7 @@ def parse_rules(text: str) -> dict[TriggerTag, Rule]:
             raise RuleSetError(f"line {lineno}: {exc}") from exc
         if tag in rules:
             raise RuleSetError(f"line {lineno}: duplicate rule for {tag.value}")
-        split = lambda t: frozenset(filter(None, t.split(","))) if t != "-" else frozenset()
+        split = lambda t: frozenset(list_items(t)) if t != "-" else frozenset()
         rules[tag] = Rule(index, tag, split(mand_text), split(adv_text), split(cue_text))
     missing = set(TriggerTag) - set(rules)
     if missing:
