@@ -95,15 +95,15 @@ __all__ = sorted([*_EXPORTS, *_HOME])
 __version__ = "0.1.0"
 
 
-def tables_dir() -> Path:
-    """Directory holding the shipped data tables; TUMBUG_TABLES overrides.
+# The shipped data tables.  Modules read their vocabularies from here, never from
+# TUMBUG_TABLES, so a custom table is checked against the shipped one.  It lives
+# here so that every module that reads a table finds it without loading another.
+DATA_DIR = Path(__file__).parent / "data"
 
-    It lives here, not in a submodule, so that every module that reads a
-    table finds it without loading another."""
-    override = os.environ.get("TUMBUG_TABLES")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
+
+def tables_dir() -> Path:
+    """Directory of the data tables to load: TUMBUG_TABLES, else ``DATA_DIR``."""
+    return Path(os.environ.get("TUMBUG_TABLES") or DATA_DIR)
 
 
 def table_lines(text: str) -> Iterator[tuple[int, str, str]]:

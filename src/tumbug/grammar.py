@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from . import table_lines
+from . import DATA_DIR, table_lines
 from .model import (
     CHANGE_ARROW_KINDS,
     CONTAINER_KINDS,
@@ -108,7 +108,7 @@ def load_legality(path: str | Path) -> LegalityTable:
 
 @functools.cache
 def _shipped_legality() -> LegalityTable:
-    return load_legality(Path(__file__).parent / "data" / "legality.tbl")
+    return load_legality(DATA_DIR / "legality.tbl")
 
 
 class ViolationCode(str, enum.Enum):

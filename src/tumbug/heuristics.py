@@ -3,7 +3,10 @@
 Fourteen rules map prose-level cues (barriers, lifting, causal connectives,
 ...) to the Building Blocks a faithful diagram needs.  Triggers are
 caller-supplied tags, not extracted from text.  Rules load from a data file
-so the set stays editable; the shipped file mirrors the fourteen heuristics.
+so the set stays editable.  The shipped ``data/heuristics.tbl`` is the only
+copy of the trigger vocabulary: ``TriggerTag`` has one member per tag in it,
+read from the package even when ``TUMBUG_TABLES`` points elsewhere, so that a
+custom rule file must cover the shipped tags.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from . import list_items, table_lines, tables_dir
+from . import DATA_DIR, list_items, table_lines, tables_dir
 from .model import CHANGE_ARROW_KINDS, KIND_FACTS, Diagram, Kind
 
 __all__ = [
@@ -36,21 +39,18 @@ class RuleSetError(ValueError):
     pass
 
 
-class TriggerTag(str, enum.Enum):
-    BARRIER = "barrier"
-    LIFT_CARRY = "lift-carry"
-    DAMAGE_INTERFERENCE = "damage-interference"
-    SPATIAL_RELATION = "spatial-relation"
-    RELATIVE_TIME = "relative-time"
-    DOWNWARD_GRAVITY = "downward-gravity"
-    INTERIOR = "interior"
-    SPEED = "speed"
-    COLLECTIVE_VIEW = "collective-view"
-    LINE_OF_SIGHT = "line-of-sight"
-    CAUSAL_CONNECTIVE = "causal-connective"
-    TRANSFER_TRAVEL = "transfer-travel"
-    INFORMATION_TRANSFER = "information-transfer"
-    TEMPORAL_PROCESS = "temporal-process"
+# The tag column of the shipped rule file, in its order.
+_SHIPPED_TAGS = [
+    line.split()[1]
+    for _, _, line in table_lines((DATA_DIR / "heuristics.tbl").read_text(encoding="utf-8"))
+]
+# One member per shipped tag: BARRIER = "barrier".
+TriggerTag = enum.Enum(
+    "TriggerTag",
+    [(tag.upper().replace("-", "_"), tag) for tag in _SHIPPED_TAGS],
+    type=str,
+    module=__name__,
+)
 
 
 @dataclass(frozen=True)

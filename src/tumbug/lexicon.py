@@ -13,6 +13,11 @@ attribute names, then one row per entry::
 
 cells in header order.  Modal tables additionally use ``(T)`` for implied
 (parenthesized) cells, which show in icons but never count toward scores.
+
+The shipped ``data/modal_verbs.tbl`` is the only copy of the modal vocabulary:
+``MODAL_CONCEPTS`` is its header and ``MODAL_VERBS`` its verbs, read from the
+package even when ``TUMBUG_TABLES`` points elsewhere, so that a custom modal
+table is checked against them.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import enum
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import table_lines, tables_dir
+from . import DATA_DIR, table_lines, tables_dir
 from .model import SwirlyArrayPayload
 
 __all__ = [
@@ -163,46 +168,6 @@ def select_word(context: ConceptVector, lexicon: Lexicon) -> list[RankedWord]:
 # --------------------------------------------------------------------------
 # Modal verbs.
 
-MODAL_CONCEPTS = (
-    "Ability",
-    "Advice",
-    "Formal Directive",
-    "Formality",
-    "Habit",
-    "Ideal",
-    "Intention",
-    "Likelihood",
-    "Obligation",
-    "Offer",
-    "Permission",
-    "Possibility",
-    "Prediction",
-    "Request",
-    "Suggestion",
-    "Tense",
-    "Willpower",
-)
-
-MODAL_VERBS = (
-    "be able to",
-    "can",
-    "could",
-    "had best",
-    "had better",
-    "have got to",
-    "have to",
-    "may",
-    "might",
-    "must",
-    "needn't",
-    "ought to",
-    "shall",
-    "should",
-    "will",
-    "would",
-)
-
-
 @dataclass(frozen=True)
 class ModalRow:
     verb: str
@@ -300,26 +265,8 @@ ATTITUDE_CATALOG: dict[str, frozenset[str]] = {
     "grammatical": frozenset({"command"}),
 }
 
-CORE_ATTITUDES = frozenset(
-    {
-        "assert",
-        "believe",
-        "command",
-        "consider",
-        "deny",
-        "desire",
-        "doubt",
-        "fear",
-        "hope",
-        "imagine",
-        "intend",
-        "judge",
-        "know",
-        "perceive",
-        "want",
-        "wish",
-    }
-)
+# The sixteen core attitudes: every catalogued attitude but "inform".
+CORE_ATTITUDES = frozenset().union(*ATTITUDE_CATALOG.values()) - {"inform"}
 
 
 def attitude_category(name: str) -> str:
@@ -387,3 +334,9 @@ def _plain_cell(token: str) -> Cell:
 
 def load_default_modal_table() -> ModalTable:
     return ModalTable.from_table(load_table(tables_dir() / "modal_verbs.tbl"))
+
+
+# Defined last: reading the shipped table needs load_table.
+_SHIPPED_MODAL = load_table(DATA_DIR / "modal_verbs.tbl")
+MODAL_CONCEPTS = _SHIPPED_MODAL.attributes
+MODAL_VERBS = tuple(sorted({row.word for row in _SHIPPED_MODAL.rows}))

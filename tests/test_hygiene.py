@@ -1,6 +1,7 @@
 """Module hygiene: what each module says it exports exists, the package's lazy
 exports agree with the modules, no module imports a name it never uses or a
-private name of another module, and the package version is the project's."""
+private name of another module, only the package spells its data directory,
+and the package version is the project's."""
 
 import ast
 import importlib
@@ -96,3 +97,11 @@ def test_version_is_the_project_version():
     # A regex, not tomllib: the project supports Pythons older than 3.11.
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r'^version = "([^"]*)"$', pyproject, re.MULTILINE) == [tumbug.__version__]
+
+
+def test_only_the_package_spells_the_data_directory():
+    # tumbug.DATA_DIR is the one spelling of where the shipped tables live.
+    spellers = sorted(
+        p.name for p in SRC.glob("*.py") if "Path(__file__)" in p.read_text(encoding="utf-8")
+    )
+    assert spellers == ["__init__.py"]
