@@ -550,6 +550,8 @@ def _flowchart(
     and the id of the taken branch arm's first state."""
     if not statements:
         raise EmptyProgram("no statements")
+    if len(set(statements)) < len(statements):
+        raise EmptyProgram("statements must not repeat")
     schedule = schedule or {}
     b = _Builder()
     states = {s: b.elem(Kind.STATE_CIRCLE, s, id_hint=s) for s in statements}

@@ -189,6 +189,11 @@ class TestTemplate:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: branch arms must not share statements\n"
 
+    def test_repeated_statement_exits_two(self, capsys):
+        assert main(["template", "sequential", "--roles", "statements=a,b,a"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: statements must not repeat\n"
+
 
 class TestMatch:
     def test_shipped_throw_example(self, capsys):

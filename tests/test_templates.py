@@ -459,6 +459,15 @@ class TestRunTrace:
             with pytest.raises(EmptyProgram, match="share"):
                 build("branch", ["S1", "S2", "S3", "S4"], schedule)
 
+    @pytest.mark.parametrize("kind", ["sequential", "loop", "branch"])
+    def test_repeated_statements_are_rejected(self, kind):
+        # ["a", "b", "a"] drew an orphan StateCircle a, listed a-2 twice in
+        # the program group and traced "a b".
+        schedule = {"body": ["a", "b"], "then": ["b"], "else": ["c"]}
+        for build in (build_flowchart, draw_flowchart):
+            with pytest.raises(EmptyProgram, match="repeat"):
+                build(kind, ["a", "b", "c", "a"], schedule)
+
     def test_drawing_ignores_iterations_but_still_rejects_below_one(self):
         schedule = {"body": ["S1", "S3"], "iterations": 40_000}
         once = draw_flowchart("loop", ["S1", "S2", "S3"], {**schedule, "iterations": 1})
