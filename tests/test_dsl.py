@@ -145,6 +145,7 @@ class TestValueLiterals:
             ('"hi"', Text("hi")),
             ("3", Scalar(3)),
             ("-2.5", Scalar(-2.5)),
+            ("18446744073709551616", Scalar(2.0**64)),
             ("85:kg", Scalar(85, "kg")),
             ("DK", Wildcard.DK),
             ("DC", Wildcard.DC),
@@ -164,6 +165,12 @@ class TestValueLiterals:
         d = parse(f"elem o1 PhysicalObjectCircle\nattr o1 a={literal}\n")
         assert d.bindings[0][1].value == value
         assert serialize(d) == f"elem o1 PhysicalObjectCircle\nattr o1 a={literal}\n"
+
+    def test_large_integral_scalar_round_trips_in_short_form(self):
+        # It printed as 201 digits.
+        d = parse("elem o1 PhysicalObjectCircle\nattr o1 w=1e200\n")
+        assert serialize(d) == "elem o1 PhysicalObjectCircle\nattr o1 w=1e+200\n"
+        assert parse(serialize(d)) == d
 
     def test_text_escapes(self):
         tricky = 'say "hi"\n\tback\\slash #x'

@@ -288,3 +288,13 @@ class TestNumberFormatting:
     def test_integers_print_bare(self):
         assert fmt_num(3.0) == "3"
         assert fmt_num(-2.0) == "-2"
+
+    @pytest.mark.parametrize(
+        "x, text",
+        [(1e200, "1e+200"), (-1e200, "-1e+200"), (2.0**64, "18446744073709551616"), (1e16, "1e+16")],
+    )
+    def test_large_integers_print_the_shorter_form(self, x, text):
+        # 1e200 printed as 201 digits; repr is not always shorter: 2**64 is
+        # 20 characters as an integer and 22 as 1.8446744073709552e+19.
+        assert fmt_num(x) == text
+        assert float(text) == x
