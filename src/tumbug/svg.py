@@ -16,7 +16,6 @@ from .model import (
     KIND_FACTS,
     MOTIVATION_LEVELS,
     ROBINSON_CATEGORIES,
-    AttributeBinding,
     Diagram,
     Edge,
     EdgeKind,
@@ -113,7 +112,7 @@ def _leaf_size(el: Element) -> tuple[float, float]:
 
 
 def _layout(
-    d: Diagram, by_owner: dict[str, list[AttributeBinding]]
+    d: Diagram, by_owner: dict[str, list[str]]
 ) -> tuple[dict[str, _Box], list[str]]:
     """Assign a box to every element: explicit positions win, containers
     pack their children, top-level elements are layered left-to-right by
@@ -226,10 +225,13 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     if violations:
         raise InvalidDiagram(violations)
 
-    # Each owner's bindings in list order, grouped once for the whole render.
-    by_owner: dict[str, list[AttributeBinding]] = {}
-    for owner, binding in d.bindings:
-        by_owner.setdefault(owner, []).append(binding)
+    # Each owner's escaped attribute lines, in serialize's order (attribute,
+    # then value literal) so that equal diagrams render alike.
+    by_owner: dict[str, list[str]] = {}
+    for owner, attribute, literal in sorted(
+        (owner, b.attribute, value_literal(b.value)) for owner, b in d.bindings
+    ):
+        by_owner.setdefault(owner, []).append(_esc(f"{attribute} = {literal}"))
     boxes, parents_first = _layout(d, by_owner)
     out: list[str] = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -296,7 +298,7 @@ def _render_element(
     d: Diagram,
     eid: str,
     box: _Box,
-    bindings: list[AttributeBinding],
+    attr_lines: list[str],
     options: RenderOptions,
 ) -> list[str]:
     el = d.elements[eid]
@@ -396,9 +398,8 @@ def _render_element(
 
     # Attribute lines hang under the element.
     ay = y + h + FONT_SIZE
-    for binding in bindings:
-        text = f"{binding.attribute} = {value_literal(binding.value)}"
-        out.append(f'<text x="{fmt_num(x + 4)}" y="{fmt_num(ay)}" class="attr">{_esc(text)}</text>')
+    for text in attr_lines:
+        out.append(f'<text x="{fmt_num(x + 4)}" y="{fmt_num(ay)}" class="attr">{text}</text>')
         ay += FONT_SIZE + 3
 
     out.append("</g>")
@@ -445,7 +446,7 @@ def _render_edge(
     edge: Edge,
     ordinal: int,
     boxes: dict[str, _Box],
-    bindings: list[AttributeBinding],
+    attr_lines: list[str],
 ) -> list[str]:
     style, tip_arrow, centered_arrow = _EDGE_STYLE[edge.kind]
     if tip_arrow:
@@ -459,7 +460,7 @@ def _render_edge(
             f'{fmt_num(a.y - 36)} {fmt_num(a.cx - 40)} {fmt_num(a.y - 36)} '
             f'{fmt_num(a.cx - 4)} {fmt_num(a.y)}" fill="none" {style}/>'
         )
-        out.extend(_edge_attr_texts(bindings, a.cx, a.y - 40))
+        out.extend(_edge_attr_texts(attr_lines, a.cx, a.y - 40))
         out.append("</g>")
         return out
     if a is not None and b is not None:
@@ -479,17 +480,16 @@ def _render_edge(
             f'L {fmt_num(mx + 5)} {fmt_num(my)} L {fmt_num(mx - 5)} {fmt_num(my + 4)} z" '
             'fill="black"/>'
         )
-    out.extend(_edge_attr_texts(bindings, (x1 + x2) / 2, (y1 + y2) / 2 - 8))
+    out.extend(_edge_attr_texts(attr_lines, (x1 + x2) / 2, (y1 + y2) / 2 - 8))
     out.append("</g>")
     return out
 
 
-def _edge_attr_texts(bindings: list[AttributeBinding], x: float, y: float) -> list[str]:
+def _edge_attr_texts(attr_lines: list[str], x: float, y: float) -> list[str]:
     out = []
-    for i, binding in enumerate(bindings):
-        text = f"{binding.attribute} = {value_literal(binding.value)}"
+    for i, text in enumerate(attr_lines):
         out.append(
             f'<text x="{fmt_num(x + 6)}" y="{fmt_num(y - i * (FONT_SIZE + 2))}" '
-            f'class="attr">{_esc(text)}</text>'
+            f'class="attr">{text}</text>'
         )
     return out

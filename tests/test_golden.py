@@ -46,7 +46,7 @@ from tumbug.values import Scalar, Text, Wildcard
 from conftest import random_diagram
 from test_templates import ACT_ROLES, PATTERN_LABELS
 
-GOLDEN_SHA256 = "75ba15db693fe9d6750e9b8755fc7c4b4e1786d05980366268ef154859a1a6ec"
+GOLDEN_SHA256 = "c99be79e9a1238dd46f76741a01390d2a039b50eddfe2a10721613640a9fd8c8"
 
 
 def _template_diagrams() -> list[Diagram]:

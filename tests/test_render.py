@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from tumbug.dsl import parse, serialize
 from tumbug.grammar import validate
 from tumbug.model import (
     AttributeBinding,
@@ -51,6 +52,25 @@ def test_deterministic_output():
     for _ in range(10):
         rd = random_diagram(rng)
         assert render(rd) == render(rd)
+
+
+def _bound_in_order(names):
+    d = new_diagram()
+    for eid in ("o1", "o2"):
+        d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
+    d.add_edge(Edge(kind=EdgeKind.MOTION, source="o1", target="o2", id="m1"))
+    for owner in ("o1", "m1"):
+        for name in names:
+            d.bind_attribute(owner, AttributeBinding(name, Text(name)))
+    return d
+
+
+def test_equal_diagrams_render_alike():
+    # Attribute lines were drawn in binding order, so these equal diagrams,
+    # and a diagram and its serialize round trip, rendered different bytes.
+    d, swapped = _bound_in_order(["size", "color"]), _bound_in_order(["color", "size"])
+    assert d == swapped
+    assert render(d) == render(swapped) == render(parse(serialize(d)))
 
 
 def test_invalid_diagram_refused():
