@@ -95,9 +95,8 @@ __all__ = sorted([*_EXPORTS, *_HOME])
 __version__ = "0.1.0"
 
 
-# The shipped data tables.  Modules read their vocabularies from here, never from
-# TUMBUG_TABLES, so a custom table is checked against the shipped one.  It lives
-# here so that every module that reads a table finds it without loading another.
+# The shipped tables; modules read their vocabularies here, never in TUMBUG_TABLES.
+# Kept here so that every module that reads a table finds it without loading another.
 DATA_DIR = Path(__file__).parent / "data"
 
 

@@ -4,9 +4,8 @@ Fourteen rules map prose-level cues (barriers, lifting, causal connectives,
 ...) to the Building Blocks a faithful diagram needs.  Triggers are
 caller-supplied tags, not extracted from text.  Rules load from a data file
 so the set stays editable.  The shipped ``data/heuristics.tbl`` is the only
-copy of the trigger vocabulary: ``TriggerTag`` has one member per tag in it,
-read from the package even when ``TUMBUG_TABLES`` points elsewhere, so that a
-custom rule file must cover the shipped tags.
+copy of the trigger tags: ``TriggerTag`` has one member per tag in it, and a
+custom rule file under ``TUMBUG_TABLES`` must cover them all.
 """
 
 from __future__ import annotations
@@ -39,12 +38,11 @@ class RuleSetError(ValueError):
     pass
 
 
-# The tag column of the shipped rule file, in its order.
+# One member per tag of the shipped rule file, in its order: BARRIER = "barrier".
 _SHIPPED_TAGS = [
     line.split()[1]
     for _, _, line in table_lines((DATA_DIR / "heuristics.tbl").read_text(encoding="utf-8"))
 ]
-# One member per shipped tag: BARRIER = "barrier".
 TriggerTag = enum.Enum(
     "TriggerTag",
     [(tag.upper().replace("-", "_"), tag) for tag in _SHIPPED_TAGS],

@@ -15,9 +15,8 @@ cells in header order.  Modal tables additionally use ``(T)`` for implied
 (parenthesized) cells, which show in icons but never count toward scores.
 
 The shipped ``data/modal_verbs.tbl`` is the only copy of the modal vocabulary:
-``MODAL_CONCEPTS`` is its header and ``MODAL_VERBS`` its verbs, read from the
-package even when ``TUMBUG_TABLES`` points elsewhere, so that a custom modal
-table is checked against them.
+``MODAL_CONCEPTS`` is its header and ``MODAL_VERBS`` its verbs, and a custom
+modal table under ``TUMBUG_TABLES`` is checked against them.
 """
 
 from __future__ import annotations

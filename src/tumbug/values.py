@@ -63,8 +63,7 @@ UNIT_RE = re.compile(r"[A-Za-z%][A-Za-z0-9_%/-]*")
 
 def fmt_num(x: float) -> str:
     """Shortest decimal that round-trips through float(), the same for equal
-    numbers of any type: 20 and 20.0 both print as 20.  From 1e16 on, an
-    integral number prints as repr does (1e+200) when that is shorter."""
+    numbers of any type: 20 and 20.0 both print as 20."""
     x = float(x)
     if not x.is_integer():
         return repr(x)
