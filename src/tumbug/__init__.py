@@ -10,6 +10,7 @@ for modal verbs and translation lexicons.
 its module on first access (PEP 562), so a command loads only what it uses.
 """
 
+import functools
 import importlib
 import os
 from pathlib import Path
@@ -102,7 +103,12 @@ DATA_DIR = Path(__file__).parent / "data"
 
 def tables_dir() -> Path:
     """Directory of the data tables to load: TUMBUG_TABLES, else ``DATA_DIR``."""
-    return Path(os.environ.get("TUMBUG_TABLES") or DATA_DIR)
+    return _tables_dir(os.environ.get("TUMBUG_TABLES"))
+
+
+@functools.cache  # one Path per setting, so that caches keyed on it cost one lookup
+def _tables_dir(setting: str | None) -> Path:
+    return Path(setting or DATA_DIR)
 
 
 def table_lines(text: str) -> Iterator[tuple[int, str, str]]:

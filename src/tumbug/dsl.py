@@ -80,7 +80,8 @@ from .values import (
     parse_expr,
 )
 
-__all__ = ["SourceSpan", "ParseError", "parse", "serialize", "value_literal", "parse_value_literal"]
+__all__ = ["SourceSpan", "ParseError", "parse", "serialize", "binding_literals", "value_literal",
+           "parse_value_literal"]
 
 _NUMBER_RE = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
@@ -690,6 +691,12 @@ def _parse_group(d: Diagram, tokens: tuple[_Token, ...]) -> None:
 # Serialization.
 
 
+def binding_literals(d: Diagram) -> list[tuple[str, str, str]]:
+    """``(owner, attribute, value literal)`` per binding, sorted: the order in
+    which serialize writes the bindings and render draws each owner's."""
+    return sorted((owner, b.attribute, value_literal(b.value)) for owner, b in d.bindings)
+
+
 def serialize(d: Diagram) -> str:
     """Canonical text for a diagram; stable across runs and insert orders."""
     lines: list[str] = []
@@ -728,10 +735,5 @@ def serialize(d: Diagram) -> str:
             if text is not None:
                 parts.append(f"{key}={text}")
         lines.append(" ".join(parts))
-    rendered = [
-        (owner, binding.attribute, value_literal(binding.value))
-        for owner, binding in d.bindings
-    ]
-    for owner, attribute, literal in sorted(rendered):
-        lines.append(f"attr {owner} {attribute}={literal}")
+    lines.extend(f"attr {owner} {attr}={literal}" for owner, attr, literal in binding_literals(d))
     return "\n".join(lines) + ("\n" if lines else "")

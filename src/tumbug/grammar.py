@@ -31,7 +31,6 @@ from .model import (
     SplitTimeGroup,
     StateDiagramGroup,
     UnknownOwner,
-    can_host,
 )
 from .values import Text, Value, Wildcard
 
@@ -239,22 +238,13 @@ def _arrow_shapes(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
 
 def _attribute_hosts(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
     for owner, binding in d.bindings:
-        if owner in d.elements:
-            kind = d.elements[owner].kind
-            if not can_host(kind):
-                yield Violation(
-                    ViolationCode.ATTR_HOST_ILLEGAL,
-                    (owner,),
-                    f"{kind.value} cannot host attribute {binding.attribute!r}",
-                )
-        elif owner in d.edges:
-            kind = d.edges[owner].kind
-            if not can_host(kind):
-                yield Violation(
-                    ViolationCode.ATTR_HOST_ILLEGAL, (owner,), f"{kind.value} edge cannot host attributes"
-                )
-        else:
+        try:
+            problem = d.host_problem(owner, binding.attribute)
+        except UnknownOwner:
             yield Violation(ViolationCode.UNKNOWN_REF, (owner,), "binding owner does not exist")
+        else:
+            if problem is not None:
+                yield Violation(ViolationCode.ATTR_HOST_ILLEGAL, (owner,), problem)
 
 
 def _attribute_conflicts(d: Diagram, table: LegalityTable) -> Iterator[Violation]:

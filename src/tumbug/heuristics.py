@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import enum
 import functools
+from itertools import chain
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from . import DATA_DIR, list_items, table_lines, tables_dir
-from .model import CHANGE_ARROW_KINDS, KIND_FACTS, Diagram, Kind
+from .model import CHANGE_ARROW_KINDS, KIND_FACTS, Diagram, EdgeKind, Kind
 
 __all__ = [
     "TriggerTag",
@@ -59,14 +60,18 @@ class Trigger:
     cue: str | None = None
 
 
-# Requirement kinds: concrete element kinds, the Change Arrow names, or the
-# abstract classes AnyBox / AnyMarker.
-_ARROW_NAMES = {name: k for k in CHANGE_ARROW_KINDS for name in KIND_FACTS[k].aliases}
-_ABSTRACT = ("AnyBox", "AnyMarker")
+# Each requirement name to the kinds that meet it: an element kind's name, a
+# Change Arrow's Building Block name, or an abstract class (AnyBox, AnyMarker).
+_MET_BY: dict[str, set[Kind | EdgeKind]] = {
+    **{k.value: {k} for k in Kind},
+    **{name: {k} for k in CHANGE_ARROW_KINDS for name in KIND_FACTS[k].aliases},
+    **{f.abstract: {k for k, g in KIND_FACTS.items() if g.abstract == f.abstract}
+       for f in KIND_FACTS.values() if f.abstract},
+}
 
 
 def _known_kind(name: str) -> bool:
-    return name in _ARROW_NAMES or name in _ABSTRACT or any(k.value == name for k in Kind)
+    return name in _MET_BY
 
 
 @dataclass(frozen=True)
@@ -122,9 +127,14 @@ def load_rules(path: str | Path | None = None) -> dict[TriggerTag, Rule]:
     return parse_rules(path.read_text(encoding="utf-8"))
 
 
-@functools.cache
 def default_rules() -> dict[TriggerTag, Rule]:
-    return load_rules()
+    """The rules in ``tables_dir()``, loaded once per directory."""
+    return _rules_in(tables_dir())
+
+
+@functools.cache
+def _rules_in(directory: Path) -> dict[TriggerTag, Rule]:
+    return load_rules(directory / "heuristics.tbl")
 
 
 def requirements_for(
@@ -162,14 +172,8 @@ class CheckReport:
 
 
 def _present(d: Diagram, name: str) -> bool:
-    if name in _ARROW_NAMES:
-        return bool(d.edges_of_kind(_ARROW_NAMES[name]))
-    if name in _ABSTRACT:
-        return any(
-            KIND_FACTS[x.kind].abstract == name
-            for x in (*d.elements.values(), *d.edges.values())
-        )
-    return any(e.kind.value == name for e in d.elements.values())
+    kinds = _MET_BY[name]
+    return any(x.kind in kinds for x in chain(d.elements.values(), d.edges.values()))
 
 
 def check(d: Diagram, req: Requirement) -> CheckReport:

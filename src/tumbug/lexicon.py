@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 from . import DATA_DIR, table_lines, tables_dir
@@ -154,13 +155,11 @@ def select_word(context: ConceptVector, lexicon: Lexicon) -> list[RankedWord]:
         ((word, match_count(context, vec)) for word, vec in lexicon.entries.items()),
         key=lambda wc: (-wc[1], wc[0]),
     )
-    count_freq: dict[int, int] = {}
-    for _, count in scored:
-        count_freq[count] = count_freq.get(count, 0) + 1
-    out = []
-    for word, count in scored:
-        rank = 1 + sum(1 for _, c in scored if c > count)
-        out.append(RankedWord(word, count, rank, count_freq[count] > 1))
+    out: list[RankedWord] = []
+    for count, group in groupby(scored, key=lambda wc: wc[1]):
+        words = [word for word, _ in group]
+        rank = len(out) + 1  # every word before this group has a higher count
+        out.extend(RankedWord(word, count, rank, len(words) > 1) for word in words)
     return out
 
 

@@ -686,16 +686,9 @@ class Diagram:
 
         Rebinding the same attribute is allowed only with an identical value.
         """
-        if owner in self.elements:
-            kind = self.elements[owner].kind
-            if not can_host(kind):
-                raise IllegalAttributeHost(f"{kind.value} cannot host attribute-value pairs")
-        elif owner in self.edges:
-            kind = self.edges[owner].kind
-            if not can_host(kind):
-                raise IllegalAttributeHost(f"{kind.value} edges cannot host attributes")
-        else:
-            raise UnknownOwner(owner)
+        problem = self.host_problem(owner, binding.attribute)
+        if problem is not None:
+            raise IllegalAttributeHost(problem)
         first, conflicting = self._indexed_bindings()
         key = (owner, binding.attribute)
         value = first.setdefault(key, binding.value)
@@ -726,6 +719,17 @@ class Diagram:
         return first, conflicting
 
     # -- integrity checks, shared with grammar.validate --------------------
+
+    def host_problem(self, owner: str, attribute: str) -> str | None:
+        """Why owner cannot carry the attribute, or None if it can; raises
+        ``UnknownOwner`` if owner names no element or edge."""
+        if owner in self.elements:
+            kind = self.elements[owner].kind
+            return None if can_host(kind) else f"{kind.value} cannot host attribute {attribute!r}"
+        if owner in self.edges:
+            kind = self.edges[owner].kind
+            return None if can_host(kind) else f"{kind.value} edge cannot host attributes"
+        raise UnknownOwner(owner)
 
     def missing_endpoints(self, edge: Edge) -> list[str]:
         """The edge's endpoints that name no element."""

@@ -10,6 +10,7 @@ border less.  Output is byte-identical for identical input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .grammar import Violation, validate
 from .model import (
@@ -23,7 +24,7 @@ from .model import (
     Kind,
 )
 from .values import fmt_num
-from .dsl import value_literal
+from .dsl import binding_literals
 
 __all__ = ["RenderOptions", "InvalidDiagram", "render"]
 
@@ -47,6 +48,7 @@ class RenderOptions:
 
 FONT_SIZE = 12
 HATCH_SPACING = 6  # between the hatch lines of sensor bars and 2D markers
+_TIP = ' marker-end="url(#arrowhead)"'  # an arrowhead at the end of a line
 
 
 # Grammatical-role hues, used only when options.color is on.
@@ -188,8 +190,8 @@ def _layout(
     left_margin = 90.0
     top_margin = 40.0
     col_x = left_margin
-    for level in sorted(set(layer.values())):
-        col_roots = [r for r in roots if layer[r] == level]
+    by_layer = sorted(roots, key=layer.__getitem__)  # stable: id order in each column
+    for _, col_roots in groupby(by_layer, key=layer.__getitem__):
         widest = 0.0
         y = top_margin
         for r in col_roots:
@@ -228,13 +230,10 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     # Each owner's escaped attribute lines, in serialize's order (attribute,
     # then value literal) so that equal diagrams render alike.
     by_owner: dict[str, list[str]] = {}
-    for owner, attribute, literal in sorted(
-        (owner, b.attribute, value_literal(b.value)) for owner, b in d.bindings
-    ):
+    for owner, attribute, literal in binding_literals(d):
         by_owner.setdefault(owner, []).append(_esc(f"{attribute} = {literal}"))
     boxes, parents_first = _layout(d, by_owner)
-    out: list[str] = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
+    out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt_num(options.width)}" '
         f'height="{fmt_num(options.height)}" font-size="{FONT_SIZE}" font-family="sans-serif">'
@@ -259,7 +258,7 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     for i, eid in enumerate(d.edges_of_kind(EdgeKind.TIME)):
         x = 28 + i * 34
         out.append(f'<g id="{_esc(eid)}" class="edge time-arrow">')
-        out.append(_line(x, top, x, bottom, stroke + ' marker-end="url(#arrowhead)"'))
+        out.append(_line(x, top, x, bottom, stroke + _TIP))
         out.append(_line(x - 6, zero_y, x + 6, zero_y, stroke))
         out.append(f'<text x="{x + 9}" y="{fmt_num(zero_y + 4)}">0</text>')
         out.append(f'<text x="{x - 6}" y="{top - 8}">t</text>')
@@ -432,12 +431,13 @@ def _hex_corner(box: _Box, i: int) -> tuple[float, float]:
     return box.x + ux * box.w, box.y + uy * box.h
 
 
+# Per arrow kind: its line style, and whether the arrowhead sits mid-line.
 _EDGE_STYLE = {
-    EdgeKind.MOTION: ('stroke="black" stroke-width="2"', True, False),
-    EdgeKind.FORCE: ('stroke="black" stroke-width="3.5"', True, False),
-    EdgeKind.CAUSATION: ('stroke="black" stroke-width="1.5" stroke-dasharray="8,4"', True, False),
-    EdgeKind.TUBE: ('stroke="black" stroke-width="5" stroke-opacity="0.35"', True, False),
-    EdgeKind.RELATIONSHIP: ('stroke="black" stroke-width="1.5" stroke-dasharray="2,3"', False, True),
+    EdgeKind.MOTION: ('stroke="black" stroke-width="2"' + _TIP, False),
+    EdgeKind.FORCE: ('stroke="black" stroke-width="3.5"' + _TIP, False),
+    EdgeKind.CAUSATION: ('stroke="black" stroke-width="1.5" stroke-dasharray="8,4"' + _TIP, False),
+    EdgeKind.TUBE: ('stroke="black" stroke-width="5" stroke-opacity="0.35"' + _TIP, False),
+    EdgeKind.RELATIONSHIP: ('stroke="black" stroke-width="1.5" stroke-dasharray="2,3"', True),
 }
 
 
@@ -448,9 +448,7 @@ def _render_edge(
     boxes: dict[str, _Box],
     attr_lines: list[str],
 ) -> list[str]:
-    style, tip_arrow, centered_arrow = _EDGE_STYLE[edge.kind]
-    if tip_arrow:
-        style += ' marker-end="url(#arrowhead)"'
+    style, centered_arrow = _EDGE_STYLE[edge.kind]
     out = [f'<g id="{_esc(eid)}" class="edge kind-{edge.kind.value}">']
     a = None if edge.source is None else boxes[edge.source]
     b = None if edge.target is None else boxes[edge.target]
@@ -486,10 +484,7 @@ def _render_edge(
 
 
 def _edge_attr_texts(attr_lines: list[str], x: float, y: float) -> list[str]:
-    out = []
-    for i, text in enumerate(attr_lines):
-        out.append(
-            f'<text x="{fmt_num(x + 6)}" y="{fmt_num(y - i * (FONT_SIZE + 2))}" '
-            f'class="attr">{text}</text>'
-        )
-    return out
+    return [
+        f'<text x="{fmt_num(x + 6)}" y="{fmt_num(y - i * (FONT_SIZE + 2))}" class="attr">{text}</text>'
+        for i, text in enumerate(attr_lines)
+    ]

@@ -51,10 +51,6 @@ __all__ = [
 ]
 
 
-class ValueError_(ValueError):
-    """Base for value construction errors."""
-
-
 # Syntax of keys (property keys, attribute names, fuzzy label names) and of
 # unit tags, the names the DSL can write back unquoted.
 KEY_RE = re.compile(r"[A-Za-z0-9_.-]+")
@@ -79,9 +75,9 @@ class Scalar:
 
     def __post_init__(self):
         if not math.isfinite(self.value):
-            raise ValueError_("scalar values must be finite")
+            raise ValueError("scalar values must be finite")
         if self.unit is not None and not UNIT_RE.fullmatch(self.unit):
-            raise ValueError_(f"unit {self.unit!r} is not a unit tag")
+            raise ValueError(f"unit {self.unit!r} is not a unit tag")
         object.__setattr__(self, "value", float(self.value))
 
 
@@ -98,7 +94,7 @@ class ExistenceLevel:
 
     def __post_init__(self):
         if not 0.0 <= self.level <= 1.0:
-            raise ValueError_(f"existence level {self.level} outside [0, 1]")
+            raise ValueError(f"existence level {self.level} outside [0, 1]")
         object.__setattr__(self, "level", float(self.level))
 
 
@@ -117,13 +113,13 @@ class Range:
 
     def __post_init__(self):
         if not all(math.isfinite(x) for x in (self.lo, self.hi) if x is not None):
-            raise ValueError_("range ends must be finite or None (unbounded)")
+            raise ValueError("range ends must be finite or None (unbounded)")
         if self.lo is not None:
             object.__setattr__(self, "lo", float(self.lo))
         if self.hi is not None:
             object.__setattr__(self, "hi", float(self.hi))
         if self.lo is not None and self.hi is not None and self.lo > self.hi:
-            raise ValueError_(f"range lo {self.lo} > hi {self.hi}")
+            raise ValueError(f"range lo {self.lo} > hi {self.hi}")
         if self.lo is None:
             object.__setattr__(self, "lo_inclusive", False)
         if self.hi is None:
@@ -157,11 +153,11 @@ class FuzzyLabel:
 
     def __post_init__(self):
         if not KEY_RE.fullmatch(self.name):
-            raise ValueError_(f"fuzzy label name {self.name!r} is not a key")
+            raise ValueError(f"fuzzy label name {self.name!r} is not a key")
         if not all(map(math.isfinite, (self.lo, self.peak, self.hi))):
-            raise ValueError_("fuzzy label bounds must be finite")
+            raise ValueError("fuzzy label bounds must be finite")
         if not self.lo <= self.peak <= self.hi:
-            raise ValueError_("fuzzy label needs lo <= peak <= hi")
+            raise ValueError("fuzzy label needs lo <= peak <= hi")
 
     def membership(self, x: float) -> float:
         return triangular(x, self.lo, self.peak, self.hi)
@@ -330,7 +326,7 @@ class Const:
 
     def __post_init__(self):
         if not math.isfinite(self.value):
-            raise ValueError_("constants must be finite")
+            raise ValueError("constants must be finite")
         object.__setattr__(self, "value", float(self.value))
 
 
@@ -347,7 +343,7 @@ class BinOp:
 
     def __post_init__(self):
         if self.op not in OPERATORS:
-            raise ValueError_(f"unsupported operator {self.op!r}")
+            raise ValueError(f"unsupported operator {self.op!r}")
 
 
 Expr = Union[Const, SlotRef, BinOp]

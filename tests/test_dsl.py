@@ -358,6 +358,15 @@ class TestSerializeCanonical:
         assert 'pos="1,2" size="30,40"' in serialize(ints)
         assert render(ints) == render(floats)
 
+    def test_attr_lines_are_the_binding_literals(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            d = random_diagram(rng)
+            attr_lines = [line for line in serialize(d).splitlines() if line.startswith("attr ")]
+            literals = dsl.binding_literals(d)
+            assert attr_lines == [f"attr {o} {a}={lit}" for o, a, lit in literals]
+            assert literals == sorted(literals)
+
     @pytest.mark.parametrize("swap", [False, True])
     def test_darii_text_is_a_fixed_point(self, swap):
         for step in build_syllogism("darii", ("rabbits", "furry animals", "pets"), swap):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tumbug import DATA_DIR
 from tumbug.heuristics import (
     Requirement,
     RuleSetError,
@@ -152,3 +153,22 @@ def test_rules_reloadable_from_custom_file(tmp_path):
     )
     source.write_text(default_text, encoding="utf-8")
     assert load_rules(source) == default_rules()
+
+
+def test_default_rules_follow_tumbug_tables(tmp_path, monkeypatch):
+    # The rules were loaded once per process, so a later TUMBUG_TABLES was ignored.
+    shipped = (DATA_DIR / "heuristics.tbl").read_text(encoding="utf-8")
+    assert requirements_for([TriggerTag.BARRIER]).mandatory == {"AnyBox", "MotionArrow"}
+    (tmp_path / "heuristics.tbl").write_text(
+        "\n".join(
+            "1 barrier - - -" if line.split()[:2] == ["1", "barrier"] else line
+            for line in shipped.splitlines()
+        ),
+        encoding="utf-8",
+    )
+    monkeypatch.setenv("TUMBUG_TABLES", str(tmp_path))
+    assert load_rules()[TriggerTag.BARRIER].mandatory == frozenset()
+    assert requirements_for([TriggerTag.BARRIER]) == Requirement()
+    assert default_rules() is default_rules()  # loaded once per directory
+    monkeypatch.delenv("TUMBUG_TABLES")
+    assert requirements_for([TriggerTag.BARRIER]).mandatory == {"AnyBox", "MotionArrow"}

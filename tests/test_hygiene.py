@@ -1,7 +1,7 @@
 """Module hygiene: what each module says it exports exists, the package's lazy
 exports agree with the modules, no module imports a name it never uses or a
 private name of another module, only the package spells its data directory,
-and the package version is the project's."""
+each rule below has its one owner, and the package version is the project's."""
 
 import ast
 import importlib
@@ -105,3 +105,43 @@ def test_only_the_package_spells_the_data_directory():
         p.name for p in SRC.glob("*.py") if "Path(__file__)" in p.read_text(encoding="utf-8")
     )
     assert spellers == ["__init__.py"]
+
+
+def _users(predicate) -> list[str]:
+    """The modules of src/tumbug with an AST node that satisfies predicate."""
+    return sorted(
+        p.name
+        for p in SRC.glob("*.py")
+        if any(predicate(n) for n in ast.walk(ast.parse(p.read_text(encoding="utf-8"))))
+    )
+
+
+def _calls(name: str):
+    def predicate(node) -> bool:
+        func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+        return getattr(func, "id", None) == name or getattr(func, "attr", None) == name
+
+    return predicate
+
+
+def test_only_the_model_decides_who_hosts_attributes():
+    # Diagram.host_problem is the one caller of can_host.
+    assert _users(_calls("can_host")) == ["model.py"]
+
+
+def test_render_takes_binding_literals_from_the_dsl():
+    # dsl.binding_literals is the one owner of the bindings' order and text.
+    assert "svg.py" not in _users(_calls("value_literal"))
+
+
+def test_only_the_model_names_the_abstract_requirements():
+    # KIND_FACTS says which kinds meet AnyBox and AnyMarker.
+    names = {"AnyBox", "AnyMarker"}
+    assert _users(lambda n: isinstance(n, ast.Constant) and n.value in names) == ["model.py"]
+
+
+def test_owner_checks_see_a_call_and_a_constant():
+    tree = ast.parse("from x import m\nm.can_host(k)\nvalue_literal(v)\nA = 'AnyBox'\n")
+    nodes = list(ast.walk(tree))
+    assert any(map(_calls("can_host"), nodes)) and any(map(_calls("value_literal"), nodes))
+    assert any(isinstance(n, ast.Constant) and n.value == "AnyBox" for n in nodes)

@@ -148,6 +148,26 @@ class TestSelectWord:
         with pytest.raises(EmptyLexicon):
             select_word(vec("T"), Lexicon("fr"))
 
+    def test_ranks_and_ties_follow_the_counts(self):
+        # Rank is 1 + the number of words with a strictly higher count, and a
+        # word is tied exactly when another word has its count.
+        rng = random.Random(47)
+        names = tuple(f"c{i}" for i in range(4))
+        for _ in range(60):
+            lex = Lexicon("xx")
+            for i in range(rng.randrange(1, 40)):
+                lex.entries[f"w{i}"] = ConceptVector(
+                    names, tuple(rng.choice(list(Cell)) for _ in names)
+                )
+            ctx = ConceptVector(names, tuple(rng.choice(list(Cell)) for _ in names))
+            counts = {w: match_count(ctx, v) for w, v in lex.entries.items()}
+            ranked = select_word(ctx, lex)
+            assert sorted(r.word for r in ranked) == sorted(counts)
+            for r in ranked:
+                assert r.count == counts[r.word]
+                assert r.rank == 1 + sum(1 for c in counts.values() if c > r.count)
+                assert r.tied == (list(counts.values()).count(r.count) > 1)
+
 
 class TestShippedFixtures:
     def test_throw_example_end_to_end(self):

@@ -301,6 +301,24 @@ class TestBindAttribute:
         d = new_diagram()
         with pytest.raises(UnknownOwner):
             d.bind_attribute("ghost", AttributeBinding("a", Scalar(1)))
+        with pytest.raises(UnknownOwner):
+            d.host_problem("ghost", "a")
+
+    def test_host_problem_is_the_refusal_text(self):
+        d = new_diagram()
+        fox = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE))
+        mk = d.add_element(Element(kind=Kind.MARKER_0D))
+        m = d.add_edge(Edge(kind=EdgeKind.MOTION))
+        rel = d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP))
+        assert d.host_problem(fox, "color") is None
+        assert d.host_problem(m, "speed") is None
+        assert d.host_problem(mk, "color") == "Marker0D cannot host attribute 'color'"
+        assert d.host_problem(rel, "color") == "Relationship edge cannot host attributes"
+        for owner in (mk, rel):
+            with pytest.raises(IllegalAttributeHost) as caught:
+                d.bind_attribute(owner, AttributeBinding("color", Text("red")))
+            assert str(caught.value) == d.host_problem(owner, "color")
+        assert d.bindings == []
 
     def test_weight_dk_is_legal(self):
         d = new_diagram()
