@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from itertools import chain
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
