@@ -249,18 +249,10 @@ def _attribute_hosts(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
 
 def _attribute_conflicts(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
     """One violation per (owner, attribute) bound to two different values."""
-    first: dict[tuple[str, str], Value] = {}
-    conflicted: set[tuple[str, str]] = set()
-    for owner, binding in d.bindings:
-        key = (owner, binding.attribute)
-        if key in first and first[key] != binding.value and key not in conflicted:
-            conflicted.add(key)
-            yield Violation(
-                ViolationCode.ATTR_CONFLICT,
-                (owner,),
-                f"attribute {binding.attribute!r} bound to conflicting values",
-            )
-        first.setdefault(key, binding.value)
+    for owner, attribute in d.conflicting_bindings():
+        yield Violation(
+            ViolationCode.ATTR_CONFLICT, (owner,), f"attribute {attribute!r} bound to conflicting values"
+        )
 
 
 def _box_nesting(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
@@ -484,16 +476,9 @@ def resolve_query(d: Diagram, owner: str, attribute: str) -> Value:
     value = d.binding_value(owner, attribute)
     if value is not None:
         return value
-    hops = sorted(
-        eid
-        for eid, edge in d.edges.items()
-        if edge.kind is EdgeKind.RELATIONSHIP and edge.source == owner
-    )
-    for eid in hops:
+    for eid in d.relationship_hops(owner):
         target = d.edges[eid].target
-        if target is None:
-            continue
-        value = d.binding_value(target, attribute)
+        value = None if target is None else d.binding_value(target, attribute)
         if value is not None:
             return value
     return Wildcard.DK

@@ -13,6 +13,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Mapping
 
 from .values import (
@@ -543,6 +544,42 @@ class SplitTimeGroup:
 Group = StateDiagramGroup | SplitTimeGroup
 
 
+def _follow(index: tuple, source, entries, add) -> tuple:
+    """``index``, ``(source, count, last, data)``, caught up with the list or
+    dict ``source``, whose items are ``entries``: ``add(data, new)`` returns
+    data (a fresh one for None) extended by the entries after the first
+    ``count``, of which ``last`` was the final one, read from the end in
+    O(new).  Another object, a shorter one, or another entry just before the
+    new ones (compared item by item by identity) starts over from None."""
+    indexed, n, last, data = index
+    size = len(source)
+    if source is indexed and size >= n:
+        tail = reversed(entries)
+        new = list(islice(tail, size - n)) if size > n else None
+        end = next(tail, None)  # where the index ended
+        if not n or (end[0] is last[0] and end[1] is last[1]):
+            return (source, size, new[0], add(data, reversed(new))) if new else index
+    return source, size, next(reversed(entries), None), add(None, entries)
+
+
+def _index_bindings(data: tuple | None, entries: Iterable[tuple[str, AttributeBinding]]) -> tuple:
+    first, conflicting = data = data or ({}, {})
+    for owner, binding in entries:
+        key = (owner, binding.attribute)
+        value = first.setdefault(key, binding.value)
+        if value is not binding.value and value != binding.value:
+            conflicting[key] = None
+    return data
+
+
+def _index_hops(hops: dict | None, entries: Iterable[tuple[str, Edge]]) -> dict[str, list[str]]:
+    hops = {} if hops is None else hops
+    for eid, edge in entries:
+        if edge.kind is EdgeKind.RELATIONSHIP:
+            hops.setdefault(edge.source, []).append(eid)
+    return hops
+
+
 @dataclass(eq=False)
 class Diagram:
     """The scene graph: elements, containment forest, edges, bindings.
@@ -550,11 +587,12 @@ class Diagram:
     ``bindings`` is an ordered multiset of (owner, binding) pairs.  It may
     hold duplicates and conflicting values (the parser and callers append
     to it directly), which :func:`tumbug.grammar.validate` reports.  It is
-    append-only: ``bind_attribute`` and ``binding_value`` read a private
-    index of the first value bound per (owner, attribute), which follows
-    appends and is rebuilt when ``bindings`` is replaced by another list,
-    shortened, or no longer holds the same entry where the indexed part
-    ended.  Editing entries in place is not followed.
+    append-only, and ``edges`` only gains new ids: private indices of the
+    first value per (owner, attribute) and of Relationship edges by source
+    follow appends, and start over when the list or dict is replaced,
+    shortened, or no longer holds the entry where the indexed part ended.
+    Edits in place (a binding, an existing edge id, or an Edge's ``kind``
+    or ``source``) are not followed.
 
     Equality is structural and order-insensitive: two diagrams built by
     different insertion orders compare equal when their canonical forms
@@ -572,13 +610,11 @@ class Diagram:
     _fresh_from: dict[str, int] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # The binding index, (source, count, last, first, conflicting): first maps
-    # each (owner, attribute) to the first value bound and conflicting holds
-    # the keys also bound to a different value, over the first count entries
-    # of the list object source, of which last is the final one.
-    _binding_index: tuple = field(
-        default=(None, 0, None, None, None), init=False, repr=False, compare=False
-    )
+    # Indices kept by _follow.  The binding index's data is (first, conflicting):
+    # the first value bound per (owner, attribute), and in order the keys also
+    # bound to another.  The hop index's maps each source to its Relationship ids.
+    _binding_index: tuple = field(default=(None, 0, None, None), init=False, repr=False, compare=False)
+    _hop_index: tuple = field(default=(None, 0, None, None), init=False, repr=False, compare=False)
 
     def canonical_key(self):
         return (
@@ -689,7 +725,7 @@ class Diagram:
         problem = self.host_problem(owner, binding.attribute)
         if problem is not None:
             raise IllegalAttributeHost(problem)
-        first, conflicting = self._indexed_bindings()
+        data = first, conflicting = self._indexed_bindings()
         key = (owner, binding.attribute)
         value = first.setdefault(key, binding.value)
         if key in conflicting or (value is not binding.value and value != binding.value):
@@ -698,25 +734,13 @@ class Diagram:
             )
         # Index the new entry here, so that the next read has none to catch up.
         self.bindings.append(entry := (owner, binding))
-        self._binding_index = (self.bindings, len(self.bindings), entry, first, conflicting)
+        self._binding_index = (self.bindings, len(self.bindings), entry, data)
 
-    def _indexed_bindings(self) -> tuple[dict[tuple[str, str], Value], set[tuple[str, str]]]:
-        """``(first, conflicting)`` of the binding index, caught up with
-        ``bindings``: entries appended since the last call are added, and
-        another list, a shorter one, or another entry where the indexed part
-        ended starts a new index."""
-        bindings = self.bindings
-        source, n, last, first, conflicting = self._binding_index
-        if bindings is not source or len(bindings) < n or (n and bindings[n - 1] is not last):
-            first, conflicting, n = {}, set(), 0
-        if n < len(bindings):
-            for owner, binding in bindings[n:]:
-                key = (owner, binding.attribute)
-                value = first.setdefault(key, binding.value)
-                if value is not binding.value and value != binding.value:
-                    conflicting.add(key)
-            self._binding_index = (bindings, len(bindings), bindings[-1], first, conflicting)
-        return first, conflicting
+    def _indexed_bindings(self) -> tuple[dict[tuple[str, str], Value], dict[tuple[str, str], None]]:
+        """``(first, conflicting)`` of the binding index, caught up with ``bindings``."""
+        b = self.bindings
+        self._binding_index = _follow(self._binding_index, b, b, _index_bindings)
+        return self._binding_index[3]
 
     # -- integrity checks, shared with grammar.validate --------------------
 
@@ -743,6 +767,16 @@ class Diagram:
     def binding_value(self, owner: str, attribute: str) -> Value | None:
         """The first value bound to owner's attribute, or None."""
         return self._indexed_bindings()[0].get((owner, attribute))
+
+    def conflicting_bindings(self) -> list[tuple[str, str]]:
+        """Each (owner, attribute) bound to two values, in the order found."""
+        return list(self._indexed_bindings()[1])
+
+    def relationship_hops(self, owner: str) -> list[str]:
+        """The sorted ids of the Relationship edges leaving owner."""
+        edges = self.edges
+        self._hop_index = _follow(self._hop_index, edges, edges.items(), _index_hops)
+        return sorted(self._hop_index[3].get(owner, ()))
 
     def children_of(self, parent: str) -> list[str]:
         return sorted(c for c, p in self.containment.items() if p == parent)

@@ -1,7 +1,8 @@
 """Module hygiene: what each module says it exports exists, the package's lazy
 exports agree with the modules, no module imports a name it never uses or a
 private name of another module, only the package spells its data directory,
-each rule below has its one owner, and the package version is the project's."""
+each rule below has its one owner, queries read the model's indices instead
+of scanning, and the package version is the project's."""
 
 import ast
 import importlib
@@ -145,3 +146,41 @@ def test_owner_checks_see_a_call_and_a_constant():
     nodes = list(ast.walk(tree))
     assert any(map(_calls("can_host"), nodes)) and any(map(_calls("value_literal"), nodes))
     assert any(isinstance(n, ast.Constant) and n.value == "AnyBox" for n in nodes)
+
+
+def _scans(function: ast.AST, names=("edges", "bindings")) -> list[str]:
+    """The listed diagram fields that a loop or comprehension in function
+    iterates over."""
+    return sorted(
+        n.attr
+        for node in ast.walk(function)
+        if isinstance(node, (ast.For, ast.comprehension))
+        for n in ast.walk(node.iter)
+        if isinstance(n, ast.Attribute) and n.attr in names
+    )
+
+
+def test_queries_and_the_conflict_rule_read_the_model_indices():
+    # Diagram.relationship_hops and Diagram.conflicting_bindings read indices
+    # that follow appends; a scan here costs a pass over the diagram per call.
+    tree = ast.parse((SRC / "grammar.py").read_text(encoding="utf-8"))
+    functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    assert {name: _scans(functions[name]) for name in ("resolve_query", "_attribute_conflicts")} == {
+        "resolve_query": [],
+        "_attribute_conflicts": [],
+    }
+
+
+def test_no_module_calls_the_scanning_queries():
+    # Diagram.bindings_of and children_of scan; library code reads indices.
+    assert _users(_calls("bindings_of")) == [] and _users(_calls("children_of")) == []
+
+
+def test_scan_check_sees_a_loop_and_a_comprehension():
+    source = (
+        "def f(d):\n"
+        "    for eid, edge in sorted(d.edges.items()):\n"
+        "        pass\n"
+        "    return [o for o, b in d.bindings if d.edges]\n"
+    )
+    assert _scans(ast.parse(source)) == ["bindings", "edges"]

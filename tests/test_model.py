@@ -543,6 +543,19 @@ def test_16000_binds_on_one_owner_take_under_half_a_second():
     assert d.binding_value(o, "a7999") == Scalar(7999) and len(d.bindings) == 16000
 
 
+def test_queries_on_every_owner_of_a_4000_link_chain_take_under_half_a_second():
+    # Each owner says nothing, so each query follows its one Relationship hop.
+    d = new_diagram()
+    ids = [d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE)) for _ in range(4001)]
+    for source, target in zip(ids, ids[1:]):
+        d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source=source, target=target))
+    d.bind_attribute(ids[-1], AttributeBinding("w", Scalar(1)))
+    start = time.perf_counter()
+    answers = [resolve_query(d, owner, "w") for owner in ids]
+    assert time.perf_counter() - start < 0.5
+    assert answers == [Wildcard.DK] * 3999 + [Scalar(1)] * 2
+
+
 # The binding index against a linear scan.  r1 is the Relationship hop that
 # resolve_query follows from o1 to o2; Scalar(1) and Scalar(1.0) are equal
 # values held by distinct objects.
@@ -564,6 +577,17 @@ def _scan(ref: list, owner: str | None, attribute: str) -> list:
 
 def _conflicts(ref: list, owner: str, binding: AttributeBinding) -> bool:
     return any(v != binding.value for v in _scan(ref, owner, binding.attribute))
+
+
+def _conflicting_keys(ref: list) -> list[tuple[str, str]]:
+    """Each (owner, attribute) bound to two values, in the order found."""
+    first, found = {}, []
+    for owner, binding in ref:
+        key = (owner, binding.attribute)
+        if key in first and first[key] != binding.value and key not in found:
+            found.append(key)
+        first.setdefault(key, binding.value)
+    return found
 
 
 def _refused(d: Diagram, owner: str, binding: AttributeBinding) -> bool:
@@ -649,6 +673,7 @@ class BindingIndexMachine(RuleBasedStateMachine):
                     assert _refused(probe, *pair) == conflict
                     if not conflict:
                         probe_ref.append(pair)
+        assert self.d.conflicting_bindings() == _conflicting_keys(self.ref)
         assert parse(serialize(self.d)) == self.d
 
 
@@ -656,3 +681,89 @@ BindingIndexMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=25, deadline=None, database=None
 )
 TestBindingIndex = BindingIndexMachine.TestCase
+
+
+# The Relationship-hop index against a scan of a reference dict of the edges.
+# o1 and o5 are bound to nothing and the others to some attributes, so an
+# answer may come from the owner, from one of its hops in id order, or be DK.
+_ENDS = ("o1", "o2", "o3", "o4", "o5")
+_HOP_BINDINGS = (("o2", "color", Text("red")), ("o3", "color", Text("blue")),
+                 ("o3", "speed", Scalar(1)), ("o4", "speed", Scalar(2)))
+_EDGES = st.builds(
+    lambda kind, source, target: Edge(kind=kind, source=source, target=target),
+    st.sampled_from((EdgeKind.RELATIONSHIP, EdgeKind.RELATIONSHIP, EdgeKind.MOTION)),
+    st.sampled_from(_ENDS),
+    st.sampled_from((*_ENDS, None)),
+)
+
+
+class HopIndexMachine(RuleBasedStateMachine):
+    """Writes to a diagram's edges, mirrored into a reference dict, and after
+    each one, relationship_hops and resolve_query compared with a scan."""
+
+    def __init__(self):
+        super().__init__()
+        self.d = new_diagram()
+        for eid in _ENDS:
+            self.d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
+        for owner, attribute, value in _HOP_BINDINGS:
+            self.d.bind_attribute(owner, AttributeBinding(attribute, value))
+        self.ref: dict[str, Edge] = {}
+        self.made = 0
+
+    def _new_id(self) -> str:
+        self.made += 1
+        return f"e{self.made}"
+
+    @rule(edge=_EDGES)
+    def add_edge(self, edge):
+        edge.id = self._new_id()
+        self.ref[self.d.add_edge(edge)] = edge
+
+    @rule(edge=_EDGES)
+    def put(self, edge):
+        self.d.edges[eid := self._new_id()] = edge
+        self.ref[eid] = edge
+
+    @rule(other=st.booleans(), edge=_EDGES)
+    def replace_the_dict(self, other, edge):
+        """A copy of the dict, or one whose first edge is another."""
+        edges = dict(self.d.edges)
+        if other and edges:
+            edges[next(iter(edges))] = edge
+        self.d.edges = edges
+        self.ref = dict(edges)
+
+    @precondition(lambda self: len(self.ref) > 1)
+    @rule(data=st.data())
+    def delete_a_middle_key(self, data):
+        eid = data.draw(st.sampled_from(list(self.ref)[:-1]))
+        del self.d.edges[eid], self.ref[eid]
+
+    @precondition(lambda self: self.ref)
+    @rule(data=st.data(), edge=_EDGES)
+    def delete_then_insert(self, data, edge):
+        eid = data.draw(st.sampled_from(list(self.ref)))
+        del self.d.edges[eid], self.ref[eid]
+        self.put(edge)
+
+    @invariant()
+    def agrees_with_a_scan(self):
+        bound = {(o, a): v for o, a, v in _HOP_BINDINGS}
+        for owner in _ENDS:
+            hops = sorted(
+                eid for eid, edge in self.ref.items()
+                if edge.kind is EdgeKind.RELATIONSHIP and edge.source == owner
+            )
+            assert self.d.relationship_hops(owner) == hops
+            for attribute in _ATTRIBUTES:
+                answers = [bound.get((owner, attribute))]
+                answers += [bound.get((self.ref[eid].target, attribute)) for eid in hops]
+                expected = next((v for v in answers if v is not None), Wildcard.DK)
+                assert resolve_query(self.d, owner, attribute) == expected
+
+
+HopIndexMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None, database=None
+)
+TestHopIndex = HopIndexMachine.TestCase
