@@ -592,7 +592,8 @@ class Diagram:
     follow appends, and start over when the list or dict is replaced,
     shortened, or no longer holds the entry where the indexed part ended.
     Edits in place (a binding, an existing edge id, or an Edge's ``kind``
-    or ``source``) are not followed.
+    or ``source``) are not followed, nor are deletions after which that
+    entry is back where it was.
 
     Equality is structural and order-insensitive: two diagrams built by
     different insertion orders compare equal when their canonical forms
