@@ -14,7 +14,7 @@ import functools
 import importlib
 import os
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 # Each submodule and the public names it provides; _HOME maps name -> submodule.
 _EXPORTS = {
@@ -109,6 +109,16 @@ def tables_dir() -> Path:
 @functools.cache  # one Path per setting, so that caches keyed on it cost one lookup
 def _tables_dir(setting: str | None) -> Path:
     return Path(setting or DATA_DIR)
+
+
+_T = TypeVar("_T")
+
+
+@functools.cache  # what parse returns is shared: callers copy it before changing it
+def read_table(directory: Path, name: str, parse: Callable[[str], _T]) -> _T:
+    """``parse`` of the UTF-8 text of the table ``directory / name``, read once
+    per process for each ``(directory, name, parse)``."""
+    return parse((directory / name).read_text(encoding="utf-8"))
 
 
 def table_lines(text: str) -> Iterator[tuple[int, str, str]]:

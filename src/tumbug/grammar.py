@@ -13,13 +13,12 @@ order of ``RULES`` is the order of every violation list.
 from __future__ import annotations
 
 import enum
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from . import DATA_DIR, table_lines
+from . import DATA_DIR, read_table, table_lines
 from .model import (
     CHANGE_ARROW_KINDS,
     CONTAINER_KINDS,
@@ -71,7 +70,7 @@ def default_legality() -> LegalityTable:
     """The shipped table, data/legality.tbl: time never attaches, motion never
     points into its mover from nowhere, force never self-loops; solitary
     anything is fine.  Each call returns a fresh copy."""
-    return dict(_shipped_legality())
+    return dict(read_table(DATA_DIR, "legality.tbl", parse_legality))
 
 
 def parse_legality(text: str) -> LegalityTable:
@@ -103,11 +102,6 @@ def parse_legality(text: str) -> LegalityTable:
 
 def load_legality(path: str | Path) -> LegalityTable:
     return parse_legality(Path(path).read_text(encoding="utf-8"))
-
-
-@functools.cache
-def _shipped_legality() -> LegalityTable:
-    return load_legality(DATA_DIR / "legality.tbl")
 
 
 class ViolationCode(str, enum.Enum):

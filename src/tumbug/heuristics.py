@@ -11,13 +11,12 @@ custom rule file under ``TUMBUG_TABLES`` must cover them all.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
-from . import DATA_DIR, list_items, table_lines, tables_dir
+from . import DATA_DIR, list_items, read_table, table_lines, tables_dir
 from .model import CHANGE_ARROW_KINDS, KIND_FACTS, Diagram, EdgeKind, Kind
 
 __all__ = [
@@ -40,10 +39,9 @@ class RuleSetError(ValueError):
 
 
 # One member per tag of the shipped rule file, in its order: BARRIER = "barrier".
-_SHIPPED_TAGS = [
-    line.split()[1]
-    for _, _, line in table_lines((DATA_DIR / "heuristics.tbl").read_text(encoding="utf-8"))
-]
+_SHIPPED_TAGS = read_table(
+    DATA_DIR, "heuristics.tbl", lambda text: [line.split()[1] for _, _, line in table_lines(text)]
+)
 TriggerTag = enum.Enum(
     "TriggerTag",
     [(tag.upper().replace("-", "_"), tag) for tag in _SHIPPED_TAGS],
@@ -129,12 +127,7 @@ def load_rules(path: str | Path | None = None) -> dict[TriggerTag, Rule]:
 
 def default_rules() -> dict[TriggerTag, Rule]:
     """The rules in ``tables_dir()``, loaded once per directory."""
-    return _rules_in(tables_dir())
-
-
-@functools.cache
-def _rules_in(directory: Path) -> dict[TriggerTag, Rule]:
-    return load_rules(directory / "heuristics.tbl")
+    return read_table(tables_dir(), "heuristics.tbl", parse_rules)
 
 
 def requirements_for(

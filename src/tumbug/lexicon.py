@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
 
-from . import DATA_DIR, table_lines, tables_dir
+from . import DATA_DIR, read_table, table_lines, tables_dir
 from .model import SwirlyArrayPayload
 
 __all__ = [
@@ -331,10 +331,11 @@ def _plain_cell(token: str) -> Cell:
 
 
 def load_default_modal_table() -> ModalTable:
-    return ModalTable.from_table(load_table(tables_dir() / "modal_verbs.tbl"))
+    """A new ModalTable of the table in ``tables_dir()``, read once per directory."""
+    return ModalTable.from_table(read_table(tables_dir(), "modal_verbs.tbl", load_table_text))
 
 
-# Defined last: reading the shipped table needs load_table.
-_SHIPPED_MODAL = load_table(DATA_DIR / "modal_verbs.tbl")
+# Defined last: reading the shipped table needs load_table_text.
+_SHIPPED_MODAL = read_table(DATA_DIR, "modal_verbs.tbl", load_table_text)
 MODAL_CONCEPTS = _SHIPPED_MODAL.attributes
 MODAL_VERBS = tuple(sorted({row.word for row in _SHIPPED_MODAL.rows}))

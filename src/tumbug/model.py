@@ -566,10 +566,14 @@ def _index_bindings(data: tuple | None, entries: Iterable[tuple[str, AttributeBi
     first, conflicting = data = data or ({}, {})
     for owner, binding in entries:
         key = (owner, binding.attribute)
-        value = first.setdefault(key, binding.value)
-        if value is not binding.value and value != binding.value:
+        if _differ(first.setdefault(key, binding.value), binding.value):
             conflicting[key] = None
     return data
+
+
+def _differ(a: Value, b: Value) -> bool:
+    """Whether two values bound to one (owner, attribute) conflict."""
+    return a is not b and a != b
 
 
 def _index_hops(hops: dict | None, entries: Iterable[tuple[str, Edge]]) -> dict[str, list[str]]:
@@ -596,8 +600,8 @@ class Diagram:
     entry is back where it was.
 
     Equality is structural and order-insensitive: two diagrams built by
-    different insertion orders compare equal when their canonical forms
-    coincide.
+    different insertion orders compare equal when their dicts are equal and
+    they hold the same bindings in any order.
     """
 
     elements: dict[str, Element] = field(default_factory=dict)
@@ -617,20 +621,14 @@ class Diagram:
     _binding_index: tuple = field(default=(None, 0, None, None), init=False, repr=False, compare=False)
     _hop_index: tuple = field(default=(None, 0, None, None), init=False, repr=False, compare=False)
 
-    def canonical_key(self):
-        return (
-            sorted(self.elements.items(), key=lambda kv: kv[0]),
-            sorted(self.containment.items()),
-            sorted(self.edges.items(), key=lambda kv: kv[0]),
-            sorted(self.groups.items(), key=lambda kv: kv[0]),
-            sorted(self.bindings, key=lambda ob: (ob[0], ob[1].attribute, repr(ob[1].value))),
-            sorted(self.meta.items()),
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Diagram):
             return NotImplemented
-        return self.canonical_key() == other.canonical_key()
+        dicts = lambda d: (d.elements, d.containment, d.edges, d.groups, d.meta)
+        key = lambda ob: (ob[0], ob[1].attribute, repr(ob[1].value))
+        return dicts(self) == dicts(other) and (
+            sorted(self.bindings, key=key) == sorted(other.bindings, key=key)
+        )
 
     # -- id allocation ----------------------------------------------------
 
@@ -728,8 +726,7 @@ class Diagram:
             raise IllegalAttributeHost(problem)
         data = first, conflicting = self._indexed_bindings()
         key = (owner, binding.attribute)
-        value = first.setdefault(key, binding.value)
-        if key in conflicting or (value is not binding.value and value != binding.value):
+        if key in conflicting or _differ(first.setdefault(key, binding.value), binding.value):
             raise ConflictingDuplicate(
                 f"{owner}.{binding.attribute} already bound to a different value"
             )

@@ -407,10 +407,9 @@ class _ExprParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.depth = 0
 
     def parse(self) -> Expr:
-        e = self.operation(1)
+        e = self.operation(1, 0)
         if self.peek():
             raise ExprSyntaxError(f"trailing input at {self.pos}: {self.text[self.pos:]!r}")
         if _height(e) > self._MAX_DEPTH:
@@ -423,31 +422,26 @@ class _ExprParser:
             self.pos += 1
         return self.text[self.pos : self.pos + 1]
 
-    def operation(self, level: int) -> Expr:
+    def operation(self, level: int, depth: int) -> Expr:
         """Operands joined left to right by the operators of precedence
-        ``level``; an operand is an operation one level up, past 2 an atom."""
-        e = self.operation(2) if level == 1 else self.atom()
+        ``level``; an operand is an operation one level up, past 2 an atom.
+        ``depth`` atoms enclose the operation."""
+        e = self.operation(2, depth) if level == 1 else self.atom(depth + 1)
         while (op := self.peek()) in OPERATORS and OPERATORS[op][0] == level:
             self.pos += 1
-            e = BinOp(op, e, self.operation(2) if level == 1 else self.atom())
+            e = BinOp(op, e, self.operation(2, depth) if level == 1 else self.atom(depth + 1))
         return e
 
-    def atom(self) -> Expr:
+    def atom(self, depth: int) -> Expr:
+        """The atom at the next character; ``depth`` counts it and the atoms enclosing it."""
         if not self.peek():
             raise ExprSyntaxError("unexpected end of expression")
-        self.depth += 1
-        if self.depth > self._MAX_DEPTH:
+        if depth > self._MAX_DEPTH:
             raise ExprSyntaxError("expression nests too deeply")
-        try:
-            return self._atom_inner()
-        finally:
-            self.depth -= 1
-
-    def _atom_inner(self) -> Expr:
         ch = self.text[self.pos]
         if ch == "(":
             self.pos += 1
-            e = self.operation(1)
+            e = self.operation(1, depth)
             if self.peek() != ")":
                 raise ExprSyntaxError("missing closing paren")
             self.pos += 1
@@ -455,7 +449,7 @@ class _ExprParser:
         if ch == "-":
             # Unary minus folds into the constant or negates the atom.
             self.pos += 1
-            inner = self.atom()
+            inner = self.atom(depth + 1)
             if isinstance(inner, Const):
                 return Const(-inner.value)
             return BinOp("-", Const(0.0), inner)

@@ -1,8 +1,9 @@
 """Module hygiene: what each module says it exports exists, the package's lazy
 exports agree with the modules, no module imports a name it never uses or a
-private name of another module, only the package spells its data directory,
-each rule below has its one owner, queries read the model's indices instead
-of scanning, and the package version is the project's."""
+private name of another module, only the package spells its data directory
+and caches, the shipped tables are read through tumbug.read_table, each rule
+below has its one owner, queries read the model's indices instead of
+scanning, and the package version is the project's."""
 
 import ast
 import importlib
@@ -146,6 +147,64 @@ def test_owner_checks_see_a_call_and_a_constant():
     nodes = list(ast.walk(tree))
     assert any(map(_calls("can_host"), nodes)) and any(map(_calls("value_literal"), nodes))
     assert any(isinstance(n, ast.Constant) and n.value == "AnyBox" for n in nodes)
+
+
+def _is_cached(node) -> bool:
+    """Whether node is a function or class under functools.cache or lru_cache."""
+    decorators = (getattr(d, "func", d) for d in getattr(node, "decorator_list", ()))
+    return any(
+        {getattr(d, "id", None), getattr(d, "attr", None)} & {"cache", "lru_cache"}
+        for d in decorators
+    )
+
+
+def test_only_the_package_caches():
+    # tumbug.read_table is the one cache of table reads, beside _tables_dir.
+    assert _users(_is_cached) == ["__init__.py"]
+
+
+def test_cache_check_sees_each_spelling():
+    source = (
+        "@functools.cache\ndef f(): pass\n"
+        "@lru_cache(maxsize=2)\nclass G: pass\n"
+        "@functools.wraps(f)\ndef h(): pass\n"
+    )
+    assert [n.name for n in ast.walk(ast.parse(source)) if _is_cached(n)] == ["f", "G"]
+
+
+def _stray_data_dirs(tree: ast.Module) -> list[int]:
+    """Lines where DATA_DIR appears other than as read_table's directory."""
+    allowed = {
+        id(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _calls("read_table")(node) and node.args
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and "DATA_DIR" in (getattr(node, "id", None), getattr(node, "attr", None))
+        and id(node) not in allowed
+    )
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_shipped_tables_are_read_through_read_table(path):
+    # Each default table is read once per directory, by tumbug.read_table.
+    assert _stray_data_dirs(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_data_dir_check_sees_a_stray_read():
+    source = (
+        "from . import DATA_DIR, read_table\n"
+        "A = read_table(DATA_DIR, 'a.tbl', str)\n"
+        "B = (DATA_DIR / 'b.tbl').read_text()\n"
+        "C = read_table(tumbug.DATA_DIR, 'c.tbl', str)\n"
+        "D = read_table(d, 'd.tbl', parse=tumbug.DATA_DIR)\n"
+    )
+    assert _stray_data_dirs(ast.parse(source)) == [3, 5]
 
 
 def _scans(function: ast.AST, names=("edges", "bindings")) -> list[str]:

@@ -1,8 +1,10 @@
 import itertools
 import random
+import shutil
 
 import pytest
 
+from tumbug import DATA_DIR
 from tumbug.lexicon import (
     ATTITUDE_CATALOG,
     CORE_ATTITUDES,
@@ -238,6 +240,15 @@ class TestModalTable:
                 assert i1.active == i2.active
             else:
                 assert i1.active != i2.active
+
+    def test_default_table_is_read_once_per_tables_directory(self, tmp_path, monkeypatch):
+        tables = shutil.copytree(DATA_DIR, tmp_path / "tables")
+        monkeypatch.setenv("TUMBUG_TABLES", str(tables))
+        first = load_default_modal_table()
+        (tables / "modal_verbs.tbl").unlink()
+        second = load_default_modal_table()
+        assert second is not first and second.rows == first.rows
+        assert second.rows is not first.rows
 
 
 class TestAttitudes:
