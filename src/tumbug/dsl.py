@@ -80,8 +80,7 @@ from .values import (
     parse_expr,
 )
 
-__all__ = ["SourceSpan", "ParseError", "parse", "serialize", "binding_literals", "value_literal",
-           "parse_value_literal"]
+__all__ = ["SourceSpan", "ParseError", "parse", "serialize", "binding_literals", "value_literal"]
 
 _NUMBER_RE = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
@@ -117,30 +116,25 @@ class ParseError(Exception):
         )
 
 
-# A token is a tuple (text, line, col_start, col_end) of str and int only, so
-# the cyclic GC stops tracking it; a record is a tuple of tokens.
-_Token = tuple[str, int, int, int]
-
-
-def _span(tok: _Token) -> SourceSpan:
-    """The one place a SourceSpan is built, so that a clean parse builds none."""
-    return SourceSpan(tok[1], tok[2], tok[3])
+class _Fault(Exception):
+    """A fault at word ``at`` of the record being built, with ``expected``
+    and ``found``; parse raises it as a ParseError at that word's span."""
 
 
 def _quote(s: str) -> str:
     return '"' + _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group()], s) + '"'
 
 
-def _unquote(tok: _Token, raw: str) -> str:
+def _unquote(at: int, raw: str) -> str:
     if len(raw) < 2 or not raw.startswith('"') or not raw.endswith('"'):
-        raise ParseError(_span(tok), "quoted string", raw)
+        raise _Fault(at, "quoted string", raw)
     body = raw[1:-1]
     if "\\" in body or '"' in body:
-        return _unescape(tok, raw)
+        return _unescape(at, raw)
     return body
 
 
-def _unescape(tok: _Token, raw: str) -> str:
+def _unescape(at: int, raw: str) -> str:
     """The body of the quoted string ``raw`` with its escapes resolved."""
     out = []
     i = 1
@@ -148,37 +142,51 @@ def _unescape(tok: _Token, raw: str) -> str:
         c = raw[i]
         if c == "\\":
             if i + 1 >= len(raw) - 1:
-                raise ParseError(_span(tok), "escape sequence", raw)
+                raise _Fault(at, "escape sequence", raw)
             esc = raw[i + 1]
             if esc == "u":
                 # The closing quote is no hex digit, so a cut-short escape fails
                 # here.  A lone surrogate could not be written as UTF-8.
                 digits = raw[i + 2 : i + 6]
                 if not _HEX4_RE.fullmatch(digits) or 0xD800 <= int(digits, 16) <= 0xDFFF:
-                    raise ParseError(_span(tok), "\\uXXXX, not a surrogate", f"\\u{digits}")
+                    raise _Fault(at, "\\uXXXX, not a surrogate", f"\\u{digits}")
                 out.append(chr(int(digits, 16)))
                 i += 6
                 continue
             if esc not in _UNESCAPES:
-                raise ParseError(_span(tok), "known escape", f"\\{esc}")
+                raise _Fault(at, "known escape", f"\\{esc}")
             out.append(_UNESCAPES[esc])
             i += 2
         elif c == '"':
-            raise ParseError(_span(tok), "escaped quote", raw)
+            raise _Fault(at, "escaped quote", raw)
         else:
             out.append(c)
             i += 1
     return "".join(out)
 
 
+# A word: a run of non-space characters and complete quoted strings, in which
+# a backslash escapes the next character.  It is spelled as a plain run, then
+# (quoted string, plain run)*, so that each word has one reading and a
+# whole-line match cannot backtrack exponentially.
+_QUOTED = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_WORD = rf'[^\s"]+(?:{_QUOTED}[^\s"]*)*|(?:{_QUOTED}[^\s"]*)+'
+_WORD_RE = re.compile(_WORD, re.DOTALL)
+_WORDS_RE = re.compile(rf"\s*(?:(?:{_WORD})(?:\s+|\Z))*", re.DOTALL)
+
 # One token per match, after leading whitespace: a ``#`` that starts a
-# comment, a run of non-space characters and complete quoted strings (a
-# backslash inside quotes escapes the next character), a lone ``"`` that
-# opens a string never closed, or the end of the line.
-_TOKEN_RE = re.compile(r'\s*(?:(#)|((?:[^\s"]+|"[^"\\]*(?:\\.[^"\\]*)*")+)|(")|\Z)', re.DOTALL)
+# comment, a word, a lone ``"`` that opens a string never closed, or the end
+# of the line.
+_TOKEN_RE = re.compile(rf'\s*(?:(#)|({_WORD})|(")|\Z)', re.DOTALL)
+
+# A token is a tuple (text, line, col_start, col_end) of str and int only.
+_Token = tuple[str, int, int, int]
 
 
 def _tokenize_line(line: str, lineno: int) -> tuple[_Token, ...]:
+    """The positional tokenizer: each word of the line with its columns.
+    Parse calls it only for a line with a comment, one _split refuses, and
+    one whose record is at fault, so a clean parse builds no token."""
     tokens = []
     n = len(line)
     pos = 0
@@ -187,14 +195,26 @@ def _tokenize_line(line: str, lineno: int) -> tuple[_Token, ...]:
         text = m.group(2)
         if text is None:
             if m.group(3) is not None:
-                unclosed = ('"', lineno, m.start(3) + 1, n)
-                raise ParseError(_span(unclosed), "closing quote", "end of line")
+                span = SourceSpan(lineno, m.start(3) + 1, n)
+                raise ParseError(span, "closing quote", "end of line")
             return tuple(tokens)
         start, pos = m.span(2)
         if pos < n and line[pos] == '"':
             # The run stopped at a quote that no later quote closes.
-            raise ParseError(_span((text, lineno, start + 1, n)), "closing quote", "end of line")
+            raise ParseError(SourceSpan(lineno, start + 1, n), "closing quote", "end of line")
         tokens.append((text, lineno, start + 1, pos))
+
+
+def _split(line: str, lineno: int) -> tuple[str, ...]:
+    """The words of a line, as _tokenize_line would give their texts, split
+    by C-level calls unless the line has a comment or the whole-line pattern
+    refuses it."""
+    if "#" not in line:
+        if '"' not in line:
+            return tuple(line.split())
+        if _WORDS_RE.fullmatch(line):
+            return tuple(_WORD_RE.findall(line))
+    return tuple(tok[0] for tok in _tokenize_line(line, lineno))
 
 
 # --------------------------------------------------------------------------
@@ -231,75 +251,75 @@ def _range_body(r: Range) -> str:
     return f"{open_cap}{lo},{hi}{close_cap}"
 
 
-def parse_value_literal(tok: _Token, raw: str) -> Value:
+def _parse_value_literal(at: int, raw: str) -> Value:
     if raw.startswith('"'):
-        return Text(_unquote(tok, raw))
+        return Text(_unquote(at, raw))
     if raw in Wildcard.__members__:
         return Wildcard[raw]
     for prefix in ("range", "ball"):
         if raw.startswith(prefix) and len(raw) > len(prefix) and raw[len(prefix)] in "[(":
-            r = _parse_range_body(tok, raw[len(prefix):])
+            r = _parse_range_body(at, raw[len(prefix):])
             return r if prefix == "range" else BallInRange(r)
     if raw.startswith("exist[") and raw.endswith("]"):
-        level = _parse_number(tok, raw[6:-1])
+        level = _parse_number(at, raw[6:-1])
         try:
             return ExistenceLevel(level)
         except ValueError as exc:
-            raise ParseError(_span(tok), "existence level in [0,1]", raw) from exc
+            raise _Fault(at, "existence level in [0,1]", raw) from exc
     if raw.startswith("fuzzy[") and raw.endswith("]"):
         body = raw[6:-1]
         if ":" not in body:
-            raise ParseError(_span(tok), "fuzzy[name:lo,peak,hi]", raw)
+            raise _Fault(at, "fuzzy[name:lo,peak,hi]", raw)
         name, _, nums = body.partition(":")
         parts = nums.split(",")
         if len(parts) != 3 or not KEY_RE.fullmatch(name):
-            raise ParseError(_span(tok), "fuzzy[name:lo,peak,hi]", raw)
-        lo, peak, hi = (_parse_number(tok, p) for p in parts)
+            raise _Fault(at, "fuzzy[name:lo,peak,hi]", raw)
+        lo, peak, hi = (_parse_number(at, p) for p in parts)
         try:
             return FuzzyLabel(name, lo, peak, hi)
         except ValueError as exc:
-            raise ParseError(_span(tok), "lo <= peak <= hi", raw) from exc
+            raise _Fault(at, "lo <= peak <= hi", raw) from exc
     number, _, unit = raw.partition(":")
     if _NUMBER_RE.fullmatch(number):
         if unit and not UNIT_RE.fullmatch(unit):
-            raise ParseError(_span(tok), "unit tag", unit)
-        return Scalar(_parse_number(tok, number), unit or None)
-    raise ParseError(_span(tok), "value literal", raw)
+            raise _Fault(at, "unit tag", unit)
+        return Scalar(_parse_number(at, number), unit or None)
+    raise _Fault(at, "value literal", raw)
 
 
-def _parse_number(tok: _Token, raw: str) -> float:
+def _parse_number(at: int, raw: str) -> float:
     if not _NUMBER_RE.fullmatch(raw):
-        raise ParseError(_span(tok), "number", raw)
+        raise _Fault(at, "number", raw)
     value = float(raw)
     if not math.isfinite(value):
-        raise ParseError(_span(tok), "finite number", raw)
+        raise _Fault(at, "finite number", raw)
     return value
 
 
-def _parse_range_body(tok: _Token, body: str) -> Range:
+def _parse_range_body(at: int, body: str) -> Range:
     if len(body) < 4 or body[0] not in "[(" or body[-1] not in "])":
-        raise ParseError(_span(tok), "range[lo,hi]", body)
+        raise _Fault(at, "range[lo,hi]", body)
     lo_inc = body[0] == "["
     hi_inc = body[-1] == "]"
     parts = body[1:-1].split(",")
     if len(parts) != 2:
-        raise ParseError(_span(tok), "two range bounds", body)
-    lo = None if parts[0] == "-inf" else _parse_number(tok, parts[0])
-    hi = None if parts[1] == "inf" else _parse_number(tok, parts[1])
+        raise _Fault(at, "two range bounds", body)
+    lo = None if parts[0] == "-inf" else _parse_number(at, parts[0])
+    hi = None if parts[1] == "inf" else _parse_number(at, parts[1])
     try:
         return Range(lo, hi, lo_inc, hi_inc)
     except ValueError as exc:
-        raise ParseError(_span(tok), "lo <= hi", body) from exc
+        raise _Fault(at, "lo <= hi", body) from exc
 
 
 # --------------------------------------------------------------------------
 # Payload codec: per payload type, one row per DSL key, in decode order.
 #
 # A row is (key, attribute, encode, decode).  For a plain key, encode gives
-# the text to write, or None to write nothing, and decode(tok, text) gives
+# the text to write, or None to write nothing, and decode(at, text) gives
 # the attribute; an absent key leaves the payload's default.  A prefix key
 # (ending in "." or empty) holds every key that starts with it: encode gives
-# (suffix, text) pairs, and decode gets the [(suffix, tok, text)] pairs in
+# (suffix, text) pairs, and decode gets the [(suffix, at, text)] pairs in
 # key order.
 
 
@@ -307,51 +327,51 @@ def _same(value):
     return value
 
 
-def _text(tok: _Token, text: str) -> str:
+def _text(at: int, text: str) -> str:
     return text
 
 
 def _list(key: str, attribute: str, show, read, collect=tuple):
     """The row of a comma-separated list: show writes one item and
-    read(tok, part) reads one; a set (collect=frozenset) is written sorted."""
+    read(at, part) reads one; a set (collect=frozenset) is written sorted."""
     order = sorted if collect is frozenset else tuple
     return (
         key,
         attribute,
         lambda items: ",".join(map(show, order(items))) or None,
-        lambda tok, text: collect(read(tok, part) for part in list_items(text)),
+        lambda at, text: collect(read(at, part) for part in list_items(text)),
     )
 
 
 _SLOT_RE = re.compile(r"([A-Za-z0-9_-]+):([A-Za-z0-9_-]+)\.(.+)")
 
 
-def _slot(tok: _Token, part: str) -> SlotSpec:
+def _slot(at: int, part: str) -> SlotSpec:
     m = _SLOT_RE.fullmatch(part)
     if not m:
-        raise ParseError(_span(tok), "slot as name:element.attribute", part)
+        raise _Fault(at, "slot as name:element.attribute", part)
     return SlotSpec(*m.groups())
 
 
-def _marker(tok: _Token, part: str) -> tuple[str, str]:
+def _marker(at: int, part: str) -> tuple[str, str]:
     level, sep, valence = part.partition(":")
     if not sep:
-        raise ParseError(_span(tok), "marker as level:valence", part)
+        raise _Fault(at, "marker as level:valence", part)
     return level, valence
 
 
-def _cell(tok: _Token, part: str) -> tuple[str, float, float]:
+def _cell(at: int, part: str) -> tuple[str, float, float]:
     bits = part.split(":")
     if len(bits) != 3:
-        raise ParseError(_span(tok), "cell as name:x:y", part)
-    return bits[0], _parse_number(tok, bits[1]), _parse_number(tok, bits[2])
+        raise _Fault(at, "cell as name:x:y", part)
+    return bits[0], _parse_number(at, bits[1]), _parse_number(at, bits[2])
 
 
-def _expr(tok: _Token, text: str):
+def _expr(at: int, text: str):
     try:
         return parse_expr(text)
     except ExprSyntaxError as exc:
-        raise ParseError(_span(tok), "arithmetic expression", text) from exc
+        raise _Fault(at, "arithmetic expression", text) from exc
 
 
 def _literals(bindings) -> list[tuple[str, str]]:
@@ -359,7 +379,7 @@ def _literals(bindings) -> list[tuple[str, str]]:
 
 
 def _bindings(items) -> tuple[AttributeBinding, ...]:
-    return tuple(AttributeBinding(s, parse_value_literal(tok, text)) for s, tok, text in items)
+    return tuple(AttributeBinding(s, _parse_value_literal(at, text)) for s, at, text in items)
 
 
 _LABEL = ("label", "label", _same, _text)
@@ -373,12 +393,12 @@ _CODEC = {
             "eq.",
             "equations",
             lambda eqs: [(name, expr_text(eqs[name])) for name in sorted(eqs)],
-            lambda items: {s: _expr(tok, text) for s, tok, text in items},
+            lambda items: {s: _expr(at, text) for s, at, text in items},
         ),
     ),
     CAPayload: (
         _LABEL,
-        ("ellipsis", "open_ended", lambda on: "true" if on else None, lambda tok, text: text == "true"),
+        ("ellipsis", "open_ended", lambda on: "true" if on else None, lambda at, text: text == "true"),
         ("detected.", "detected", _literals, _bindings),
         ("forced.", "forced", _literals, _bindings),
     ),
@@ -390,7 +410,7 @@ _CODEC = {
     RobinsonIconPayload: (
         _LABEL,
         _ACTIVE,
-        ("valence", "valence", _same, lambda tok, text: text or "+"),
+        ("valence", "valence", _same, lambda at, text: text or "+"),
         ("subnode", "subnode", _same, _text),
         ("target", "cathected_target", _same, _text),
     ),
@@ -415,7 +435,7 @@ def _encode_payload(el: Element) -> dict[str, str]:
     return pairs
 
 
-def _decode_payload(kind: Kind, pairs: dict[str, tuple[_Token, str]]):
+def _decode_payload(kind: Kind, pairs: dict[str, tuple[int, str]]):
     """Build the kind's payload from decoded key/value pairs (consumes them)."""
     ptype = payload_type(kind)
     fields = {}
@@ -433,29 +453,29 @@ def _decode_payload(kind: Kind, pairs: dict[str, tuple[_Token, str]]):
 # --------------------------------------------------------------------------
 # Group codec: per group kind, its constructor and one row per DSL key, in
 # write order.  A row is (key, attribute, encode, decode): encode(group) gives
-# the text to write, or None to write nothing, and decode(d, tok, text) gives
+# the text to write, or None to write nothing, and decode(d, at, text) gives
 # the constructor's argument ``attribute``.  An absent key keeps its default,
 # or raises its fault in _GROUP_MISSING.
 
 
-def _items(d: Diagram, tok: _Token, text: str) -> tuple[str, ...]:
+def _items(d: Diagram, at: int, text: str) -> tuple[str, ...]:
     return list_items(text)
 
 
-def _word(d: Diagram, tok: _Token, text: str) -> str:
+def _word(d: Diagram, at: int, text: str) -> str:
     return text
 
 
-def _numbers(d: Diagram, tok: _Token, text: str) -> tuple[float, ...]:
-    return tuple(_parse_number(tok, part) for part in list_items(text))
+def _numbers(d: Diagram, at: int, text: str) -> tuple[float, ...]:
+    return tuple(_parse_number(at, part) for part in list_items(text))
 
 
-def _states_and_tubes(d: Diagram, tok: _Token, text: str) -> tuple[tuple[str, ...], ...]:
+def _states_and_tubes(d: Diagram, at: int, text: str) -> tuple[tuple[str, ...], ...]:
     """An id that names an element is a state, one that names an edge a tube."""
     members = list_items(text)
     for m in members:
         if m not in d.elements and m not in d.edges:
-            raise ParseError(_span(tok), "existing member id", m)
+            raise _Fault(at, "existing member id", m)
     states = tuple(m for m in members if m in d.elements)
     return states, tuple(m for m in members if m not in d.elements)
 
@@ -494,6 +514,11 @@ _GROUP_MISSING = {
 # --------------------------------------------------------------------------
 # Parsing.
 
+# The kinds by their DSL names: a dict lookup costs a twentieth of an Enum call.
+_KINDS = {k.value: k for k in Kind}
+_EDGE_KINDS = {k.value: k for k in EdgeKind}
+_GROUP_KINDS = {k.value: k for k in GroupKind}
+
 
 def parse(text: str | bytes) -> Diagram:
     """Parse DSL text into a diagram; raises ParseError at the first fault."""
@@ -501,171 +526,185 @@ def parse(text: str | bytes) -> Diagram:
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(_span(("", 1, 1, 1)), "UTF-8 text", "invalid bytes") from exc
+            raise ParseError(SourceSpan(1, 1, 1), "UTF-8 text", "invalid bytes") from exc
 
-    # Every line is tokenized before any record is built, so a syntax fault
+    # Every line is split before any record is built, so a syntax fault
     # anywhere is reported before a fault in a record on an earlier line.
-    buckets: dict[str, list[tuple[_Token, ...]]] = {
+    # A record (lineno, line, words) holds str and int only, so the cyclic GC
+    # stops tracking it.
+    buckets: dict[str, list[tuple[int, str, tuple[str, ...]]]] = {
         key: [] for key in ("meta", "elem", "contain", "edge", "group", "attr")
     }
     for lineno, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(line, lineno)
-        if not tokens:
+        words = _split(line, lineno)
+        if not words:
             continue
-        head = tokens[0]
-        if head[0] not in buckets:
-            raise ParseError(_span(head), "record keyword", head[0])
-        buckets[head[0]].append(tokens)
+        bucket = buckets.get(words[0])
+        if bucket is None:
+            raise _locate(lineno, line, 0, "record keyword", words[0])
+        bucket.append((lineno, line, words))
 
+    # A _Fault names a word of the record being built; each loop below binds
+    # that record's lineno and line, so the handler can locate the word.
     d = Diagram()
+    try:
+        for lineno, line, words in buckets["meta"]:
+            if len(words) != 2:
+                raise _Fault(0, "meta key=\"value\"", " ".join(words))
+            key, value = _split_pair(words, 1, quoted=True)
+            if key in d.meta:
+                raise _Fault(1, "unique meta key", key)
+            d.meta[key] = value
 
-    for tokens in buckets["meta"]:
-        if len(tokens) != 2:
-            raise ParseError(_span(tokens[0]), "meta key=\"value\"", " ".join(t[0] for t in tokens))
-        key, value = _split_pair(tokens[1], quoted=True)
-        if key in d.meta:
-            raise ParseError(_span(tokens[1]), "unique meta key", key)
-        d.meta[key] = value
+        for lineno, line, words in buckets["elem"]:
+            eid, kind = _record_head(words, _KINDS, "elem <id> <Kind>", "element kind")
+            pairs = _read_pairs(words, 3, quoted=True)
+            position = _take_position(pairs)
+            try:
+                payload = _decode_payload(kind, pairs)
+            except (ModelError, ValueError) as exc:
+                raise _Fault(2, "well-formed payload", str(exc)) from exc
+            if pairs:
+                stray = sorted(pairs)[0]
+                raise _Fault(pairs[stray][0], f"no {stray!r} key on {kind.value}", stray)
+            try:
+                d.add_element(Element(kind=kind, payload=payload, position=position, id=eid))
+            except ModelError as exc:
+                raise _Fault(1, "insertable element", str(exc)) from exc
 
-    for tokens in buckets["elem"]:
-        eid, kind = _record_head(tokens, Kind, "elem <id> <Kind>", "element kind")
-        pairs = _read_pairs(tokens[3:], quoted=True)
-        position = _take_position(pairs)
-        try:
-            payload = _decode_payload(kind, pairs)
-        except (ModelError, ValueError) as exc:
-            raise ParseError(_span(tokens[2]), "well-formed payload", str(exc)) from exc
-        if pairs:
-            stray = sorted(pairs)[0]
-            raise ParseError(_span(pairs[stray][0]), f"no {stray!r} key on {kind.value}", stray)
-        try:
-            d.add_element(Element(kind=kind, payload=payload, position=position, id=eid))
-        except ModelError as exc:
-            raise ParseError(_span(tokens[1]), "insertable element", str(exc)) from exc
+        for lineno, line, words in buckets["contain"]:
+            if len(words) != 3:
+                raise _Fault(0, "contain <child> <parent>", "record shape")
+            child, parent = _require_id(words, 1), _require_id(words, 2)
+            try:
+                d.contain(child, parent)
+            except ModelError as exc:
+                raise _Fault(1, "legal containment", str(exc)) from exc
 
-    for tokens in buckets["contain"]:
-        if len(tokens) != 3:
-            raise ParseError(_span(tokens[0]), "contain <child> <parent>", "record shape")
-        child, parent = _require_id(tokens[1]), _require_id(tokens[2])
-        try:
-            d.contain(child, parent)
-        except ModelError as exc:
-            raise ParseError(_span(tokens[1]), "legal containment", str(exc)) from exc
+        for lineno, line, words in buckets["edge"]:
+            _parse_edge(d, words)
 
-    for tokens in buckets["edge"]:
-        _parse_edge(d, tokens)
+        for lineno, line, words in buckets["group"]:
+            _parse_group(d, words)
 
-    for tokens in buckets["group"]:
-        _parse_group(d, tokens)
-
-    for tokens in buckets["attr"]:
-        if len(tokens) != 3:
-            raise ParseError(_span(tokens[0]), "attr <owner> <attribute>=<value>", "record shape")
-        owner = _require_id(tokens[1])
-        if owner not in d.elements and owner not in d.edges:
-            raise ParseError(_span(tokens[1]), "existing owner", owner)
-        name, _, raw = tokens[2][0].partition("=")
-        if not raw:
-            raise ParseError(_span(tokens[2]), "attribute=value", tokens[2][0])
-        value = parse_value_literal(tokens[2], raw)
-        try:
-            binding = AttributeBinding(name, value)
-        except ModelError as exc:
-            raise ParseError(_span(tokens[2]), "legal binding", str(exc)) from exc
-        # Hosting legality is the validator's concern, not the parser's.
-        d.bindings.append((owner, binding))
+        for lineno, line, words in buckets["attr"]:
+            if len(words) != 3:
+                raise _Fault(0, "attr <owner> <attribute>=<value>", "record shape")
+            owner = _require_id(words, 1)
+            if owner not in d.elements and owner not in d.edges:
+                raise _Fault(1, "existing owner", owner)
+            name, _, raw = words[2].partition("=")
+            if not raw:
+                raise _Fault(2, "attribute=value", words[2])
+            value = _parse_value_literal(2, raw)
+            try:
+                binding = AttributeBinding(name, value)
+            except ModelError as exc:
+                raise _Fault(2, "legal binding", str(exc)) from exc
+            # Hosting legality is the validator's concern, not the parser's.
+            d.bindings.append((owner, binding))
+    except _Fault as fault:
+        raise _locate(lineno, line, *fault.args) from fault.__cause__
 
     return d
 
 
-def _require_id(tok: _Token) -> str:
-    if not ID_RE.fullmatch(tok[0]):
-        raise ParseError(_span(tok), "identifier", tok[0])
-    return tok[0]
+def _locate(lineno: int, line: str, at: int, expected: str, found: str) -> ParseError:
+    """The ParseError at word ``at`` of a line.  Only here, on a fault, is a
+    split line tokenized again to find where its words are."""
+    _, _, start, end = _tokenize_line(line, lineno)[at]
+    return ParseError(SourceSpan(lineno, start, end), expected, found)
 
 
-def _record_head(tokens: tuple[_Token, ...], kinds: type, shape: str, expected: str) -> tuple:
+def _require_id(words: tuple[str, ...], at: int) -> str:
+    if not ID_RE.fullmatch(words[at]):
+        raise _Fault(at, "identifier", words[at])
+    return words[at]
+
+
+def _record_head(words: tuple[str, ...], kinds: dict, shape: str, expected: str) -> tuple:
     """The id and kind of an elem, edge or group record."""
-    if len(tokens) < 3:
-        raise ParseError(_span(tokens[0]), shape, "end of record")
-    eid = _require_id(tokens[1])
-    try:
-        return eid, kinds(tokens[2][0])
-    except ValueError:
-        raise ParseError(_span(tokens[2]), expected, tokens[2][0]) from None
+    if len(words) < 3:
+        raise _Fault(0, shape, "end of record")
+    eid = _require_id(words, 1)
+    kind = kinds.get(words[2])
+    if kind is None:
+        raise _Fault(2, expected, words[2])
+    return eid, kind
 
 
-def _split_pair(tok: _Token, quoted: bool) -> tuple[str, str]:
-    key, sep, raw = tok[0].partition("=")
+def _split_pair(words: tuple[str, ...], at: int, quoted: bool) -> tuple[str, str]:
+    key, sep, raw = words[at].partition("=")
     if not sep or not KEY_RE.fullmatch(key):
-        raise ParseError(_span(tok), "key=\"value\"", tok[0])
+        raise _Fault(at, "key=\"value\"", words[at])
     if quoted:
-        return key, _unquote(tok, raw)
+        return key, _unquote(at, raw)
     return key, raw
 
 
 def _read_pairs(
-    tokens: tuple[_Token, ...], quoted: bool, only: str | None = None
-) -> dict[str, tuple[_Token, str]]:
-    """The key=value words of an elem, edge or group record, by key, each with
-    its token.  A key may come once, and when ``only`` is given no other key."""
-    pairs: dict[str, tuple[_Token, str]] = {}
-    for tok in tokens:
-        key, value = _split_pair(tok, quoted)
+    words: tuple[str, ...], start: int, quoted: bool, only: str | None = None
+) -> dict[str, tuple[int, str]]:
+    """The key=value words of an elem, edge or group record from ``start`` on,
+    by key, each with its index.  A key may come once, and when ``only`` is
+    given no other key."""
+    pairs: dict[str, tuple[int, str]] = {}
+    for at in range(start, len(words)):
+        key, value = _split_pair(words, at, quoted)
         if key in pairs:
-            raise ParseError(_span(tok), "unique key", key)
+            raise _Fault(at, "unique key", key)
         if only is not None and key != only:
-            raise ParseError(_span(tok), f"{only} key", key)
-        pairs[key] = (tok, value)
+            raise _Fault(at, f"{only} key", key)
+        pairs[key] = (at, value)
     return pairs
 
 
-def _take_position(pairs: dict[str, tuple[_Token, str]]) -> Position | None:
+def _take_position(pairs: dict[str, tuple[int, str]]) -> Position | None:
     pos = pairs.pop("pos", None)
     size = pairs.pop("size", None)
     if pos is None:
         if size is not None:
-            raise ParseError(_span(size[0]), "pos together with size", "size alone")
+            raise _Fault(size[0], "pos together with size", "size alone")
         return None
     x, y = _number_pair(*pos, "pos as x,y")
     w, h = (None, None) if size is None else _number_pair(*size, "size as w,h")
     return Position(x, y, w, h)
 
 
-def _number_pair(tok: _Token, text: str, expected: str) -> tuple[float, float]:
+def _number_pair(at: int, text: str, expected: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ParseError(_span(tok), expected, text)
-    return _parse_number(tok, parts[0]), _parse_number(tok, parts[1])
+        raise _Fault(at, expected, text)
+    return _parse_number(at, parts[0]), _parse_number(at, parts[1])
 
 
-def _parse_edge(d: Diagram, tokens: tuple[_Token, ...]) -> None:
-    eid, kind = _record_head(tokens, EdgeKind, "edge <id> <Kind> [src] -> [dst]", "edge kind")
-    rest = tokens[3:]
+def _parse_edge(d: Diagram, words: tuple[str, ...]) -> None:
+    eid, kind = _record_head(words, _EDGE_KINDS, "edge <id> <Kind> [src] -> [dst]", "edge kind")
     source = target = None
-    i = 0
-    if i < len(rest) and rest[i][0] != "->" and "=" not in rest[i][0]:
-        source = _require_id(rest[i])
-        i += 1
-    if i >= len(rest) or rest[i][0] != "->":
-        if i < len(rest):
-            raise ParseError(_span(rest[i]), "'->'", rest[i][0])
-        raise ParseError(_span(tokens[-1]), "'->'", "end of record")
-    i += 1
-    if i < len(rest) and "=" not in rest[i][0]:
-        target = _require_id(rest[i])
-        i += 1
-    pairs = _read_pairs(rest[i:], quoted=True, only="role")
+    n = len(words)
+    at = 3
+    if at < n and words[at] != "->" and "=" not in words[at]:
+        source = _require_id(words, at)
+        at += 1
+    if at >= n or words[at] != "->":
+        if at < n:
+            raise _Fault(at, "'->'", words[at])
+        raise _Fault(n - 1, "'->'", "end of record")
+    at += 1
+    if at < n and "=" not in words[at]:
+        target = _require_id(words, at)
+        at += 1
+    pairs = _read_pairs(words, at, quoted=True, only="role")
     role = pairs["role"][1] if pairs else None
     try:
         d.add_edge(Edge(kind=kind, source=source, target=target, role=role, id=eid))
     except (ModelError, ValueError) as exc:
-        raise ParseError(_span(tokens[1]), "insertable edge", str(exc)) from exc
+        raise _Fault(1, "insertable edge", str(exc)) from exc
 
 
-def _parse_group(d: Diagram, tokens: tuple[_Token, ...]) -> None:
-    gid, gkind = _record_head(tokens, GroupKind, "group <id> <Kind>", "group kind")
-    pairs = _read_pairs(tokens[3:], quoted=False)
+def _parse_group(d: Diagram, words: tuple[str, ...]) -> None:
+    gid, gkind = _record_head(words, _GROUP_KINDS, "group <id> <Kind>", "group kind")
+    pairs = _read_pairs(words, 3, quoted=False)
     make, rows = _GROUP_CODEC[gkind]
     fields = {"id": gid}
     for key, attribute, _, decode in rows:
@@ -673,18 +712,18 @@ def _parse_group(d: Diagram, tokens: tuple[_Token, ...]) -> None:
         if entry is not None:
             fields[attribute] = decode(d, *entry)
         elif key in _GROUP_MISSING:
-            raise ParseError(_span(tokens[2]), *_GROUP_MISSING[key])
+            raise _Fault(2, *_GROUP_MISSING[key])
     if pairs:
         stray = min(pairs)
-        raise ParseError(_span(pairs[stray][0]), f"{gkind.value} group key", stray)
+        raise _Fault(pairs[stray][0], f"{gkind.value} group key", stray)
     try:
         group = make(**fields)
     except (ModelError, ValueError) as exc:
-        raise ParseError(_span(tokens[1]), "legal probabilities", str(exc)) from exc
+        raise _Fault(1, "legal probabilities", str(exc)) from exc
     try:
         d.add_group(group)
     except ModelError as exc:
-        raise ParseError(_span(tokens[1]), "resolvable group members", str(exc)) from exc
+        raise _Fault(1, "resolvable group members", str(exc)) from exc
 
 
 # --------------------------------------------------------------------------

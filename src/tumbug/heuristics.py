@@ -120,9 +120,8 @@ def parse_rules(text: str) -> dict[TriggerTag, Rule]:
     return rules
 
 
-def load_rules(path: str | Path | None = None) -> dict[TriggerTag, Rule]:
-    path = Path(path) if path is not None else tables_dir() / "heuristics.tbl"
-    return parse_rules(path.read_text(encoding="utf-8"))
+def load_rules(path: str | Path) -> dict[TriggerTag, Rule]:
+    return parse_rules(Path(path).read_text(encoding="utf-8"))
 
 
 def default_rules() -> dict[TriggerTag, Rule]:

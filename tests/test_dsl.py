@@ -2,6 +2,7 @@ import math
 import random
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -605,6 +606,26 @@ def _tokens(line: str, lineno: int) -> list[tuple[str, SourceSpan]]:
     return [(t[0], SourceSpan(*t[1:])) for t in _tokenize_line(line, lineno)]
 
 
+def _reference_words(line: str):
+    """The reference tokens' texts, or the reference's fault."""
+    outcome = _tokenize_outcome(reference_tokenize, line)
+    return [text for text, _ in outcome] if isinstance(outcome, list) else outcome
+
+
+def _split_outcome(line: str):
+    """The words parse's splitter reads from a line.  On a line it refuses,
+    parse raises the same fault when the line is the document's seventh."""
+    try:
+        return list(dsl._split(line, 7))
+    except ParseError as exc:
+        fault = (exc.span, exc.expected, exc.found)
+    if line.splitlines() == [line]:
+        with pytest.raises(ParseError) as err:
+            parse("\n" * 6 + line)
+        assert (err.value.span, err.value.expected, err.value.found) == fault
+    return ("error", *fault)
+
+
 # Quotes, backslashes, comment marks and whitespace on which str.isspace and
 # the regex class \s could disagree (information separators, NEL, NBSP).
 _TOKENIZER_ALPHABET = st.one_of(
@@ -624,6 +645,9 @@ class TestTokenizer:
         assert _tokenize_outcome(_tokens, line) == _tokenize_outcome(
             reference_tokenize, line
         )
+        # The splitter's C-level paths take only lines without a comment mark.
+        for text in (line, line.replace("#", "")):
+            assert _split_outcome(text) == _reference_words(text)
 
     @pytest.mark.parametrize(
         "line",
@@ -641,12 +665,33 @@ class TestTokenizer:
             '"',
             'k="v"" w',
             "tab\tsep\x1cinfo\x85nel\xa0nbsp",
+            'k="a b"c"d e" w="" "x y"',
+            '\u3000"q\x85q"\x1cz"\\""',
+            'a "b" "c',
         ],
     )
     def test_matches_reference_on_edge_cases(self, line):
         assert _tokenize_outcome(_tokens, line) == _tokenize_outcome(
             reference_tokenize, line
         )
+        assert _split_outcome(line) == _reference_words(line)
+
+    @pytest.mark.parametrize(
+        "line, span, expected, found",
+        [
+            ("a" * 20000 + '"', SourceSpan(1, 1, 20001), "closing quote", "end of line"),
+            ('a "b\\' * 4000, SourceSpan(1, 1, 1), "record keyword", "a"),
+            ('"x" ' * 5000 + '"', SourceSpan(1, 20001, 20001), "closing quote", "end of line"),
+        ],
+    )
+    def test_long_lines_are_split_in_linear_time(self, line, span, expected, found):
+        # A whole-line pattern in which a word has more than one reading
+        # backtracks exponentially on each of these lines.
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse(line)
+        assert time.perf_counter() - start < 1.0
+        assert (err.value.span, err.value.expected, err.value.found) == (span, expected, found)
 
 
 def _generated_text(n_boxes: int) -> str:
@@ -696,6 +741,28 @@ class TestTokensKeepNoSpans:
             parse(text + "elem b0 Cell\n")
         assert built == [err.value.span]
 
+    def test_only_a_faulty_line_is_tokenized_with_positions(self, monkeypatch):
+        tokenized = []
+        tokenize = dsl._tokenize_line
+
+        def counting(line, lineno):
+            tokenized.append(lineno)
+            return tokenize(line, lineno)
+
+        monkeypatch.setattr(dsl, "_tokenize_line", counting)
+        text = _generated_text(100)
+        assert len(parse(text).elements) == 1001
+        assert tokenized == []
+        faulty = text.replace('pos="3,4"', 'pos="3,x"')
+        lineno = faulty.splitlines().index(
+            'elem o3-4 PhysicalObjectCircle label="fox" pos="3,x" size="4,3"'
+        ) + 1
+        with pytest.raises(ParseError) as err:
+            parse(faulty)
+        assert err.value.span == SourceSpan(lineno, 44, 52)
+        assert (err.value.expected, err.value.found) == ("number", "x")
+        assert tokenized == [lineno]
+
     def test_every_line_is_tokenized_before_any_record_is_built(self):
         lines = ["elem o1 PhysicalObjectCircle", "elem o2 NoSuchKind"]
         lines += [f"elem o{i} Cell" for i in range(3, 9)]
@@ -711,9 +778,9 @@ class TestTokensKeepNoSpans:
 
 def _unquote_outcome(unquote, raw: str):
     try:
-        return unquote((raw, 1, 1, len(raw)), raw)
-    except ParseError as exc:
-        return ("error", exc.span, exc.expected, exc.found)
+        return unquote(0, raw)
+    except dsl._Fault as fault:
+        return ("error", *fault.args)
 
 
 # Every character str.splitlines breaks a line on, besides \n and \r.

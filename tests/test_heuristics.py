@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tumbug import DATA_DIR
+from tumbug import DATA_DIR, tables_dir
 from tumbug.heuristics import (
     Requirement,
     RuleSetError,
@@ -167,7 +167,7 @@ def test_default_rules_follow_tumbug_tables(tmp_path, monkeypatch):
         encoding="utf-8",
     )
     monkeypatch.setenv("TUMBUG_TABLES", str(tmp_path))
-    assert load_rules()[TriggerTag.BARRIER].mandatory == frozenset()
+    assert load_rules(tables_dir() / "heuristics.tbl")[TriggerTag.BARRIER].mandatory == frozenset()
     assert requirements_for([TriggerTag.BARRIER]) == Requirement()
     assert default_rules() is default_rules()  # loaded once per directory
     monkeypatch.delenv("TUMBUG_TABLES")

@@ -81,4 +81,4 @@ def test_custom_rule_file_is_checked_against_the_shipped_tags(tmp_path, monkeypa
     (tmp_path / "heuristics.tbl").write_text("\n".join(kept) + "\n", encoding="utf-8")
     monkeypatch.setenv("TUMBUG_TABLES", str(tmp_path))
     with pytest.raises(RuleSetError, match="speed"):
-        load_rules()
+        load_rules(tables_dir() / "heuristics.tbl")
