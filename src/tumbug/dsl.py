@@ -602,7 +602,7 @@ def parse(text: str | bytes) -> Diagram:
             except ModelError as exc:
                 raise _Fault(2, "legal binding", str(exc)) from exc
             # Hosting legality is the validator's concern, not the parser's.
-            d.bindings.append((owner, binding))
+            d.append_binding(owner, binding)
     except _Fault as fault:
         raise _locate(lineno, line, *fault.args) from fault.__cause__
 
@@ -754,8 +754,7 @@ def serialize(d: Diagram) -> str:
         lines.append(" ".join(["elem", eid, el.kind.value] + parts))
     for child in sorted(d.containment):
         lines.append(f"contain {child} {d.containment[child]}")
-    for eid in sorted(d.edges):
-        e = d.edges[eid]
+    for eid, e in sorted(d.edges.items()):
         parts = ["edge", eid, e.kind.value]
         if e.source is not None:
             parts.append(e.source)

@@ -190,8 +190,8 @@ def _containment_cycles(d: Diagram, table: LegalityTable) -> Iterator[Violation]
 
 
 def _edge_endpoints(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
-    for eid in sorted(d.edges):
-        for endpoint in d.missing_endpoints(d.edges[eid]):
+    for eid, edge in sorted(d.edges.items()):
+        for endpoint in d.missing_endpoints(edge):
             yield Violation(ViolationCode.UNKNOWN_REF, (eid, endpoint), "edge endpoint does not exist")
 
 
@@ -217,8 +217,7 @@ def _fixed_positions(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
 
 def _arrow_shapes(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
     """The legality table over change arrows whose endpoints exist."""
-    for eid in sorted(d.edges):
-        edge = d.edges[eid]
+    for eid, edge in sorted(d.edges.items()):
         if edge.kind not in CHANGE_ARROW_KINDS or d.missing_endpoints(edge):
             continue
         shape = edge_shape(edge)

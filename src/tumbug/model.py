@@ -13,7 +13,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .values import (
@@ -544,60 +544,25 @@ class SplitTimeGroup:
 Group = StateDiagramGroup | SplitTimeGroup
 
 
-def _follow(index: tuple, source, entries, add) -> tuple:
-    """``index``, ``(source, count, last, data)``, caught up with the list or
-    dict ``source``, whose items are ``entries``: ``add(data, new)`` returns
-    data (a fresh one for None) extended by the entries after the first
-    ``count``, of which ``last`` was the final one, read from the end in
-    O(new).  Another object, a shorter one, or another entry just before the
-    new ones (compared item by item by identity) starts over from None."""
-    indexed, n, last, data = index
-    size = len(source)
-    if source is indexed and size >= n:
-        tail = reversed(entries)
-        new = list(islice(tail, size - n)) if size > n else None
-        end = next(tail, None)  # where the index ended
-        if not n or (end[0] is last[0] and end[1] is last[1]):
-            return (source, size, new[0], add(data, reversed(new))) if new else index
-    return source, size, next(reversed(entries), None), add(None, entries)
-
-
-def _index_bindings(data: tuple | None, entries: Iterable[tuple[str, AttributeBinding]]) -> tuple:
-    first, conflicting = data = data or ({}, {})
-    for owner, binding in entries:
-        key = (owner, binding.attribute)
-        if _differ(first.setdefault(key, binding.value), binding.value):
-            conflicting[key] = None
-    return data
-
-
 def _differ(a: Value, b: Value) -> bool:
     """Whether two values bound to one (owner, attribute) conflict."""
     return a is not b and a != b
-
-
-def _index_hops(hops: dict | None, entries: Iterable[tuple[str, Edge]]) -> dict[str, list[str]]:
-    hops = {} if hops is None else hops
-    for eid, edge in entries:
-        if edge.kind is EdgeKind.RELATIONSHIP:
-            hops.setdefault(edge.source, []).append(eid)
-    return hops
 
 
 @dataclass(eq=False)
 class Diagram:
     """The scene graph: elements, containment forest, edges, bindings.
 
-    ``bindings`` is an ordered multiset of (owner, binding) pairs.  It may
-    hold duplicates and conflicting values (the parser and callers append
-    to it directly), which :func:`tumbug.grammar.validate` reports.  It is
-    append-only, and ``edges`` only gains new ids: private indices of the
-    first value per (owner, attribute) and of Relationship edges by source
-    follow appends, and start over when the list or dict is replaced,
-    shortened, or no longer holds the entry where the indexed part ended.
-    Edits in place (a binding, an existing edge id, or an Edge's ``kind``
-    or ``source``) are not followed, nor are deletions after which that
-    entry is back where it was.
+    ``edges`` is a read-only mapping and ``bindings`` a tuple of (owner,
+    binding) pairs, an ordered multiset.  Each has one writer pair:
+    ``add_edge`` and ``bind_attribute`` check what they add, while
+    ``put_edge`` (any endpoints) and ``append_binding`` (any owner, host or
+    value) do not, so the parser and callers can build diagrams that
+    :func:`tumbug.grammar.validate` reports.  No edge id is ever overwritten.
+    The writers keep private indices of the first value per (owner,
+    attribute), of the keys bound to two values, and of Relationship edges
+    by source.  An Edge whose ``kind`` or ``source`` is changed in place is
+    not followed.
 
     Equality is structural and order-insensitive: two diagrams built by
     different insertion orders compare equal when their dicts are equal and
@@ -606,34 +571,42 @@ class Diagram:
 
     elements: dict[str, Element] = field(default_factory=dict)
     containment: dict[str, str] = field(default_factory=dict)  # child -> parent
-    edges: dict[str, Edge] = field(default_factory=dict)
+    _edges: dict[str, Edge] = field(default_factory=dict, init=False)
     groups: dict[str, Group] = field(default_factory=dict)
-    bindings: list[tuple[str, AttributeBinding]] = field(default_factory=list)
+    _bindings: list[tuple[str, AttributeBinding]] = field(default_factory=list, init=False)
     meta: dict[str, str] = field(default_factory=dict)
     # Per id prefix, where the next _fresh_id probe starts.  No method frees
     # an id, so the smallest free one never goes down and probing resumes.
     _fresh_from: dict[str, int] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # Indices kept by _follow.  The binding index's data is (first, conflicting):
-    # the first value bound per (owner, attribute), and in order the keys also
-    # bound to another.  The hop index's maps each source to its Relationship ids.
-    _binding_index: tuple = field(default=(None, 0, None, None), init=False, repr=False, compare=False)
-    _hop_index: tuple = field(default=(None, 0, None, None), init=False, repr=False, compare=False)
+    # The first value bound per (owner, attribute); in order, the keys also
+    # bound to another; and each source's Relationship edge ids.
+    _first: dict[tuple[str, str], Value] = field(default_factory=dict, init=False, repr=False)
+    _conflicting: dict[tuple[str, str], None] = field(default_factory=dict, init=False, repr=False)
+    _hops: dict[str | None, list[str]] = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def edges(self) -> Mapping[str, Edge]:
+        return MappingProxyType(self._edges)
+
+    @property
+    def bindings(self) -> tuple[tuple[str, AttributeBinding], ...]:
+        return tuple(self._bindings)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Diagram):
             return NotImplemented
-        dicts = lambda d: (d.elements, d.containment, d.edges, d.groups, d.meta)
+        dicts = lambda d: (d.elements, d.containment, d._edges, d.groups, d.meta)
         key = lambda ob: (ob[0], ob[1].attribute, repr(ob[1].value))
         return dicts(self) == dicts(other) and (
-            sorted(self.bindings, key=key) == sorted(other.bindings, key=key)
+            sorted(self._bindings, key=key) == sorted(other._bindings, key=key)
         )
 
     # -- id allocation ----------------------------------------------------
 
     def _taken(self, i: str) -> bool:
-        return i in self.elements or i in self.edges or i in self.groups
+        return i in self.elements or i in self._edges or i in self.groups
 
     def _fresh_id(self, prefix: str) -> str:
         n = self._fresh_from.get(prefix, 1)
@@ -691,10 +664,21 @@ class Diagram:
         missing = self.missing_endpoints(edge)
         if missing:
             raise UnknownEndpoint(missing[0])
-        self.edges[edge.id] = edge
+        self._store_edge(edge)
         for binding in attrs or ():
             self.bind_attribute(edge.id, binding)
         return edge.id
+
+    def put_edge(self, edge: Edge) -> str:
+        """Insert an edge whose endpoints need not exist, and return its id."""
+        edge.id = self._claim_id(edge.id, "a")
+        self._store_edge(edge)
+        return edge.id
+
+    def _store_edge(self, edge: Edge) -> None:
+        self._edges[edge.id] = edge
+        if edge.kind is EdgeKind.RELATIONSHIP:
+            self._hops.setdefault(edge.source, []).append(edge.id)
 
     def add_group(self, group: Group) -> str:
         group.id = self._claim_id(group.id, "g")
@@ -703,13 +687,13 @@ class Diagram:
                 if sid not in self.elements:
                     raise UnknownMember(sid)
             for tid in group.tubes:
-                if tid not in self.edges:
+                if tid not in self._edges:
                     raise UnknownMember(tid)
             if group.owner is not None and group.owner not in self.elements:
                 raise UnknownOwner(group.owner)
         else:
             for tid in (group.trunk, *group.branches):
-                if tid not in self.edges:
+                if tid not in self._edges:
                     raise UnknownMember(tid)
             if group.junction and group.junction not in self.elements:
                 raise UnknownMember(group.junction)
@@ -724,21 +708,20 @@ class Diagram:
         problem = self.host_problem(owner, binding.attribute)
         if problem is not None:
             raise IllegalAttributeHost(problem)
-        data = first, conflicting = self._indexed_bindings()
         key = (owner, binding.attribute)
-        if key in conflicting or _differ(first.setdefault(key, binding.value), binding.value):
+        if key in self._conflicting or _differ(self._first.get(key, binding.value), binding.value):
             raise ConflictingDuplicate(
                 f"{owner}.{binding.attribute} already bound to a different value"
             )
-        # Index the new entry here, so that the next read has none to catch up.
-        self.bindings.append(entry := (owner, binding))
-        self._binding_index = (self.bindings, len(self.bindings), entry, data)
+        self.append_binding(owner, binding)
 
-    def _indexed_bindings(self) -> tuple[dict[tuple[str, str], Value], dict[tuple[str, str], None]]:
-        """``(first, conflicting)`` of the binding index, caught up with ``bindings``."""
-        b = self.bindings
-        self._binding_index = _follow(self._binding_index, b, b, _index_bindings)
-        return self._binding_index[3]
+    def append_binding(self, owner: str, binding: AttributeBinding) -> None:
+        """Append the pair unchecked: owner need not exist or host attributes,
+        and the value may conflict with one already bound."""
+        self._bindings.append((owner, binding))
+        key = (owner, binding.attribute)
+        if _differ(self._first.setdefault(key, binding.value), binding.value):
+            self._conflicting[key] = None
 
     # -- integrity checks, shared with grammar.validate --------------------
 
@@ -748,8 +731,8 @@ class Diagram:
         if owner in self.elements:
             kind = self.elements[owner].kind
             return None if can_host(kind) else f"{kind.value} cannot host attribute {attribute!r}"
-        if owner in self.edges:
-            kind = self.edges[owner].kind
+        if owner in self._edges:
+            kind = self._edges[owner].kind
             return None if can_host(kind) else f"{kind.value} edge cannot host attributes"
         raise UnknownOwner(owner)
 
@@ -760,21 +743,19 @@ class Diagram:
     # -- queries -----------------------------------------------------------
 
     def bindings_of(self, owner: str) -> list[AttributeBinding]:
-        return [b for o, b in self.bindings if o == owner]
+        return [b for o, b in self._bindings if o == owner]
 
     def binding_value(self, owner: str, attribute: str) -> Value | None:
         """The first value bound to owner's attribute, or None."""
-        return self._indexed_bindings()[0].get((owner, attribute))
+        return self._first.get((owner, attribute))
 
     def conflicting_bindings(self) -> list[tuple[str, str]]:
         """Each (owner, attribute) bound to two values, in the order found."""
-        return list(self._indexed_bindings()[1])
+        return list(self._conflicting)
 
     def relationship_hops(self, owner: str) -> list[str]:
         """The sorted ids of the Relationship edges leaving owner."""
-        edges = self.edges
-        self._hop_index = _follow(self._hop_index, edges, edges.items(), _index_hops)
-        return sorted(self._hop_index[3].get(owner, ()))
+        return sorted(self._hops.get(owner, ()))
 
     def children_of(self, parent: str) -> list[str]:
         return sorted(c for c, p in self.containment.items() if p == parent)
@@ -783,7 +764,7 @@ class Diagram:
         return sorted(i for i, e in self.elements.items() if e.kind == kind)
 
     def edges_of_kind(self, kind: EdgeKind) -> list[str]:
-        return sorted(i for i, e in self.edges.items() if e.kind == kind)
+        return sorted(i for i, e in self._edges.items() if e.kind == kind)
 
 
 def new_diagram() -> Diagram:

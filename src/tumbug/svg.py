@@ -172,8 +172,7 @@ def _layout(
     # that order, so it is part of the output format.
     layer: dict[str, int] = {r: 0 for r in roots}
     root_arrows = []
-    for eid in sorted(d.edges):
-        edge = d.edges[eid]
+    for eid, edge in sorted(d.edges.items()):
         src, dst = edge.source, edge.target
         if edge.kind is not EdgeKind.TIME and src in layer and dst in layer and src != dst:
             root_arrows.append((src, dst))
@@ -272,8 +271,7 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
         out.extend(_render_element(d, eid, boxes[eid], by_owner.get(eid, []), options))
 
     # A solitary arrow is placed by its ordinal among all edges, Time included.
-    for ordinal, eid in enumerate(sorted(d.edges), 1):
-        edge = d.edges[eid]
+    for ordinal, (eid, edge) in enumerate(sorted(d.edges.items()), 1):
         if edge.kind is EdgeKind.TIME:
             continue
         out.extend(_render_edge(eid, edge, ordinal, boxes, by_owner.get(eid, [])))

@@ -47,7 +47,7 @@ class TestParse:
         d = parse(fox_text())
         assert len(d.elements) == 1
         assert d.elements["o1"].label == "fox"
-        assert d.bindings == [("o1", AttributeBinding("speed", Text("quick")))]
+        assert d.bindings == (("o1", AttributeBinding("speed", Text("quick"))),)
 
     def test_empty_input(self):
         d = parse("")

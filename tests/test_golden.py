@@ -171,14 +171,14 @@ def _faulty_scene() -> Diagram:
     _circle(d, "x3a", parent="x3")
     d.add_element(Element(kind=Kind.XOR_BOX, id="x4"))
     d.add_element(Element(kind=Kind.MARKER_0D, id="mk"))
-    d.bindings.append(("mk", AttributeBinding("color", Text("red"))))
-    d.bindings.append(("o00", AttributeBinding("color", Text("blue"))))
-    d.bindings.append(("o00", AttributeBinding("color", Text("green"))))
-    d.bindings.append(("ghost", AttributeBinding("color", Text("red"))))
-    d.bindings.append(("r1", AttributeBinding("strength", Scalar(1))))
-    d.edges["t9"] = Edge(kind=EdgeKind.TIME, source="o01", id="t9")
-    d.edges["f9"] = Edge(kind=EdgeKind.FORCE, source="o02", target="o02", id="f9")
-    d.edges["m9"] = Edge(kind=EdgeKind.MOTION, target="nowhere", id="m9")
+    d.append_binding("mk", AttributeBinding("color", Text("red")))
+    d.append_binding("o00", AttributeBinding("color", Text("blue")))
+    d.append_binding("o00", AttributeBinding("color", Text("green")))
+    d.append_binding("ghost", AttributeBinding("color", Text("red")))
+    d.append_binding("r1", AttributeBinding("strength", Scalar(1)))
+    d.put_edge(Edge(kind=EdgeKind.TIME, source="o01", id="t9"))
+    d.put_edge(Edge(kind=EdgeKind.FORCE, source="o02", target="o02", id="f9"))
+    d.put_edge(Edge(kind=EdgeKind.MOTION, target="nowhere", id="m9"))
     d.containment["o09"] = "o08"
     return d
 

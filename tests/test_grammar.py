@@ -160,15 +160,15 @@ class TestOtherValidations:
     def test_attr_host_violation_reported(self):
         d = new_diagram()
         d.add_element(Element(kind=Kind.MARKER_0D, id="m"))
-        d.bindings.append(("m", AttributeBinding("color", Text("red"))))
+        d.append_binding("m", AttributeBinding("color", Text("red")))
         codes = [v.code for v in validate(d)]
         assert codes == [ViolationCode.ATTR_HOST_ILLEGAL]
 
     def test_attr_conflict_reported(self):
         d = new_diagram()
         d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o"))
-        d.bindings.append(("o", AttributeBinding("color", Text("red"))))
-        d.bindings.append(("o", AttributeBinding("color", Text("blue"))))
+        d.append_binding("o", AttributeBinding("color", Text("red")))
+        d.append_binding("o", AttributeBinding("color", Text("blue")))
         codes = [v.code for v in validate(d)]
         assert codes == [ViolationCode.ATTR_CONFLICT]
 
@@ -257,7 +257,7 @@ class TestOtherValidations:
 
     def test_unknown_edge_endpoint_is_a_violation_when_hand_built(self):
         d = new_diagram()
-        d.edges["e"] = Edge(kind=EdgeKind.MOTION, source="ghost", id="e")
+        d.put_edge(Edge(kind=EdgeKind.MOTION, source="ghost", id="e"))
         codes = {v.code for v in validate(d)}
         assert ViolationCode.UNKNOWN_REF in codes
 

@@ -3,7 +3,8 @@ exports agree with the modules, no module imports a name it never uses or a
 private name of another module, only the package spells its data directory
 and caches, the shipped tables are read through tumbug.read_table, each rule
 below has its one owner, queries read the model's indices instead of
-scanning, and the package version is the project's."""
+scanning, only the model touches a Diagram's storage, the model methods
+that perfbench traces exist, and the package version is the project's."""
 
 import ast
 import importlib
@@ -13,8 +14,10 @@ from pathlib import Path
 import pytest
 
 import tumbug
+from tumbug.model import Diagram
 
 SRC = Path(tumbug.__file__).parent
+TESTS = Path(__file__).parent
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 
@@ -221,7 +224,7 @@ def _scans(function: ast.AST, names=("edges", "bindings")) -> list[str]:
 
 def test_queries_and_the_conflict_rule_read_the_model_indices():
     # Diagram.relationship_hops and Diagram.conflicting_bindings read indices
-    # that follow appends; a scan here costs a pass over the diagram per call.
+    # kept on each write; a scan here costs a pass over the diagram per call.
     tree = ast.parse((SRC / "grammar.py").read_text(encoding="utf-8"))
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     assert {name: _scans(functions[name]) for name in ("resolve_query", "_attribute_conflicts")} == {
@@ -233,6 +236,46 @@ def test_queries_and_the_conflict_rule_read_the_model_indices():
 def test_no_module_calls_the_scanning_queries():
     # Diagram.bindings_of and children_of scan; library code reads indices.
     assert _users(_calls("bindings_of")) == [] and _users(_calls("children_of")) == []
+
+
+_DIAGRAM_STORAGE = {"_edges", "_bindings", "_first", "_conflicting", "_hops"}
+
+
+def _storage_reads(tree: ast.AST) -> list[str]:
+    """The Diagram's private containers and indices that tree reads or writes."""
+    return sorted(
+        n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr in _DIAGRAM_STORAGE
+    )
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in [*SRC.glob("*.py"), *TESTS.glob("*.py")] if p.name != "model.py"),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_only_the_model_touches_the_diagram_storage(path):
+    # Diagram's writers keep its indices; elsewhere edges and bindings are
+    # read-only views, and the unchecked writers are put_edge and append_binding.
+    assert _storage_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_storage_check_sees_a_read_and_a_write():
+    source = "d._edges['e'] = e\nn = len(d._bindings)\n_hops = {}\nd.edges\n"
+    assert _storage_reads(ast.parse(source)) == ["_bindings", "_edges"]
+
+
+def test_the_traced_model_methods_exist():
+    # perfbench's tracer wraps each of these by getattr, the scanning
+    # queries bindings_of and children_of included, which no module calls.
+    tracer = ast.parse((TESTS.parent / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    methods = next(
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "MODEL_METHODS" for t in node.targets)
+    )
+    assert {"bindings_of", "children_of"} <= set(methods)
+    assert [m for m in methods if not hasattr(Diagram, m)] == []
 
 
 def test_scan_check_sees_a_loop_and_a_comprehension():

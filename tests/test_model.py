@@ -1,5 +1,6 @@
 import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -42,7 +43,7 @@ from tumbug.model import (
     new_diagram,
     payload_type,
 )
-from tumbug.dsl import parse, serialize
+from tumbug.dsl import ParseError, parse, serialize
 from tumbug.grammar import resolve_query
 from tumbug.values import Scalar, Text, Wildcard
 
@@ -53,7 +54,7 @@ def test_new_diagram_is_empty():
     d = new_diagram()
     assert d.elements == {}
     assert d.edges == {}
-    assert d.bindings == []
+    assert d.bindings == ()
 
 
 def test_solitary_element_is_fine():
@@ -318,7 +319,7 @@ class TestBindAttribute:
             with pytest.raises(IllegalAttributeHost) as caught:
                 d.bind_attribute(owner, AttributeBinding("color", Text("red")))
             assert str(caught.value) == d.host_problem(owner, "color")
-        assert d.bindings == []
+        assert d.bindings == ()
 
     def test_weight_dk_is_legal(self):
         d = new_diagram()
@@ -558,17 +559,16 @@ def test_queries_on_every_owner_of_a_4000_link_chain_take_under_half_a_second():
 
 # The binding index against a linear scan.  r1 is the Relationship hop that
 # resolve_query follows from o1 to o2; Scalar(1) and Scalar(1.0) are equal
-# values held by distinct objects.
+# values held by distinct objects.  append_binding also reaches owners that
+# bind_attribute refuses: a ghost, a 0D marker and the Relationship edge.
 _OWNERS = ("o1", "o2", "m1")
+_UNCHECKED_OWNERS = ("ghost", "mk", "r1")
 _ATTRIBUTES = ("color", "speed")
 _BOUND = (Text("red"), Text("blue"), Scalar(1), Scalar(1.0), Wildcard.DK)
 _HOPS = {"o1": "o2"}
-_PAIRS = st.builds(
-    lambda o, a, v: (o, AttributeBinding(a, v)),
-    st.sampled_from(_OWNERS),
-    st.sampled_from(_ATTRIBUTES),
-    st.sampled_from(_BOUND),
-)
+_BINDINGS = st.builds(AttributeBinding, st.sampled_from(_ATTRIBUTES), st.sampled_from(_BOUND))
+_PAIRS = st.tuples(st.sampled_from(_OWNERS), _BINDINGS)
+_ANY_PAIRS = st.tuples(st.sampled_from(_OWNERS + _UNCHECKED_OWNERS), _BINDINGS)
 
 
 def _scan(ref: list, owner: str | None, attribute: str) -> list:
@@ -600,15 +600,17 @@ def _refused(d: Diagram, owner: str, binding: AttributeBinding) -> bool:
 
 
 class BindingIndexMachine(RuleBasedStateMachine):
-    """Writes to a diagram's bindings, mirrored into a reference list, and
-    after each one, bind_attribute, binding_value and resolve_query compared
-    with a scan of that list."""
+    """Writes through bind_attribute and append_binding, mirrored into a
+    reference list, and after each one, bind_attribute, binding_value,
+    conflicting_bindings and resolve_query compared with a scan of that
+    list."""
 
     def __init__(self):
         super().__init__()
         self.d = new_diagram()
         for eid in ("o1", "o2"):
             self.d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
+        self.d.add_element(Element(kind=Kind.MARKER_0D, id="mk"))
         self.d.add_edge(Edge(kind=EdgeKind.MOTION, source="o1", target="o2", id="m1"))
         self.d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="o1", target="o2", id="r1"))
         self.ref: list[tuple[str, AttributeBinding]] = []
@@ -624,47 +626,36 @@ class BindingIndexMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def rebind_same_value(self, data):
         owner, binding = data.draw(st.sampled_from(self.ref))
-        assume(not _conflicts(self.ref, owner, binding))
+        assume(owner in _OWNERS and not _conflicts(self.ref, owner, binding))
         pair = (owner, AttributeBinding(binding.attribute, binding.value))
         assert not _refused(self.d, *pair)
         self.ref.append(pair)
 
-    @rule(pair=_PAIRS)
-    def append(self, pair):
-        self.d.bindings.append(pair)
+    @rule(pair=_ANY_PAIRS)
+    def append_unchecked(self, pair):
+        """Any owner, host or value, conflicting ones included."""
+        self.d.append_binding(*pair)
         self.ref.append(pair)
 
-    @rule(first=st.lists(_PAIRS, max_size=1))
-    def replace_the_list(self, first):
-        """A copy of the list, or one whose first entry is another."""
-        self.d.bindings = [*first, *self.d.bindings[len(first):]]
-        self.ref[: len(first)] = first
-
-    @precondition(lambda self: self.ref)
-    @rule()
-    def pop(self):
-        self.d.bindings.pop()
-        self.ref.pop()
-
-    @precondition(lambda self: self.ref)
-    @rule(pair=_PAIRS)
-    def pop_and_append(self, pair):
-        assume(pair != self.ref[-1])
-        self.d.bindings.pop()
-        self.d.bindings.append(pair)
-        self.ref[-1] = pair
+    @rule(pair=st.tuples(st.sampled_from(_UNCHECKED_OWNERS), _BINDINGS))
+    def bind_is_refused_where_append_is_not(self, pair):
+        with pytest.raises(UnknownOwner if pair[0] == "ghost" else IllegalAttributeHost):
+            self.d.bind_attribute(*pair)
 
     @invariant()
     def agrees_with_a_scan(self):
         # A bind that must raise goes to d itself.  Every bind also goes to a
         # copy of d, whose index starts where d's is, mirrored in probe_ref.
         probe, probe_ref = copy.deepcopy(self.d), list(self.ref)
-        for owner in _OWNERS:
+        for owner in _OWNERS + _UNCHECKED_OWNERS:
             for attribute in _ATTRIBUTES:
                 bound = _scan(self.ref, owner, attribute)
                 assert self.d.binding_value(owner, attribute) == (bound[0] if bound else None)
-                answer = bound or _scan(self.ref, _HOPS.get(owner), attribute) or [Wildcard.DK]
-                assert resolve_query(self.d, owner, attribute) == answer[0]
+                if owner != "ghost":
+                    answer = bound or _scan(self.ref, _HOPS.get(owner), attribute) or [Wildcard.DK]
+                    assert resolve_query(self.d, owner, attribute) == answer[0]
+        for owner in _OWNERS:
+            for attribute in _ATTRIBUTES:
                 for value in _BOUND:
                     pair = (owner, AttributeBinding(attribute, value))
                     if _conflicts(self.ref, *pair):
@@ -674,7 +665,14 @@ class BindingIndexMachine(RuleBasedStateMachine):
                     if not conflict:
                         probe_ref.append(pair)
         assert self.d.conflicting_bindings() == _conflicting_keys(self.ref)
-        assert parse(serialize(self.d)) == self.d
+        assert probe.conflicting_bindings() == _conflicting_keys(probe_ref)
+        # The parser refuses an owner that names nothing; every other
+        # diagram comes back equal.
+        if any(owner == "ghost" for owner, _ in self.ref):
+            with pytest.raises(ParseError, match="existing owner"):
+                parse(serialize(self.d))
+        else:
+            assert parse(serialize(self.d)) == self.d
 
 
 BindingIndexMachine.TestCase.settings = settings(
@@ -686,20 +684,29 @@ TestBindingIndex = BindingIndexMachine.TestCase
 # The Relationship-hop index against a scan of a reference dict of the edges.
 # o1 and o5 are bound to nothing and the others to some attributes, so an
 # answer may come from the owner, from one of its hops in id order, or be DK.
+# put_edge also reaches a ghost endpoint, which hops may leave or point to.
 _ENDS = ("o1", "o2", "o3", "o4", "o5")
 _HOP_BINDINGS = (("o2", "color", Text("red")), ("o3", "color", Text("blue")),
                  ("o3", "speed", Scalar(1)), ("o4", "speed", Scalar(2)))
+_EDGE_KINDS = st.sampled_from((EdgeKind.RELATIONSHIP, EdgeKind.RELATIONSHIP, EdgeKind.MOTION))
 _EDGES = st.builds(
     lambda kind, source, target: Edge(kind=kind, source=source, target=target),
-    st.sampled_from((EdgeKind.RELATIONSHIP, EdgeKind.RELATIONSHIP, EdgeKind.MOTION)),
+    _EDGE_KINDS,
     st.sampled_from(_ENDS),
     st.sampled_from((*_ENDS, None)),
+)
+_DANGLING_EDGES = st.builds(
+    lambda kind, source, target: Edge(kind=kind, source=source, target=target),
+    _EDGE_KINDS,
+    st.sampled_from((*_ENDS, "ghost", None)),
+    st.sampled_from((*_ENDS, "ghost", None)),
 )
 
 
 class HopIndexMachine(RuleBasedStateMachine):
-    """Writes to a diagram's edges, mirrored into a reference dict, and after
-    each one, relationship_hops and resolve_query compared with a scan."""
+    """Writes through add_edge and put_edge, mirrored into a reference dict,
+    and after each one, relationship_hops, resolve_query and the new edges'
+    bindings compared with a scan."""
 
     def __init__(self):
         super().__init__()
@@ -709,6 +716,7 @@ class HopIndexMachine(RuleBasedStateMachine):
         for owner, attribute, value in _HOP_BINDINGS:
             self.d.bind_attribute(owner, AttributeBinding(attribute, value))
         self.ref: dict[str, Edge] = {}
+        self.edge_bindings: list[tuple[str, AttributeBinding]] = []
         self.made = 0
 
     def _new_id(self) -> str:
@@ -720,50 +728,125 @@ class HopIndexMachine(RuleBasedStateMachine):
         edge.id = self._new_id()
         self.ref[self.d.add_edge(edge)] = edge
 
-    @rule(edge=_EDGES)
-    def put(self, edge):
-        self.d.edges[eid := self._new_id()] = edge
+    @rule(edge=_EDGES, attrs=st.lists(_BINDINGS, max_size=3))
+    def add_edge_with_attrs(self, edge, attrs):
+        """add_edge stores the edge before it binds attrs, so a refused one
+        leaves the edge and the bindings before it."""
+        eid = edge.id = self._new_id()
+        landed, refusal = [], None
+        for binding in attrs:
+            if edge.kind is EdgeKind.RELATIONSHIP:
+                refusal = IllegalAttributeHost
+            elif _conflicts(landed, eid, binding):
+                refusal = ConflictingDuplicate
+            if refusal:
+                break
+            landed.append((eid, binding))
+        if refusal:
+            with pytest.raises(refusal):
+                self.d.add_edge(edge, attrs)
+        else:
+            assert self.d.add_edge(edge, attrs) == eid
         self.ref[eid] = edge
+        self.edge_bindings += landed
 
-    @rule(other=st.booleans(), edge=_EDGES)
-    def replace_the_dict(self, other, edge):
-        """A copy of the dict, or one whose first edge is another."""
-        edges = dict(self.d.edges)
-        if other and edges:
-            edges[next(iter(edges))] = edge
-        self.d.edges = edges
-        self.ref = dict(edges)
-
-    @precondition(lambda self: len(self.ref) > 1)
-    @rule(data=st.data())
-    def delete_a_middle_key(self, data):
-        eid = data.draw(st.sampled_from(list(self.ref)[:-1]))
-        del self.d.edges[eid], self.ref[eid]
+    @rule(edge=_DANGLING_EDGES)
+    def put_edge(self, edge):
+        edge.id = self._new_id()
+        self.ref[self.d.put_edge(edge)] = edge
 
     @precondition(lambda self: self.ref)
-    @rule(data=st.data(), edge=_EDGES)
-    def delete_then_insert(self, data, edge):
-        eid = data.draw(st.sampled_from(list(self.ref)))
-        del self.d.edges[eid], self.ref[eid]
-        self.put(edge)
+    @rule(data=st.data(), edge=_DANGLING_EDGES)
+    def put_over_a_taken_id(self, data, edge):
+        edge.id = data.draw(st.sampled_from(list(self.ref)))
+        with pytest.raises(DuplicateId):
+            self.d.put_edge(edge)
 
     @invariant()
     def agrees_with_a_scan(self):
+        assert dict(self.d.edges) == self.ref
         bound = {(o, a): v for o, a, v in _HOP_BINDINGS}
-        for owner in _ENDS:
+        for owner in (*_ENDS, "ghost", None):
             hops = sorted(
                 eid for eid, edge in self.ref.items()
                 if edge.kind is EdgeKind.RELATIONSHIP and edge.source == owner
             )
             assert self.d.relationship_hops(owner) == hops
+            if owner not in _ENDS:
+                continue
             for attribute in _ATTRIBUTES:
                 answers = [bound.get((owner, attribute))]
                 answers += [bound.get((self.ref[eid].target, attribute)) for eid in hops]
                 expected = next((v for v in answers if v is not None), Wildcard.DK)
                 assert resolve_query(self.d, owner, attribute) == expected
+        for eid in self.ref:
+            for attribute in _ATTRIBUTES:
+                bound_here = _scan(self.edge_bindings, eid, attribute)
+                assert self.d.binding_value(eid, attribute) == next(iter(bound_here), None)
+        assert self.d.conflicting_bindings() == []
 
 
 HopIndexMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=25, deadline=None, database=None
 )
 TestHopIndex = HopIndexMachine.TestCase
+
+
+class TestOneWriterPerContainer:
+    def test_a_deletion_that_puts_the_last_edge_back_cannot_leave_a_stale_hop(self):
+        # Hops indexed over r1 (Relationship a -> b) and m1.  Deleting r1 and
+        # putting m1 back last once left relationship_hops("a") == ["r1"], and
+        # resolve_query raised KeyError: 'r1'.  Now the first write is refused.
+        d = new_diagram()
+        for eid in ("a", "b", "c"):
+            d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
+        d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="a", target="b", id="r1"))
+        d.add_edge(Edge(kind=EdgeKind.MOTION, source="a", target="b", id="m1"))
+        assert d.relationship_hops("a") == ["r1"]
+        with pytest.raises(TypeError):
+            del d.edges["r1"]
+        with pytest.raises(TypeError):
+            d.edges["r2"] = Edge(kind=EdgeKind.RELATIONSHIP, source="a", target="c")
+        for write in (lambda b: b.append(("a", AttributeBinding("w", Scalar(1)))),
+                      lambda b: b.pop()):
+            with pytest.raises(AttributeError):
+                write(d.bindings)
+        assert list(d.edges) == ["r1", "m1"] and d.bindings == ()
+        assert d.relationship_hops("a") == ["r1"]
+        assert resolve_query(d, "a", "color") is Wildcard.DK
+
+    def test_put_edge_indexes_a_relationship_whose_target_dangles(self):
+        d = new_diagram()
+        d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="a"))
+        d.put_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="a", target="ghost", id="r1"))
+        assert d.relationship_hops("a") == ["r1"]
+        assert resolve_query(d, "a", "color") is Wildcard.DK
+        with pytest.raises(DuplicateId):
+            d.put_edge(Edge(kind=EdgeKind.MOTION, id="r1"))
+        assert d.edges["r1"].kind is EdgeKind.RELATIONSHIP
+
+    def test_the_constructor_takes_no_edges_or_bindings(self):
+        for name in ("edges", "bindings"):
+            with pytest.raises(TypeError):
+                Diagram(**{name: {}})
+
+    def test_copies_answer_like_the_original_and_stay_apart(self):
+        d = new_diagram()
+        for eid in ("a", "b"):
+            d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
+        d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="a", target="b", id="r1"))
+        d.bind_attribute("b", AttributeBinding("color", Text("red")))
+        d.append_binding("a", AttributeBinding("speed", Scalar(1)))
+        d.append_binding("a", AttributeBinding("speed", Scalar(2)))
+        for twin in (copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert twin == d
+            for owner in ("a", "b"):
+                assert twin.relationship_hops(owner) == d.relationship_hops(owner)
+                for attribute in ("color", "speed", "size"):
+                    assert twin.binding_value(owner, attribute) == d.binding_value(owner, attribute)
+            assert twin.conflicting_bindings() == d.conflicting_bindings() == [("a", "speed")]
+            twin.bind_attribute("b", AttributeBinding("size", Scalar(3)))
+            twin.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="a", target="b", id="r2"))
+            assert twin != d
+            assert d.binding_value("b", "size") is None and len(d.bindings) == 3
+            assert d.relationship_hops("a") == ["r1"] and "r2" not in d.edges

@@ -72,16 +72,16 @@ def _every_fault_scene() -> Diagram:
     d.add_edge(Edge(kind=EdgeKind.TIME, source="o1", id="e_time"))
     d.add_edge(Edge(kind=EdgeKind.MOTION, target="o1", id="e_in"))
     d.add_edge(Edge(kind=EdgeKind.FORCE, source="o2", target="o2", id="e_loop"))
-    d.edges["e_gone"] = Edge(kind=EdgeKind.CAUSATION, source="o1", target="nowhere", id="e_gone")
+    d.put_edge(Edge(kind=EdgeKind.CAUSATION, source="o1", target="nowhere", id="e_gone"))
     d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="o1", target="o2", id="rel"))
     # Bindings on hosts that cannot carry them, a missing owner, a conflict.
     _el(d, "mk", Kind.MARKER_0D)
-    d.bindings.append(("mk", AttributeBinding("color", Text("red"))))
-    d.bindings.append(("rel", AttributeBinding("strength", Scalar(1))))
-    d.bindings.append(("ghost", AttributeBinding("color", Text("red"))))
-    d.bindings.append(("o1", AttributeBinding("color", Text("blue"))))
-    d.bindings.append(("o1", AttributeBinding("color", Text("green"))))
-    d.bindings.append(("o1", AttributeBinding("color", Text("grey"))))
+    d.append_binding("mk", AttributeBinding("color", Text("red")))
+    d.append_binding("rel", AttributeBinding("strength", Scalar(1)))
+    d.append_binding("ghost", AttributeBinding("color", Text("red")))
+    d.append_binding("o1", AttributeBinding("color", Text("blue")))
+    d.append_binding("o1", AttributeBinding("color", Text("green")))
+    d.append_binding("o1", AttributeBinding("color", Text("grey")))
     # XOR boxes with too few alternatives.
     _el(d, "x0", Kind.XOR_BOX)
     _el(d, "x1", Kind.XOR_BOX)
