@@ -22,16 +22,18 @@ hex digits) for any code point but a surrogate.  Serialization writes
 \\x0c \\x1c \\x1d \\x1e \\x85 \\u2028 \\u2029``), so a quoted string never
 spans two lines.
 
-An element's payload keys are read and written by one table, ``_CODEC``:
-per payload type, one row per key (``label``, ``slots``, ``eq.<slot>``,
-``forced.<attribute>``, ...), so a payload field is one row.  Group fields
-are codec rows too: ``_GROUP_CODEC`` holds, per group kind, one row per key
-in write order.  One reader takes the key=value words of every elem, edge
-and group record, and refuses a key that comes twice.
+An element's payload keys and a group's keys are read and written by one
+table, ``_CODEC``: per payload or group class, one row per key (``label``,
+``slots``, ``eq.<slot>``, ``forced.<attribute>``, ``members``, ``probs``,
+...), so a field is one row.  ``_decode`` reads and ``_encode`` writes
+every row; a group's keys are written in row order.  One reader takes the
+key=value words of every elem, edge and group record, and refuses a key
+that comes twice.
 
 Serialization is canonical: elements sort by id, then containment, edges,
 groups, and bindings by (owner, attribute).  Numbers print as the shortest
-decimal that round-trips.  parse(serialize(d)) reproduces d exactly.
+decimal that round-trips.  parse(serialize(d)) reproduces d exactly for a
+diagram built by parse and the checked writers.
 """
 
 from __future__ import annotations
@@ -313,14 +315,14 @@ def _parse_range_body(at: int, body: str) -> Range:
 
 
 # --------------------------------------------------------------------------
-# Payload codec: per payload type, one row per DSL key, in decode order.
+# Codec: per payload or group class, one row per DSL key, in decode order.
 #
 # A row is (key, attribute, encode, decode).  For a plain key, encode gives
 # the text to write, or None to write nothing, and decode(at, text) gives
-# the attribute; an absent key leaves the payload's default.  A prefix key
-# (ending in "." or empty) holds every key that starts with it: encode gives
-# (suffix, text) pairs, and decode gets the [(suffix, at, text)] pairs in
-# key order.
+# the attribute; an absent key leaves the class's default, or raises its
+# fault in _REQUIRED.  A prefix key (ending in "." or empty) holds every key
+# that starts with it: encode gives (suffix, text) pairs, and decode gets the
+# [(suffix, at, text)] pairs in key order.
 
 
 def _same(value):
@@ -331,14 +333,15 @@ def _text(at: int, text: str) -> str:
     return text
 
 
-def _list(key: str, attribute: str, show, read, collect=tuple):
+def _list(key: str, attribute: str, show, read, collect=tuple, empty=None):
     """The row of a comma-separated list: show writes one item and
-    read(at, part) reads one; a set (collect=frozenset) is written sorted."""
+    read(at, part) reads one; a set (collect=frozenset) is written sorted,
+    and an empty list as ``empty``."""
     order = sorted if collect is frozenset else tuple
     return (
         key,
         attribute,
-        lambda items: ",".join(map(show, order(items))) or None,
+        lambda items: None if items is None else ",".join(map(show, order(items))) or empty,
         lambda at, text: collect(read(at, part) for part in list_items(text)),
     )
 
@@ -419,14 +422,31 @@ _CODEC = {
         _list("cells", "cells", lambda c: f"{c[0]}:{fmt_num(c[1])}:{fmt_num(c[2])}", _cell),
         _ACTIVE,
     ),
+    StateDiagramGroup: (
+        _list("members", "members", str, _text, empty=""),
+        ("marker", "marker", _same, _text),
+        ("owner", "owner", _same, _text),
+    ),
+    SplitTimeGroup: (
+        _list("members", "branches", str, _text, empty=""),
+        ("trunk", "trunk", _same, _text),
+        ("junction", "junction", _same, _text),
+        _list("probs", "probabilities", fmt_num, _parse_number, empty=""),
+    ),
+}
+# The keys a group record must hold, each with its fault at the kind word.
+_REQUIRED = {
+    "members": ("members=<id,...>", "no members key"),
+    "trunk": ("trunk= and junction=", "missing keys"),
+    "junction": ("trunk= and junction=", "missing keys"),
 }
 
 
-def _encode_payload(el: Element) -> dict[str, str]:
-    payload = el.payload
+def _encode(obj, rows) -> dict[str, str]:
+    """The key/text pairs the rows write for obj, in row order."""
     pairs: dict[str, str] = {}
-    for key, attribute, encode, _ in _CODEC[payload_type(el.kind)]:
-        written = encode(getattr(payload, attribute))
+    for key, attribute, encode, _ in rows:
+        written = encode(getattr(obj, attribute))
         if not key or key[-1] == ".":
             for suffix, text in written:
                 pairs[key + suffix] = text
@@ -435,80 +455,20 @@ def _encode_payload(el: Element) -> dict[str, str]:
     return pairs
 
 
-def _decode_payload(kind: Kind, pairs: dict[str, tuple[int, str]]):
-    """Build the kind's payload from decoded key/value pairs (consumes them)."""
-    ptype = payload_type(kind)
+def _decode(rows, pairs: dict[str, tuple[int, str]]) -> dict:
+    """The attributes the rows read from key/value pairs (consumes them)."""
     fields = {}
-    for key, attribute, _, decode in _CODEC[ptype]:
-        if not pairs:
-            break  # every row left would decode to the payload's default
+    for key, attribute, _, decode in rows:
+        if not pairs and key not in _REQUIRED:
+            continue  # the row keeps its default
         if not key or key[-1] == ".":
             taken = [(k[len(key):], *pairs.pop(k)) for k in sorted(pairs) if k.startswith(key)]
             fields[attribute] = decode(taken)
         elif key in pairs:
             fields[attribute] = decode(*pairs.pop(key))
-    return ptype(**fields)
-
-
-# --------------------------------------------------------------------------
-# Group codec: per group kind, its constructor and one row per DSL key, in
-# write order.  A row is (key, attribute, encode, decode): encode(group) gives
-# the text to write, or None to write nothing, and decode(d, at, text) gives
-# the constructor's argument ``attribute``.  An absent key keeps its default,
-# or raises its fault in _GROUP_MISSING.
-
-
-def _items(d: Diagram, at: int, text: str) -> tuple[str, ...]:
-    return list_items(text)
-
-
-def _word(d: Diagram, at: int, text: str) -> str:
-    return text
-
-
-def _numbers(d: Diagram, at: int, text: str) -> tuple[float, ...]:
-    return tuple(_parse_number(at, part) for part in list_items(text))
-
-
-def _states_and_tubes(d: Diagram, at: int, text: str) -> tuple[tuple[str, ...], ...]:
-    """An id that names an element is a state, one that names an edge a tube."""
-    members = list_items(text)
-    for m in members:
-        if m not in d.elements and m not in d.edges:
-            raise _Fault(at, "existing member id", m)
-    states = tuple(m for m in members if m in d.elements)
-    return states, tuple(m for m in members if m not in d.elements)
-
-
-def _probs(g: SplitTimeGroup) -> str | None:
-    return None if g.probabilities is None else ",".join(map(fmt_num, g.probabilities))
-
-
-_GROUP_CODEC = {
-    GroupKind.STATE_DIAGRAM: (
-        lambda members, **fields: StateDiagramGroup(*members, **fields),
-        (
-            ("members", "members", lambda g: ",".join((*g.states, *g.tubes)), _states_and_tubes),
-            ("marker", "marker", lambda g: g.marker, _word),
-            ("owner", "owner", lambda g: g.owner, _word),
-        ),
-    ),
-    GroupKind.SPLIT_TIME: (
-        SplitTimeGroup,
-        (
-            ("members", "branches", lambda g: ",".join(g.branches), _items),
-            ("trunk", "trunk", lambda g: g.trunk, _word),
-            ("junction", "junction", lambda g: g.junction, _word),
-            ("probs", "probabilities", _probs, _numbers),
-        ),
-    ),
-}
-_GROUP_KIND = {StateDiagramGroup: GroupKind.STATE_DIAGRAM, SplitTimeGroup: GroupKind.SPLIT_TIME}
-_GROUP_MISSING = {
-    "members": ("members=<id,...>", "no members key"),
-    "trunk": ("trunk= and junction=", "missing keys"),
-    "junction": ("trunk= and junction=", "missing keys"),
-}
+        elif key in _REQUIRED:
+            raise _Fault(2, *_REQUIRED[key])
+    return fields
 
 
 # --------------------------------------------------------------------------
@@ -517,7 +477,8 @@ _GROUP_MISSING = {
 # The kinds by their DSL names: a dict lookup costs a twentieth of an Enum call.
 _KINDS = {k.value: k for k in Kind}
 _EDGE_KINDS = {k.value: k for k in EdgeKind}
-_GROUP_KINDS = {k.value: k for k in GroupKind}
+_GROUP_KIND = {StateDiagramGroup: GroupKind.STATE_DIAGRAM, SplitTimeGroup: GroupKind.SPLIT_TIME}
+_GROUP_KINDS = {k.value: cls for cls, k in _GROUP_KIND.items()}  # the classes by name
 
 
 def parse(text: str | bytes) -> Diagram:
@@ -560,8 +521,9 @@ def parse(text: str | bytes) -> Diagram:
             eid, kind = _record_head(words, _KINDS, "elem <id> <Kind>", "element kind")
             pairs = _read_pairs(words, 3, quoted=True)
             position = _take_position(pairs)
+            ptype = payload_type(kind)
             try:
-                payload = _decode_payload(kind, pairs)
+                payload = ptype(**_decode(_CODEC[ptype], pairs))
             except (ModelError, ValueError) as exc:
                 raise _Fault(2, "well-formed payload", str(exc)) from exc
             if pairs:
@@ -703,27 +665,32 @@ def _parse_edge(d: Diagram, words: tuple[str, ...]) -> None:
 
 
 def _parse_group(d: Diagram, words: tuple[str, ...]) -> None:
-    gid, gkind = _record_head(words, _GROUP_KINDS, "group <id> <Kind>", "group kind")
+    gid, cls = _record_head(words, _GROUP_KINDS, "group <id> <Kind>", "group kind")
     pairs = _read_pairs(words, 3, quoted=False)
-    make, rows = _GROUP_CODEC[gkind]
-    fields = {"id": gid}
-    for key, attribute, _, decode in rows:
-        entry = pairs.pop(key, None)
-        if entry is not None:
-            fields[attribute] = decode(d, *entry)
-        elif key in _GROUP_MISSING:
-            raise _Fault(2, *_GROUP_MISSING[key])
+    at = pairs.get("members", (2,))[0]  # the word where an unknown member is a fault
+    fields = _decode(_CODEC[cls], pairs)
+    if cls is StateDiagramGroup:
+        fields["states"], fields["tubes"] = _states_and_tubes(d, at, fields.pop("members"))
     if pairs:
         stray = min(pairs)
-        raise _Fault(pairs[stray][0], f"{gkind.value} group key", stray)
+        raise _Fault(pairs[stray][0], f"{words[2]} group key", stray)
     try:
-        group = make(**fields)
+        group = cls(id=gid, **fields)
     except (ModelError, ValueError) as exc:
         raise _Fault(1, "legal probabilities", str(exc)) from exc
     try:
         d.add_group(group)
     except ModelError as exc:
         raise _Fault(1, "resolvable group members", str(exc)) from exc
+
+
+def _states_and_tubes(d: Diagram, at: int, members: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """An id that names an element is a state, one that names an edge a tube."""
+    for m in members:
+        if m not in d.elements and m not in d.edges:
+            raise _Fault(at, "existing member id", m)
+    states = tuple(m for m in members if m in d.elements)
+    return states, tuple(m for m in members if m not in d.elements)
 
 
 # --------------------------------------------------------------------------
@@ -737,7 +704,12 @@ def binding_literals(d: Diagram) -> list[tuple[str, str, str]]:
 
 
 def serialize(d: Diagram) -> str:
-    """Canonical text for a diagram; stable across runs and insert orders."""
+    """Canonical text for a diagram; stable across runs and insert orders.
+
+    The text of a diagram built by parse and the checked writers parses back
+    to an equal diagram.  One built with put_edge or append_binding may hold
+    an endpoint or owner that names nothing, and then its text does not parse.
+    """
     lines: list[str] = []
     for key in sorted(d.meta):
         if not KEY_RE.fullmatch(key):
@@ -745,7 +717,7 @@ def serialize(d: Diagram) -> str:
         lines.append(f"meta {key}={_quote(d.meta[key])}")
     for eid in sorted(d.elements):
         el = d.elements[eid]
-        pairs = _encode_payload(el)
+        pairs = _encode(el.payload, _CODEC[payload_type(el.kind)])
         if el.position is not None:
             pairs["pos"] = f"{fmt_num(el.position.x)},{fmt_num(el.position.y)}"
             if el.position.w is not None and el.position.h is not None:
@@ -766,12 +738,7 @@ def serialize(d: Diagram) -> str:
         lines.append(" ".join(parts))
     for gid in sorted(d.groups):
         g = d.groups[gid]
-        kind = _GROUP_KIND[type(g)]
-        parts = ["group", gid, kind.value]
-        for key, _, encode, _ in _GROUP_CODEC[kind][1]:
-            text = encode(g)
-            if text is not None:
-                parts.append(f"{key}={text}")
-        lines.append(" ".join(parts))
+        parts = [f"{k}={v}" for k, v in _encode(g, _CODEC[type(g)]).items()]
+        lines.append(" ".join(["group", gid, _GROUP_KIND[type(g)].value, *parts]))
     lines.extend(f"attr {owner} {attr}={literal}" for owner, attr, literal in binding_literals(d))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -310,7 +310,7 @@ def _state_group(d: Diagram, gid: str, group: StateDiagramGroup) -> Iterator[Vio
                 yield Violation(
                     ViolationCode.STATE_TUBE_ENDPOINT, (gid, tid), "tube endpoint is not a member state"
                 )
-    if group.marker is not None and group.marker not in (*group.states, *group.tubes):
+    if group.marker is not None and group.marker not in group.members:
         yield Violation(
             ViolationCode.STATE_MARKER_MISPLACED,
             (gid, group.marker),

@@ -457,6 +457,15 @@ def can_host(kind: Kind | EdgeKind) -> bool:
     return kind in NONQUAN_KINDS or kind in CHANGE_ARROW_KINDS
 
 
+def _host_problem(kind: Kind | EdgeKind, attribute: str) -> str | None:
+    """Why an element or edge of this kind cannot carry the attribute, or None."""
+    if can_host(kind):
+        return None
+    if isinstance(kind, EdgeKind):
+        return f"{kind.value} edge cannot host attributes"
+    return f"{kind.value} cannot host attribute {attribute!r}"
+
+
 @dataclass
 class Element:
     """One Building Block instance."""
@@ -507,6 +516,11 @@ class StateDiagramGroup:
     marker: str | None = None  # state id or tube id (in-transition)
     owner: str | None = None  # element the whole diagram is an attribute of
     id: str | None = None
+
+    @property
+    def members(self) -> tuple[str, ...]:
+        """The states, then the tubes."""
+        return (*self.states, *self.tubes)
 
 
 @dataclass
@@ -628,7 +642,7 @@ class Diagram:
 
     def add_element(self, element: Element, parent: str | None = None) -> str:
         """Insert an element, optionally inside a container, and return its id."""
-        element.id = self._claim_id(element.id, "n")
+        eid = self._claim_id(element.id, "n")
         if parent is not None:
             if parent not in self.elements:
                 raise UnknownParent(parent)
@@ -636,10 +650,10 @@ class Diagram:
                 raise ParentNotContainer(
                     f"{parent} is a {self.elements[parent].kind.value}, not a container"
                 )
-        self.elements[element.id] = element
-        if parent is not None:
-            self.containment[element.id] = parent
-        return element.id
+            self.containment[eid] = parent
+        element.id = eid
+        self.elements[eid] = element
+        return eid
 
     def contain(self, child: str, parent: str) -> None:
         """Record child-inside-parent, rejecting cycles and non-containers."""
@@ -660,14 +674,25 @@ class Diagram:
     def add_edge(
         self, edge: Edge, attrs: Iterable[AttributeBinding] | None = None
     ) -> str:
-        edge.id = self._claim_id(edge.id, "a")
+        """Insert an edge and bind attrs to it; a refused call writes nothing."""
+        eid = self._claim_id(edge.id, "a")
         missing = self.missing_endpoints(edge)
         if missing:
             raise UnknownEndpoint(missing[0])
+        bindings = tuple(attrs or ())
+        first: dict[tuple[str, str], Value] = {}
+        for binding in bindings:
+            problem = _host_problem(edge.kind, binding.attribute)
+            if problem is not None:
+                raise IllegalAttributeHost(problem)
+            key = (eid, binding.attribute)
+            first.setdefault(key, self._first.get(key, binding.value))
+            self._refuse_conflict(eid, binding, first)
+        edge.id = eid
         self._store_edge(edge)
-        for binding in attrs or ():
-            self.bind_attribute(edge.id, binding)
-        return edge.id
+        for binding in bindings:
+            self.append_binding(eid, binding)
+        return eid
 
     def put_edge(self, edge: Edge) -> str:
         """Insert an edge whose endpoints need not exist, and return its id."""
@@ -681,7 +706,7 @@ class Diagram:
             self._hops.setdefault(edge.source, []).append(edge.id)
 
     def add_group(self, group: Group) -> str:
-        group.id = self._claim_id(group.id, "g")
+        gid = self._claim_id(group.id, "g")
         if isinstance(group, StateDiagramGroup):
             for sid in group.states:
                 if sid not in self.elements:
@@ -697,8 +722,9 @@ class Diagram:
                     raise UnknownMember(tid)
             if group.junction and group.junction not in self.elements:
                 raise UnknownMember(group.junction)
-        self.groups[group.id] = group
-        return group.id
+        group.id = gid
+        self.groups[gid] = group
+        return gid
 
     def bind_attribute(self, owner: str, binding: AttributeBinding) -> None:
         """Attach an attribute-value pair to a Nonquan element or Change Arrow.
@@ -708,12 +734,17 @@ class Diagram:
         problem = self.host_problem(owner, binding.attribute)
         if problem is not None:
             raise IllegalAttributeHost(problem)
+        self._refuse_conflict(owner, binding, self._first)
+        self.append_binding(owner, binding)
+
+    def _refuse_conflict(self, owner: str, binding: AttributeBinding, first: Mapping) -> None:
+        """Raise ConflictingDuplicate if owner's attribute is bound to two
+        values, or its value in ``first`` differs from binding's."""
         key = (owner, binding.attribute)
-        if key in self._conflicting or _differ(self._first.get(key, binding.value), binding.value):
+        if key in self._conflicting or _differ(first.get(key, binding.value), binding.value):
             raise ConflictingDuplicate(
                 f"{owner}.{binding.attribute} already bound to a different value"
             )
-        self.append_binding(owner, binding)
 
     def append_binding(self, owner: str, binding: AttributeBinding) -> None:
         """Append the pair unchecked: owner need not exist or host attributes,
@@ -729,11 +760,9 @@ class Diagram:
         """Why owner cannot carry the attribute, or None if it can; raises
         ``UnknownOwner`` if owner names no element or edge."""
         if owner in self.elements:
-            kind = self.elements[owner].kind
-            return None if can_host(kind) else f"{kind.value} cannot host attribute {attribute!r}"
+            return _host_problem(self.elements[owner].kind, attribute)
         if owner in self._edges:
-            kind = self._edges[owner].kind
-            return None if can_host(kind) else f"{kind.value} edge cannot host attributes"
+            return _host_problem(self._edges[owner].kind, attribute)
         raise UnknownOwner(owner)
 
     def missing_endpoints(self, edge: Edge) -> list[str]:

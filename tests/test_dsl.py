@@ -20,6 +20,8 @@ from tumbug.model import (
     Kind,
     ModelError,
     Position,
+    SplitTimeGroup,
+    StateDiagramGroup,
     new_diagram,
 )
 from tumbug.svg import render
@@ -297,6 +299,113 @@ class TestRepeatedKeys:
         assert (err.value.expected, err.value.found) == ("role key", "kind")
 
 
+_GROUP_SCENE = (
+    "elem s1 StateCircle\nelem s2 StateCircle\nelem x XorBox\nelem o1 PhysicalObjectCircle\n"
+    "edge t0 Time ->\nedge t1 Time ->\nedge t2 Time ->\nedge u1 Tube s1 -> s2\n"
+)
+
+
+class TestGroupRecords:
+    """The group record format: each fault's word, expected and found, and
+    the bytes serialize writes for both kinds."""
+
+    @pytest.mark.parametrize(
+        "record, at, expected, found",
+        [
+            ("group g StateDiagram", 2, "members=<id,...>", "no members key"),
+            ("group g StateDiagram marker=s1 color=red", 2, "members=<id,...>", "no members key"),
+            ("group g SplitTime trunk=t0 junction=x", 2, "members=<id,...>", "no members key"),
+            ("group g SplitTime members=t1", 2, "trunk= and junction=", "missing keys"),
+            ("group g SplitTime members=t1 trunk=t0", 2, "trunk= and junction=", "missing keys"),
+            (
+                "group g SplitTime members=t1 junction=x probs=z",
+                2, "trunk= and junction=", "missing keys",
+            ),
+            ("group g StateDiagram members=s1,ghost", 3, "existing member id", "ghost"),
+            (
+                "group g StateDiagram zz=1 marker=s1 owner=ghost members=ghost",
+                6, "existing member id", "ghost",
+            ),
+            ("group g StateDiagram members=s1 color=red", 4, "StateDiagram group key", "color"),
+            ("group g StateDiagram members=s1 zz=1 aa=2", 5, "StateDiagram group key", "aa"),
+            ("group g StateDiagram members=s1 probs=1", 4, "StateDiagram group key", "probs"),
+            (
+                "group g SplitTime members=t1 trunk=t0 junction=x marker=t1",
+                6, "SplitTime group key", "marker",
+            ),
+            (
+                "group g SplitTime members=t1,t2 trunk=t0 junction=x probs=0.5,x zz=1",
+                6, "number", "x",
+            ),
+            (
+                "group g SplitTime members=t1 trunk=t0 junction=x probs=1e999",
+                6, "finite number", "1e999",
+            ),
+            (
+                "group g SplitTime members=t1,t2 trunk=t0 junction=x probs=0.9,0.9",
+                1, "legal probabilities", "branch probabilities sum to 1.8, not 1",
+            ),
+            (
+                "group g SplitTime members=t1 trunk=t0 junction=x probs=",
+                1, "legal probabilities", "one probability per branch required",
+            ),
+            (
+                "group g SplitTime members=t1 trunk=ghost junction=x",
+                1, "resolvable group members", "ghost",
+            ),
+            (
+                "group g SplitTime members=t1 trunk=t0 junction=o9",
+                1, "resolvable group members", "o9",
+            ),
+            (
+                "group g StateDiagram members=s1 owner=ghost",
+                1, "resolvable group members", "ghost",
+            ),
+            ("group g StateDiagram members", 3, 'key="value"', "members"),
+            ("group g StateDiagram members=s1 members=s2", 4, "unique key", "members"),
+            ("group g Tree members=s1", 2, "group kind", "Tree"),
+            ("group g", 0, "group <id> <Kind>", "end of record"),
+        ],
+    )
+    def test_fault(self, record, at, expected, found):
+        with pytest.raises(ParseError) as err:
+            parse(_GROUP_SCENE + record + "\n")
+        line = _GROUP_SCENE.count("\n") + 1
+        start = sum(len(word) + 1 for word in record.split()[:at]) + 1
+        span = SourceSpan(line, start, start + len(record.split()[at]) - 1)
+        assert (err.value.span, err.value.expected, err.value.found) == (span, expected, found)
+
+    @pytest.mark.parametrize(
+        "group, line",
+        [
+            (StateDiagramGroup(), "group g StateDiagram members="),
+            (
+                StateDiagramGroup(("s1", "s2"), ("u1",), marker="u1", owner="o1"),
+                "group g StateDiagram members=s1,s2,u1 marker=u1 owner=o1",
+            ),
+            (StateDiagramGroup(("s1",), marker="s1"), "group g StateDiagram members=s1 marker=s1"),
+            (StateDiagramGroup(tubes=("u1",), owner="o1"), "group g StateDiagram members=u1 owner=o1"),
+            (SplitTimeGroup(), "group g SplitTime members= trunk= junction="),
+            (
+                SplitTimeGroup("t0", ("t1", "t2"), "x"),
+                "group g SplitTime members=t1,t2 trunk=t0 junction=x",
+            ),
+            (
+                SplitTimeGroup("t0", ("t1", "t2"), "x", (0.25, 0.75)),
+                "group g SplitTime members=t1,t2 trunk=t0 junction=x probs=0.25,0.75",
+            ),
+            (
+                SplitTimeGroup("t0", ("t1",), "", (1,)),
+                "group g SplitTime members=t1 trunk=t0 junction= probs=1",
+            ),
+        ],
+    )
+    def test_serialized_bytes(self, group, line):
+        d = new_diagram()
+        d.groups["g"] = group
+        assert serialize(d) == line + "\n"
+
+
 class TestUnwritableNames:
     def test_meta_key_outside_key_syntax_is_refused_by_name(self):
         d = new_diagram()
@@ -329,6 +438,18 @@ class TestSerializeCanonical:
             return d
 
         assert serialize(build(False)) == serialize(build(True))
+
+    def test_an_unchecked_dangling_edge_is_outside_the_round_trip(self):
+        # The round trip covers diagrams built by parse and the checked
+        # writers; put_edge can build one whose text parse refuses.
+        d = new_diagram()
+        d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o1"))
+        d.put_edge(Edge(kind=EdgeKind.MOTION, source="o1", target="nowhere", id="m1"))
+        text = serialize(d)
+        assert text == "elem o1 PhysicalObjectCircle\nedge m1 Motion o1 -> nowhere\n"
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert (err.value.span, err.value.expected) == (SourceSpan(2, 6, 7), "insertable edge")
 
     def test_canonical_ordering_sections(self):
         d = new_diagram()

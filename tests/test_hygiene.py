@@ -3,8 +3,9 @@ exports agree with the modules, no module imports a name it never uses or a
 private name of another module, only the package spells its data directory
 and caches, the shipped tables are read through tumbug.read_table, each rule
 below has its one owner, queries read the model's indices instead of
-scanning, only the model touches a Diagram's storage, the model methods
-that perfbench traces exist, and the package version is the project's."""
+scanning, only the model touches a Diagram's storage, dsl reads and writes
+every codec row through one loop each, the model methods that perfbench
+traces exist, and the package version is the project's."""
 
 import ast
 import importlib
@@ -130,7 +131,7 @@ def _calls(name: str):
 
 
 def test_only_the_model_decides_who_hosts_attributes():
-    # Diagram.host_problem is the one caller of can_host.
+    # model._host_problem, behind Diagram.host_problem, is the one caller of can_host.
     assert _users(_calls("can_host")) == ["model.py"]
 
 
@@ -286,3 +287,44 @@ def test_scan_check_sees_a_loop_and_a_comprehension():
         "    return [o for o, b in d.bindings if d.edges]\n"
     )
     assert _scans(ast.parse(source)) == ["bindings", "edges"]
+
+
+def _codec_row_loops(tree: ast.AST) -> list[str]:
+    """The functions ("<module>" at top level) with a loop or comprehension
+    that unpacks a four-field codec row (key, attribute, encode, decode)."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        if isinstance(node, (ast.For, ast.comprehension)):
+            if isinstance(node.target, ast.Tuple) and len(node.target.elts) == 4:
+                found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def test_one_codec_reads_and_writes_every_record_field():
+    # dsl._CODEC holds payload and group rows alike: _decode reads them all
+    # and _encode writes them all, so no second codec loop comes back.
+    assert _codec_row_loops(ast.parse((SRC / "dsl.py").read_text(encoding="utf-8"))) == [
+        "_decode",
+        "_encode",
+    ]
+
+
+def test_codec_check_sees_a_stray_loop():
+    source = (
+        "def _encode(obj, rows):\n"
+        "    for key, attribute, encode, _ in rows:\n"
+        "        pass\n"
+        "def serialize(d):\n"
+        "    for key, _, encode, _ in ROWS:\n"
+        "        for a, b, c in d:\n"
+        "            pass\n"
+        "KEYS = [key for key, _, _, _ in ROWS]\n"
+    )
+    assert _codec_row_loops(ast.parse(source)) == ["<module>", "_encode", "serialize"]

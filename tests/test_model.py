@@ -519,9 +519,9 @@ class TestFreshIds:
                 insert()
             except (DuplicateId, UnknownParent, UnknownEndpoint, UnknownMember):
                 assert fails or taken
+                assert item.id == explicit  # a refused insert leaves the id alone
             else:
                 assert not fails and not taken
-            if not taken:
                 assert item.id == expected
 
     def test_8000_fresh_inserts_take_under_a_second(self):
@@ -730,8 +730,8 @@ class HopIndexMachine(RuleBasedStateMachine):
 
     @rule(edge=_EDGES, attrs=st.lists(_BINDINGS, max_size=3))
     def add_edge_with_attrs(self, edge, attrs):
-        """add_edge stores the edge before it binds attrs, so a refused one
-        leaves the edge and the bindings before it."""
+        """add_edge checks every attr before it writes, so a refused one
+        leaves neither the edge nor any binding."""
         eid = edge.id = self._new_id()
         landed, refusal = [], None
         for binding in attrs:
@@ -740,13 +740,11 @@ class HopIndexMachine(RuleBasedStateMachine):
             elif _conflicts(landed, eid, binding):
                 refusal = ConflictingDuplicate
             if refusal:
-                break
+                with pytest.raises(refusal):
+                    self.d.add_edge(edge, attrs)
+                return
             landed.append((eid, binding))
-        if refusal:
-            with pytest.raises(refusal):
-                self.d.add_edge(edge, attrs)
-        else:
-            assert self.d.add_edge(edge, attrs) == eid
+        assert self.d.add_edge(edge, attrs) == eid
         self.ref[eid] = edge
         self.edge_bindings += landed
 
@@ -850,3 +848,101 @@ class TestOneWriterPerContainer:
             assert twin != d
             assert d.binding_value("b", "size") is None and len(d.bindings) == 3
             assert d.relationship_hops("a") == ["r1"] and "r2" not in d.edges
+
+
+def _refusal_scene() -> Diagram:
+    d = new_diagram()
+    for eid in ("o1", "o2"):
+        d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
+    d.add_element(Element(kind=Kind.CELL, id="c1"))
+    d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="o1", target="o2", id="r0"))
+    d.bind_attribute("o2", AttributeBinding("color", Text("blue")))
+    d.append_binding("m9", AttributeBinding("speed", Scalar(1)))  # on an id not yet claimed
+    return d
+
+
+_RED, _ONE, _TWO = Text("red"), Scalar(1), Scalar(2)
+
+
+class TestRefusedWritesLeaveNoTrace:
+    """A checked writer checks everything before its first write: a refused
+    call leaves the diagram, its indices and the caller's id as they were."""
+
+    @pytest.mark.parametrize(
+        "write, item, refusal",
+        [
+            pytest.param(
+                lambda d, e: d.add_edge(e, attrs=[AttributeBinding("color", _RED)]),
+                Edge(kind=EdgeKind.RELATIONSHIP, source="o1", id="r1"),
+                IllegalAttributeHost,
+                id="edge-host",
+            ),
+            pytest.param(
+                lambda d, e: d.add_edge(
+                    e, attrs=[AttributeBinding("speed", _ONE), AttributeBinding("speed", _TWO)]
+                ),
+                Edge(kind=EdgeKind.MOTION, source="o1", id="m1"),
+                ConflictingDuplicate,
+                id="edge-conflicting-attrs",
+            ),
+            pytest.param(
+                lambda d, e: d.add_edge(e, attrs=[AttributeBinding("speed", _TWO)]),
+                Edge(kind=EdgeKind.MOTION, source="o1", id="m9"),
+                ConflictingDuplicate,
+                id="edge-attr-conflicts-with-a-bound-one",
+            ),
+            pytest.param(
+                lambda d, e: d.add_edge(e), Edge(kind=EdgeKind.MOTION, source="ghost"),
+                UnknownEndpoint, id="edge-endpoint",
+            ),
+            pytest.param(
+                lambda d, e: d.add_edge(e), Edge(kind=EdgeKind.MOTION, source="ghost", id="o2"),
+                DuplicateId, id="edge-duplicate-before-endpoint",
+            ),
+            pytest.param(
+                lambda d, e: d.add_edge(e), Edge(kind=EdgeKind.MOTION, source="ghost", id="a b"),
+                InvalidId, id="edge-invalid-before-endpoint",
+            ),
+            pytest.param(
+                lambda d, el: d.add_element(el, parent="ghost"),
+                Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE), UnknownParent, id="element-parent",
+            ),
+            pytest.param(
+                lambda d, el: d.add_element(el, parent="c1"),
+                Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE), ParentNotContainer,
+                id="element-container",
+            ),
+            pytest.param(
+                lambda d, g: d.add_group(g), StateDiagramGroup(states=("o1", "ghost")),
+                UnknownMember, id="group-member",
+            ),
+            pytest.param(
+                lambda d, g: d.add_group(g), StateDiagramGroup(states=("o1",), owner="ghost"),
+                UnknownOwner, id="group-owner",
+            ),
+            pytest.param(
+                lambda d, g: d.add_group(g), SplitTimeGroup("r0", ("ghost",), ""),
+                UnknownMember, id="split-time-branch",
+            ),
+        ],
+    )
+    def test_refusal(self, write, item, refusal):
+        d = _refusal_scene()
+        before, requested = copy.deepcopy(d), item.id
+        with pytest.raises(refusal):
+            write(d, item)
+        assert d == before and item.id == requested
+        for owner in ("o1", "o2", "r1", "m1", "m9"):
+            assert d.relationship_hops(owner) == before.relationship_hops(owner)
+            for attribute in ("color", "speed"):
+                assert d.binding_value(owner, attribute) == before.binding_value(owner, attribute)
+        assert d.conflicting_bindings() == before.conflicting_bindings() == []
+        fresh = lambda: Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE)
+        assert d.add_element(fresh()) == before.add_element(fresh())
+
+    def test_an_accepted_edge_lands_with_its_attrs(self):
+        d = _refusal_scene()
+        edge = Edge(kind=EdgeKind.MOTION, source="o1", target="o2")
+        attrs = [AttributeBinding("speed", _ONE), AttributeBinding("speed", _ONE)]
+        assert d.add_edge(edge, attrs) == edge.id == "a1"
+        assert d.bindings_of("a1") == attrs and d.conflicting_bindings() == []
