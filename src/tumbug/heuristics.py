@@ -129,16 +129,13 @@ def default_rules() -> dict[TriggerTag, Rule]:
     return read_table(tables_dir(), "heuristics.tbl", parse_rules)
 
 
-def requirements_for(
-    triggers: Iterable[TriggerTag | Trigger],
-    rules: dict[TriggerTag, Rule] | None = None,
-) -> Requirement:
+def requirements_for(triggers: Iterable[TriggerTag | Trigger]) -> Requirement:
     """Union of the triggered heuristics' required Building Blocks.
 
     Cue words can harden a rule: "because" promotes the causal-connective
     rule's advisory CausationArrow to mandatory.
     """
-    rules = rules if rules is not None else default_rules()
+    rules = default_rules()
     req = Requirement()
     for trigger in triggers:
         if isinstance(trigger, TriggerTag):

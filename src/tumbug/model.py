@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .values import (
     KEY_RE,
@@ -457,15 +457,6 @@ def can_host(kind: Kind | EdgeKind) -> bool:
     return kind in NONQUAN_KINDS or kind in CHANGE_ARROW_KINDS
 
 
-def _host_problem(kind: Kind | EdgeKind, attribute: str) -> str | None:
-    """Why an element or edge of this kind cannot carry the attribute, or None."""
-    if can_host(kind):
-        return None
-    if isinstance(kind, EdgeKind):
-        return f"{kind.value} edge cannot host attributes"
-    return f"{kind.value} cannot host attribute {attribute!r}"
-
-
 @dataclass
 class Element:
     """One Building Block instance."""
@@ -583,12 +574,12 @@ class Diagram:
     they hold the same bindings in any order.
     """
 
-    elements: dict[str, Element] = field(default_factory=dict)
-    containment: dict[str, str] = field(default_factory=dict)  # child -> parent
+    elements: dict[str, Element] = field(default_factory=dict, init=False)
+    containment: dict[str, str] = field(default_factory=dict, init=False)  # child -> parent
     _edges: dict[str, Edge] = field(default_factory=dict, init=False)
-    groups: dict[str, Group] = field(default_factory=dict)
+    groups: dict[str, Group] = field(default_factory=dict, init=False)
     _bindings: list[tuple[str, AttributeBinding]] = field(default_factory=list, init=False)
-    meta: dict[str, str] = field(default_factory=dict)
+    meta: dict[str, str] = field(default_factory=dict, init=False)
     # Per id prefix, where the next _fresh_id probe starts.  No method frees
     # an id, so the smallest free one never goes down and probing resumes.
     _fresh_from: dict[str, int] = field(
@@ -671,27 +662,14 @@ class Diagram:
             seen = self.containment.get(seen)
         self.containment[child] = parent
 
-    def add_edge(
-        self, edge: Edge, attrs: Iterable[AttributeBinding] | None = None
-    ) -> str:
-        """Insert an edge and bind attrs to it; a refused call writes nothing."""
+    def add_edge(self, edge: Edge) -> str:
+        """Insert an edge whose endpoints exist, and return its id."""
         eid = self._claim_id(edge.id, "a")
         missing = self.missing_endpoints(edge)
         if missing:
             raise UnknownEndpoint(missing[0])
-        bindings = tuple(attrs or ())
-        first: dict[tuple[str, str], Value] = {}
-        for binding in bindings:
-            problem = _host_problem(edge.kind, binding.attribute)
-            if problem is not None:
-                raise IllegalAttributeHost(problem)
-            key = (eid, binding.attribute)
-            first.setdefault(key, self._first.get(key, binding.value))
-            self._refuse_conflict(eid, binding, first)
         edge.id = eid
         self._store_edge(edge)
-        for binding in bindings:
-            self.append_binding(eid, binding)
         return eid
 
     def put_edge(self, edge: Edge) -> str:
@@ -734,17 +712,12 @@ class Diagram:
         problem = self.host_problem(owner, binding.attribute)
         if problem is not None:
             raise IllegalAttributeHost(problem)
-        self._refuse_conflict(owner, binding, self._first)
-        self.append_binding(owner, binding)
-
-    def _refuse_conflict(self, owner: str, binding: AttributeBinding, first: Mapping) -> None:
-        """Raise ConflictingDuplicate if owner's attribute is bound to two
-        values, or its value in ``first`` differs from binding's."""
         key = (owner, binding.attribute)
-        if key in self._conflicting or _differ(first.get(key, binding.value), binding.value):
+        if key in self._conflicting or _differ(self._first.get(key, binding.value), binding.value):
             raise ConflictingDuplicate(
                 f"{owner}.{binding.attribute} already bound to a different value"
             )
+        self.append_binding(owner, binding)
 
     def append_binding(self, owner: str, binding: AttributeBinding) -> None:
         """Append the pair unchecked: owner need not exist or host attributes,
@@ -759,11 +732,14 @@ class Diagram:
     def host_problem(self, owner: str, attribute: str) -> str | None:
         """Why owner cannot carry the attribute, or None if it can; raises
         ``UnknownOwner`` if owner names no element or edge."""
-        if owner in self.elements:
-            return _host_problem(self.elements[owner].kind, attribute)
-        if owner in self._edges:
-            return _host_problem(self._edges[owner].kind, attribute)
-        raise UnknownOwner(owner)
+        host = self.elements.get(owner) or self._edges.get(owner)
+        if host is None:
+            raise UnknownOwner(owner)
+        if can_host(host.kind):
+            return None
+        if isinstance(host.kind, EdgeKind):
+            return f"{host.kind.value} edge cannot host attributes"
+        return f"{host.kind.value} cannot host attribute {attribute!r}"
 
     def missing_endpoints(self, edge: Edge) -> list[str]:
         """The edge's endpoints that name no element."""

@@ -178,8 +178,10 @@ class _Builder:
         role: str | None = None,
     ) -> str:
         eid = _slug(id_hint or kind.value, self.taken)
-        bindings = [AttributeBinding(name, value) for name, value in (attrs or {}).items()]
-        return self.d.add_edge(Edge(kind=kind, source=source, target=target, role=role, id=eid), bindings)
+        self.d.add_edge(Edge(kind=kind, source=source, target=target, role=role, id=eid))
+        for name, value in (attrs or {}).items():
+            self.bind(eid, name, value)
+        return eid
 
     def timeline(self, id_hint: str = "timeline") -> str:
         return self.edge(EdgeKind.TIME, id_hint=id_hint)

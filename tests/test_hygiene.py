@@ -4,8 +4,9 @@ private name of another module, only the package spells its data directory
 and caches, the shipped tables are read through tumbug.read_table, each rule
 below has its one owner, queries read the model's indices instead of
 scanning, only the model touches a Diagram's storage, dsl reads and writes
-every codec row through one loop each, the model methods that perfbench
-traces exist, and the package version is the project's."""
+every codec row through one loop each, each attribute refusal is raised in
+one place, the model methods that perfbench traces exist, and the package
+version is the project's."""
 
 import ast
 import importlib
@@ -131,7 +132,7 @@ def _calls(name: str):
 
 
 def test_only_the_model_decides_who_hosts_attributes():
-    # model._host_problem, behind Diagram.host_problem, is the one caller of can_host.
+    # Diagram.host_problem is the one caller of can_host.
     assert _users(_calls("can_host")) == ["model.py"]
 
 
@@ -328,3 +329,54 @@ def test_codec_check_sees_a_stray_loop():
         "KEYS = [key for key, _, _, _ in ROWS]\n"
     )
     assert _codec_row_loops(ast.parse(source)) == ["<module>", "_encode", "serialize"]
+
+
+def _raise_sites(tree: ast.AST, names: set[str]) -> list[tuple[str, str]]:
+    """(function, exception) for each raise of an exception in names, the
+    function dotted with its class ("<module>" at top level)."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = getattr(node.exc, "func", node.exc)
+            name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+            if name in names:
+                found.append((owner, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+_REFUSALS = {"IllegalAttributeHost", "ConflictingDuplicate"}
+
+
+def test_each_attribute_refusal_is_raised_in_one_place():
+    # Diagram.bind_attribute is the one checked writer of bindings; add_edge
+    # binds nothing, so no second host or conflict check comes back.
+    tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    assert _raise_sites(tree, _REFUSALS) == [
+        ("Diagram.bind_attribute", "ConflictingDuplicate"),
+        ("Diagram.bind_attribute", "IllegalAttributeHost"),
+    ]
+
+
+def test_raise_check_sees_a_second_raise():
+    source = (
+        "class Diagram:\n"
+        "    def bind_attribute(self):\n"
+        "        raise IllegalAttributeHost(problem)\n"
+        "    def add_edge(self):\n"
+        "        raise model.IllegalAttributeHost\n"
+        "def _refuse_conflict():\n"
+        "    raise ConflictingDuplicate('x') from None\n"
+        "raise KeyError\n"
+    )
+    assert _raise_sites(ast.parse(source), _REFUSALS) == [
+        ("Diagram.add_edge", "IllegalAttributeHost"),
+        ("Diagram.bind_attribute", "IllegalAttributeHost"),
+        ("_refuse_conflict", "ConflictingDuplicate"),
+    ]

@@ -729,24 +729,23 @@ class HopIndexMachine(RuleBasedStateMachine):
         self.ref[self.d.add_edge(edge)] = edge
 
     @rule(edge=_EDGES, attrs=st.lists(_BINDINGS, max_size=3))
-    def add_edge_with_attrs(self, edge, attrs):
-        """add_edge checks every attr before it writes, so a refused one
-        leaves neither the edge nor any binding."""
+    def add_edge_then_bind(self, edge, attrs):
+        """add_edge, then bind_attribute per attr: a refused bind leaves the
+        edge and the binds before it."""
         eid = edge.id = self._new_id()
-        landed, refusal = [], None
+        self.ref[self.d.add_edge(edge)] = edge
         for binding in attrs:
             if edge.kind is EdgeKind.RELATIONSHIP:
                 refusal = IllegalAttributeHost
-            elif _conflicts(landed, eid, binding):
+            elif _conflicts(self.edge_bindings, eid, binding):
                 refusal = ConflictingDuplicate
-            if refusal:
-                with pytest.raises(refusal):
-                    self.d.add_edge(edge, attrs)
-                return
-            landed.append((eid, binding))
-        assert self.d.add_edge(edge, attrs) == eid
-        self.ref[eid] = edge
-        self.edge_bindings += landed
+            else:
+                self.d.bind_attribute(eid, binding)
+                self.edge_bindings.append((eid, binding))
+                continue
+            with pytest.raises(refusal):
+                self.d.bind_attribute(eid, binding)
+            return
 
     @rule(edge=_DANGLING_EDGES)
     def put_edge(self, edge):
@@ -823,8 +822,8 @@ class TestOneWriterPerContainer:
             d.put_edge(Edge(kind=EdgeKind.MOTION, id="r1"))
         assert d.edges["r1"].kind is EdgeKind.RELATIONSHIP
 
-    def test_the_constructor_takes_no_edges_or_bindings(self):
-        for name in ("edges", "bindings"):
+    def test_the_constructor_takes_no_containers(self):
+        for name in ("elements", "containment", "edges", "groups", "bindings", "meta"):
             with pytest.raises(TypeError):
                 Diagram(**{name: {}})
 
@@ -857,11 +856,7 @@ def _refusal_scene() -> Diagram:
     d.add_element(Element(kind=Kind.CELL, id="c1"))
     d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="o1", target="o2", id="r0"))
     d.bind_attribute("o2", AttributeBinding("color", Text("blue")))
-    d.append_binding("m9", AttributeBinding("speed", Scalar(1)))  # on an id not yet claimed
     return d
-
-
-_RED, _ONE, _TWO = Text("red"), Scalar(1), Scalar(2)
 
 
 class TestRefusedWritesLeaveNoTrace:
@@ -871,26 +866,6 @@ class TestRefusedWritesLeaveNoTrace:
     @pytest.mark.parametrize(
         "write, item, refusal",
         [
-            pytest.param(
-                lambda d, e: d.add_edge(e, attrs=[AttributeBinding("color", _RED)]),
-                Edge(kind=EdgeKind.RELATIONSHIP, source="o1", id="r1"),
-                IllegalAttributeHost,
-                id="edge-host",
-            ),
-            pytest.param(
-                lambda d, e: d.add_edge(
-                    e, attrs=[AttributeBinding("speed", _ONE), AttributeBinding("speed", _TWO)]
-                ),
-                Edge(kind=EdgeKind.MOTION, source="o1", id="m1"),
-                ConflictingDuplicate,
-                id="edge-conflicting-attrs",
-            ),
-            pytest.param(
-                lambda d, e: d.add_edge(e, attrs=[AttributeBinding("speed", _TWO)]),
-                Edge(kind=EdgeKind.MOTION, source="o1", id="m9"),
-                ConflictingDuplicate,
-                id="edge-attr-conflicts-with-a-bound-one",
-            ),
             pytest.param(
                 lambda d, e: d.add_edge(e), Edge(kind=EdgeKind.MOTION, source="ghost"),
                 UnknownEndpoint, id="edge-endpoint",
@@ -932,17 +907,10 @@ class TestRefusedWritesLeaveNoTrace:
         with pytest.raises(refusal):
             write(d, item)
         assert d == before and item.id == requested
-        for owner in ("o1", "o2", "r1", "m1", "m9"):
+        for owner in ("o1", "o2", "r0", "a1"):
             assert d.relationship_hops(owner) == before.relationship_hops(owner)
             for attribute in ("color", "speed"):
                 assert d.binding_value(owner, attribute) == before.binding_value(owner, attribute)
         assert d.conflicting_bindings() == before.conflicting_bindings() == []
         fresh = lambda: Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE)
         assert d.add_element(fresh()) == before.add_element(fresh())
-
-    def test_an_accepted_edge_lands_with_its_attrs(self):
-        d = _refusal_scene()
-        edge = Edge(kind=EdgeKind.MOTION, source="o1", target="o2")
-        attrs = [AttributeBinding("speed", _ONE), AttributeBinding("speed", _ONE)]
-        assert d.add_edge(edge, attrs) == edge.id == "a1"
-        assert d.bindings_of("a1") == attrs and d.conflicting_bindings() == []
