@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 from . import list_items
 from .model import (
@@ -90,7 +91,7 @@ _NUMBER_RE = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _ESCAPES.update((c, f"\\u{ord(c):04x}") for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 _ESCAPE_RE = re.compile("[" + re.escape("".join(_ESCAPES)) + "]")
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_UNESCAPES = {text[1]: c for c, text in _ESCAPES.items() if len(text) == 2}
 _HEX4_RE = re.compile(r"[0-9A-Fa-f]{4}")
 
 
@@ -176,47 +177,26 @@ _WORD = rf'[^\s"]+(?:{_QUOTED}[^\s"]*)*|(?:{_QUOTED}[^\s"]*)+'
 _WORD_RE = re.compile(_WORD, re.DOTALL)
 _WORDS_RE = re.compile(rf"\s*(?:(?:{_WORD})(?:\s+|\Z))*", re.DOTALL)
 
-# One token per match, after leading whitespace: a ``#`` that starts a
-# comment, a word, a lone ``"`` that opens a string never closed, or the end
-# of the line.
-_TOKEN_RE = re.compile(rf'\s*(?:(#)|({_WORD})|(")|\Z)', re.DOTALL)
-
-# A token is a tuple (text, line, col_start, col_end) of str and int only.
-_Token = tuple[str, int, int, int]
-
-
-def _tokenize_line(line: str, lineno: int) -> tuple[_Token, ...]:
-    """The positional tokenizer: each word of the line with its columns.
-    Parse calls it only for a line with a comment, one _split refuses, and
-    one whose record is at fault, so a clean parse builds no token."""
-    tokens = []
-    n = len(line)
-    pos = 0
-    while True:
-        m = _TOKEN_RE.match(line, pos)
-        text = m.group(2)
-        if text is None:
-            if m.group(3) is not None:
-                span = SourceSpan(lineno, m.start(3) + 1, n)
-                raise ParseError(span, "closing quote", "end of line")
-            return tuple(tokens)
-        start, pos = m.span(2)
-        if pos < n and line[pos] == '"':
-            # The run stopped at a quote that no later quote closes.
-            raise ParseError(SourceSpan(lineno, start + 1, n), "closing quote", "end of line")
-        tokens.append((text, lineno, start + 1, pos))
-
 
 def _split(line: str, lineno: int) -> tuple[str, ...]:
-    """The words of a line, as _tokenize_line would give their texts, split
-    by C-level calls unless the line has a comment or the whole-line pattern
-    refuses it."""
+    """The words of a line before its comment, split by C-level calls unless
+    the line has a ``#`` or the whole-line pattern refuses it."""
     if "#" not in line:
         if '"' not in line:
             return tuple(line.split())
         if _WORDS_RE.fullmatch(line):
             return tuple(_WORD_RE.findall(line))
-    return tuple(tok[0] for tok in _tokenize_line(line, lineno))
+    # The words run up to the first token that no word reads.  A word that
+    # starts with ``#`` begins the comment, and so does that token if it
+    # does; any other such token holds a quote that is never closed.
+    end = _WORDS_RE.match(line).end()
+    words = _WORD_RE.findall(line, 0, end)
+    for i, word in enumerate(words):
+        if word[0] == "#":
+            return tuple(words[:i])
+    if end < len(line) and line[end] != "#":
+        raise ParseError(SourceSpan(lineno, end + 1, len(line)), "closing quote", "end of line")
+    return tuple(words)
 
 
 # --------------------------------------------------------------------------
@@ -572,10 +552,11 @@ def parse(text: str | bytes) -> Diagram:
 
 
 def _locate(lineno: int, line: str, at: int, expected: str, found: str) -> ParseError:
-    """The ParseError at word ``at`` of a line.  Only here, on a fault, is a
-    split line tokenized again to find where its words are."""
-    _, _, start, end = _tokenize_line(line, lineno)[at]
-    return ParseError(SourceSpan(lineno, start, end), expected, found)
+    """The ParseError at word ``at`` of a line.  Only here, on a fault, are
+    a split line's words found again: before any comment, they are the
+    matches of _WORD_RE."""
+    word = next(islice(_WORD_RE.finditer(line), at, None))
+    return ParseError(SourceSpan(lineno, word.start() + 1, word.end()), expected, found)
 
 
 def _require_id(words: tuple[str, ...], at: int) -> str:

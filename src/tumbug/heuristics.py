@@ -160,16 +160,12 @@ class CheckReport:
         return not self.missing
 
 
-def _present(d: Diagram, name: str) -> bool:
-    kinds = _MET_BY[name]
-    return any(x.kind in kinds for x in chain(d.elements.values(), d.edges.values()))
-
-
 def check(d: Diagram, req: Requirement) -> CheckReport:
     """Which required Building Blocks the diagram actually contains."""
+    kinds = {x.kind for x in chain(d.elements.values(), d.edges.values())}
     sat, miss, asat, amiss = [], [], [], []
     for name in sorted(req.mandatory):
-        (sat if _present(d, name) else miss).append(name)
+        (sat if _MET_BY[name] & kinds else miss).append(name)
     for name in sorted(req.advisory):
-        (asat if _present(d, name) else amiss).append(name)
+        (asat if _MET_BY[name] & kinds else amiss).append(name)
     return CheckReport(tuple(sat), tuple(miss), tuple(asat), tuple(amiss))

@@ -4,9 +4,10 @@ private name of another module, only the package spells its data directory
 and caches, the shipped tables are read through tumbug.read_table, each rule
 below has its one owner, queries read the model's indices instead of
 scanning, only the model touches a Diagram's storage, dsl reads and writes
-every codec row through one loop each, each attribute refusal is raised in
-one place, the model methods that perfbench traces exist, and the package
-version is the project's."""
+every codec row through one loop each, dsl spells a word once and reads
+words through one splitter, each attribute refusal is raised in one place,
+the model methods that perfbench traces exist, and the package version is
+the project's."""
 
 import ast
 import importlib
@@ -329,6 +330,46 @@ def test_codec_check_sees_a_stray_loop():
         "KEYS = [key for key, _, _, _ in ROWS]\n"
     )
     assert _codec_row_loops(ast.parse(source)) == ["<module>", "_encode", "serialize"]
+
+
+def _readers(tree: ast.Module, name: str) -> list[str]:
+    """The top-level functions, and the names assigned by top-level
+    assignments, whose code reads name."""
+    found = set()
+    for node in tree.body:
+        if any(isinstance(n, ast.Name) and n.id == name and isinstance(n.ctx, ast.Load)
+               for n in ast.walk(node)):
+            if isinstance(node, ast.FunctionDef):
+                found.add(node.name)
+            else:
+                found |= {t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)}
+    return sorted(found)
+
+
+def test_dsl_spells_a_word_once_and_splits_lines_in_one_place():
+    # _WORD is the lexical grammar of a word: _split reads lines and comments
+    # with the two patterns built from it, and _locate finds a faulty word
+    # among the same matches, so no second tokenizer comes back.
+    tree = ast.parse((SRC / "dsl.py").read_text(encoding="utf-8"))
+    assert {name: _readers(tree, name) for name in ("_WORD", "_WORD_RE", "_WORDS_RE")} == {
+        "_WORD": ["_WORDS_RE", "_WORD_RE"],
+        "_WORD_RE": ["_locate", "_split"],
+        "_WORDS_RE": ["_split"],
+    }
+
+
+def test_reader_check_sees_a_third_pattern():
+    source = (
+        "_WORD = 'w'\n"
+        "_WORD_RE = re.compile(_WORD)\n"
+        "_WORDS_RE = re.compile(rf'(?:{_WORD}\\s*)*')\n"
+        "_TOKEN_RE = re.compile(rf'(#)|({_WORD})')\n"
+        "def _split(line):\n"
+        "    return _WORD_RE.findall(line)\n"
+    )
+    tree = ast.parse(source)
+    assert _readers(tree, "_WORD") == ["_TOKEN_RE", "_WORDS_RE", "_WORD_RE"]
+    assert _readers(tree, "_WORD_RE") == ["_split"]
 
 
 def _raise_sites(tree: ast.AST, names: set[str]) -> list[tuple[str, str]]:
