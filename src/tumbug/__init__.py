@@ -11,10 +11,11 @@ its module on first access (PEP 562), so a command loads only what it uses.
 """
 
 import functools
+import gc
 import importlib
 import os
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, ParamSpec, TypeVar
 
 # Each submodule and the public names it provides; _HOME maps name -> submodule.
 _EXPORTS = {
@@ -112,6 +113,7 @@ def _tables_dir(setting: str | None) -> Path:
 
 
 _T = TypeVar("_T")
+_P = ParamSpec("_P")
 
 
 @functools.cache  # what parse returns is shared: callers copy it before changing it
@@ -133,6 +135,27 @@ def table_lines(text: str) -> Iterator[tuple[int, str, str]]:
 def list_items(text: str) -> tuple[str, ...]:
     """The non-empty items of a comma-separated list."""
     return tuple(filter(None, text.split(",")))
+
+
+def gc_paused(fn: Callable[_P, _T]) -> Callable[_P, _T]:
+    """``fn`` run with the cyclic garbage collector paused, and enabled again on
+    return or raise if it was enabled at the call; for a call that builds many
+    objects and frees few, such as parse or render, a collection only rescans
+    them.  Collector state is process-wide: no thread collects cycles while
+    the call runs, and one that turns the collector off meanwhile finds it on
+    again when the call returns."""
+
+    @functools.wraps(fn)
+    def paused(*args: _P.args, **kwargs: _P.kwargs) -> _T:
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 def __getattr__(name: str):

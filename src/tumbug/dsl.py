@@ -43,7 +43,7 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 
-from . import list_items
+from . import gc_paused, list_items
 from .model import (
     ID_RE,
     AttributeBinding,
@@ -186,6 +186,8 @@ def _split(line: str, lineno: int) -> tuple[str, ...]:
             return tuple(line.split())
         if _WORDS_RE.fullmatch(line):
             return tuple(_WORD_RE.findall(line))
+    if line.lstrip().startswith("#"):  # a whole-line comment: no pattern reads it
+        return ()
     # The words run up to the first token that no word reads.  A word that
     # starts with ``#`` begins the comment, and so does that token if it
     # does; any other such token holds a quote that is never closed.
@@ -461,6 +463,7 @@ _GROUP_KIND = {StateDiagramGroup: GroupKind.STATE_DIAGRAM, SplitTimeGroup: Group
 _GROUP_KINDS = {k.value: cls for cls, k in _GROUP_KIND.items()}  # the classes by name
 
 
+@gc_paused
 def parse(text: str | bytes) -> Diagram:
     """Parse DSL text into a diagram; raises ParseError at the first fault."""
     if isinstance(text, bytes):

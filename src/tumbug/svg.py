@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
+from . import gc_paused
 from .grammar import Violation, validate
 from .model import (
     KIND_FACTS,
@@ -219,6 +220,7 @@ def _layout(
     return boxes, order
 
 
+@gc_paused
 def render(d: Diagram, options: RenderOptions | None = None) -> str:
     """Render a valid diagram to an SVG document string."""
     options = options or RenderOptions()

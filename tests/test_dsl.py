@@ -1,3 +1,5 @@
+import gc
+import inspect
 import math
 import random
 import re
@@ -914,6 +916,64 @@ class TestTokensKeepNoSpans:
             parse(text + 'elem o9 Cell label="open\n')
         assert err.value.span == SourceSpan(9, 14, 24)
         assert (err.value.expected, err.value.found) == ("closing quote", "end of line")
+
+
+class TestCollectorIsPaused:
+    # Parse builds tens of thousands of objects and frees none of them, so
+    # the cyclic collector is paused while it runs and restored after.
+    def test_parse_runs_with_the_collector_paused(self, monkeypatch):
+        seen = []
+        decode = dsl._decode
+
+        def recording(*args):
+            seen.append(gc.isenabled())
+            return decode(*args)
+
+        monkeypatch.setattr(dsl, "_decode", recording)
+        assert gc.isenabled()
+        assert len(parse(_generated_text(2)).elements) == 21
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_a_refused_parse_enables_the_collector_again(self):
+        with pytest.raises(ParseError):
+            parse("elem o1 NoSuchKind\n")
+        assert gc.isenabled()
+        with pytest.raises(ParseError):
+            parse(b"\xff")
+        assert gc.isenabled()
+
+    def test_a_collector_the_caller_turned_off_stays_off(self):
+        gc.disable()
+        try:
+            parse(_generated_text(1))
+            assert not gc.isenabled()
+            with pytest.raises(ParseError):
+                parse("elem o1 NoSuchKind\n")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_the_signature_and_name_are_unchanged(self):
+        assert str(inspect.signature(parse)) == "(text: 'str | bytes') -> 'Diagram'"
+        assert (parse.__name__, parse.__module__) == ("parse", "tumbug.dsl")
+        assert parse.__doc__.startswith("Parse DSL text into a diagram")
+        assert parse.__wrapped__ is not parse
+
+
+class TestWholeLineComments:
+    @pytest.mark.parametrize(
+        "line", ["#", "# note", '  \t# "open', "#" + '"' * 20000], ids=["bare", "note", "open", "long"]
+    )
+    def test_no_pattern_reads_a_whole_line_comment(self, monkeypatch, line):
+        # A comment's words are never read, so no pattern runs through one.
+        class Refusing:
+            def __getattr__(self, name):
+                raise AssertionError(f"a pattern read {line[:20]!r}")
+
+        monkeypatch.setattr(dsl, "_WORD_RE", Refusing())
+        monkeypatch.setattr(dsl, "_WORDS_RE", Refusing())
+        assert parse(line + "\nelem o1 Cell\n") == parse("elem o1 Cell\n")
 
 
 def _unquote_outcome(unquote, raw: str):

@@ -6,7 +6,7 @@ below has its one owner, queries read the model's indices instead of
 scanning, only the model touches a Diagram's storage, dsl reads and writes
 every codec row through one loop each, dsl spells a word once and reads
 words through one splitter, each attribute refusal is raised in one place,
-the model methods that perfbench traces exist, and the package version is
+only tumbug.gc_paused switches the cyclic collector, the model methods that perfbench traces exist, and the package version is
 the project's."""
 
 import ast
@@ -421,3 +421,80 @@ def test_raise_check_sees_a_second_raise():
         ("Diagram.bind_attribute", "IllegalAttributeHost"),
         ("_refuse_conflict", "ConflictingDuplicate"),
     ]
+
+
+_COLLECTOR_SWITCHES = {"disable", "enable", "freeze", "unfreeze", "set_threshold"}
+
+
+def _collector_switches(tree: ast.AST) -> list[tuple[str, str]]:
+    """(function, switch) for each call of gc.disable, gc.enable, gc.freeze,
+    gc.unfreeze or gc.set_threshold, by attribute or by a name imported from
+    gc, the function dotted with its enclosing ones ("<module>" at top level)."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+        func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+        if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "gc":
+            name = func.attr
+        else:
+            name = getattr(func, "id", None)
+        if name in _COLLECTOR_SWITCHES:
+            found.append((owner, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return sorted(found)
+
+
+def _paused(node) -> bool:
+    """Whether node is a function under tumbug.gc_paused."""
+    return any(
+        "gc_paused" in {getattr(d, "id", None), getattr(d, "attr", None)}
+        for d in getattr(node, "decorator_list", ())
+    )
+
+
+def test_only_gc_paused_switches_the_collector():
+    # Collector state is process-wide, so one decorator owns it, and only
+    # parse and render, which build a scene's objects and free few, use it.
+    switches = {
+        p.name: _collector_switches(ast.parse(p.read_text(encoding="utf-8")))
+        for p in SRC.glob("*.py")
+    }
+    assert {name: found for name, found in switches.items() if found} == {
+        "__init__.py": [("gc_paused.paused", "disable"), ("gc_paused.paused", "enable")]
+    }
+    paused = sorted(
+        (p.name, n.name)
+        for p in SRC.glob("*.py")
+        for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if _paused(n)
+    )
+    assert paused == [("dsl.py", "parse"), ("svg.py", "render")]
+
+
+def test_collector_check_sees_a_stray_switch():
+    source = (
+        "import gc\n"
+        "from gc import freeze\n"
+        "def gc_paused(fn):\n"
+        "    def paused():\n"
+        "        gc.disable()\n"
+        "    return paused\n"
+        "class Renderer:\n"
+        "    @tumbug.gc_paused\n"
+        "    def draw(self):\n"
+        "        gc.enable()\n"
+        "freeze()\n"
+        "logging.disable()\n"
+    )
+    tree = ast.parse(source)
+    assert _collector_switches(tree) == [
+        ("<module>", "freeze"),
+        ("Renderer.draw", "enable"),
+        ("gc_paused.paused", "disable"),
+    ]
+    assert [n.name for n in ast.walk(tree) if _paused(n)] == ["draw"]

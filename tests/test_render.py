@@ -1,3 +1,5 @@
+import gc
+import inspect
 import random
 import re
 import time
@@ -15,6 +17,7 @@ from tumbug.model import (
     Kind,
     new_diagram,
 )
+from tumbug import svg
 from tumbug.svg import InvalidDiagram, RenderOptions, render
 from tumbug.values import Text
 
@@ -219,3 +222,45 @@ def test_deep_containment_validates_and_renders_in_linear_time():
     assert validate(d) == []
     render(d)
     assert time.perf_counter() - start < 0.5
+
+
+def test_render_runs_with_the_collector_paused(monkeypatch):
+    # Render builds the markup of every element and frees little of it, so
+    # the cyclic collector is paused while it runs, validate included.
+    seen = []
+
+    def recording(d):
+        seen.append(gc.isenabled())
+        return validate(d)
+
+    monkeypatch.setattr(svg, "validate", recording)
+    assert gc.isenabled()
+    assert "fox" in render(fox_diagram())
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_a_refused_render_enables_the_collector_again():
+    d = new_diagram()
+    d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o1"))
+    d.add_edge(Edge(kind=EdgeKind.TIME, source="o1", id="t1"))
+    with pytest.raises(InvalidDiagram):
+        render(d)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        render(fox_diagram())
+        assert not gc.isenabled()
+        with pytest.raises(InvalidDiagram):
+            render(d)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_render_signature_and_name_are_unchanged():
+    expected = "(d: 'Diagram', options: 'RenderOptions | None' = None) -> 'str'"
+    assert str(inspect.signature(render)) == expected
+    assert (render.__name__, render.__module__) == ("render", "tumbug.svg")
+    assert render.__doc__ == "Render a valid diagram to an SVG document string."
+    assert render.__wrapped__ is not render
