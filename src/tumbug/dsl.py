@@ -171,11 +171,12 @@ def _unescape(at: int, raw: str) -> str:
 # A word: a run of non-space characters and complete quoted strings, in which
 # a backslash escapes the next character.  It is spelled as a plain run, then
 # (quoted string, plain run)*, so that each word has one reading and a
-# whole-line match cannot backtrack exponentially.
+# whole-line match cannot backtrack exponentially.  The words of a line stop
+# before the first word that starts with ``#``: the comment, never read.
 _QUOTED = r'"[^"\\]*(?:\\.[^"\\]*)*"'
 _WORD = rf'[^\s"]+(?:{_QUOTED}[^\s"]*)*|(?:{_QUOTED}[^\s"]*)+'
 _WORD_RE = re.compile(_WORD, re.DOTALL)
-_WORDS_RE = re.compile(rf"\s*(?:(?:{_WORD})(?:\s+|\Z))*", re.DOTALL)
+_WORDS_RE = re.compile(rf"\s*(?:(?!#)(?:{_WORD})(?:\s+|\Z))*", re.DOTALL)
 
 
 def _split(line: str, lineno: int) -> tuple[str, ...]:
@@ -188,17 +189,13 @@ def _split(line: str, lineno: int) -> tuple[str, ...]:
             return tuple(_WORD_RE.findall(line))
     if line.lstrip().startswith("#"):  # a whole-line comment: no pattern reads it
         return ()
-    # The words run up to the first token that no word reads.  A word that
-    # starts with ``#`` begins the comment, and so does that token if it
-    # does; any other such token holds a quote that is never closed.
+    # The words run up to the comment or to the first token that no word
+    # reads; a token that does not start with ``#`` holds a quote that is
+    # never closed.
     end = _WORDS_RE.match(line).end()
-    words = _WORD_RE.findall(line, 0, end)
-    for i, word in enumerate(words):
-        if word[0] == "#":
-            return tuple(words[:i])
     if end < len(line) and line[end] != "#":
         raise ParseError(SourceSpan(lineno, end + 1, len(line)), "closing quote", "end of line")
-    return tuple(words)
+    return tuple(_WORD_RE.findall(line, 0, end))
 
 
 # --------------------------------------------------------------------------
@@ -520,7 +517,7 @@ def parse(text: str | bytes) -> Diagram:
         for lineno, line, words in buckets["contain"]:
             if len(words) != 3:
                 raise _Fault(0, "contain <child> <parent>", "record shape")
-            child, parent = _require_id(words, 1), _require_id(words, 2)
+            child, parent = _require_ref(words, 1, d.elements), _require_ref(words, 2, d.elements)
             try:
                 d.contain(child, parent)
             except ModelError as exc:
@@ -532,20 +529,27 @@ def parse(text: str | bytes) -> Diagram:
         for lineno, line, words in buckets["group"]:
             _parse_group(d, words)
 
+        # Equal attr words share one binding: it and its value are frozen.
+        # Only a word that built a binding goes in, and the dict dies with
+        # the parse.
+        shared: dict[str, AttributeBinding] = {}
         for lineno, line, words in buckets["attr"]:
             if len(words) != 3:
                 raise _Fault(0, "attr <owner> <attribute>=<value>", "record shape")
-            owner = _require_id(words, 1)
+            owner = words[1]
             if owner not in d.elements and owner not in d.edges:
+                _require_id(words, 1)
                 raise _Fault(1, "existing owner", owner)
-            name, _, raw = words[2].partition("=")
-            if not raw:
-                raise _Fault(2, "attribute=value", words[2])
-            value = _parse_value_literal(2, raw)
-            try:
-                binding = AttributeBinding(name, value)
-            except ModelError as exc:
-                raise _Fault(2, "legal binding", str(exc)) from exc
+            binding = shared.get(words[2])
+            if binding is None:
+                name, _, raw = words[2].partition("=")
+                if not raw:
+                    raise _Fault(2, "attribute=value", words[2])
+                value = _parse_value_literal(2, raw)
+                try:
+                    binding = shared[words[2]] = AttributeBinding(name, value)
+                except ModelError as exc:
+                    raise _Fault(2, "legal binding", str(exc)) from exc
             # Hosting legality is the validator's concern, not the parser's.
             d.append_binding(owner, binding)
     except _Fault as fault:
@@ -565,6 +569,15 @@ def _locate(lineno: int, line: str, at: int, expected: str, found: str) -> Parse
 def _require_id(words: tuple[str, ...], at: int) -> str:
     if not ID_RE.fullmatch(words[at]):
         raise _Fault(at, "identifier", words[at])
+    return words[at]
+
+
+def _require_ref(words: tuple[str, ...], at: int, known: dict) -> str:
+    """The id at word ``at`` of a reference.  A key of ``known`` passed the
+    model's id check when it was claimed, so only a word that names nothing
+    there is checked, where and as _require_id checks it."""
+    if words[at] not in known:
+        _require_id(words, at)
     return words[at]
 
 
@@ -630,7 +643,7 @@ def _parse_edge(d: Diagram, words: tuple[str, ...]) -> None:
     n = len(words)
     at = 3
     if at < n and words[at] != "->" and "=" not in words[at]:
-        source = _require_id(words, at)
+        source = _require_ref(words, at, d.elements)
         at += 1
     if at >= n or words[at] != "->":
         if at < n:
@@ -638,7 +651,7 @@ def _parse_edge(d: Diagram, words: tuple[str, ...]) -> None:
         raise _Fault(n - 1, "'->'", "end of record")
     at += 1
     if at < n and "=" not in words[at]:
-        target = _require_id(words, at)
+        target = _require_ref(words, at, d.elements)
         at += 1
     pairs = _read_pairs(words, at, quoted=True, only="role")
     role = pairs["role"][1] if pairs else None

@@ -56,6 +56,17 @@ _TIP = ' marker-end="url(#arrowhead)"'  # an arrowhead at the end of a line
 _ROLE_COLORS = {"subject": "#d8ecff", "direct": "#ffe0cc", "indirect": "#e4ffd8"}
 
 
+class _Numbers(dict):
+    """One render's number texts: each distinct number is formatted once.
+    fmt_num gives one text for equal numbers of any type (20 and 20.0), so
+    a number may stand for every number equal to it.  A miss calls this
+    module's fmt_num by name, so a wrapper put there sees each formatting."""
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = fmt_num(x)
+        return text
+
+
 def _esc(s: str) -> str:
     return (
         s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
@@ -227,6 +238,7 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     violations = validate(d)
     if violations:
         raise InvalidDiagram(violations)
+    num = _Numbers()
 
     # Each owner's escaped attribute lines, in serialize's order (attribute,
     # then value literal) so that equal diagrams render alike.
@@ -236,11 +248,11 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     boxes, parents_first = _layout(d, by_owner)
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt_num(options.width)}" '
-        f'height="{fmt_num(options.height)}" font-size="{FONT_SIZE}" font-family="sans-serif">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{num[options.width]}" '
+        f'height="{num[options.height]}" font-size="{FONT_SIZE}" font-family="sans-serif">'
     )
     out.append("<defs>")
-    hatch = _line(0, 0, 0, HATCH_SPACING, 'stroke="black" stroke-width="1"')
+    hatch = _line(num, 0, 0, 0, HATCH_SPACING, 'stroke="black" stroke-width="1"')
     for name, angle in (("neg45", -45), ("pos45", 45)):
         out.append(
             f'<pattern id="hatch-{name}" width="{HATCH_SPACING}" height="{HATCH_SPACING}" '
@@ -259,9 +271,9 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     for i, eid in enumerate(d.edges_of_kind(EdgeKind.TIME)):
         x = 28 + i * 34
         out.append(f'<g id="{_esc(eid)}" class="edge time-arrow">')
-        out.append(_line(x, top, x, bottom, stroke + _TIP))
-        out.append(_line(x - 6, zero_y, x + 6, zero_y, stroke))
-        out.append(f'<text x="{x + 9}" y="{fmt_num(zero_y + 4)}">0</text>')
+        out.append(_line(num, x, top, x, bottom, stroke + _TIP))
+        out.append(_line(num, x - 6, zero_y, x + 6, zero_y, stroke))
+        out.append(f'<text x="{x + 9}" y="{num[zero_y + 4]}">0</text>')
         out.append(f'<text x="{x - 6}" y="{top - 8}">t</text>')
         out.append("</g>")
 
@@ -270,13 +282,13 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     for eid in parents_first:
         depth[eid] = depth[d.containment.get(eid)] + 1
     for eid in sorted(d.elements, key=lambda e: (depth[e], e)):
-        out.extend(_render_element(d, eid, boxes[eid], by_owner.get(eid, []), options))
+        out.extend(_render_element(num, d, eid, boxes[eid], by_owner.get(eid, []), options))
 
     # A solitary arrow is placed by its ordinal among all edges, Time included.
     for ordinal, (eid, edge) in enumerate(sorted(d.edges.items()), 1):
         if edge.kind is EdgeKind.TIME:
             continue
-        out.extend(_render_edge(eid, edge, ordinal, boxes, by_owner.get(eid, [])))
+        out.extend(_render_edge(num, eid, edge, ordinal, boxes, by_owner.get(eid, [])))
 
     # State-group token markers.
     for gid in sorted(d.groups):
@@ -285,7 +297,7 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
         if marker and marker in boxes:
             b = boxes[marker]
             out.append(
-                f'<circle class="token-marker" cx="{fmt_num(b.cx)}" cy="{fmt_num(b.cy)}" '
+                f'<circle class="token-marker" cx="{num[b.cx]}" cy="{num[b.cy]}" '
                 'r="5" fill="red"/>'
             )
 
@@ -294,6 +306,7 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
 
 
 def _render_element(
+    num: _Numbers,
     d: Diagram,
     eid: str,
     box: _Box,
@@ -313,114 +326,113 @@ def _render_element(
     if shape == "circle":
         dashed = ' stroke-dasharray="3,3"' if KIND_FACTS[kind].data else ""
         out.append(
-            f'<ellipse cx="{fmt_num(cx)}" cy="{fmt_num(cy)}" rx="{fmt_num(w / 2)}" '
-            f'ry="{fmt_num(h / 2)}" fill="{fill}" stroke="black"{dashed}/>'
+            f'<ellipse cx="{num[cx]}" cy="{num[cy]}" rx="{num[w / 2]}" '
+            f'ry="{num[h / 2]}" fill="{fill}" stroke="black"{dashed}/>'
         )
         if kind is Kind.STATE_CIRCLE:
-            out.append(_line(x + w * 0.2, y + h * 0.85, x + w * 0.8, y + h * 0.15, 'stroke="black"'))
+            out.append(_line(num, x + w * 0.2, y + h * 0.85, x + w * 0.8, y + h * 0.15, 'stroke="black"'))
     elif kind is Kind.SENSOR_BAR:
-        out.append(_rect(x, y, w, h, 'fill="url(#hatch-neg45)" stroke="black"'))
+        out.append(_rect(num, x, y, w, h, 'fill="url(#hatch-neg45)" stroke="black"'))
     elif kind is Kind.MARKER_2D:
-        out.append(_rect(x, y, w, h, 'fill="url(#hatch-pos45)" stroke="none"'))
+        out.append(_rect(num, x, y, w, h, 'fill="url(#hatch-pos45)" stroke="none"'))
     elif kind is Kind.MARKER_0D:
-        out.append(_circle(cx, cy, 6, 'fill="red"'))
+        out.append(_circle(num, cx, cy, 6, 'fill="red"'))
     elif kind is Kind.MARKER_1D:
-        out.append(_line(x, cy, x + w, cy, 'stroke="black" stroke-dasharray="5,4"'))
+        out.append(_line(num, x, cy, x + w, cy, 'stroke="black" stroke-dasharray="5,4"'))
     elif kind is Kind.VALUE_BAR:
-        out.append(_rect(x, y, w, h, 'fill="none" stroke="black"'))
+        out.append(_rect(num, x, y, w, h, 'fill="none" stroke="black"'))
         for end in (x, x + w):
-            out.append(_line(end, y - 3, end, y + h + 3, 'stroke="black"'))
+            out.append(_line(num, end, y - 3, end, y + h + 3, 'stroke="black"'))
     elif kind is Kind.ATTEND_RING:
-        out.append(_circle(cx, cy, w / 2, 'fill="none" stroke="black" stroke-width="2"'))
+        out.append(_circle(num, cx, cy, w / 2, 'fill="none" stroke="black" stroke-width="2"'))
     elif kind is Kind.MOTIVATION_TRIANGLE:
         out.append(
-            f'<polygon points="{fmt_num(cx)},{fmt_num(y)} {fmt_num(x)},{fmt_num(y + h)} '
-            f'{fmt_num(x + w)},{fmt_num(y + h)}" fill="none" stroke="black"/>'
+            f'<polygon points="{num[cx]},{num[y]} {num[x]},{num[y + h]} '
+            f'{num[x + w]},{num[y + h]}" fill="none" stroke="black"/>'
         )
         for i in range(1, 4):
             ly = y + h * i / 4
             inset = w * i / 8
-            out.append(_line(cx - inset, ly, cx + inset, ly, 'stroke="black"'))
+            out.append(_line(num, cx - inset, ly, cx + inset, ly, 'stroke="black"'))
         for level, valence in sorted(getattr(el.payload, "markers", ())):
             row = MOTIVATION_LEVELS.index(level)
             my = y + h * (3.5 - row) / 4
             mx = cx - 6 if valence == "+" else cx + 6
-            out.append(_circle(mx, my, 4, 'fill="red"'))
+            out.append(_circle(num, mx, my, 4, 'fill="red"'))
     elif kind is Kind.ROBINSON_ICON:
-        out.append(f'<polygon points="{_hexagon(box)}" fill="none" stroke="black"/>')
+        out.append(f'<polygon points="{_hexagon(num, box)}" fill="none" stroke="black"/>')
         active = getattr(el.payload, "active", frozenset())
         for i, cat in enumerate(ROBINSON_CATEGORIES):
             filled = "black" if cat in active else "white"
-            out.append(_circle(*_hex_corner(box, i), 5, f'fill="{filled}" stroke="black"'))
+            out.append(_circle(num, *_hex_corner(box, i), 5, f'fill="{filled}" stroke="black"'))
         out.append(
-            f'<text x="{fmt_num(cx - 4)}" y="{fmt_num(cy + 4)}">'
+            f'<text x="{num[cx - 4]}" y="{num[cy + 4]}">'
             f"{_esc(getattr(el.payload, 'valence', '+'))}</text>"
         )
     elif shape == "cells":
-        out.append(_rect(x, y, w, h, 'fill="none" stroke="black" stroke-dasharray="1,2"'))
+        out.append(_rect(num, x, y, w, h, 'fill="none" stroke="black" stroke-dasharray="1,2"'))
         active = getattr(el.payload, "active", frozenset())
         for name, dx, dy in getattr(el.payload, "cells", ()):
             filled = "black" if name in active else "white"
-            out.append(_circle(x + 12 + dx, y + 12 + dy, 5, f'fill="{filled}" stroke="black"'))
+            out.append(_circle(num, x + 12 + dx, y + 12 + dy, 5, f'fill="{filled}" stroke="black"'))
     elif kind is Kind.LABEL_STRING:
         pass  # text only, emitted below
     elif kind is Kind.TIME_ANCHOR:
-        out.append(_line(x, cy, x + 12, cy, 'stroke="black" stroke-width="1.5"'))
+        out.append(_line(num, x, cy, x + 12, cy, 'stroke="black" stroke-width="1.5"'))
     elif kind is Kind.ZOOM_BOX_PAIR:
         # Static depiction: a small pane beside its magnified pane, corners tied.
         small = _Box(x, y + h * 0.3, w * 0.3, h * 0.4)
         big = _Box(x + w * 0.45, y, w * 0.55, h)
         for pane in (small, big):
-            out.append(_rect(pane.x, pane.y, pane.w, pane.h, 'fill="none" stroke="black"'))
+            out.append(_rect(num, pane.x, pane.y, pane.w, pane.h, 'fill="none" stroke="black"'))
         for sy, by in ((small.y, big.y), (small.y + small.h, big.y + big.h)):
-            out.append(_line(small.x + small.w, sy, big.x, by, 'stroke="black" stroke-dasharray="4,3"'))
+            dashed = 'stroke="black" stroke-dasharray="4,3"'
+            out.append(_line(num, small.x + small.w, sy, big.x, by, dashed))
     else:
-        out.append(_rect(x, y, w, h, f'fill="{fill}" stroke="black"'))
+        out.append(_rect(num, x, y, w, h, f'fill="{fill}" stroke="black"'))
         if kind is Kind.VERBATIM_BOX:  # one border more than the other boxes
-            out.append(_rect(x + 4, y + 4, w - 8, h - 8, 'fill="none" stroke="black"'))
+            out.append(_rect(num, x + 4, y + 4, w - 8, h - 8, 'fill="none" stroke="black"'))
         if kind is Kind.XOR_BOX:
             for dx, dy in ((4, 4), (w - 4, 4), (4, h - 4), (w - 4, h - 4)):
-                out.append(_circle(x + dx, y + dy, 2.5, 'fill="black"'))
+                out.append(_circle(num, x + dx, y + dy, 2.5, 'fill="black"'))
         if kind is Kind.CORRELATION_BOX:
             out.append(
-                f'<path d="M {fmt_num(x + 6)} {fmt_num(y + h - 8)} Q {fmt_num(cx)} '
-                f'{fmt_num(y + 4)} {fmt_num(x + w - 6)} {fmt_num(y + 8)}" fill="none" '
+                f'<path d="M {num[x + 6]} {num[y + h - 8]} Q {num[cx]} '
+                f'{num[y + 4]} {num[x + w - 6]} {num[y + 8]}" fill="none" '
                 'stroke="black"/>'
             )
         if kind is Kind.CA_AGGREGATION_BOX and getattr(el.payload, "open_ended", False):
-            out.append(f'<text x="{fmt_num(cx - 8)}" y="{fmt_num(cy)}">...</text>')
+            out.append(f'<text x="{num[cx - 8]}" y="{num[cy]}">...</text>')
 
     label = el.label
     if label:
         ly = y + FONT_SIZE + 2 if shape == "box" else cy + FONT_SIZE / 3
-        out.append(f'<text x="{fmt_num(x + 6)}" y="{fmt_num(ly)}" class="label">{_esc(label)}</text>')
+        out.append(f'<text x="{num[x + 6]}" y="{num[ly]}" class="label">{_esc(label)}</text>')
 
     # Attribute lines hang under the element.
     ay = y + h + FONT_SIZE
     for text in attr_lines:
-        out.append(f'<text x="{fmt_num(x + 4)}" y="{fmt_num(ay)}" class="attr">{text}</text>')
+        out.append(f'<text x="{num[x + 4]}" y="{num[ay]}" class="attr">{text}</text>')
         ay += FONT_SIZE + 3
 
     out.append("</g>")
     return out
 
 
-def _rect(x: float, y: float, w: float, h: float, rest: str) -> str:
-    return f'<rect x="{fmt_num(x)}" y="{fmt_num(y)}" width="{fmt_num(w)}" height="{fmt_num(h)}" {rest}/>'
+def _rect(num: _Numbers, x: float, y: float, w: float, h: float, rest: str) -> str:
+    return f'<rect x="{num[x]}" y="{num[y]}" width="{num[w]}" height="{num[h]}" {rest}/>'
 
 
-def _line(x1: float, y1: float, x2: float, y2: float, rest: str) -> str:
-    return f'<line x1="{fmt_num(x1)}" y1="{fmt_num(y1)}" x2="{fmt_num(x2)}" y2="{fmt_num(y2)}" {rest}/>'
+def _line(num: _Numbers, x1: float, y1: float, x2: float, y2: float, rest: str) -> str:
+    return f'<line x1="{num[x1]}" y1="{num[y1]}" x2="{num[x2]}" y2="{num[y2]}" {rest}/>'
 
 
-def _circle(cx: float, cy: float, r: float, rest: str) -> str:
-    return f'<circle cx="{fmt_num(cx)}" cy="{fmt_num(cy)}" r="{fmt_num(r)}" {rest}/>'
+def _circle(num: _Numbers, cx: float, cy: float, r: float, rest: str) -> str:
+    return f'<circle cx="{num[cx]}" cy="{num[cy]}" r="{num[r]}" {rest}/>'
 
 
-def _hexagon(box: _Box) -> str:
-    return " ".join(
-        f"{fmt_num(px)},{fmt_num(py)}" for px, py in (_hex_corner(box, i) for i in range(6))
-    )
+def _hexagon(num: _Numbers, box: _Box) -> str:
+    return " ".join(f"{num[px]},{num[py]}" for px, py in (_hex_corner(box, i) for i in range(6)))
 
 
 _HEX_UNIT = ((0.5, 0.0), (1.0, 0.25), (1.0, 0.75), (0.5, 1.0), (0.0, 0.75), (0.0, 0.25))
@@ -442,6 +454,7 @@ _EDGE_STYLE = {
 
 
 def _render_edge(
+    num: _Numbers,
     eid: str,
     edge: Edge,
     ordinal: int,
@@ -454,11 +467,11 @@ def _render_edge(
     b = None if edge.target is None else boxes[edge.target]
     if a is not None and edge.source == edge.target:  # self loop
         out.append(
-            f'<path d="M {fmt_num(a.cx)} {fmt_num(a.y)} C {fmt_num(a.cx + 40)} '
-            f'{fmt_num(a.y - 36)} {fmt_num(a.cx - 40)} {fmt_num(a.y - 36)} '
-            f'{fmt_num(a.cx - 4)} {fmt_num(a.y)}" fill="none" {style}/>'
+            f'<path d="M {num[a.cx]} {num[a.y]} C {num[a.cx + 40]} '
+            f'{num[a.y - 36]} {num[a.cx - 40]} {num[a.y - 36]} '
+            f'{num[a.cx - 4]} {num[a.y]}" fill="none" {style}/>'
         )
-        out.extend(_edge_attr_texts(attr_lines, a.cx, a.y - 40))
+        out.extend(_edge_attr_texts(num, attr_lines, a.cx, a.y - 40))
         out.append("</g>")
         return out
     if a is not None and b is not None:
@@ -470,21 +483,21 @@ def _render_edge(
     else:  # fully solitary arrow
         x1, y1 = 70.0, 30.0 + ordinal * 26
         x2, y2 = 130.0, 30.0 + ordinal * 26
-    out.append(_line(x1, y1, x2, y2, style))
+    out.append(_line(num, x1, y1, x2, y2, style))
     if centered_arrow:
         mx, my = (x1 + x2) / 2, (y1 + y2) / 2
         out.append(
-            f'<path class="centered-arrowhead" d="M {fmt_num(mx - 5)} {fmt_num(my - 4)} '
-            f'L {fmt_num(mx + 5)} {fmt_num(my)} L {fmt_num(mx - 5)} {fmt_num(my + 4)} z" '
+            f'<path class="centered-arrowhead" d="M {num[mx - 5]} {num[my - 4]} '
+            f'L {num[mx + 5]} {num[my]} L {num[mx - 5]} {num[my + 4]} z" '
             'fill="black"/>'
         )
-    out.extend(_edge_attr_texts(attr_lines, (x1 + x2) / 2, (y1 + y2) / 2 - 8))
+    out.extend(_edge_attr_texts(num, attr_lines, (x1 + x2) / 2, (y1 + y2) / 2 - 8))
     out.append("</g>")
     return out
 
 
-def _edge_attr_texts(attr_lines: list[str], x: float, y: float) -> list[str]:
+def _edge_attr_texts(num: _Numbers, attr_lines: list[str], x: float, y: float) -> list[str]:
     return [
-        f'<text x="{fmt_num(x + 6)}" y="{fmt_num(y - i * (FONT_SIZE + 2))}" class="attr">{text}</text>'
+        f'<text x="{num[x + 6]}" y="{num[y - i * (FONT_SIZE + 2)]}" class="attr">{text}</text>'
         for i, text in enumerate(attr_lines)
     ]

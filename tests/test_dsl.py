@@ -1,6 +1,8 @@
+import copy
 import gc
 import inspect
 import math
+import pickle
 import random
 import re
 import sys
@@ -13,6 +15,7 @@ from tumbug import dsl
 from tumbug.dsl import ParseError, SourceSpan, parse, serialize
 from tumbug.model import (
     AttributeBinding,
+    ConflictingDuplicate,
     Diagram,
     Edge,
     EdgeKind,
@@ -974,6 +977,119 @@ class TestWholeLineComments:
         monkeypatch.setattr(dsl, "_WORD_RE", Refusing())
         monkeypatch.setattr(dsl, "_WORDS_RE", Refusing())
         assert parse(line + "\nelem o1 Cell\n") == parse("elem o1 Cell\n")
+
+
+_SHARED_TEXT = (
+    "elem o1 PhysicalObjectCircle\nelem o2 PhysicalObjectCircle\nedge m Motion o1 -> o2\n"
+    'attr o1 color="red"\nattr o2 color="red"\nattr m color="red"\n'
+    "attr o1 mass=3:kg\nattr o2 mass=3.0:kg\n"
+)
+
+
+class TestSharedBindings:
+    """Equal attr words in one parse share one frozen binding; nothing is
+    shared between parses."""
+
+    def test_equal_words_in_one_parse_give_one_binding(self):
+        d = parse(_SHARED_TEXT)
+        reds = [b for _, b in d.bindings if b.attribute == "color"]
+        assert len(reds) == 3 and all(b is reds[0] for b in reds)
+        # Equal values written apart are equal, not shared.
+        masses = [b for _, b in d.bindings if b.attribute == "mass"]
+        assert masses[0] == masses[1] and masses[0] is not masses[1]
+
+    def test_two_parses_share_no_binding(self):
+        first, second = parse(_SHARED_TEXT), parse(_SHARED_TEXT)
+        assert first == second
+        ids = lambda d: {id(b) for _, b in d.bindings} | {id(b.value) for _, b in d.bindings}
+        assert not ids(first) & ids(second)
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))], ids=["deepcopy", "pickle"]
+    )
+    def test_copies_compare_equal(self, clone):
+        d = parse(_SHARED_TEXT)
+        again = clone(d)
+        assert again == d and serialize(again) == serialize(d)
+        again.bind_attribute("o1", AttributeBinding("color", Text("red")))
+        with pytest.raises(ConflictingDuplicate):
+            again.bind_attribute("o2", AttributeBinding("color", Text("blue")))
+
+    def test_a_conflicting_bind_after_parse_is_refused(self):
+        d = parse(_SHARED_TEXT)
+        d.bind_attribute("o1", AttributeBinding("color", Text("red")))
+        for owner in ("o1", "o2", "m"):
+            with pytest.raises(ConflictingDuplicate):
+                d.bind_attribute(owner, AttributeBinding("color", Text("blue")))
+        assert [b.value for o, b in d.bindings if o == "o2"] == [Text("red"), Scalar(3.0, "kg")]
+
+    @pytest.mark.parametrize(
+        "word, expected, found",
+        [
+            ("w=1e999", "finite number", "1e999"),
+            ("a/b=1", "legal binding", None),
+            ("w=", "attribute=value", "w="),
+        ],
+    )
+    def test_a_bad_word_on_two_lines_faults_at_the_first(self, word, expected, found):
+        text = f"elem o1 PhysicalObjectCircle\nattr o1 {word}\nattr o1 {word}\n"
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.span == SourceSpan(2, 9, 8 + len(word))
+        assert err.value.expected == expected
+        if found is not None:
+            assert err.value.found == found
+
+
+class TestTrailingComments:
+    """A word that starts with ``#`` begins the comment; a ``#`` inside a
+    quoted string or later in a word does not."""
+
+    @pytest.mark.parametrize(
+        "line, outcome",
+        [
+            pytest.param(
+                'elem o1 Cell label="a # b"',
+                [("elem", 1, 4), ("o1", 6, 7), ("Cell", 9, 12), ('label="a # b"', 14, 26)],
+                id="inside-quotes",
+            ),
+            pytest.param(
+                'attr o1 a#b="#"', [("attr", 1, 4), ("o1", 6, 7), ('a#b="#"', 9, 15)], id="inside-a-word"
+            ),
+            pytest.param(
+                'elem o1 Cell label="x" # "open',
+                [("elem", 1, 4), ("o1", 6, 7), ("Cell", 9, 12), ('label="x"', 14, 22)],
+                id="after-quotes",
+            ),
+            pytest.param(
+                'elem o1 Cell label="x"#c',
+                [("elem", 1, 4), ("o1", 6, 7), ("Cell", 9, 12), ('label="x"#c', 14, 24)],
+                id="glued-to-quotes",
+            ),
+            pytest.param('elem o1 Cell label="open # x', (14, 28), id="after-an-unclosed-quote"),
+            pytest.param('elem o1 Cell label="a # "b" # c', (14, 31), id="after-a-reopened-quote"),
+            pytest.param(
+                "elem o1 Cell # " + '"' * 20000,
+                [("elem", 1, 4), ("o1", 6, 7), ("Cell", 9, 12)],
+                id="long-comment",
+            ),
+        ],
+    )
+    def test_words_and_spans(self, line, outcome):
+        if isinstance(outcome, tuple):  # the unclosed quote's span
+            outcome = ("error", SourceSpan(7, *outcome), "closing quote", "end of line")
+        else:
+            outcome = [(word, SourceSpan(7, start, end)) for word, start, end in outcome]
+        assert _tokenize_outcome(_tokens, line) == outcome
+        assert _tokenize_outcome(reference_tokenize, line) == outcome
+        assert _split_outcome(line) == _reference_words(line)
+
+    def test_the_words_pattern_stops_at_the_comment(self):
+        # The comment is cut before either pattern reads it, so a long one
+        # costs no more than a whole-line comment.
+        line = "elem o1 Cell # " + '"' * 20000
+        assert dsl._WORDS_RE.match(line).end() == line.index("#")
+        assert parse(line + "\n") == parse("elem o1 Cell\n")
 
 
 def _unquote_outcome(unquote, raw: str):

@@ -7,11 +7,15 @@ ViolationCode, one sha256 over the parse outcomes of seeded documents whose
 values are the edge cases in test_dsl's _VALUES, one sha256 over the SVG
 of a valid scene that draws every Kind, and one sha256 over the outcomes of
 parse_expr on seeded strings.  A change to how parse, serialize, validate,
-render or parse_expr are written must leave all four as they are.
+render or parse_expr are written must leave all four as they are.  Beside
+the parse hash, the span, expected and found of each fault in a reference
+(an attr owner, a contain child or parent, an edge endpoint) are pinned.
 """
 
 import hashlib
 import random
+
+import pytest
 
 from tumbug.dsl import ParseError, parse, serialize
 from tumbug.grammar import ViolationCode, validate
@@ -242,6 +246,45 @@ def test_parse_outcomes_of_seeded_documents():
         h.update(len(data).to_bytes(8, "big"))
         h.update(data)
     assert h.hexdigest() == PARSE_OUTCOMES_SHA256
+
+
+_REFERENCE_SCENE = "elem o1 PhysicalObjectCircle\nelem b AggregationBox\nedge t1 Time ->\n"
+
+
+@pytest.mark.parametrize(
+    "record, at, expected, found",
+    [
+        ("attr o$1 w=1", 1, "identifier", "o$1"),
+        ("attr ghost w=1", 1, "existing owner", "ghost"),
+        ("contain o$1 b", 1, "identifier", "o$1"),
+        ("contain ghost b", 1, "legal containment", "ghost"),
+        ("contain t1 b", 1, "legal containment", "t1"),
+        ("contain o1 o$1", 2, "identifier", "o$1"),
+        ("contain o1 ghost", 1, "legal containment", "ghost"),
+        ("contain o1 t1", 1, "legal containment", "t1"),
+        ("contain o$1 p$2", 1, "identifier", "o$1"),
+        ("contain ghost p$2", 2, "identifier", "p$2"),
+        ("edge e1 Motion o$1 -> o1", 3, "identifier", "o$1"),
+        ("edge e1 Motion ghost -> o1", 1, "insertable edge", "ghost"),
+        ("edge e1 Motion t1 -> o1", 1, "insertable edge", "t1"),
+        ("edge e1 Motion o1 -> o$1", 5, "identifier", "o$1"),
+        ("edge e1 Motion o1 -> ghost", 1, "insertable edge", "ghost"),
+        ("edge e1 Motion o1 -> t1", 1, "insertable edge", "t1"),
+        ("edge e1 Motion ghost -> o$1", 5, "identifier", "o$1"),
+    ],
+)
+def test_reference_faults(record, at, expected, found):
+    # A reference that resolves is a valid id; one that does not is checked
+    # as an id first, so a malformed id and one that names nothing (or names
+    # an edge where an element is meant) keep these spans and texts.
+    with pytest.raises(ParseError) as err:
+        parse(_REFERENCE_SCENE + record + "\n")
+    start = sum(len(word) + 1 for word in record.split()[:at]) + 1
+    span = (4, start, start + len(record.split()[at]) - 1)
+    e = err.value
+    assert ((e.span.line, e.span.col_start, e.span.col_end), e.expected, e.found) == (
+        span, expected, found
+    )
 
 
 # A valid scene with one element of every Kind, each payload variant that

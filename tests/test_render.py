@@ -240,6 +240,27 @@ def test_render_runs_with_the_collector_paused(monkeypatch):
     assert gc.isenabled()
 
 
+def test_each_distinct_number_is_formatted_once_per_render(monkeypatch):
+    # Render keeps a memo local to the call; a miss calls svg.fmt_num by name,
+    # so a wrapper put there sees every formatting.
+    from test_pins import EVERY_KIND_SCENE
+
+    d = parse(EVERY_KIND_SCENE)
+    expected = render(d)
+    calls = []
+    fmt_num = svg.fmt_num
+
+    def counting(x):
+        calls.append(x)
+        return fmt_num(x)
+
+    monkeypatch.setattr(svg, "fmt_num", counting)
+    for _ in range(2):
+        calls.clear()
+        assert render(d) == expected
+        assert calls and len(set(calls)) == len(calls)
+
+
 def test_a_refused_render_enables_the_collector_again():
     d = new_diagram()
     d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o1"))
