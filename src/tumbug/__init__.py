@@ -137,6 +137,45 @@ def list_items(text: str) -> tuple[str, ...]:
     return tuple(filter(None, text.split(",")))
 
 
+class Record:
+    """Base of the package's records: each subclass's ``__init__`` sets its
+    fields, in order, as instance attributes and sets nothing else.  Two
+    records are equal when they are of one class with equal fields; the repr
+    is ``Name(field=value, ...)``.  A mutable record is unhashable.
+
+    A record compared or hashed often spells these methods out over its
+    fields, as the hot ones do: reading ``self.__dict__`` gives the instance
+    a dict of its own, which costs memory and slows every later read of its
+    fields."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FrozenRecordError(AttributeError):
+    """An assignment to, or deletion of, an attribute of a frozen record."""
+
+
+class FrozenRecord(Record):
+    """A record whose fields are set once, by ``object.__setattr__`` in its
+    ``__init__``, and never again; it hashes as the tuple of its fields."""
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
 def gc_paused(fn: Callable[_P, _T]) -> Callable[_P, _T]:
     """``fn`` run with the cyclic garbage collector paused, and enabled again on
     return or raise if it was enabled at the call; for a call that builds many

@@ -14,10 +14,8 @@ import sys
 from pathlib import Path
 
 # Only what every subcommand needs loads here; each _cmd_* imports the rest,
-# so a run pays for the modules its subcommand uses and no others.
-from . import dsl, list_items
-from .dsl import ParseError
-from .model import ModelError, StateDiagramGroup
+# dsl included, so a run pays for the modules its subcommand uses and no others.
+from . import list_items
 
 __all__ = ["main", "run"]
 
@@ -69,6 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_diagram(path: str):
+    from . import dsl
+
     return dsl.parse(Path(path).read_bytes())
 
 
@@ -163,6 +163,8 @@ def _template_diagram(name: str, roles: dict[str, str]):
 
 
 def _cmd_template(args) -> int:
+    from . import dsl
+
     diagram = _template_diagram(args.name, _roles_dict(args.roles))
     sys.stdout.write(dsl.serialize(diagram))
     return 0
@@ -225,7 +227,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    from . import grammar
+    from . import dsl, grammar
 
     d = _load_diagram(args.file)
     value = grammar.resolve_query(d, args.owner, args.attr)
@@ -234,6 +236,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .model import StateDiagramGroup
     from .templates import run_trace
 
     d = _load_diagram(args.file)
@@ -271,22 +274,26 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(_error_line(exc), file=sys.stderr)
         return 2
 
 
 def _error_line(exc: Exception) -> str:
-    """`error: <message>` for an error about the input; any other exception
-    is a fault in tumbug itself, reported as `error: <Type>: <message>` in
-    one line, never a traceback.  A KeyError is about the input only when it
-    is one of tumbug's own (MissingRole, UnknownKind, UnknownModalRow, ...);
-    a bare KeyError is a failed lookup in the code."""
+    """`parse error: <message>` for a fault in a diagram file and `error:
+    <message>` for any other error about the input; any other exception is
+    a fault in tumbug itself, reported as `error: <Type>: <message>` in one
+    line, never a traceback.  A KeyError is about the input only when it is
+    one of tumbug's own (MissingRole, UnknownKind, UnknownModalRow, ...); a
+    bare KeyError is a failed lookup in the code.  dsl and model are looked
+    up only if the run loaded them: no other run can raise their errors."""
+    dsl = sys.modules.get(f"{__package__}.dsl")
+    if dsl is not None and isinstance(exc, dsl.ParseError):
+        return f"parse error: {exc}"
     own_key_error = isinstance(exc, KeyError) and type(exc).__module__.startswith("tumbug.")
-    if own_key_error or isinstance(exc, (ModelError, OSError, ValueError)):
+    model = sys.modules.get(f"{__package__}.model")
+    model_error = model is not None and isinstance(exc, model.ModelError)
+    if own_key_error or model_error or isinstance(exc, (OSError, ValueError)):
         return f"error: {exc}"
     return f"error: {type(exc).__name__}: {exc}"
 

@@ -40,10 +40,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from itertools import islice
 
-from . import gc_paused, list_items
+from . import FrozenRecord, gc_paused, list_items
 from .model import (
     ID_RE,
     AttributeBinding,
@@ -95,15 +94,13 @@ _UNESCAPES = {text[1]: c for c, text in _ESCAPES.items() if len(text) == 2}
 _HEX4_RE = re.compile(r"[0-9A-Fa-f]{4}")
 
 
-@dataclass(frozen=True)
-class SourceSpan:
-    line: int
-    col_start: int
-    col_end: int
-
-    def __post_init__(self):
-        if self.line < 1 or self.col_start < 1 or self.col_end < self.col_start:
+class SourceSpan(FrozenRecord):
+    def __init__(self, line: int, col_start: int, col_end: int):
+        if line < 1 or col_start < 1 or col_end < col_start:
             raise ValueError("spans are 1-based with end >= start")
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col_start", col_start)
+        object.__setattr__(self, "col_end", col_end)
 
 
 class ParseError(Exception):

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from . import DATA_DIR, read_table, table_lines
+from . import DATA_DIR, FrozenRecord, read_table, table_lines
 from .model import (
     CHANGE_ARROW_KINDS,
     CONTAINER_KINDS,
@@ -122,11 +121,20 @@ class ViolationCode(str, enum.Enum):
     ATTEND_NOT_DATA = "ATTEND_NOT_DATA"
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: ViolationCode
-    ids: tuple[str, ...]
-    message: str
+class Violation(FrozenRecord):
+    def __init__(self, code: ViolationCode, ids: tuple[str, ...], message: str):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "message", message)
+
+    # The inherited methods, spelled out for speed (see tumbug.Record).
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.code, self.ids, self.message) == (other.code, other.ids, other.message)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.code, self.ids, self.message))
 
     def __str__(self) -> str:
         return f"{self.code.value} {','.join(self.ids)} {self.message}"

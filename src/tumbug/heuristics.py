@@ -11,12 +11,11 @@ custom rule file under ``TUMBUG_TABLES`` must cover them all.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
-from . import DATA_DIR, list_items, read_table, table_lines, tables_dir
+from . import DATA_DIR, FrozenRecord, list_items, read_table, table_lines, tables_dir
 from .model import CHANGE_ARROW_KINDS, KIND_FACTS, Diagram, EdgeKind, Kind
 
 __all__ = [
@@ -50,12 +49,12 @@ TriggerTag = enum.Enum(
 )
 
 
-@dataclass(frozen=True)
-class Trigger:
+class Trigger(FrozenRecord):
     """A tag, optionally carrying the cue word that fired it ("because")."""
 
-    tag: TriggerTag
-    cue: str | None = None
+    def __init__(self, tag: TriggerTag, cue: str | None = None):
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "cue", cue)
 
 
 # Each requirement name to the kinds that meet it: an element kind's name, a
@@ -72,24 +71,31 @@ def _known_kind(name: str) -> bool:
     return name in _MET_BY
 
 
-@dataclass(frozen=True)
-class Rule:
-    index: int
-    tag: TriggerTag
-    mandatory: frozenset[str]
-    advisory: frozenset[str]
-    mandatory_cues: frozenset[str]  # cue words that promote advisory kinds
-
-    def __post_init__(self):
-        for name in self.mandatory | self.advisory:
+class Rule(FrozenRecord):
+    def __init__(
+        self,
+        index: int,
+        tag: TriggerTag,
+        mandatory: frozenset[str],
+        advisory: frozenset[str],
+        mandatory_cues: frozenset[str],  # cue words that promote advisory kinds
+    ):
+        for name in mandatory | advisory:
             if not _known_kind(name):
-                raise RuleSetError(f"rule {self.index}: unknown kind {name!r}")
+                raise RuleSetError(f"rule {index}: unknown kind {name!r}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "mandatory", mandatory)
+        object.__setattr__(self, "advisory", advisory)
+        object.__setattr__(self, "mandatory_cues", mandatory_cues)
 
 
-@dataclass(frozen=True)
-class Requirement:
-    mandatory: frozenset[str] = frozenset()
-    advisory: frozenset[str] = frozenset()
+class Requirement(FrozenRecord):
+    def __init__(
+        self, mandatory: frozenset[str] = frozenset(), advisory: frozenset[str] = frozenset()
+    ):
+        object.__setattr__(self, "mandatory", mandatory)
+        object.__setattr__(self, "advisory", advisory)
 
     def union(self, other: "Requirement") -> "Requirement":
         mandatory = self.mandatory | other.mandatory
@@ -148,12 +154,18 @@ def requirements_for(triggers: Iterable[TriggerTag | Trigger]) -> Requirement:
     return req
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    satisfied: tuple[str, ...]
-    missing: tuple[str, ...]
-    advisory_satisfied: tuple[str, ...]
-    advisory_missing: tuple[str, ...]
+class CheckReport(FrozenRecord):
+    def __init__(
+        self,
+        satisfied: tuple[str, ...],
+        missing: tuple[str, ...],
+        advisory_satisfied: tuple[str, ...],
+        advisory_missing: tuple[str, ...],
+    ):
+        object.__setattr__(self, "satisfied", satisfied)
+        object.__setattr__(self, "missing", missing)
+        object.__setattr__(self, "advisory_satisfied", advisory_satisfied)
+        object.__setattr__(self, "advisory_missing", advisory_missing)
 
     @property
     def ok(self) -> bool:

@@ -22,12 +22,10 @@ modal table under ``TUMBUG_TABLES`` is checked against them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
 
-from . import DATA_DIR, read_table, table_lines, tables_dir
-from .model import SwirlyArrayPayload
+from . import DATA_DIR, FrozenRecord, Record, read_table, table_lines, tables_dir
 
 __all__ = [
     "Cell",
@@ -81,16 +79,14 @@ class Cell(str, enum.Enum):
     DC = "DC"
 
 
-@dataclass(frozen=True)
-class ConceptVector:
-    attributes: tuple[str, ...]
-    cells: tuple[Cell, ...]
-
-    def __post_init__(self):
-        if len(self.attributes) != len(self.cells):
+class ConceptVector(FrozenRecord):
+    def __init__(self, attributes: tuple[str, ...], cells: tuple[Cell, ...]):
+        if len(attributes) != len(cells):
             raise SchemaMismatch("one cell per attribute required")
-        if len(set(self.attributes)) != len(self.attributes):
+        if len(set(attributes)) != len(attributes):
             raise SchemaMismatch("attribute names must be unique")
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "cells", cells)
 
     def get(self, name: str) -> Cell:
         return self.cells[self.attributes.index(name)]
@@ -113,24 +109,28 @@ def match_count(context: ConceptVector, candidate: ConceptVector) -> int:
     return sum(1 for a, b in zip(context.cells, candidate.cells) if _compatible(a, b))
 
 
-@dataclass(frozen=True)
-class RankedWord:
-    word: str
-    count: int
-    rank: int
-    tied: bool
+class RankedWord(FrozenRecord):
+    def __init__(self, word: str, count: int, rank: int, tied: bool):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "tied", tied)
 
 
-@dataclass
-class Lexicon:
-    language: str
-    entries: dict[str, ConceptVector] = field(default_factory=dict)
-    glosses: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        schemas = {v.attributes for v in self.entries.values()}
-        if len(schemas) > 1:
+class Lexicon(Record):
+    def __init__(
+        self,
+        language: str,
+        entries: dict[str, ConceptVector] | None = None,
+        glosses: dict[str, str] | None = None,
+    ):
+        if entries is None:
+            entries = {}
+        if len({v.attributes for v in entries.values()}) > 1:
             raise SchemaMismatch("all lexicon entries must share one schema")
+        self.language = language
+        self.entries = entries
+        self.glosses = {} if glosses is None else glosses
 
     @classmethod
     def from_table(cls, table: "TableData", language: str = "") -> "Lexicon":
@@ -166,33 +166,32 @@ def select_word(context: ConceptVector, lexicon: Lexicon) -> list[RankedWord]:
 # --------------------------------------------------------------------------
 # Modal verbs.
 
-@dataclass(frozen=True)
-class ModalRow:
-    verb: str
-    meaning: str
-    active: frozenset[str]
-    implied: frozenset[str]
+class ModalRow(FrozenRecord):
+    def __init__(self, verb: str, meaning: str, active: frozenset[str], implied: frozenset[str]):
+        object.__setattr__(self, "verb", verb)
+        object.__setattr__(self, "meaning", meaning)
+        object.__setattr__(self, "active", active)
+        object.__setattr__(self, "implied", implied)
 
 
-@dataclass(frozen=True)
-class ModalConcepts:
-    active: frozenset[str]
-    implied: frozenset[str]
+class ModalConcepts(FrozenRecord):
+    def __init__(self, active: frozenset[str], implied: frozenset[str]):
+        object.__setattr__(self, "active", active)
+        object.__setattr__(self, "implied", implied)
 
 
-@dataclass
-class ModalTable:
-    rows: dict[tuple[str, str], ModalRow] = field(default_factory=dict)
-
-    def __post_init__(self):
-        verbs = {verb for verb, _ in self.rows}
-        missing = set(MODAL_VERBS) - verbs
+class ModalTable(Record):
+    def __init__(self, rows: dict[tuple[str, str], ModalRow] | None = None):
+        if rows is None:
+            rows = {}
+        missing = set(MODAL_VERBS) - {verb for verb, _ in rows}
         if missing:
             raise TableFormatError(f"modal table missing verbs: {sorted(missing)}")
-        for row in self.rows.values():
+        for row in rows.values():
             stray = (row.active | row.implied) - set(MODAL_CONCEPTS)
             if stray:
                 raise TableFormatError(f"unknown modal concepts: {sorted(stray)}")
+        self.rows = rows
 
     @classmethod
     def from_table(cls, table: "TableData") -> "ModalTable":
@@ -241,7 +240,10 @@ def _icon_cells() -> tuple[tuple[str, float, float], ...]:
 
 def modal_icon(table: ModalTable, verb: str, meaning: str) -> SwirlyArrayPayload:
     """Swirly-array icon for a modal verb: fixed cell skeleton, with the
-    verb's concepts (implied ones included, for display) lit up."""
+    verb's concepts (implied ones included, for display) lit up.  The model
+    loads here, so that the modal and match commands never load it."""
+    from .model import SwirlyArrayPayload
+
     concepts = modal_concepts(table, verb, meaning)
     return SwirlyArrayPayload(
         cells=_icon_cells(),
@@ -280,17 +282,17 @@ def attitude_category(name: str) -> str:
 _CELL_TOKENS = {"T", "F", "DC", "(T)"}
 
 
-@dataclass(frozen=True)
-class TableRow:
-    word: str
-    meaning: str
-    cells: tuple[str, ...]
+class TableRow(FrozenRecord):
+    def __init__(self, word: str, meaning: str, cells: tuple[str, ...]):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "meaning", meaning)
+        object.__setattr__(self, "cells", cells)
 
 
-@dataclass(frozen=True)
-class TableData:
-    attributes: tuple[str, ...]
-    rows: tuple[TableRow, ...]
+class TableData(FrozenRecord):
+    def __init__(self, attributes: tuple[str, ...], rows: tuple[TableRow, ...]):
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "rows", rows)
 
 
 def load_table_text(text: str) -> TableData:

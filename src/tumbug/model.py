@@ -12,10 +12,10 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
 
+from . import FrozenRecord, Record
 from .values import (
     KEY_RE,
     Expr,
@@ -169,34 +169,48 @@ class GroupKind(str, enum.Enum):
     SPLIT_TIME = "SplitTime"
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(FrozenRecord):
     """Layout hint; mandatory only inside Verbatim and Descriptive boxes."""
 
-    x: float
-    y: float
-    w: float | None = None
-    h: float | None = None
-
-    def __post_init__(self):
-        if (self.w is None) != (self.h is None):
+    def __init__(self, x: float, y: float, w: float | None = None, h: float | None = None):
+        if (w is None) != (h is None):
             raise InvalidPayload("extent needs both w and h")
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.w, self.h) if v is not None):
+        if not all(math.isfinite(v) for v in (x, y, w, h) if v is not None):
             raise InvalidPayload("position and extent must be finite")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "h", h)
+
+    # The inherited methods, spelled out for speed (see tumbug.Record).
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.x, self.y, self.w, self.h) == (other.x, other.y, other.w, other.h)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y, self.w, self.h))
 
 
-@dataclass(frozen=True)
-class AttributeBinding:
+class AttributeBinding(FrozenRecord):
     """Attribute name paired with a value; at most one side may be DK."""
 
-    attribute: str
-    value: Value
-
-    def __post_init__(self):
-        if not KEY_RE.fullmatch(self.attribute):
-            raise InvalidPayload(f"illegal attribute name {self.attribute!r}")
-        if self.attribute == "DK" and self.value is Wildcard.DK:
+    def __init__(self, attribute: str, value: Value):
+        if not KEY_RE.fullmatch(attribute):
+            raise InvalidPayload(f"illegal attribute name {attribute!r}")
+        if attribute == "DK" and value is Wildcard.DK:
             raise InvalidPayload("attribute and value cannot both be DK")
+        object.__setattr__(self, "attribute", attribute)
+        object.__setattr__(self, "value", value)
+
+    # The inherited methods, spelled out for speed (see tumbug.Record).
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.attribute, self.value) == (other.attribute, other.value)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.attribute, self.value))
 
 
 # Identifier syntax of element, edge and group ids; keys (values.KEY_RE) may
@@ -206,46 +220,43 @@ ID_RE = re.compile(r"[A-Za-z0-9_-]+")
 _RESERVED_PROP_KEYS = frozenset({"label", "pos", "size"})
 
 
-@dataclass
-class GenericPayload:
+class GenericPayload(Record):
     """Payload for ordinary elements: a label plus free-form properties."""
 
-    label: str | None = None
-    props: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for key in self.props:
+    def __init__(self, label: str | None = None, props: dict[str, str] | None = None):
+        if props is None:
+            props = {}
+        for key in props:
             if key in _RESERVED_PROP_KEYS or not KEY_RE.fullmatch(key):
                 raise InvalidPayload(f"illegal property key {key!r}")
+        self.label = label
+        self.props = props
+
+    def __eq__(self, other):  # the inherited method, spelled out for speed (see tumbug.Record)
+        if other.__class__ is self.__class__:
+            return (self.label, self.props) == (other.label, other.props)
+        return NotImplemented
 
 
-@dataclass(frozen=True)
-class SlotSpec:
+class SlotSpec(FrozenRecord):
     """One correlation slot: local name bound to an element attribute."""
 
-    name: str
-    element: str
-    attribute: str
-
-    def __post_init__(self):
-        if not (
-            ID_RE.fullmatch(self.name)
-            and ID_RE.fullmatch(self.element)
-            and KEY_RE.fullmatch(self.attribute)
-        ):
+    def __init__(self, name: str, element: str, attribute: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "attribute", attribute)
+        if not (ID_RE.fullmatch(name) and ID_RE.fullmatch(element) and KEY_RE.fullmatch(attribute)):
             raise InvalidPayload(f"illegal slot name, element or attribute in {self!r}")
 
 
-@dataclass
-class CorrelationBoxPayload:
+class CorrelationBoxPayload(Record):
     """Equations relating slot values; each equation solves one slot."""
 
-    slots: tuple[SlotSpec, ...] = ()
-    equations: dict[str, Expr] = field(default_factory=dict)
-
-    def __post_init__(self):
-        declared = {s.name for s in self.slots}
-        for target, expr in self.equations.items():
+    def __init__(self, slots: tuple[SlotSpec, ...] = (), equations: dict[str, Expr] | None = None):
+        if equations is None:
+            equations = {}
+        declared = {s.name for s in slots}
+        for target, expr in equations.items():
             if target not in declared:
                 raise InvalidPayload(f"equation targets undeclared slot {target!r}")
             undeclared = expr_slots(expr) - declared
@@ -253,6 +264,8 @@ class CorrelationBoxPayload:
                 raise InvalidPayload(
                     f"equation for {target!r} references undeclared slots {sorted(undeclared)}"
                 )
+        self.slots = slots
+        self.equations = equations
 
     @property
     def invertible(self) -> bool:
@@ -276,44 +289,48 @@ def evaluate_correlation(
     return eval_expr(payload.equations[free], bound)
 
 
-@dataclass
-class CAPayload:
+class CAPayload(Record):
     """Concrete-abstract payload: forced inputs above, detected outputs below."""
 
-    forced: tuple[AttributeBinding, ...] = ()
-    detected: tuple[AttributeBinding, ...] = ()
-    open_ended: bool = False
-    label: str | None = None
-
-    def __post_init__(self):
-        forced_names = {b.attribute for b in self.forced}
-        detected_names = {b.attribute for b in self.detected}
-        overlap = forced_names & detected_names
+    def __init__(
+        self,
+        forced: tuple[AttributeBinding, ...] = (),
+        detected: tuple[AttributeBinding, ...] = (),
+        open_ended: bool = False,
+        label: str | None = None,
+    ):
+        overlap = {b.attribute for b in forced} & {b.attribute for b in detected}
         if overlap:
             raise InvalidPayload(f"forced/detected attribute overlap: {sorted(overlap)}")
+        self.forced = forced
+        self.detected = detected
+        self.open_ended = open_ended
+        self.label = label
 
 
 MOTIVATION_LEVELS = ("automaton", "physical", "emotional", "intellectual")
 VALENCES = ("+", "-")
 
 
-@dataclass
-class MotivationTrianglePayload:
+class MotivationTrianglePayload(Record):
     """Quadrune want hierarchy; one marker maximum per (level, valence) cell."""
 
-    markers: frozenset[tuple[str, str]] = frozenset()
-    robinson: str | None = None  # embedded RobinsonIcon element id
-    label: str | None = None
-
-    def __post_init__(self):
-        for level, valence in sorted(self.markers):
+    def __init__(
+        self,
+        markers: frozenset[tuple[str, str]] = frozenset(),
+        robinson: str | None = None,  # embedded RobinsonIcon element id
+        label: str | None = None,
+    ):
+        for level, valence in sorted(markers):
             if level not in MOTIVATION_LEVELS:
                 raise InvalidPayload(f"unknown motivation level {level!r}")
             if valence not in VALENCES:
                 raise InvalidPayload(f"valence must be + or -, got {valence!r}")
         # frozenset already forbids two markers in the same cell; reject the
         # sneaky path of passing a collection with duplicates pre-merged away.
-        object.__setattr__(self, "markers", frozenset(self.markers))
+        self.markers = frozenset(markers)
+        self.robinson = robinson
+        self.label = label
 
 
 ROBINSON_CATEGORIES = (
@@ -326,65 +343,83 @@ ROBINSON_CATEGORIES = (
 )
 
 
-@dataclass
-class RobinsonIconPayload:
+class RobinsonIconPayload(Record):
     """Emotion icon over six categories with a +/- valence layer."""
 
-    active: frozenset[str] = frozenset()
-    valence: str = "+"
-    subnode: str | None = None
-    cathected_target: str | None = None
-    label: str | None = None
-
-    def __post_init__(self):
-        unknown = set(self.active) - set(ROBINSON_CATEGORIES)
+    def __init__(
+        self,
+        active: frozenset[str] = frozenset(),
+        valence: str = "+",
+        subnode: str | None = None,
+        cathected_target: str | None = None,
+        label: str | None = None,
+    ):
+        unknown = set(active) - set(ROBINSON_CATEGORIES)
         if unknown:
             raise InvalidPayload(f"unknown emotion categories {sorted(unknown)}")
-        if self.valence not in VALENCES:
-            raise InvalidPayload(f"valence must be + or -, got {self.valence!r}")
-        if self.cathected_target is not None and "Cathected" not in self.active:
+        if valence not in VALENCES:
+            raise InvalidPayload(f"valence must be + or -, got {valence!r}")
+        if cathected_target is not None and "Cathected" not in active:
             raise InvalidPayload("cathected target requires the Cathected category")
-        object.__setattr__(self, "active", frozenset(self.active))
+        self.active = frozenset(active)
+        self.valence = valence
+        self.subnode = subnode
+        self.cathected_target = cathected_target
+        self.label = label
 
 
-@dataclass
-class SwirlyArrayPayload:
+class SwirlyArrayPayload(Record):
     """Named cells at arbitrary fixed positions, a subset of which are lit."""
 
-    cells: tuple[tuple[str, float, float], ...] = ()
-    active: frozenset[str] = frozenset()
-    label: str | None = None
-
-    def __post_init__(self):
-        names = [c[0] for c in self.cells]
+    def __init__(
+        self,
+        cells: tuple[tuple[str, float, float], ...] = (),
+        active: frozenset[str] = frozenset(),
+        label: str | None = None,
+    ):
+        names = [c[0] for c in cells]
         bad = [n for n in names if not n or "," in n or ":" in n]
         if bad:
             raise InvalidPayload(f"cell name {bad[0]!r} is empty or holds ',' or ':'")
         if len(names) != len(set(names)):
             raise InvalidPayload("duplicate cell names in swirly array")
-        missing = set(self.active) - set(names)
+        missing = set(active) - set(names)
         if missing:
             raise InvalidPayload(f"active cells not in array: {sorted(missing)}")
-        object.__setattr__(self, "active", frozenset(self.active))
+        self.cells = cells
+        self.active = frozenset(active)
+        self.label = label
 
 
-@dataclass(frozen=True)
-class KindFacts:
+class KindFacts(FrozenRecord):
     """What the package knows about one Building Block kind, short of how
     svg draws each one."""
 
-    scova: str  # the Basic Building Block it reduces to: S, C, O, V or A
-    aliases: tuple[str, ...] = ()  # Building Block names accepted besides the kind's own
-    payload: type = GenericPayload  # payload class of elements of this kind
-    container: bool = False  # may hold other elements
-    nonquan: bool = False  # Nonquantified: the only elements that may host attributes
-    data: bool = False  # information rather than matter: drawn with a dotted outline
-    # Location boxes only: a looser box directly inside a stricter one would
-    # invert the stricter box's constraints; boxes above 1 fix child positions.
-    strictness: int | None = None
-    iam: bool = False  # interchangeably actualizable map
-    shape: str | None = None  # svg drawing class: circle, box (label on top), bar or cells
-    abstract: str | None = None  # heuristics requirement it meets: AnyBox or AnyMarker
+    def __init__(
+        self,
+        scova: str,  # the Basic Building Block it reduces to: S, C, O, V or A
+        aliases: tuple[str, ...] = (),  # Building Block names accepted besides the kind's own
+        payload: type = GenericPayload,  # payload class of elements of this kind
+        container: bool = False,  # may hold other elements
+        nonquan: bool = False,  # Nonquantified: the only elements that may host attributes
+        data: bool = False,  # information rather than matter: drawn with a dotted outline
+        # Location boxes only: a looser box directly inside a stricter one would
+        # invert the stricter box's constraints; boxes above 1 fix child positions.
+        strictness: int | None = None,
+        iam: bool = False,  # interchangeably actualizable map
+        shape: str | None = None,  # svg drawing class: circle, box (label on top), bar or cells
+        abstract: str | None = None,  # heuristics requirement it meets: AnyBox or AnyMarker
+    ):
+        object.__setattr__(self, "scova", scova)
+        object.__setattr__(self, "aliases", aliases)
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "container", container)
+        object.__setattr__(self, "nonquan", nonquan)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "strictness", strictness)
+        object.__setattr__(self, "iam", iam)
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "abstract", abstract)
 
 
 def _location_box(strictness: int, payload: type = GenericPayload) -> KindFacts:
@@ -457,56 +492,78 @@ def can_host(kind: Kind | EdgeKind) -> bool:
     return kind in NONQUAN_KINDS or kind in CHANGE_ARROW_KINDS
 
 
-@dataclass
-class Element:
+class Element(Record):
     """One Building Block instance."""
 
-    kind: Kind
-    payload: object | None = None
-    position: Position | None = None
-    id: str | None = None
-
-    def __post_init__(self):
-        expected = payload_type(self.kind)
-        if self.payload is None:
-            self.payload = expected()
-        if not isinstance(self.payload, expected):
+    def __init__(
+        self,
+        kind: Kind,
+        payload: object | None = None,
+        position: Position | None = None,
+        id: str | None = None,
+    ):
+        expected = payload_type(kind)
+        if payload is None:
+            payload = expected()
+        elif not isinstance(payload, expected):
             raise PayloadMismatch(
-                f"{self.kind.value} expects {expected.__name__}, "
-                f"got {type(self.payload).__name__}"
+                f"{kind.value} expects {expected.__name__}, got {type(payload).__name__}"
             )
+        self.kind = kind
+        self.payload = payload
+        self.position = position
+        self.id = id
+
+    def __eq__(self, other):  # the inherited method, spelled out for speed (see tumbug.Record)
+        if other.__class__ is self.__class__:
+            return (self.kind, self.payload, self.position, self.id) == (
+                other.kind, other.payload, other.position, other.id
+            )
+        return NotImplemented
 
     @property
     def label(self) -> str | None:
         return getattr(self.payload, "label", None)
 
 
-@dataclass
-class Edge:
+class Edge(Record):
     """An arrow: Time/Motion/Force/Causation change arrows, Pathway Tubes,
     or dotted Relationship Markers.  Endpoints are optional; a fully
     detached arrow is the "solitary" form."""
 
-    kind: EdgeKind
-    source: str | None = None
-    target: str | None = None
-    role: str | None = None  # Force only: "exerts" or "acted-upon"
-    id: str | None = None
+    def __init__(
+        self,
+        kind: EdgeKind,
+        source: str | None = None,
+        target: str | None = None,
+        role: str | None = None,  # Force only: "exerts" or "acted-upon"
+        id: str | None = None,
+    ):
+        if role is not None and role not in ("exerts", "acted-upon"):
+            raise InvalidPayload(f"unknown force role {role!r}")
+        self.kind = kind
+        self.source = source
+        self.target = target
+        self.role = role
+        self.id = id
 
-    def __post_init__(self):
-        if self.role is not None and self.role not in ("exerts", "acted-upon"):
-            raise InvalidPayload(f"unknown force role {self.role!r}")
 
-
-@dataclass
-class StateDiagramGroup:
+class StateDiagramGroup(Record):
     """States plus transitions with (at most) a single token marker."""
 
-    states: tuple[str, ...] = ()
-    tubes: tuple[str, ...] = ()
-    marker: str | None = None  # state id or tube id (in-transition)
-    owner: str | None = None  # element the whole diagram is an attribute of
-    id: str | None = None
+    def __init__(
+        self,
+        states: tuple[str, ...] = (),
+        tubes: tuple[str, ...] = (),
+        marker: str | None = None,  # state id or tube id (in-transition)
+        owner: str | None = None,  # element the whole diagram is an attribute of
+        id: str | None = None,
+    ):
+        self.states = states
+        self.tubes = tubes
+        self.marker = marker
+        self.owner = owner
+        self.id = id
 
     @property
     def members(self) -> tuple[str, ...]:
@@ -514,22 +571,27 @@ class StateDiagramGroup:
         return (*self.states, *self.tubes)
 
 
-@dataclass
-class SplitTimeGroup:
+class SplitTimeGroup(Record):
     """A trunk timeline forking into alternative branch timelines."""
 
-    trunk: str = ""
-    branches: tuple[str, ...] = ()
-    junction: str = ""  # XorBox element id
-    probabilities: tuple[float, ...] | None = None
-    id: str | None = None
-
-    def __post_init__(self):
-        if self.probabilities is not None:
-            self.probabilities = tuple(float(p) for p in self.probabilities)
-            problem = self.probabilities_problem()
-            if problem is not None:
-                raise InvalidPayload(problem)
+    def __init__(
+        self,
+        trunk: str = "",
+        branches: tuple[str, ...] = (),
+        junction: str = "",  # XorBox element id
+        probabilities: tuple[float, ...] | None = None,
+        id: str | None = None,
+    ):
+        if probabilities is not None:
+            probabilities = tuple(float(p) for p in probabilities)
+        self.trunk = trunk
+        self.branches = branches
+        self.junction = junction
+        self.probabilities = probabilities
+        self.id = id
+        problem = self.probabilities_problem()
+        if problem is not None:
+            raise InvalidPayload(problem)
 
     def probabilities_problem(self) -> str | None:
         """What is wrong with the branch probabilities, or None when they are
@@ -554,7 +616,6 @@ def _differ(a: Value, b: Value) -> bool:
     return a is not b and a != b
 
 
-@dataclass(eq=False)
 class Diagram:
     """The scene graph: elements, containment forest, edges, bindings.
 
@@ -574,22 +635,28 @@ class Diagram:
     they hold the same bindings in any order.
     """
 
-    elements: dict[str, Element] = field(default_factory=dict, init=False)
-    containment: dict[str, str] = field(default_factory=dict, init=False)  # child -> parent
-    _edges: dict[str, Edge] = field(default_factory=dict, init=False)
-    groups: dict[str, Group] = field(default_factory=dict, init=False)
-    _bindings: list[tuple[str, AttributeBinding]] = field(default_factory=list, init=False)
-    meta: dict[str, str] = field(default_factory=dict, init=False)
-    # Per id prefix, where the next _fresh_id probe starts.  No method frees
-    # an id, so the smallest free one never goes down and probing resumes.
-    _fresh_from: dict[str, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    # The first value bound per (owner, attribute); in order, the keys also
-    # bound to another; and each source's Relationship edge ids.
-    _first: dict[tuple[str, str], Value] = field(default_factory=dict, init=False, repr=False)
-    _conflicting: dict[tuple[str, str], None] = field(default_factory=dict, init=False, repr=False)
-    _hops: dict[str | None, list[str]] = field(default_factory=dict, init=False, repr=False)
+    def __init__(self):
+        self.elements: dict[str, Element] = {}
+        self.containment: dict[str, str] = {}  # child -> parent
+        self._edges: dict[str, Edge] = {}
+        self.groups: dict[str, Group] = {}
+        self._bindings: list[tuple[str, AttributeBinding]] = []
+        self.meta: dict[str, str] = {}
+        # Per id prefix, where the next _fresh_id probe starts.  No method frees
+        # an id, so the smallest free one never goes down and probing resumes.
+        self._fresh_from: dict[str, int] = {}
+        # The first value bound per (owner, attribute); in order, the keys also
+        # bound to another; and each source's Relationship edge ids.
+        self._first: dict[tuple[str, str], Value] = {}
+        self._conflicting: dict[tuple[str, str], None] = {}
+        self._hops: dict[str | None, list[str]] = {}
+
+    def __repr__(self) -> str:  # the indices are left out
+        return (
+            f"Diagram(elements={self.elements!r}, containment={self.containment!r}, "
+            f"_edges={self._edges!r}, groups={self.groups!r}, _bindings={self._bindings!r}, "
+            f"meta={self.meta!r})"
+        )
 
     @property
     def edges(self) -> Mapping[str, Edge]:

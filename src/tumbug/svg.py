@@ -9,10 +9,9 @@ border less.  Output is byte-identical for identical input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
-from . import gc_paused
+from . import FrozenRecord, Record, gc_paused
 from .grammar import Violation, validate
 from .model import (
     KIND_FACTS,
@@ -36,15 +35,13 @@ class InvalidDiagram(Exception):
         super().__init__(f"{len(violations)} violation(s); render refused")
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    color: bool = False
-    width: int = 960
-    height: int = 640
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
+class RenderOptions(FrozenRecord):
+    def __init__(self, color: bool = False, width: int = 960, height: int = 640):
+        if width <= 0 or height <= 0:
             raise ValueError("canvas dimensions must be positive")
+        object.__setattr__(self, "color", color)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
 
 
 FONT_SIZE = 12
@@ -73,12 +70,12 @@ def _esc(s: str) -> str:
     )
 
 
-@dataclass
-class _Box:
-    x: float
-    y: float
-    w: float
-    h: float
+class _Box(Record):
+    def __init__(self, x: float, y: float, w: float, h: float):
+        self.x = x
+        self.y = y
+        self.w = w
+        self.h = h
 
     @property
     def cx(self) -> float:

@@ -10,9 +10,9 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 from functools import reduce
 
+from . import FrozenRecord
 from .model import (
     AttributeBinding,
     CorrelationBoxPayload,
@@ -112,19 +112,22 @@ TENSES = ("past", "present", "future")
 ASPECTS = ("simple", "progressive", "perfect", "perfect-progressive")
 
 
-@dataclass(frozen=True)
-class AspectSpec:
-    tense: str
-    aspect: str
-    continuation: str = "continues"  # perfect-progressive: continues|stops|both
-
-    def __post_init__(self):
-        if self.tense not in TENSES:
+class AspectSpec(FrozenRecord):
+    def __init__(
+        self,
+        tense: str,
+        aspect: str,
+        continuation: str = "continues",  # perfect-progressive: continues|stops|both
+    ):
+        if tense not in TENSES:
             raise ValueError(f"tense must be one of {TENSES}")
-        if self.aspect not in ASPECTS:
+        if aspect not in ASPECTS:
             raise ValueError(f"aspect must be one of {ASPECTS}")
-        if self.continuation not in ("continues", "stops", "both"):
+        if continuation not in ("continues", "stops", "both"):
             raise ValueError("continuation must be continues, stops, or both")
+        object.__setattr__(self, "tense", tense)
+        object.__setattr__(self, "aspect", aspect)
+        object.__setattr__(self, "continuation", continuation)
 
 
 def _slug(label: str, taken: set[str]) -> str:

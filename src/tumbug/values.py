@@ -13,8 +13,9 @@ import enum
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Mapping, Union
+
+from . import FrozenRecord
 
 __all__ = [
     "Scalar",
@@ -68,62 +69,78 @@ def fmt_num(x: float) -> str:
     return min(str(int(x)), repr(x), key=len)  # a tie keeps the integer form
 
 
-@dataclass(frozen=True)
-class Scalar:
-    value: float
-    unit: str | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
+class Scalar(FrozenRecord):
+    def __init__(self, value: float, unit: str | None = None):
+        if not math.isfinite(value):
             raise ValueError("scalar values must be finite")
-        if self.unit is not None and not UNIT_RE.fullmatch(self.unit):
-            raise ValueError(f"unit {self.unit!r} is not a unit tag")
-        object.__setattr__(self, "value", float(self.value))
+        if unit is not None and not UNIT_RE.fullmatch(unit):
+            raise ValueError(f"unit {unit!r} is not a unit tag")
+        object.__setattr__(self, "value", float(value))
+        object.__setattr__(self, "unit", unit)
+
+    # The inherited methods, spelled out for speed (see tumbug.Record).
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value, self.unit) == (other.value, other.unit)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.unit))
 
 
-@dataclass(frozen=True)
-class Text:
-    value: str
+class Text(FrozenRecord):
+    def __init__(self, value: str):
+        object.__setattr__(self, "value", value)
+
+    # The inherited methods, spelled out for speed (see tumbug.Record).
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.value,) == (other.value,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
-class ExistenceLevel:
+class ExistenceLevel(FrozenRecord):
     """Likelihood of existence, 0 (does not exist) through 1 (exists)."""
 
-    level: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.level <= 1.0:
-            raise ValueError(f"existence level {self.level} outside [0, 1]")
-        object.__setattr__(self, "level", float(self.level))
+    def __init__(self, level: float):
+        if not 0.0 <= level <= 1.0:
+            raise ValueError(f"existence level {level} outside [0, 1]")
+        object.__setattr__(self, "level", float(level))
 
 
-@dataclass(frozen=True)
-class Range:
+class Range(FrozenRecord):
     """Numeric interval.  ``None`` at either end means unbounded (arrow tip).
 
     Caps mark whether the end point is included; unbounded ends are always
     exclusive.
     """
 
-    lo: float | None
-    hi: float | None
-    lo_inclusive: bool = True
-    hi_inclusive: bool = True
-
-    def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.lo, self.hi) if x is not None):
+    def __init__(
+        self,
+        lo: float | None,
+        hi: float | None,
+        lo_inclusive: bool = True,
+        hi_inclusive: bool = True,
+    ):
+        if not all(math.isfinite(x) for x in (lo, hi) if x is not None):
             raise ValueError("range ends must be finite or None (unbounded)")
-        if self.lo is not None:
-            object.__setattr__(self, "lo", float(self.lo))
-        if self.hi is not None:
-            object.__setattr__(self, "hi", float(self.hi))
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
-            raise ValueError(f"range lo {self.lo} > hi {self.hi}")
-        if self.lo is None:
-            object.__setattr__(self, "lo_inclusive", False)
-        if self.hi is None:
-            object.__setattr__(self, "hi_inclusive", False)
+        if lo is None:
+            lo_inclusive = False
+        else:
+            lo = float(lo)
+        if hi is None:
+            hi_inclusive = False
+        else:
+            hi = float(hi)
+        if lo is not None and hi is not None and lo > hi:
+            raise ValueError(f"range lo {lo} > hi {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo_inclusive", lo_inclusive)
+        object.__setattr__(self, "hi_inclusive", hi_inclusive)
 
     def contains(self, x: float) -> bool:
         if self.lo is not None:
@@ -135,29 +152,27 @@ class Range:
         return True
 
 
-@dataclass(frozen=True)
-class BallInRange:
+class BallInRange(FrozenRecord):
     """An arbitrary but specific point somewhere within a range."""
 
-    range: Range
+    def __init__(self, range: Range):
+        object.__setattr__(self, "range", range)
 
 
-@dataclass(frozen=True)
-class FuzzyLabel:
+class FuzzyLabel(FrozenRecord):
     """Linguistic value with a triangular membership over [lo, hi]."""
 
-    name: str
-    lo: float
-    peak: float
-    hi: float
-
-    def __post_init__(self):
-        if not KEY_RE.fullmatch(self.name):
-            raise ValueError(f"fuzzy label name {self.name!r} is not a key")
-        if not all(map(math.isfinite, (self.lo, self.peak, self.hi))):
+    def __init__(self, name: str, lo: float, peak: float, hi: float):
+        if not KEY_RE.fullmatch(name):
+            raise ValueError(f"fuzzy label name {name!r} is not a key")
+        if not all(map(math.isfinite, (lo, peak, hi))):
             raise ValueError("fuzzy label bounds must be finite")
-        if not self.lo <= self.peak <= self.hi:
+        if not lo <= peak <= hi:
             raise ValueError("fuzzy label needs lo <= peak <= hi")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "peak", peak)
+        object.__setattr__(self, "hi", hi)
 
     def membership(self, x: float) -> float:
         return triangular(x, self.lo, self.peak, self.hi)
@@ -240,19 +255,26 @@ def triangular(x: float, lo: float, peak: float, hi: float) -> float:
     return (hi - x) / (hi - peak)
 
 
-@dataclass(frozen=True)
-class FuzzyBand:
+class FuzzyBand(FrozenRecord):
     """One quantifier band.
 
     ``domain`` is "ratio" (triangular membership over [0, 1]) or "count"
     (crisp threshold: counts >= lo are members, like "multiple" meaning 2+).
     """
 
-    label: str
-    lo: float
-    peak: float | None = None
-    hi: float | None = None
-    domain: str = "ratio"
+    def __init__(
+        self,
+        label: str,
+        lo: float,
+        peak: float | None = None,
+        hi: float | None = None,
+        domain: str = "ratio",
+    ):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "peak", peak)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "domain", domain)
 
     def membership(self, x: float) -> float:
         if self.domain == "count":
@@ -320,30 +342,25 @@ OPERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.value):
+class Const(FrozenRecord):
+    def __init__(self, value: float):
+        if not math.isfinite(value):
             raise ValueError("constants must be finite")
-        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "value", float(value))
 
 
-@dataclass(frozen=True)
-class SlotRef:
-    name: str
+class SlotRef(FrozenRecord):
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # a key of OPERATORS
-    left: "Expr"
-    right: "Expr"
-
-    def __post_init__(self):
-        if self.op not in OPERATORS:
-            raise ValueError(f"unsupported operator {self.op!r}")
+class BinOp(FrozenRecord):
+    def __init__(self, op: str, left: Expr, right: Expr):
+        if op not in OPERATORS:  # op is a key of OPERATORS
+            raise ValueError(f"unsupported operator {op!r}")
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 Expr = Union[Const, SlotRef, BinOp]

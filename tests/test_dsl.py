@@ -867,9 +867,9 @@ class TestTokensKeepNoSpans:
         built = []
 
         class CountingSpan(SourceSpan):
-            def __post_init__(self):
+            def __init__(self, *args):
+                super().__init__(*args)
                 built.append(self)
-                super().__post_init__()
 
         monkeypatch.setattr(dsl, "SourceSpan", CountingSpan)
         text = _generated_text(100)

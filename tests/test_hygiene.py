@@ -6,8 +6,9 @@ below has its one owner, queries read the model's indices instead of
 scanning, only the model touches a Diagram's storage, dsl reads and writes
 every codec row through one loop each, dsl spells a word once and reads
 words through one splitter, each attribute refusal is raised in one place,
-only tumbug.gc_paused switches the cyclic collector, the model methods that perfbench traces exist, and the package version is
-the project's."""
+only tumbug.gc_paused switches the cyclic collector, the model methods that
+perfbench traces exist, no module imports dataclasses, and the package
+version is the project's."""
 
 import ast
 import importlib
@@ -99,6 +100,41 @@ def test_private_import_check_sees_a_private_import():
         "    from tumbug.values import _height\n"
     )
     assert _private_imports(ast.parse(source)) == ["_CODEC", "_height"]
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level package of every absolute import in tree, at any depth."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    # The records are plain classes on tumbug.Record: importing dataclasses
+    # (and inspect, ast and dis with it) and generating each record's methods
+    # cost every cold CLI run about a fifth of its time.
+    importers = [
+        p.name
+        for p in SRC.glob("*.py")
+        if "dataclasses" in _imported_modules(ast.parse(p.read_text(encoding="utf-8")))
+    ]
+    assert importers == []
+
+
+def test_dataclasses_check_sees_each_spelling():
+    source = (
+        "import dataclasses as dc\n"
+        "from dataclasses import dataclass\n"
+        "def f():\n"
+        "    import dataclasses.field\n"
+        "from . import dataclasses\n"
+    )
+    assert _imported_modules(ast.parse(source)) == {"dataclasses"}
+    assert _imported_modules(ast.parse("from .dataclasses import x\nimport os\n")) == {"os"}
 
 
 def test_version_is_the_project_version():

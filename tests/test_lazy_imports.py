@@ -75,24 +75,28 @@ _RUN_CLI = (
     f"print(json.dumps([code, {_LOADED}]))"
 )
 
-# Every run parses its arguments and may parse a file, so dsl and what it
-# imports are always there.
-_ALWAYS = {"tumbug", "tumbug.cli", "tumbug.dsl", "tumbug.model", "tumbug.values"}
+# Every run parses its arguments; only a run that reads or writes a diagram
+# loads dsl and the model.
+_ALWAYS = {"tumbug", "tumbug.cli"}
+_DIAGRAM = {"dsl", "model", "values"}
 
 
 @pytest.mark.parametrize(
     "argv, code, extra",
     [
-        (["validate", "fox.tb"], 0, {"grammar"}),
-        (["render", "fox.tb", "-o", "fox.svg"], 0, {"grammar", "svg"}),
-        (["template", "mtrans", "--roles", "sender=A", "receiver=B"], 0, {"templates"}),
-        (["template", "loop", "--roles", "statements=S1,S2", "body=S1,S2"], 0, {"templates"}),
-        (["query", "fox.tb", "--owner", "o1", "--attr", "color"], 0, {"grammar"}),
-        (["classify", "Time"], 0, {"grammar"}),
-        (["trace", "nested.tb"], 0, {"templates"}),
+        (["validate", "fox.tb"], 0, {"grammar", *_DIAGRAM}),
+        (["render", "fox.tb", "-o", "fox.svg"], 0, {"grammar", "svg", *_DIAGRAM}),
+        (["template", "mtrans", "--roles", "sender=A", "receiver=B"], 0, {"templates", *_DIAGRAM}),
+        (
+            ["template", "loop", "--roles", "statements=S1,S2", "body=S1,S2"], 0,
+            {"templates", *_DIAGRAM},
+        ),
+        (["query", "fox.tb", "--owner", "o1", "--attr", "color"], 0, {"grammar", *_DIAGRAM}),
+        (["classify", "Time"], 0, {"grammar", "model", "values"}),
+        (["trace", "nested.tb"], 0, {"templates", *_DIAGRAM}),
         (["modal", "can", "permission"], 0, {"lexicon"}),
         (["match", "--context", "context.tbl", "--lexicon", "fr.tbl"], 0, {"lexicon"}),
-        (["heuristics", "--tags", "barrier", "fox.tb"], 1, {"heuristics"}),
+        (["heuristics", "--tags", "barrier", "fox.tb"], 1, {"heuristics", *_DIAGRAM}),
     ],
     ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else None,
 )
@@ -106,6 +110,21 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, code, extra):
     got_code, loaded = _fresh(_RUN_CLI, *argv, cwd=tmp_path)
     assert got_code == code
     assert set(loaded) == _ALWAYS | {f"tumbug.{m}" for m in extra}
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate", "fox.tb"], ["render", "fox.tb", "-o", "fox.svg"]], ids=lambda v: v[0]
+)
+def test_a_diagram_command_loads_neither_dataclasses_nor_inspect(tmp_path, argv):
+    # The records are plain classes: building them imports neither module.
+    (tmp_path / "fox.tb").write_text(
+        'elem o1 PhysicalObjectCircle label="fox"\nattr o1 color="red"\n', encoding="utf-8"
+    )
+    code = (
+        "import json, sys\nfrom tumbug.cli import run\ncode = run(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted({'dataclasses', 'inspect'} & set(sys.modules))]))"
+    )
+    assert _fresh(code, *argv, cwd=tmp_path) == [0, []]
 
 
 def test_bare_import_runs_no_submodule_and_each_resolves_on_use():
