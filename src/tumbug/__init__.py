@@ -38,7 +38,6 @@ _EXPORTS = {
         "StateDiagramGroup",
         "SwirlyArrayPayload",
         "evaluate_correlation",
-        "new_diagram",
     ),
     "values": (
         "BallInRange",

@@ -240,7 +240,7 @@ def _cmd_trace(args) -> int:
     from .templates import run_trace
 
     d = _load_diagram(args.file)
-    groups = [g for g in sorted(d.groups) if isinstance(d.groups[g], StateDiagramGroup)]
+    groups = [g for _, g in sorted(d.groups.items()) if isinstance(g, StateDiagramGroup)]
     if not groups:
         print("no state-diagram group in file", file=sys.stderr)
         return 2
@@ -249,7 +249,7 @@ def _cmd_trace(args) -> int:
     if unknown:
         raise ValueError(f"unknown schedule key {unknown[0]!r}; expected iterations or take")
     iterations = int(schedule.get("iterations", "1"))
-    print(" ".join(run_trace(d, d.groups[groups[0]], iterations, schedule.get("take"))))
+    print(" ".join(run_trace(d, groups[0], iterations, schedule.get("take"))))
     return 0
 
 

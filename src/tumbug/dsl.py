@@ -20,7 +20,8 @@ Inside ``"..."`` a backslash escapes: ``\\\\`` and ``\\"`` for themselves,
 hex digits) for any code point but a surrogate.  Serialization writes
 ``\\uXXXX`` for the other characters ``str.splitlines`` breaks on (``\\x0b
 \\x0c \\x1c \\x1d \\x1e \\x85 \\u2028 \\u2029``), so a quoted string never
-spans two lines.
+spans two lines.  A quoted string whose text values.legal_text refuses (a
+C0 control among them) is a fault at its word.
 
 An element's payload keys and a group's keys are read and written by one
 table, ``_CODEC``: per payload or group class, one row per key (``label``,
@@ -32,8 +33,8 @@ that comes twice.
 
 Serialization is canonical: elements sort by id, then containment, edges,
 groups, and bindings by (owner, attribute).  Numbers print as the shortest
-decimal that round-trips.  parse(serialize(d)) reproduces d exactly for a
-diagram built by parse and the checked writers.
+decimal that round-trips.  parse(serialize(d)) reproduces d exactly for
+every diagram.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import islice
+from typing import Mapping
 
 from . import FrozenRecord, gc_paused, list_items
 from .model import (
@@ -63,6 +65,8 @@ from .model import (
     StateDiagramGroup,
     SwirlyArrayPayload,
     Kind,
+    UnknownMember,
+    UnknownOwner,
     payload_type,
 )
 from .values import (
@@ -72,6 +76,7 @@ from .values import (
     ExistenceLevel,
     ExprSyntaxError,
     FuzzyLabel,
+    IllegalText,
     Range,
     Scalar,
     Text,
@@ -79,6 +84,7 @@ from .values import (
     Wildcard,
     expr_text,
     fmt_num,
+    legal_text,
     parse_expr,
 )
 
@@ -126,12 +132,16 @@ def _quote(s: str) -> str:
 
 
 def _unquote(at: int, raw: str) -> str:
+    """The text of the quoted string ``raw``, which values.legal_text passes."""
     if len(raw) < 2 or not raw.startswith('"') or not raw.endswith('"'):
         raise _Fault(at, "quoted string", raw)
     body = raw[1:-1]
     if "\\" in body or '"' in body:
-        return _unescape(at, raw)
-    return body
+        body = _unescape(at, raw)
+    try:
+        return legal_text(body)
+    except IllegalText as exc:
+        raise _Fault(at, "legal text", str(exc)) from exc
 
 
 def _unescape(at: int, raw: str) -> str:
@@ -484,15 +494,17 @@ def parse(text: str | bytes) -> Diagram:
 
     # A _Fault names a word of the record being built; each loop below binds
     # that record's lineno and line, so the handler can locate the word.
+    # The diagram's views are live, so each is read once.
     d = Diagram()
+    elements, edges, meta = d.elements, d.edges, d.meta
     try:
         for lineno, line, words in buckets["meta"]:
             if len(words) != 2:
                 raise _Fault(0, "meta key=\"value\"", " ".join(words))
             key, value = _split_pair(words, 1, quoted=True)
-            if key in d.meta:
+            if key in meta:
                 raise _Fault(1, "unique meta key", key)
-            d.meta[key] = value
+            d.set_meta(key, value)
 
         for lineno, line, words in buckets["elem"]:
             eid, kind = _record_head(words, _KINDS, "elem <id> <Kind>", "element kind")
@@ -514,17 +526,17 @@ def parse(text: str | bytes) -> Diagram:
         for lineno, line, words in buckets["contain"]:
             if len(words) != 3:
                 raise _Fault(0, "contain <child> <parent>", "record shape")
-            child, parent = _require_ref(words, 1, d.elements), _require_ref(words, 2, d.elements)
+            child, parent = _require_ref(words, 1, elements), _require_ref(words, 2, elements)
             try:
                 d.contain(child, parent)
             except ModelError as exc:
                 raise _Fault(1, "legal containment", str(exc)) from exc
 
         for lineno, line, words in buckets["edge"]:
-            _parse_edge(d, words)
+            _parse_edge(d, elements, words)
 
         for lineno, line, words in buckets["group"]:
-            _parse_group(d, words)
+            _parse_group(d, elements, words)
 
         # Equal attr words share one binding: it and its value are frozen.
         # Only a word that built a binding goes in, and the dict dies with
@@ -534,7 +546,7 @@ def parse(text: str | bytes) -> Diagram:
             if len(words) != 3:
                 raise _Fault(0, "attr <owner> <attribute>=<value>", "record shape")
             owner = words[1]
-            if owner not in d.elements and owner not in d.edges:
+            if owner not in elements and owner not in edges:
                 _require_id(words, 1)
                 raise _Fault(1, "existing owner", owner)
             binding = shared.get(words[2])
@@ -547,7 +559,7 @@ def parse(text: str | bytes) -> Diagram:
                     binding = shared[words[2]] = AttributeBinding(name, value)
                 except ModelError as exc:
                     raise _Fault(2, "legal binding", str(exc)) from exc
-            # Hosting legality is the validator's concern, not the parser's.
+            # Hosting legality and conflicts are the validator's concern.
             d.append_binding(owner, binding)
     except _Fault as fault:
         raise _locate(lineno, line, *fault.args) from fault.__cause__
@@ -569,7 +581,7 @@ def _require_id(words: tuple[str, ...], at: int) -> str:
     return words[at]
 
 
-def _require_ref(words: tuple[str, ...], at: int, known: dict) -> str:
+def _require_ref(words: tuple[str, ...], at: int, known: Mapping) -> str:
     """The id at word ``at`` of a reference.  A key of ``known`` passed the
     model's id check when it was claimed, so only a word that names nothing
     there is checked, where and as _require_id checks it."""
@@ -634,13 +646,13 @@ def _number_pair(at: int, text: str, expected: str) -> tuple[float, float]:
     return _parse_number(at, parts[0]), _parse_number(at, parts[1])
 
 
-def _parse_edge(d: Diagram, words: tuple[str, ...]) -> None:
+def _parse_edge(d: Diagram, elements: Mapping[str, Element], words: tuple[str, ...]) -> None:
     eid, kind = _record_head(words, _EDGE_KINDS, "edge <id> <Kind> [src] -> [dst]", "edge kind")
     source = target = None
     n = len(words)
     at = 3
     if at < n and words[at] != "->" and "=" not in words[at]:
-        source = _require_ref(words, at, d.elements)
+        source = _require_ref(words, at, elements)
         at += 1
     if at >= n or words[at] != "->":
         if at < n:
@@ -648,7 +660,7 @@ def _parse_edge(d: Diagram, words: tuple[str, ...]) -> None:
         raise _Fault(n - 1, "'->'", "end of record")
     at += 1
     if at < n and "=" not in words[at]:
-        target = _require_ref(words, at, d.elements)
+        target = _require_ref(words, at, elements)
         at += 1
     pairs = _read_pairs(words, at, quoted=True, only="role")
     role = pairs["role"][1] if pairs else None
@@ -658,13 +670,16 @@ def _parse_edge(d: Diagram, words: tuple[str, ...]) -> None:
         raise _Fault(1, "insertable edge", str(exc)) from exc
 
 
-def _parse_group(d: Diagram, words: tuple[str, ...]) -> None:
+def _parse_group(d: Diagram, elements: Mapping[str, Element], words: tuple[str, ...]) -> None:
     gid, cls = _record_head(words, _GROUP_KINDS, "group <id> <Kind>", "group kind")
     pairs = _read_pairs(words, 3, quoted=False)
-    at = pairs.get("members", (2,))[0]  # the word where an unknown member is a fault
+    spots = dict(pairs)  # _decode consumes pairs
     fields = _decode(_CODEC[cls], pairs)
     if cls is StateDiagramGroup:
-        fields["states"], fields["tubes"] = _states_and_tubes(d, at, fields.pop("members"))
+        # A member that names an element is a state; any other, a tube.
+        members = fields.pop("members")
+        fields["states"] = tuple(m for m in members if m in elements)
+        fields["tubes"] = tuple(m for m in members if m not in elements)
     if pairs:
         stray = min(pairs)
         raise _Fault(pairs[stray][0], f"{words[2]} group key", stray)
@@ -674,17 +689,19 @@ def _parse_group(d: Diagram, words: tuple[str, ...]) -> None:
         raise _Fault(1, "legal probabilities", str(exc)) from exc
     try:
         d.add_group(group)
+    except (UnknownMember, UnknownOwner) as exc:
+        # The fault is at the first word that names the missing id: the
+        # owner word for an owner, else a members, trunk or junction word.
+        (missing,) = exc.args
+        keys = ("owner",) if isinstance(exc, UnknownOwner) else ("members", "trunk", "junction")
+        at = min(
+            spots[key][0]
+            for key in keys
+            if key in spots and missing in (spots[key][1], *list_items(spots[key][1]))
+        )
+        raise _Fault(at, "existing member id", missing) from exc
     except ModelError as exc:
-        raise _Fault(1, "resolvable group members", str(exc)) from exc
-
-
-def _states_and_tubes(d: Diagram, at: int, members: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
-    """An id that names an element is a state, one that names an edge a tube."""
-    for m in members:
-        if m not in d.elements and m not in d.edges:
-            raise _Fault(at, "existing member id", m)
-    states = tuple(m for m in members if m in d.elements)
-    return states, tuple(m for m in members if m not in d.elements)
+        raise _Fault(1, "insertable group", str(exc)) from exc
 
 
 # --------------------------------------------------------------------------
@@ -699,18 +716,11 @@ def binding_literals(d: Diagram) -> list[tuple[str, str, str]]:
 
 def serialize(d: Diagram) -> str:
     """Canonical text for a diagram; stable across runs and insert orders.
-
-    The text of a diagram built by parse and the checked writers parses back
-    to an equal diagram.  One built with put_edge or append_binding may hold
-    an endpoint or owner that names nothing, and then its text does not parse.
-    """
-    lines: list[str] = []
-    for key in sorted(d.meta):
-        if not KEY_RE.fullmatch(key):
-            raise ValueError(f"meta key {key!r} is not a key the DSL can write")
-        lines.append(f"meta {key}={_quote(d.meta[key])}")
-    for eid in sorted(d.elements):
-        el = d.elements[eid]
+    The text of every diagram parses back to an equal diagram."""
+    lines = [f"meta {key}={_quote(value)}" for key, value in sorted(d.meta.items())]
+    elements = d.elements
+    for eid in sorted(elements):
+        el = elements[eid]
         pairs = _encode(el.payload, _CODEC[payload_type(el.kind)])
         if el.position is not None:
             pairs["pos"] = f"{fmt_num(el.position.x)},{fmt_num(el.position.y)}"
@@ -718,8 +728,7 @@ def serialize(d: Diagram) -> str:
                 pairs["size"] = f"{fmt_num(el.position.w)},{fmt_num(el.position.h)}"
         parts = [f"{k}={_quote(v)}" for k, v in sorted(pairs.items())]
         lines.append(" ".join(["elem", eid, el.kind.value] + parts))
-    for child in sorted(d.containment):
-        lines.append(f"contain {child} {d.containment[child]}")
+    lines.extend(f"contain {child} {parent}" for child, parent in sorted(d.containment.items()))
     for eid, e in sorted(d.edges.items()):
         parts = ["edge", eid, e.kind.value]
         if e.source is not None:
@@ -730,8 +739,7 @@ def serialize(d: Diagram) -> str:
         if e.role is not None:
             parts.append(f"role={_quote(e.role)}")
         lines.append(" ".join(parts))
-    for gid in sorted(d.groups):
-        g = d.groups[gid]
+    for gid, g in sorted(d.groups.items()):
         parts = [f"{k}={v}" for k, v in _encode(g, _CODEC[type(g)]).items()]
         lines.append(" ".join(["group", gid, _GROUP_KIND[type(g)].value, *parts]))
     lines.extend(f"attr {owner} {attr}={literal}" for owner, attr, literal in binding_literals(d))

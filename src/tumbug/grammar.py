@@ -15,16 +15,16 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 from . import DATA_DIR, FrozenRecord, read_table, table_lines
 from .model import (
     CHANGE_ARROW_KINDS,
-    CONTAINER_KINDS,
     KIND_FACTS,
     Diagram,
     Edge,
     EdgeKind,
+    Element,
     Kind,
     SplitTimeGroup,
     StateDiagramGroup,
@@ -109,15 +109,12 @@ class ViolationCode(str, enum.Enum):
     SELF_LOOP_FORBIDDEN = "SELF_LOOP_FORBIDDEN"
     ATTR_HOST_ILLEGAL = "ATTR_HOST_ILLEGAL"
     ATTR_CONFLICT = "ATTR_CONFLICT"
-    UNKNOWN_REF = "UNKNOWN_REF"
-    CONTAINMENT_INVALID = "CONTAINMENT_INVALID"
     POSITION_REQUIRED = "POSITION_REQUIRED"
     BOX_NESTING = "BOX_NESTING"
     XOR_TOO_FEW = "XOR_TOO_FEW"
     GROUP_MEMBER_INVALID = "GROUP_MEMBER_INVALID"
     STATE_MARKER_MISPLACED = "STATE_MARKER_MISPLACED"
     STATE_TUBE_ENDPOINT = "STATE_TUBE_ENDPOINT"
-    SPLIT_PROBS_INVALID = "SPLIT_PROBS_INVALID"
     ATTEND_NOT_DATA = "ATTEND_NOT_DATA"
 
 
@@ -164,58 +161,12 @@ def _legality_code(kind: EdgeKind, shape: Shape) -> ViolationCode:
 # Validation: each rule yields its violations; RULES fixes their order.
 
 
-def _containment_refs(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
-    for child in sorted(d.containment):
-        parent = d.containment[child]
-        if child not in d.elements or parent not in d.elements:
-            yield Violation(
-                ViolationCode.UNKNOWN_REF, (child, parent), "containment references a missing element"
-            )
-        elif d.elements[parent].kind not in CONTAINER_KINDS:
-            yield Violation(
-                ViolationCode.CONTAINMENT_INVALID, (child, parent), f"parent {parent} is not a container"
-            )
-
-
-def _containment_cycles(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
-    """Every child whose walk up to its root runs into a cycle.  Each node's
-    verdict is kept, so a walk stops at the first node already judged and the
-    rule is linear even on deep containment."""
-    containment = d.containment
-    reaches_cycle: dict[str, bool | None] = {}  # None while on the current walk
-    for child in sorted(containment):
-        walk = []
-        node = child
-        while node in containment and node not in reaches_cycle:
-            reaches_cycle[node] = None
-            walk.append(node)
-            node = containment[node]
-        verdict = node in reaches_cycle and reaches_cycle[node] is not False
-        for step in walk:
-            reaches_cycle[step] = verdict
-        if reaches_cycle[child]:
-            yield Violation(ViolationCode.CONTAINMENT_INVALID, (child,), "containment cycle")
-
-
-def _edge_endpoints(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
-    for eid, edge in sorted(d.edges.items()):
-        for endpoint in d.missing_endpoints(edge):
-            yield Violation(ViolationCode.UNKNOWN_REF, (eid, endpoint), "edge endpoint does not exist")
-
-
-def _contained(d: Diagram) -> Iterator[tuple[str, str]]:
-    """(child, parent) pairs of existing elements, by child id."""
-    for child in sorted(d.containment):
-        parent = d.containment[child]
-        if child in d.elements and parent in d.elements:
-            yield child, parent
-
-
 def _fixed_positions(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
     """Elements inside Verbatim and Descriptive boxes need fixed positions."""
-    for child, parent in _contained(d):
-        pkind = d.elements[parent].kind
-        if (KIND_FACTS[pkind].strictness or 0) > 1 and d.elements[child].position is None:
+    elements = d.elements
+    for child, parent in sorted(d.containment.items()):
+        pkind = elements[parent].kind
+        if (KIND_FACTS[pkind].strictness or 0) > 1 and elements[child].position is None:
             yield Violation(
                 ViolationCode.POSITION_REQUIRED,
                 (child, parent),
@@ -224,9 +175,9 @@ def _fixed_positions(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
 
 
 def _arrow_shapes(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
-    """The legality table over change arrows whose endpoints exist."""
+    """The legality table over change arrows."""
     for eid, edge in sorted(d.edges.items()):
-        if edge.kind not in CHANGE_ARROW_KINDS or d.missing_endpoints(edge):
+        if edge.kind not in CHANGE_ARROW_KINDS:
             continue
         shape = edge_shape(edge)
         if not table[(shape, edge.kind)]:
@@ -239,13 +190,9 @@ def _arrow_shapes(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
 
 def _attribute_hosts(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
     for owner, binding in d.bindings:
-        try:
-            problem = d.host_problem(owner, binding.attribute)
-        except UnknownOwner:
-            yield Violation(ViolationCode.UNKNOWN_REF, (owner,), "binding owner does not exist")
-        else:
-            if problem is not None:
-                yield Violation(ViolationCode.ATTR_HOST_ILLEGAL, (owner,), problem)
+        problem = d.host_problem(owner, binding.attribute)
+        if problem is not None:
+            yield Violation(ViolationCode.ATTR_HOST_ILLEGAL, (owner,), problem)
 
 
 def _attribute_conflicts(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
@@ -258,8 +205,9 @@ def _attribute_conflicts(d: Diagram, table: LegalityTable) -> Iterator[Violation
 
 def _box_nesting(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
     """No location box directly inside a stricter one."""
-    for child, parent in _contained(d):
-        ck, pk = d.elements[child].kind, d.elements[parent].kind
+    elements = d.elements
+    for child, parent in sorted(d.containment.items()):
+        ck, pk = elements[child].kind, elements[parent].kind
         cs, ps = KIND_FACTS[ck].strictness, KIND_FACTS[pk].strictness
         if cs is not None and ps is not None and cs < ps:
             yield Violation(
@@ -288,25 +236,30 @@ def _xor_alternatives(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
 
 
 def _groups(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
-    for gid in sorted(d.groups):
-        group = d.groups[gid]
+    """Each group's members, tube endpoints and marker.  The model has
+    checked that each member, junction and owner exists."""
+    groups, elements, edges = d.groups, d.elements, d.edges
+    for gid in sorted(groups):
+        group = groups[gid]
         if isinstance(group, StateDiagramGroup):
-            yield from _state_group(d, gid, group)
+            yield from _state_group(elements, edges, gid, group)
         else:
-            yield from _split_group(d, gid, group)
+            yield from _split_group(elements, edges, gid, group)
 
 
-def _state_group(d: Diagram, gid: str, group: StateDiagramGroup) -> Iterator[Violation]:
+def _state_group(
+    elements: Mapping[str, Element], edges: Mapping[str, Edge], gid: str, group: StateDiagramGroup
+) -> Iterator[Violation]:
     for sid in group.states:
-        if sid not in d.elements or d.elements[sid].kind is not Kind.STATE_CIRCLE:
+        if elements[sid].kind is not Kind.STATE_CIRCLE:
             yield Violation(
                 ViolationCode.GROUP_MEMBER_INVALID,
                 (gid, sid),
                 "state member must be an existing StateCircle",
             )
     for tid in group.tubes:
-        tube = d.edges.get(tid)
-        if tube is None or tube.kind is not EdgeKind.TUBE:
+        tube = edges[tid]
+        if tube.kind is not EdgeKind.TUBE:
             yield Violation(
                 ViolationCode.GROUP_MEMBER_INVALID,
                 (gid, tid),
@@ -326,39 +279,40 @@ def _state_group(d: Diagram, gid: str, group: StateDiagramGroup) -> Iterator[Vio
         )
 
 
-def _split_group(d: Diagram, gid: str, group: SplitTimeGroup) -> Iterator[Violation]:
+def _split_group(
+    elements: Mapping[str, Element], edges: Mapping[str, Edge], gid: str, group: SplitTimeGroup
+) -> Iterator[Violation]:
     for tid in (group.trunk, *group.branches):
-        edge = d.edges.get(tid)
-        if edge is None or edge.kind is not EdgeKind.TIME:
+        if edges[tid].kind is not EdgeKind.TIME:
             yield Violation(
                 ViolationCode.GROUP_MEMBER_INVALID,
                 (gid, tid),
                 "split-time member must be an existing Time edge",
             )
     junction = group.junction
-    if junction and (junction not in d.elements or d.elements[junction].kind is not Kind.XOR_BOX):
+    if junction and elements[junction].kind is not Kind.XOR_BOX:
         yield Violation(
             ViolationCode.GROUP_MEMBER_INVALID, (gid, junction), "split-time junction must be an XorBox"
-        )
-    if group.probabilities_problem() is not None:
-        yield Violation(
-            ViolationCode.SPLIT_PROBS_INVALID,
-            (gid,),
-            "branch probabilities must lie in [0,1] and sum to 1",
         )
 
 
 def _attend_rings(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
-    """Attend rings flag attention on data motion only."""
+    """Attend rings flag attention on data motion only.  What a motion edge
+    moves is its 'moves' attribute if that names an element (shorthand
+    transfer notation), otherwise its source."""
+    elements, edges = d.elements, d.edges
     for rid in d.elements_of_kind(Kind.ATTEND_RING):
-        edge_id = d.elements[rid].payload.props.get("edge")
-        if edge_id is None or edge_id not in d.edges:
+        edge_id = elements[rid].payload.props.get("edge")
+        edge = edges.get(edge_id)
+        if edge is None:
             problem = "attend ring must reference a Motion edge"
-        elif d.edges[edge_id].kind is not EdgeKind.MOTION:
-            problem = f"attend ring sits on a {d.edges[edge_id].kind.value} edge"
+        elif edge.kind is not EdgeKind.MOTION:
+            problem = f"attend ring sits on a {edge.kind.value} edge"
         else:
-            moved = _moved_element(d, edge_id)
-            if moved is not None and d.elements[moved].kind is Kind.DATA_OBJECT_CIRCLE:
+            moves = d.binding_value(edge_id, "moves")
+            named = moves.value if isinstance(moves, Text) else None
+            moved = named if named in elements else edge.source
+            if moved is not None and elements[moved].kind is Kind.DATA_OBJECT_CIRCLE:
                 continue
             problem = "attended motion must move a DataObjectCircle"
         yield Violation(ViolationCode.ATTEND_NOT_DATA, (rid,), problem)
@@ -367,9 +321,6 @@ def _attend_rings(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
 # The grammar's rules in reporting order; violation lists are part of the
 # output format, so the order is too.
 RULES: tuple[Callable[[Diagram, LegalityTable], Iterable[Violation]], ...] = (
-    _containment_refs,
-    _containment_cycles,
-    _edge_endpoints,
     _fixed_positions,
     _arrow_shapes,
     _attribute_hosts,
@@ -390,18 +341,6 @@ def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
     """
     table = table if table is not None else default_legality()
     return [violation for rule in RULES for violation in rule(d, table)]
-
-
-def _moved_element(d: Diagram, edge_id: str) -> str | None:
-    """What a motion edge moves: its 'moves' attribute if present (shorthand
-    transfer notation), otherwise its source element."""
-    moved = d.binding_value(edge_id, "moves")
-    if isinstance(moved, Text) and moved.value in d.elements:
-        return moved.value
-    edge = d.edges[edge_id]
-    if edge.source is not None and edge.source in d.elements:
-        return edge.source
-    return None
 
 
 # --------------------------------------------------------------------------
@@ -472,11 +411,11 @@ def resolve_query(d: Diagram, owner: str, attribute: str) -> Value:
     Unbound attributes answer DK.  When the owner itself says nothing, one
     hop along an outgoing Relationship marker is followed before giving up.
     """
+    value = d.binding_value(owner, attribute)
+    if value is not None:  # the model binds only an owner that exists
+        return value
     if owner not in d.elements and owner not in d.edges:
         raise UnknownOwner(owner)
-    value = d.binding_value(owner, attribute)
-    if value is not None:
-        return value
     for eid in d.relationship_hops(owner):
         target = d.edges[eid].target
         value = None if target is None else d.binding_value(target, attribute)

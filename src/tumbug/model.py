@@ -25,6 +25,7 @@ from .values import (
     Wildcard,
     eval_expr,
     expr_slots,
+    legal_text,
 )
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "SplitTimeGroup",
     "Group",
     "Diagram",
-    "new_diagram",
     "evaluate_correlation",
     "ModelError",
     "UnknownParent",
@@ -226,10 +226,11 @@ class GenericPayload(Record):
     def __init__(self, label: str | None = None, props: dict[str, str] | None = None):
         if props is None:
             props = {}
-        for key in props:
+        for key, text in props.items():
             if key in _RESERVED_PROP_KEYS or not KEY_RE.fullmatch(key):
                 raise InvalidPayload(f"illegal property key {key!r}")
-        self.label = label
+            legal_text(text)
+        self.label = legal_text(label)
         self.props = props
 
     def __eq__(self, other):  # the inherited method, spelled out for speed (see tumbug.Record)
@@ -305,7 +306,7 @@ class CAPayload(Record):
         self.forced = forced
         self.detected = detected
         self.open_ended = open_ended
-        self.label = label
+        self.label = legal_text(label)
 
 
 MOTIVATION_LEVELS = ("automaton", "physical", "emotional", "intellectual")
@@ -329,8 +330,8 @@ class MotivationTrianglePayload(Record):
         # frozenset already forbids two markers in the same cell; reject the
         # sneaky path of passing a collection with duplicates pre-merged away.
         self.markers = frozenset(markers)
-        self.robinson = robinson
-        self.label = label
+        self.robinson = legal_text(robinson)
+        self.label = legal_text(label)
 
 
 ROBINSON_CATEGORIES = (
@@ -363,9 +364,9 @@ class RobinsonIconPayload(Record):
             raise InvalidPayload("cathected target requires the Cathected category")
         self.active = frozenset(active)
         self.valence = valence
-        self.subnode = subnode
-        self.cathected_target = cathected_target
-        self.label = label
+        self.subnode = legal_text(subnode)
+        self.cathected_target = legal_text(cathected_target)
+        self.label = legal_text(label)
 
 
 class SwirlyArrayPayload(Record):
@@ -377,7 +378,7 @@ class SwirlyArrayPayload(Record):
         active: frozenset[str] = frozenset(),
         label: str | None = None,
     ):
-        names = [c[0] for c in cells]
+        names = [legal_text(c[0]) for c in cells]
         bad = [n for n in names if not n or "," in n or ":" in n]
         if bad:
             raise InvalidPayload(f"cell name {bad[0]!r} is empty or holds ',' or ':'")
@@ -388,7 +389,7 @@ class SwirlyArrayPayload(Record):
             raise InvalidPayload(f"active cells not in array: {sorted(missing)}")
         self.cells = cells
         self.active = frozenset(active)
-        self.label = label
+        self.label = legal_text(label)
 
 
 class KindFacts(FrozenRecord):
@@ -582,30 +583,20 @@ class SplitTimeGroup(Record):
         probabilities: tuple[float, ...] | None = None,
         id: str | None = None,
     ):
+        # Probabilities are absent, or one per branch, each in [0, 1], summing to 1.
         if probabilities is not None:
             probabilities = tuple(float(p) for p in probabilities)
+            if len(probabilities) != len(branches):
+                raise InvalidPayload("one probability per branch required")
+            if any(not 0.0 <= p <= 1.0 for p in probabilities):
+                raise InvalidPayload("branch probabilities must lie in [0, 1]")
+            if abs(sum(probabilities) - 1.0) > 1e-9:
+                raise InvalidPayload(f"branch probabilities sum to {sum(probabilities)}, not 1")
         self.trunk = trunk
         self.branches = branches
         self.junction = junction
         self.probabilities = probabilities
         self.id = id
-        problem = self.probabilities_problem()
-        if problem is not None:
-            raise InvalidPayload(problem)
-
-    def probabilities_problem(self) -> str | None:
-        """What is wrong with the branch probabilities, or None when they are
-        absent or one per branch, each in [0, 1], summing to 1."""
-        probs = self.probabilities
-        if probs is None:
-            return None
-        if len(probs) != len(self.branches):
-            return "one probability per branch required"
-        if any(not 0.0 <= p <= 1.0 for p in probs):
-            return "branch probabilities must lie in [0, 1]"
-        if abs(sum(probs) - 1.0) > 1e-9:
-            return f"branch probabilities sum to {sum(probs)}, not 1"
-        return None
 
 
 Group = StateDiagramGroup | SplitTimeGroup
@@ -619,16 +610,23 @@ def _differ(a: Value, b: Value) -> bool:
 class Diagram:
     """The scene graph: elements, containment forest, edges, bindings.
 
-    ``edges`` is a read-only mapping and ``bindings`` a tuple of (owner,
-    binding) pairs, an ordered multiset.  Each has one writer pair:
-    ``add_edge`` and ``bind_attribute`` check what they add, while
-    ``put_edge`` (any endpoints) and ``append_binding`` (any owner, host or
-    value) do not, so the parser and callers can build diagrams that
-    :func:`tumbug.grammar.validate` reports.  No edge id is ever overwritten.
-    The writers keep private indices of the first value per (owner,
-    attribute), of the keys bound to two values, and of Relationship edges
-    by source.  An Edge whose ``kind`` or ``source`` is changed in place is
-    not followed.
+    ``elements``, ``containment`` (child -> parent), ``edges``, ``groups``
+    and ``meta`` are read-only mappings, and ``bindings`` a tuple of (owner,
+    binding) pairs, an ordered multiset.  Each read builds a new view, so a
+    caller reads one into a local once per call, not once per record.
+
+    Only the writers below change a diagram.  None overwrites an id, and
+    each refuses an id that names nothing, a parent that is no container, a
+    containment cycle and a meta key the DSL cannot write, so
+    parse(serialize(d)) == d for every diagram.  ``bind_attribute`` also
+    refuses a host that cannot carry the attribute and a conflicting value;
+    ``append_binding`` keeps both, so the parser and callers can build
+    diagrams that :func:`tumbug.grammar.validate` reports.  The writers keep
+    private indices of the first value per (owner, attribute), of the keys
+    bound to two values, and of Relationship edges by source.  A record
+    changed in place after it is stored (an Edge's endpoints or kind, an
+    Element's kind or payload, a group's fields) is outside this contract,
+    and the indices do not follow it.
 
     Equality is structural and order-insensitive: two diagrams built by
     different insertion orders compare equal when their dicts are equal and
@@ -636,12 +634,12 @@ class Diagram:
     """
 
     def __init__(self):
-        self.elements: dict[str, Element] = {}
-        self.containment: dict[str, str] = {}  # child -> parent
+        self._elements: dict[str, Element] = {}
+        self._containment: dict[str, str] = {}  # child -> parent
         self._edges: dict[str, Edge] = {}
-        self.groups: dict[str, Group] = {}
+        self._groups: dict[str, Group] = {}
         self._bindings: list[tuple[str, AttributeBinding]] = []
-        self.meta: dict[str, str] = {}
+        self._meta: dict[str, str] = {}
         # Per id prefix, where the next _fresh_id probe starts.  No method frees
         # an id, so the smallest free one never goes down and probing resumes.
         self._fresh_from: dict[str, int] = {}
@@ -653,14 +651,30 @@ class Diagram:
 
     def __repr__(self) -> str:  # the indices are left out
         return (
-            f"Diagram(elements={self.elements!r}, containment={self.containment!r}, "
-            f"_edges={self._edges!r}, groups={self.groups!r}, _bindings={self._bindings!r}, "
-            f"meta={self.meta!r})"
+            f"Diagram(elements={self._elements!r}, containment={self._containment!r}, "
+            f"_edges={self._edges!r}, groups={self._groups!r}, _bindings={self._bindings!r}, "
+            f"meta={self._meta!r})"
         )
+
+    @property
+    def elements(self) -> Mapping[str, Element]:
+        return MappingProxyType(self._elements)
+
+    @property
+    def containment(self) -> Mapping[str, str]:
+        return MappingProxyType(self._containment)
 
     @property
     def edges(self) -> Mapping[str, Edge]:
         return MappingProxyType(self._edges)
+
+    @property
+    def groups(self) -> Mapping[str, Group]:
+        return MappingProxyType(self._groups)
+
+    @property
+    def meta(self) -> Mapping[str, str]:
+        return MappingProxyType(self._meta)
 
     @property
     def bindings(self) -> tuple[tuple[str, AttributeBinding], ...]:
@@ -669,7 +683,7 @@ class Diagram:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Diagram):
             return NotImplemented
-        dicts = lambda d: (d.elements, d.containment, d._edges, d.groups, d.meta)
+        dicts = lambda d: (d._elements, d._containment, d._edges, d._groups, d._meta)
         key = lambda ob: (ob[0], ob[1].attribute, repr(ob[1].value))
         return dicts(self) == dicts(other) and (
             sorted(self._bindings, key=key) == sorted(other._bindings, key=key)
@@ -678,7 +692,7 @@ class Diagram:
     # -- id allocation ----------------------------------------------------
 
     def _taken(self, i: str) -> bool:
-        return i in self.elements or i in self._edges or i in self.groups
+        return i in self._elements or i in self._edges or i in self._groups
 
     def _fresh_id(self, prefix: str) -> str:
         n = self._fresh_from.get(prefix, 1)
@@ -698,77 +712,77 @@ class Diagram:
 
     # -- construction ------------------------------------------------------
 
+    def set_meta(self, key: str, value: str) -> None:
+        """Set a metadata entry under a key the DSL can write."""
+        if not KEY_RE.fullmatch(key):
+            raise ModelError(f"meta key {key!r} is not a key the DSL can write")
+        self._meta[key] = legal_text(value)
+
     def add_element(self, element: Element, parent: str | None = None) -> str:
         """Insert an element, optionally inside a container, and return its id."""
         eid = self._claim_id(element.id, "n")
         if parent is not None:
-            if parent not in self.elements:
+            if parent not in self._elements:
                 raise UnknownParent(parent)
-            if self.elements[parent].kind not in CONTAINER_KINDS:
+            if self._elements[parent].kind not in CONTAINER_KINDS:
                 raise ParentNotContainer(
-                    f"{parent} is a {self.elements[parent].kind.value}, not a container"
+                    f"{parent} is a {self._elements[parent].kind.value}, not a container"
                 )
-            self.containment[eid] = parent
+            self._containment[eid] = parent
         element.id = eid
-        self.elements[eid] = element
+        self._elements[eid] = element
         return eid
 
     def contain(self, child: str, parent: str) -> None:
         """Record child-inside-parent, rejecting cycles and non-containers."""
-        if child not in self.elements:
+        if child not in self._elements:
             raise UnknownMember(child)
-        if parent not in self.elements:
+        if parent not in self._elements:
             raise UnknownParent(parent)
-        if self.elements[parent].kind not in CONTAINER_KINDS:
+        if self._elements[parent].kind not in CONTAINER_KINDS:
             raise ParentNotContainer(parent)
         # Walk up from the parent; reaching the child would close a loop.
         seen = parent
         while seen is not None:
             if seen == child:
                 raise ContainmentCycle(f"{child} inside {parent} closes a cycle")
-            seen = self.containment.get(seen)
-        self.containment[child] = parent
+            seen = self._containment.get(seen)
+        self._containment[child] = parent
 
     def add_edge(self, edge: Edge) -> str:
         """Insert an edge whose endpoints exist, and return its id."""
         eid = self._claim_id(edge.id, "a")
-        missing = self.missing_endpoints(edge)
-        if missing:
-            raise UnknownEndpoint(missing[0])
+        for end in (edge.source, edge.target):
+            if end is not None and end not in self._elements:
+                raise UnknownEndpoint(end)
         edge.id = eid
-        self._store_edge(edge)
-        return eid
-
-    def put_edge(self, edge: Edge) -> str:
-        """Insert an edge whose endpoints need not exist, and return its id."""
-        edge.id = self._claim_id(edge.id, "a")
-        self._store_edge(edge)
-        return edge.id
-
-    def _store_edge(self, edge: Edge) -> None:
-        self._edges[edge.id] = edge
+        self._edges[eid] = edge
         if edge.kind is EdgeKind.RELATIONSHIP:
-            self._hops.setdefault(edge.source, []).append(edge.id)
+            self._hops.setdefault(edge.source, []).append(eid)
+        return eid
 
     def add_group(self, group: Group) -> str:
         gid = self._claim_id(group.id, "g")
         if isinstance(group, StateDiagramGroup):
             for sid in group.states:
-                if sid not in self.elements:
+                if sid not in self._elements:
                     raise UnknownMember(sid)
             for tid in group.tubes:
                 if tid not in self._edges:
                     raise UnknownMember(tid)
-            if group.owner is not None and group.owner not in self.elements:
+            if group.owner is not None and group.owner not in self._elements:
                 raise UnknownOwner(group.owner)
+            # The DSL writes the marker bare, so it must read back as one word.
+            if group.marker and not ID_RE.fullmatch(group.marker):
+                raise InvalidId(f"marker {group.marker!r} is not an identifier")
         else:
             for tid in (group.trunk, *group.branches):
                 if tid not in self._edges:
                     raise UnknownMember(tid)
-            if group.junction and group.junction not in self.elements:
+            if group.junction and group.junction not in self._elements:
                 raise UnknownMember(group.junction)
         group.id = gid
-        self.groups[gid] = group
+        self._groups[gid] = group
         return gid
 
     def bind_attribute(self, owner: str, binding: AttributeBinding) -> None:
@@ -784,11 +798,18 @@ class Diagram:
             raise ConflictingDuplicate(
                 f"{owner}.{binding.attribute} already bound to a different value"
             )
-        self.append_binding(owner, binding)
+        self._append(owner, binding)
 
     def append_binding(self, owner: str, binding: AttributeBinding) -> None:
-        """Append the pair unchecked: owner need not exist or host attributes,
-        and the value may conflict with one already bound."""
+        """Append the pair to an owner that exists; it may be a host that
+        cannot carry the attribute, and the value may conflict with one
+        already bound.  Raises ``UnknownOwner`` if owner names no element or
+        edge."""
+        if owner not in self._elements and owner not in self._edges:
+            raise UnknownOwner(owner)
+        self._append(owner, binding)
+
+    def _append(self, owner: str, binding: AttributeBinding) -> None:
         self._bindings.append((owner, binding))
         key = (owner, binding.attribute)
         if _differ(self._first.setdefault(key, binding.value), binding.value):
@@ -799,7 +820,7 @@ class Diagram:
     def host_problem(self, owner: str, attribute: str) -> str | None:
         """Why owner cannot carry the attribute, or None if it can; raises
         ``UnknownOwner`` if owner names no element or edge."""
-        host = self.elements.get(owner) or self._edges.get(owner)
+        host = self._elements.get(owner) or self._edges.get(owner)
         if host is None:
             raise UnknownOwner(owner)
         if can_host(host.kind):
@@ -807,10 +828,6 @@ class Diagram:
         if isinstance(host.kind, EdgeKind):
             return f"{host.kind.value} edge cannot host attributes"
         return f"{host.kind.value} cannot host attribute {attribute!r}"
-
-    def missing_endpoints(self, edge: Edge) -> list[str]:
-        """The edge's endpoints that name no element."""
-        return [e for e in (edge.source, edge.target) if e is not None and e not in self.elements]
 
     # -- queries -----------------------------------------------------------
 
@@ -830,15 +847,10 @@ class Diagram:
         return sorted(self._hops.get(owner, ()))
 
     def children_of(self, parent: str) -> list[str]:
-        return sorted(c for c, p in self.containment.items() if p == parent)
+        return sorted(c for c, p in self._containment.items() if p == parent)
 
     def elements_of_kind(self, kind: Kind) -> list[str]:
-        return sorted(i for i, e in self.elements.items() if e.kind == kind)
+        return sorted(i for i, e in self._elements.items() if e.kind == kind)
 
     def edges_of_kind(self, kind: EdgeKind) -> list[str]:
         return sorted(i for i, e in self._edges.items() if e.kind == kind)
-
-
-def new_diagram() -> Diagram:
-    """Fresh empty diagram."""
-    return Diagram()

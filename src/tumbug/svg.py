@@ -129,25 +129,26 @@ def _layout(
     pack their children, top-level elements are layered left-to-right by
     arrow topology.  Also returns the elements with every container before
     its contents."""
+    elements, containment = d.elements, d.containment
     children: dict[str, list[str]] = {}
-    for child in sorted(d.containment):
-        children.setdefault(d.containment[child], []).append(child)
+    for child in sorted(containment):
+        children.setdefault(containment[child], []).append(child)
 
     sizes: dict[str, tuple[float, float]] = {}
 
     def measure(eid: str) -> tuple[float, float]:
         """Size of an element whose children are all measured."""
-        el = d.elements[eid]
+        el = elements[eid]
         kids = children.get(eid, [])
         pad = 16.0
         if not kids:
             size = _leaf_size(el)
-        elif all(d.elements[k].position is not None for k in kids):
+        elif all(elements[k].position is not None for k in kids):
             right = 0.0
             bottom = 0.0
             for k in kids:
                 kw, kh = sizes[k]
-                pos = d.elements[k].position
+                pos = elements[k].position
                 right = max(right, pos.x + (pos.w or kw))
                 bottom = max(bottom, pos.y + (pos.h or kh))
             size = (right + pad, bottom + pad + FONT_SIZE)
@@ -163,7 +164,7 @@ def _layout(
         n_attrs = len(by_owner.get(eid, []))
         return (size[0], size[1] + n_attrs * (FONT_SIZE + 3))
 
-    roots = sorted(e for e in d.elements if e not in d.containment)
+    roots = sorted(e for e in elements if e not in containment)
 
     # Containers before their contents, depth first in child order, without
     # recursion: containment may nest deeper than Python's recursion limit.
@@ -204,8 +205,8 @@ def _layout(
         y = top_margin
         for r in col_roots:
             w, h = sizes[r]
-            if d.elements[r].position is not None:
-                pos = d.elements[r].position
+            pos = elements[r].position
+            if pos is not None:
                 boxes[r] = _Box(left_margin + pos.x, top_margin + pos.y, pos.w or w, pos.h or h)
             else:
                 boxes[r] = _Box(col_x, y, w, h)
@@ -219,7 +220,7 @@ def _layout(
         x = pbox.x + pad
         for k in children.get(parent, []):
             kw, kh = sizes[k]
-            pos = d.elements[k].position
+            pos = elements[k].position
             if pos is not None:
                 boxes[k] = _Box(pbox.x + pos.x, pbox.y + pos.y, pos.w or kw, pos.h or kh)
             else:
@@ -275,11 +276,12 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
         out.append("</g>")
 
     # Drawn by containment depth, then id, so that contents paint over boxes.
+    elements, containment = d.elements, d.containment
     depth: dict[str | None, int] = {None: -1}
     for eid in parents_first:
-        depth[eid] = depth[d.containment.get(eid)] + 1
-    for eid in sorted(d.elements, key=lambda e: (depth[e], e)):
-        out.extend(_render_element(num, d, eid, boxes[eid], by_owner.get(eid, []), options))
+        depth[eid] = depth[containment.get(eid)] + 1
+    for eid in sorted(elements, key=lambda e: (depth[e], e)):
+        out.extend(_render_element(num, elements[eid], boxes[eid], by_owner.get(eid, []), options))
 
     # A solitary arrow is placed by its ordinal among all edges, Time included.
     for ordinal, (eid, edge) in enumerate(sorted(d.edges.items()), 1):
@@ -288,8 +290,7 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
         out.extend(_render_edge(num, eid, edge, ordinal, boxes, by_owner.get(eid, [])))
 
     # State-group token markers.
-    for gid in sorted(d.groups):
-        group = d.groups[gid]
+    for gid, group in sorted(d.groups.items()):
         marker = getattr(group, "marker", None)
         if marker and marker in boxes:
             b = boxes[marker]
@@ -304,16 +305,14 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
 
 def _render_element(
     num: _Numbers,
-    d: Diagram,
-    eid: str,
+    el: Element,
     box: _Box,
     attr_lines: list[str],
     options: RenderOptions,
 ) -> list[str]:
-    el = d.elements[eid]
     kind = el.kind
     shape = KIND_FACTS[kind].shape
-    out = [f'<g id="{_esc(eid)}" class="elem kind-{kind.value}">']
+    out = [f'<g id="{_esc(el.id)}" class="elem kind-{kind.value}">']
     fill = "none"
     if options.color and shape == "circle":
         role = getattr(el.payload, "props", {}).get("role")

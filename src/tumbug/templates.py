@@ -632,8 +632,9 @@ def run_trace(
         raise TraceError(f"iterations must be >= 1, not {iterations}")
     if not group.states:
         raise TraceError("state diagram has no states")
+    elements, edges = d.elements, d.edges
     succ: dict[str, list[str]] = {s: [] for s in group.states}
-    for tube in (d.edges[t] for t in group.tubes):
+    for tube in (edges[t] for t in group.tubes):
         if tube.source in succ and tube.target in succ:
             succ[tube.source].append(tube.target)
     succ = {s: sorted(set(targets)) for s, targets in succ.items()}
@@ -654,7 +655,7 @@ def run_trace(
             open_[nxt] = True
             stack.append((nxt, iter(succ[nxt])))
 
-    labels = {s: d.elements[s].label or s for s in group.states}
+    labels = {s: elements[s].label or s for s in group.states}
     repeats: dict[str, int] = {}  # loop header -> back edges taken since its entry
     current, trace = start, [labels[start]]
     while True:

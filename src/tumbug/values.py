@@ -49,6 +49,8 @@ __all__ = [
     "KEY_RE",
     "UNIT_RE",
     "OPERATORS",
+    "IllegalText",
+    "legal_text",
 ]
 
 
@@ -56,6 +58,28 @@ __all__ = [
 # unit tags, the names the DSL can write back unquoted.
 KEY_RE = re.compile(r"[A-Za-z0-9_.-]+")
 UNIT_RE = re.compile(r"[A-Za-z%][A-Za-z0-9_%/-]*")
+
+# The characters no text field may hold: the C0 controls but tab, newline and
+# carriage return, and U+FFFE and U+FFFF, which are no XML 1.0 characters; and
+# the surrogates, which have no UTF-8 form.
+_ILLEGAL_TEXT_RE = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
+class IllegalText(ValueError):
+    """A text holding a character that SVG or UTF-8 cannot carry."""
+
+
+def legal_text(s: str | None) -> str | None:
+    """s, unless it holds a character of _ILLEGAL_TEXT_RE: the one check of
+    every text field (labels, properties, Text values, meta values).  No such
+    character is printable, so most texts pass on str.isprintable alone; a
+    value that is no str raises TypeError."""
+    if s is None or str.isprintable(s):
+        return s
+    bad = _ILLEGAL_TEXT_RE.search(s)
+    if bad is not None:
+        raise IllegalText(f"text holds {bad.group()!r}, which SVG or UTF-8 cannot carry")
+    return s
 
 
 def fmt_num(x: float) -> str:
@@ -90,7 +114,7 @@ class Scalar(FrozenRecord):
 
 class Text(FrozenRecord):
     def __init__(self, value: str):
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", legal_text(value))
 
     # The inherited methods, spelled out for speed (see tumbug.Record).
     def __eq__(self, other):

@@ -372,7 +372,7 @@ def random_diagram(rng: random.Random) -> Diagram:
         d.bind_attribute(owner, AttributeBinding(f"attr{i}", random_value(rng)))
 
     if rng.random() < 0.4:
-        d.meta["title"] = random_text(rng)
+        d.set_meta("title", random_text(rng))
 
     issues = validate(d)
     assert issues == [], f"generator produced an invalid diagram: {issues}"

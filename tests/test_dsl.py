@@ -7,6 +7,7 @@ import random
 import re
 import sys
 import time
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from tumbug import dsl
 from tumbug.dsl import ParseError, SourceSpan, parse, serialize
 from tumbug.model import (
     AttributeBinding,
+    CAPayload,
     ConflictingDuplicate,
     Diagram,
     Edge,
@@ -24,10 +26,12 @@ from tumbug.model import (
     GroupKind,
     Kind,
     ModelError,
+    MotivationTrianglePayload,
     Position,
+    RobinsonIconPayload,
     SplitTimeGroup,
     StateDiagramGroup,
-    new_diagram,
+    SwirlyArrayPayload,
 )
 from tumbug.svg import render
 from tumbug.templates import build_syllogism
@@ -38,8 +42,10 @@ from tumbug.values import (
     FuzzyLabel,
     Range,
     Scalar,
+    IllegalText,
     Text,
     Wildcard,
+    legal_text,
 )
 
 from conftest import random_diagram
@@ -58,7 +64,7 @@ class TestParse:
 
     def test_empty_input(self):
         d = parse("")
-        assert d == new_diagram()
+        assert d == Diagram()
         assert serialize(d) == ""
 
     def test_comments_and_blanks(self):
@@ -182,7 +188,7 @@ class TestValueLiterals:
 
     def test_text_escapes(self):
         tricky = 'say "hi"\n\tback\\slash #x'
-        d = new_diagram()
+        d = Diagram()
         d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o"))
         d.bind_attribute("o", AttributeBinding("quote", Text(tricky)))
         text = serialize(d)
@@ -326,11 +332,33 @@ class TestGroupRecords:
                 "group g SplitTime members=t1 junction=x probs=z",
                 2, "trunk= and junction=", "missing keys",
             ),
+            # The model finds an unknown member, owner, trunk or junction; the
+            # fault is at the word that names it, a member before the owner.
             ("group g StateDiagram members=s1,ghost", 3, "existing member id", "ghost"),
             (
-                "group g StateDiagram zz=1 marker=s1 owner=ghost members=ghost",
-                6, "existing member id", "ghost",
+                "group g StateDiagram marker=s1 owner=ghost members=ghost",
+                5, "existing member id", "ghost",
             ),
+            ("group g StateDiagram members=s1 owner=ghost", 4, "existing member id", "ghost"),
+            (
+                "group g StateDiagram members=s1 marker=ghost owner=ghost",
+                5, "existing member id", "ghost",
+            ),
+            ("group g SplitTime members=ghost trunk=t0 junction=x", 3, "existing member id", "ghost"),
+            ("group g SplitTime members=t1,ghost trunk=t0 junction=x", 3, "existing member id", "ghost"),
+            ("group g SplitTime members=t1 trunk=ghost junction=x", 4, "existing member id", "ghost"),
+            ("group g SplitTime junction=o9 trunk=t0 members=t1", 3, "existing member id", "o9"),
+            ("group g SplitTime members=t1 trunk= junction=x", 4, "existing member id", ""),
+            # A stray key comes before any member.
+            (
+                "group g StateDiagram zz=1 marker=s1 owner=ghost members=ghost",
+                3, "StateDiagram group key", "zz",
+            ),
+            (
+                "group g StateDiagram members=s1 marker=a,b",
+                1, "insertable group", "marker 'a,b' is not an identifier",
+            ),
+            ("group s1 StateDiagram members=s2", 1, "insertable group", "s1"),
             ("group g StateDiagram members=s1 color=red", 4, "StateDiagram group key", "color"),
             ("group g StateDiagram members=s1 zz=1 aa=2", 5, "StateDiagram group key", "aa"),
             ("group g StateDiagram members=s1 probs=1", 4, "StateDiagram group key", "probs"),
@@ -353,18 +381,6 @@ class TestGroupRecords:
             (
                 "group g SplitTime members=t1 trunk=t0 junction=x probs=",
                 1, "legal probabilities", "one probability per branch required",
-            ),
-            (
-                "group g SplitTime members=t1 trunk=ghost junction=x",
-                1, "resolvable group members", "ghost",
-            ),
-            (
-                "group g SplitTime members=t1 trunk=t0 junction=o9",
-                1, "resolvable group members", "o9",
-            ),
-            (
-                "group g StateDiagram members=s1 owner=ghost",
-                1, "resolvable group members", "ghost",
             ),
             ("group g StateDiagram members", 3, 'key="value"', "members"),
             ("group g StateDiagram members=s1 members=s2", 4, "unique key", "members"),
@@ -390,7 +406,7 @@ class TestGroupRecords:
             ),
             (StateDiagramGroup(("s1",), marker="s1"), "group g StateDiagram members=s1 marker=s1"),
             (StateDiagramGroup(tubes=("u1",), owner="o1"), "group g StateDiagram members=u1 owner=o1"),
-            (SplitTimeGroup(), "group g SplitTime members= trunk= junction="),
+            (SplitTimeGroup("t0"), "group g SplitTime members= trunk=t0 junction="),
             (
                 SplitTimeGroup("t0", ("t1", "t2"), "x"),
                 "group g SplitTime members=t1,t2 trunk=t0 junction=x",
@@ -406,17 +422,18 @@ class TestGroupRecords:
         ],
     )
     def test_serialized_bytes(self, group, line):
-        d = new_diagram()
-        d.groups["g"] = group
-        assert serialize(d) == line + "\n"
+        d = parse(_GROUP_SCENE)
+        group.id = "g"
+        d.add_group(group)
+        assert serialize(d).splitlines()[-1] == line
 
 
 class TestUnwritableNames:
     def test_meta_key_outside_key_syntax_is_refused_by_name(self):
-        d = new_diagram()
-        d.meta["a b"] = "x"
-        with pytest.raises(ValueError, match="'a b'"):
-            serialize(d)
+        d = Diagram()
+        with pytest.raises(ModelError, match="'a b'"):
+            d.set_meta("a b", "x")
+        assert d == Diagram()
 
     def test_bad_attribute_name_is_the_models_error_at_the_token(self):
         text = 'elem o1 PhysicalObjectCircle\nattr o1 a/b="x"\n'
@@ -434,7 +451,7 @@ class TestSerializeCanonical:
 
     def test_insertion_order_does_not_matter(self):
         def build(reverse):
-            d = new_diagram()
+            d = Diagram()
             ids = ["b", "a", "c"] if reverse else ["c", "a", "b"]
             for eid in ids:
                 d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
@@ -444,21 +461,9 @@ class TestSerializeCanonical:
 
         assert serialize(build(False)) == serialize(build(True))
 
-    def test_an_unchecked_dangling_edge_is_outside_the_round_trip(self):
-        # The round trip covers diagrams built by parse and the checked
-        # writers; put_edge can build one whose text parse refuses.
-        d = new_diagram()
-        d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o1"))
-        d.put_edge(Edge(kind=EdgeKind.MOTION, source="o1", target="nowhere", id="m1"))
-        text = serialize(d)
-        assert text == "elem o1 PhysicalObjectCircle\nedge m1 Motion o1 -> nowhere\n"
-        with pytest.raises(ParseError) as err:
-            parse(text)
-        assert (err.value.span, err.value.expected) == (SourceSpan(2, 6, 7), "insertable edge")
-
     def test_canonical_ordering_sections(self):
-        d = new_diagram()
-        d.meta["title"] = "demo"
+        d = Diagram()
+        d.set_meta("title", "demo")
         d.add_element(Element(kind=Kind.AGGREGATION_BOX, id="zbox"))
         d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="a"), parent="zbox")
         d.add_edge(Edge(kind=EdgeKind.MOTION, source="a", id="m"))
@@ -468,14 +473,14 @@ class TestSerializeCanonical:
         assert keywords == ["meta", "elem", "elem", "contain", "edge", "attr"]
 
     def test_numbers_shortest_form(self):
-        d = new_diagram()
+        d = Diagram()
         d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o"))
         d.bind_attribute("o", AttributeBinding("n", Scalar(3.0)))
         assert 'attr o n=3' in serialize(d).splitlines()[-1]
 
     def test_int_and_float_numbers_print_alike(self):
         def build(x, y, w, h):
-            d = new_diagram()
+            d = Diagram()
             d.add_element(Element(kind=Kind.VERBATIM_BOX, position=Position(x, y, w, h), id="v"))
             return d
 
@@ -549,7 +554,7 @@ class TestOddButLegalInputs:
         assert serialize(d) == text
 
     def test_props_round_trip(self):
-        d = new_diagram()
+        d = Diagram()
         d.add_element(
             Element(
                 kind=Kind.ATTEND_RING,
@@ -1103,19 +1108,114 @@ def _unquote_outcome(unquote, raw: str):
 _LINE_BOUNDARIES = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
+def _illegal_chars(s: str) -> list[str]:
+    """The characters of s that XML 1.0 or UTF-8 cannot carry: C0 controls
+    but tab, newline and carriage return, U+FFFE, U+FFFF and surrogates."""
+    return [
+        c for c in s
+        if (c < " " and c not in "\t\n\r") or c in "\ufffe\uffff" or "\ud800" <= c <= "\udfff"
+    ]
+
+
+# Every text field of the model, each written with one text.
+_TEXT_FIELDS = {
+    "label": lambda s: GenericPayload(label=s),
+    "prop": lambda s: GenericPayload(props={"note": s}),
+    "Text": Text,
+    "meta": lambda s: Diagram().set_meta("title", s),
+    "ca-label": lambda s: CAPayload(label=s),
+    "triangle-label": lambda s: MotivationTrianglePayload(label=s),
+    "triangle-robinson": lambda s: MotivationTrianglePayload(robinson=s),
+    "icon-label": lambda s: RobinsonIconPayload(label=s),
+    "icon-subnode": lambda s: RobinsonIconPayload(subnode=s),
+    "icon-target": lambda s: RobinsonIconPayload(("Cathected",), cathected_target=s),
+    "swirly-label": lambda s: SwirlyArrayPayload(label=s),
+    "swirly-cell": lambda s: SwirlyArrayPayload(cells=((s, 0.0, 0.0),)),
+}
+_TEXT_ALPHABET = st.one_of(
+    st.sampled_from("ab \x00\x01\x08\t\n\x0b\r\x1f\x7f\x85\u2028\ud800\udfff\ufffd\ufffe\uffff"),
+    st.characters(),
+)
+
+
+class TestTextLegality:
+    @pytest.mark.parametrize("field", _TEXT_FIELDS)
+    def test_every_text_field_refuses_what_svg_or_utf8_cannot_carry(self, field):
+        for char in "\x00\x08\x0b\x0c\x0e\x1f\ud800\udfff\ufffe\uffff":
+            with pytest.raises(IllegalText):
+                _TEXT_FIELDS[field](f"a{char}b")
+        _TEXT_FIELDS[field]("a\t\n\r\x7f\x85\ufffdb")
+
+    def test_a_control_character_label_never_reaches_the_svg(self):
+        # Such a label once rendered SVG that XML parsers refuse.
+        with pytest.raises(IllegalText, match="x01"):
+            GenericPayload(label="a\x01b")
+
+    def test_a_surrogate_label_never_reaches_the_text(self):
+        # Such a label once serialized to text with no UTF-8 form.
+        with pytest.raises(IllegalText, match="ud800"):
+            GenericPayload(label="a\ud800b")
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.text(alphabet=_TEXT_ALPHABET, max_size=12))
+    def test_text_is_refused_or_carried_to_svg_and_utf8(self, s):
+        d = Diagram()
+        try:
+            payload = GenericPayload(label=s, props={"note": s})
+            d.set_meta("title", s)
+            d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, payload=payload, id="o1"))
+            d.bind_attribute("o1", AttributeBinding("note", Text(s)))
+        except IllegalText:
+            assert _illegal_chars(s)
+            return
+        assert not _illegal_chars(s)
+        text = serialize(d)
+        assert parse(text.encode("utf-8")) == d
+        ET.fromstring(render(d).encode("utf-8"))
+
+    @pytest.mark.parametrize(
+        "record, at",
+        [
+            ('meta title="a\\u0001b"', 1),
+            ('elem o1 PhysicalObjectCircle pos="1,2" label="a\x01b"', 4),
+            ('elem o1 PhysicalObjectCircle label="a\ud800b"', 3),
+            ('elem o1 PhysicalObjectCircle note="\\uFFFE"', 3),
+            ('elem o1 CAObjectCircle forced.w="\\"a\\\\u0001\\""', 3),
+            ('elem s1 SwirlyArray cells="c\x02:1:2"', 3),
+            ('elem o1 PhysicalObjectCircle\nattr o1 note="\\uffff"', 2),
+        ],
+    )
+    def test_parse_refuses_illegal_text_at_its_word(self, record, at):
+        with pytest.raises(ParseError) as err:
+            parse(record + "\n")
+        last = record.splitlines()[-1]
+        start = sum(len(word) + 1 for word in last.split()[:at]) + 1
+        span = SourceSpan(len(record.splitlines()), start, start + len(last.split()[at]) - 1)
+        assert (err.value.span, err.value.expected) == (span, "legal text")
+
+
 class TestQuotedStrings:
     @settings(max_examples=1000, deadline=None, database=None)
     @given(st.text(alphabet=st.one_of(st.sampled_from('"\\nrtuU0aF9g'), st.characters())))
     def test_fast_path_agrees_with_the_checked_loop(self, body):
+        # Both read the same text; _unquote alone then refuses illegal text.
         raw = f'"{body}"'
-        assert _unquote_outcome(dsl._unquote, raw) == _unquote_outcome(dsl._unescape, raw)
+        read, looped = _unquote_outcome(dsl._unquote, raw), _unquote_outcome(dsl._unescape, raw)
+        if read[:3] == ("error", 0, "legal text"):
+            with pytest.raises(IllegalText):
+                legal_text(looped)
+        else:
+            assert read == looped
 
     @settings(max_examples=500, deadline=None, database=None)
     @given(st.text(alphabet=st.one_of(st.sampled_from('"\\\n\r' + _LINE_BOUNDARIES), st.characters())))
     def test_quoted_text_is_one_line_and_reads_back(self, s):
         raw = dsl._quote(s)
         assert raw.splitlines() == [raw]
-        assert _unquote_outcome(dsl._unquote, raw) == s
+        if _illegal_chars(s):
+            assert _unquote_outcome(dsl._unquote, raw)[:3] == ("error", 0, "legal text")
+        else:
+            assert _unquote_outcome(dsl._unquote, raw) == s
 
     def test_line_boundaries_are_the_ones_splitlines_knows(self):
         every_char = "".join(map(chr, range(sys.maxunicode + 1)))
@@ -1123,11 +1223,12 @@ class TestQuotedStrings:
         ends = {line[-1] for line in every_char.splitlines(keepends=True)[:-1]}
         assert ends == set("\n\r" + _LINE_BOUNDARIES)
 
-    @pytest.mark.parametrize("char", _LINE_BOUNDARIES, ids=lambda c: f"U+{ord(c):04X}")
+    # The other line boundaries are C0 controls, which no text may hold.
+    @pytest.mark.parametrize("char", "\x85\u2028\u2029", ids=lambda c: f"U+{ord(c):04X}")
     def test_label_text_and_meta_round_trip(self, char):
         s = f"a{char}b"
-        d = new_diagram()
-        d.meta["title"] = s
+        d = Diagram()
+        d.set_meta("title", s)
         d.add_element(
             Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, payload=GenericPayload(label=s), id="o1")
         )
@@ -1149,8 +1250,11 @@ class TestQuotedStrings:
         assert serialize(d).endswith(' role="acted-upon"\n')
         with pytest.raises(ParseError) as err:
             parse(head + f'role="\\u{ord(char):04x}"\n')
-        assert err.value.expected == "insertable edge"
-        assert err.value.found == f"unknown force role {char!r}"
+        if _illegal_chars(char):
+            assert err.value.expected == "legal text"
+        else:
+            assert err.value.expected == "insertable edge"
+            assert err.value.found == f"unknown force role {char!r}"
 
     @pytest.mark.parametrize(
         "body", ["\\u", "\\u12", "\\u12x4", "\\uZZZZ", "\\u+123", "\\ud800", "\\uDFFF"]

@@ -46,7 +46,7 @@ from tumbug.values import Scalar, Text, Wildcard
 from conftest import random_diagram
 from test_templates import ACT_ROLES, PATTERN_LABELS
 
-GOLDEN_SHA256 = "c99be79e9a1238dd46f76741a01390d2a039b50eddfe2a10721613640a9fd8c8"
+GOLDEN_SHA256 = "1ad41527bf35ed18f3054b965d0a1b1b8f5fa7a445c2b92b7bff4dd56e512f72"
 
 
 def _template_diagrams() -> list[Diagram]:
@@ -164,8 +164,8 @@ def _layout_scene() -> Diagram:
 
 
 def _faulty_scene() -> Diagram:
-    """The layout scene plus faults written past the model's checks, so that
-    validate has a list of violations to report."""
+    """The layout scene plus faults that the model's writers let through, so
+    that validate has a list of violations to report."""
     d = _layout_scene()
     d.add_element(Element(kind=Kind.XOR_BOX, id="x3"))
     _circle(d, "x3a", parent="x3")
@@ -174,12 +174,11 @@ def _faulty_scene() -> Diagram:
     d.append_binding("mk", AttributeBinding("color", Text("red")))
     d.append_binding("o00", AttributeBinding("color", Text("blue")))
     d.append_binding("o00", AttributeBinding("color", Text("green")))
-    d.append_binding("ghost", AttributeBinding("color", Text("red")))
     d.append_binding("r1", AttributeBinding("strength", Scalar(1)))
-    d.put_edge(Edge(kind=EdgeKind.TIME, source="o01", id="t9"))
-    d.put_edge(Edge(kind=EdgeKind.FORCE, source="o02", target="o02", id="f9"))
-    d.put_edge(Edge(kind=EdgeKind.MOTION, target="nowhere", id="m9"))
-    d.containment["o09"] = "o08"
+    d.add_edge(Edge(kind=EdgeKind.TIME, source="o01", id="t9"))
+    d.add_edge(Edge(kind=EdgeKind.FORCE, source="o02", target="o02", id="f9"))
+    d.add_edge(Edge(kind=EdgeKind.MOTION, target="o03", id="m9"))
+    _circle(d, "v1b", parent="v1")
     return d
 
 

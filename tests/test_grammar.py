@@ -31,7 +31,6 @@ from tumbug.model import (
     SplitTimeGroup,
     StateDiagramGroup,
     UnknownOwner,
-    new_diagram,
 )
 from tumbug.values import Text, Wildcard
 
@@ -63,7 +62,7 @@ LEGAL_SHAPES = {
 
 def cell_diagram(shape: Shape, kind: EdgeKind) -> Diagram:
     """Minimal diagram exercising one legality-table cell."""
-    d = new_diagram()
+    d = Diagram()
     if shape is Shape.SOLITARY_NONQUAN:
         d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o1"))
         return d
@@ -143,7 +142,7 @@ class TestLegalityTable:
 
     def test_motion_self_loop_is_valid(self):
         # reflexive actions: a person washing themself
-        d = new_diagram()
+        d = Diagram()
         d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="me"))
         d.add_edge(Edge(kind=EdgeKind.MOTION, source="me", target="me", id="wash"))
         assert validate(d) == []
@@ -158,14 +157,14 @@ class TestLegalityTable:
 
 class TestOtherValidations:
     def test_attr_host_violation_reported(self):
-        d = new_diagram()
+        d = Diagram()
         d.add_element(Element(kind=Kind.MARKER_0D, id="m"))
         d.append_binding("m", AttributeBinding("color", Text("red")))
         codes = [v.code for v in validate(d)]
         assert codes == [ViolationCode.ATTR_HOST_ILLEGAL]
 
     def test_attr_conflict_reported(self):
-        d = new_diagram()
+        d = Diagram()
         d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o"))
         d.append_binding("o", AttributeBinding("color", Text("red")))
         d.append_binding("o", AttributeBinding("color", Text("blue")))
@@ -173,7 +172,7 @@ class TestOtherValidations:
         assert codes == [ViolationCode.ATTR_CONFLICT]
 
     def test_looser_box_inside_stricter_box(self):
-        d = new_diagram()
+        d = Diagram()
         v = d.add_element(Element(kind=Kind.VERBATIM_BOX, id="v"))
         d.add_element(
             Element(kind=Kind.DESCRIPTIVE_BOX, id="desc"), parent=v
@@ -183,27 +182,27 @@ class TestOtherValidations:
         assert ViolationCode.BOX_NESTING in codes
 
     def test_stricter_inside_looser_is_fine(self):
-        d = new_diagram()
+        d = Diagram()
         agg = d.add_element(Element(kind=Kind.AGGREGATION_BOX, id="agg"))
         d.add_element(Element(kind=Kind.DESCRIPTIVE_BOX, id="desc"), parent=agg)
         assert validate(d) == []
 
     def test_position_required_inside_verbatim(self):
-        d = new_diagram()
+        d = Diagram()
         v = d.add_element(Element(kind=Kind.VERBATIM_BOX, id="v"))
         d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o"), parent=v)
         codes = [x.code for x in validate(d)]
         assert codes == [ViolationCode.POSITION_REQUIRED]
 
     def test_xor_needs_two_alternatives(self):
-        d = new_diagram()
+        d = Diagram()
         x = d.add_element(Element(kind=Kind.XOR_BOX, id="x"))
         d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="only"), parent=x)
         codes = [v.code for v in validate(d)]
         assert codes == [ViolationCode.XOR_TOO_FEW]
 
     def test_xor_satisfied_by_split_branches(self):
-        d = new_diagram()
+        d = Diagram()
         d.add_element(Element(kind=Kind.XOR_BOX, id="x"))
         trunk = d.add_edge(Edge(kind=EdgeKind.TIME, id="t0"))
         b1 = d.add_edge(Edge(kind=EdgeKind.TIME, id="t1"))
@@ -212,7 +211,7 @@ class TestOtherValidations:
         assert validate(d) == []
 
     def test_state_group_rules(self):
-        d = new_diagram()
+        d = Diagram()
         s1 = d.add_element(Element(kind=Kind.STATE_CIRCLE, id="s1"))
         s2 = d.add_element(Element(kind=Kind.STATE_CIRCLE, id="s2"))
         outsider = d.add_element(Element(kind=Kind.STATE_CIRCLE, id="s3"))
@@ -225,7 +224,7 @@ class TestOtherValidations:
         assert ViolationCode.STATE_MARKER_MISPLACED in codes
 
     def test_marker_on_tube_is_in_transition(self):
-        d = new_diagram()
+        d = Diagram()
         s1 = d.add_element(Element(kind=Kind.STATE_CIRCLE, id="s1"))
         s2 = d.add_element(Element(kind=Kind.STATE_CIRCLE, id="s2"))
         tube = d.add_edge(Edge(kind=EdgeKind.TUBE, source=s1, target=s2, id="t"))
@@ -233,7 +232,7 @@ class TestOtherValidations:
         assert validate(d) == []
 
     def test_attend_ring_needs_data_motion(self):
-        d = new_diagram()
+        d = Diagram()
         mover = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o"))
         cargo = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="rock"))
         m = d.add_edge(Edge(kind=EdgeKind.MOTION, source=mover, id="m"))
@@ -245,7 +244,7 @@ class TestOtherValidations:
         assert codes == [ViolationCode.ATTEND_NOT_DATA]
 
     def test_attend_ring_on_data_motion_is_clean(self):
-        d = new_diagram()
+        d = Diagram()
         mover = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o"))
         msg = d.add_element(Element(kind=Kind.DATA_OBJECT_CIRCLE, id="msg"))
         m = d.add_edge(Edge(kind=EdgeKind.MOTION, source=mover, id="m"))
@@ -254,12 +253,6 @@ class TestOtherValidations:
             Element(kind=Kind.ATTEND_RING, payload=GenericPayload(props={"edge": m}), id="ring")
         )
         assert validate(d) == []
-
-    def test_unknown_edge_endpoint_is_a_violation_when_hand_built(self):
-        d = new_diagram()
-        d.put_edge(Edge(kind=EdgeKind.MOTION, source="ghost", id="e"))
-        codes = {v.code for v in validate(d)}
-        assert ViolationCode.UNKNOWN_REF in codes
 
     def test_validate_is_idempotent_and_pure(self):
         rng = random.Random(77)
@@ -336,7 +329,7 @@ class TestGeneralize:
 
 class TestResolveQuery:
     def make_cars(self):
-        d = new_diagram()
+        d = Diagram()
         car = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, payload=GenericPayload(label="Bobs car"), id="car"))
         d.bind_attribute(car, AttributeBinding("color", Text("red")))
         return d
@@ -355,7 +348,7 @@ class TestResolveQuery:
         assert resolve_query(d, "car", "weight") is Wildcard.DK
 
     def test_one_relationship_hop(self):
-        d = new_diagram()
+        d = Diagram()
         grace = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="grace"))
         sweater = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="sweater"))
         d.bind_attribute(sweater, AttributeBinding("clothing-type", Text("sweater")))
@@ -363,7 +356,7 @@ class TestResolveQuery:
         assert resolve_query(d, "grace", "clothing-type") == Text("sweater")
 
     def test_lowest_edge_id_wins_between_competing_hops(self):
-        d = new_diagram()
+        d = Diagram()
         for eid in ("grace", "jacket", "sweater", "scarf"):
             d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
         d.bind_attribute("jacket", AttributeBinding("clothing-type", Text("jacket")))

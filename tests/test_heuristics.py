@@ -14,7 +14,7 @@ from tumbug.heuristics import (
     parse_rules,
     requirements_for,
 )
-from tumbug.model import Edge, EdgeKind, Element, Kind, new_diagram
+from tumbug.model import Diagram, Edge, EdgeKind, Element, Kind
 from tumbug.templates import PrimitiveAct, build_primitive
 
 from conftest import random_diagram
@@ -67,7 +67,7 @@ def test_advisory_never_duplicates_mandatory():
 
 def test_check_against_throw_down_diagram():
     # throwing something straight down: gravity plus motion
-    d = new_diagram()
+    d = Diagram()
     d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="tom"))
     d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="bag"))
     d.add_edge(Edge(kind=EdgeKind.MOTION, source="tom", target="bag", id="m"))
@@ -80,14 +80,14 @@ def test_check_against_throw_down_diagram():
 
 def test_check_empty_diagram_misses_causation():
     req = requirements_for({Trigger(TriggerTag.CAUSAL_CONNECTIVE, "because")})
-    report = check(new_diagram(), req)
+    report = check(Diagram(), req)
     assert not report.ok
     assert report.missing == ("CausationArrow",)
 
 
 def test_anybox_satisfied_by_any_location_box():
     for kind in (Kind.VERBATIM_BOX, Kind.DESCRIPTIVE_BOX, Kind.AGGREGATION_BOX, Kind.XOR_BOX):
-        d = new_diagram()
+        d = Diagram()
         d.add_element(Element(kind=kind))
         report = check(d, Requirement(mandatory=frozenset({"AnyBox"})))
         assert report.ok, kind

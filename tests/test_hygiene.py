@@ -277,7 +277,10 @@ def test_no_module_calls_the_scanning_queries():
     assert _users(_calls("bindings_of")) == [] and _users(_calls("children_of")) == []
 
 
-_DIAGRAM_STORAGE = {"_edges", "_bindings", "_first", "_conflicting", "_hops"}
+_DIAGRAM_STORAGE = {
+    "_elements", "_containment", "_edges", "_groups", "_bindings", "_meta",
+    "_first", "_conflicting", "_hops",
+}
 
 
 def _storage_reads(tree: ast.AST) -> list[str]:
@@ -293,8 +296,8 @@ def _storage_reads(tree: ast.AST) -> list[str]:
     ids=lambda p: f"{p.parent.name}/{p.name}",
 )
 def test_only_the_model_touches_the_diagram_storage(path):
-    # Diagram's writers keep its indices; elsewhere edges and bindings are
-    # read-only views, and the unchecked writers are put_edge and append_binding.
+    # Diagram's writers keep its containers and indices; elsewhere every
+    # container is a read-only view.
     assert _storage_reads(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 

@@ -28,6 +28,7 @@ from tumbug.model import (
     InvalidId,
     InvalidPayload,
     Kind,
+    ModelError,
     MotivationTrianglePayload,
     ParentNotContainer,
     PayloadMismatch,
@@ -40,7 +41,6 @@ from tumbug.model import (
     UnknownMember,
     UnknownOwner,
     UnknownParent,
-    new_diagram,
     payload_type,
 )
 from tumbug.dsl import ParseError, parse, serialize
@@ -51,21 +51,21 @@ from conftest import random_diagram
 
 
 def test_new_diagram_is_empty():
-    d = new_diagram()
+    d = Diagram()
     assert d.elements == {}
     assert d.edges == {}
     assert d.bindings == ()
 
 
 def test_solitary_element_is_fine():
-    d = new_diagram()
+    d = Diagram()
     d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE))
     assert len(d.elements) == 1
 
 
 def test_add_thousand_elements_count():
     rng = random.Random(0)
-    d = new_diagram()
+    d = Diagram()
     kinds = list(Kind)
     for i in range(1000):
         kind = rng.choice(kinds)
@@ -192,13 +192,13 @@ class TestPayloadInvariants:
 
 class TestContainment:
     def test_circle_into_aggregation_box(self):
-        d = new_diagram()
+        d = Diagram()
         box = d.add_element(Element(kind=Kind.AGGREGATION_BOX))
         member = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE), parent=box)
         assert d.containment[member] == box
 
     def test_parent_must_be_container(self):
-        d = new_diagram()
+        d = Diagram()
         host = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE))
         with pytest.raises(ParentNotContainer):
             d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE), parent=host)
@@ -207,18 +207,18 @@ class TestContainment:
             d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE), parent=state)
 
     def test_unknown_parent(self):
-        d = new_diagram()
+        d = Diagram()
         with pytest.raises(UnknownParent):
             d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE), parent="ghost")
 
     def test_descriptive_inside_aggregation_constructs(self):
         # legal at construction; the validator decides about direction later
-        d = new_diagram()
+        d = Diagram()
         outer = d.add_element(Element(kind=Kind.AGGREGATION_BOX))
         d.add_element(Element(kind=Kind.DESCRIPTIVE_BOX), parent=outer)
 
     def test_cycle_rejected(self):
-        d = new_diagram()
+        d = Diagram()
         a = d.add_element(Element(kind=Kind.AGGREGATION_BOX, id="a"))
         b = d.add_element(Element(kind=Kind.AGGREGATION_BOX, id="b"), parent=a)
         c = d.add_element(Element(kind=Kind.AGGREGATION_BOX, id="c"), parent=b)
@@ -230,7 +230,7 @@ class TestContainment:
     def test_random_insertions_never_build_cycles(self):
         rng = random.Random(17)
         for _ in range(50):
-            d = new_diagram()
+            d = Diagram()
             boxes = [d.add_element(Element(kind=Kind.AGGREGATION_BOX, id=f"b{i}")) for i in range(8)]
             for _ in range(30):
                 child, parent = rng.choice(boxes), rng.choice(boxes)
@@ -249,7 +249,7 @@ class TestContainment:
 
 class TestEdgesAndIds:
     def test_duplicate_ids_rejected(self):
-        d = new_diagram()
+        d = Diagram()
         d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="x"))
         with pytest.raises(DuplicateId):
             d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="x"))
@@ -257,56 +257,56 @@ class TestEdgesAndIds:
             d.add_edge(Edge(kind=EdgeKind.MOTION, id="x"))
 
     def test_auto_ids_are_fresh(self):
-        d = new_diagram()
+        d = Diagram()
         first = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE))
         second = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE))
         assert first != second
 
     def test_edge_endpoints_must_exist(self):
-        d = new_diagram()
+        d = Diagram()
         with pytest.raises(UnknownEndpoint):
             d.add_edge(Edge(kind=EdgeKind.MOTION, source="nope"))
 
     def test_group_members_must_exist(self):
-        d = new_diagram()
+        d = Diagram()
         with pytest.raises(UnknownMember):
             d.add_group(StateDiagramGroup(states=("ghost",)))
 
 
 class TestBindAttribute:
     def test_bind_on_circle(self):
-        d = new_diagram()
+        d = Diagram()
         fox = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE))
         d.bind_attribute(fox, AttributeBinding("speed", Text("quick")))
         assert d.binding_value(fox, "speed") == Text("quick")
 
     def test_bind_on_change_arrow(self):
-        d = new_diagram()
+        d = Diagram()
         m = d.add_edge(Edge(kind=EdgeKind.MOTION))
         d.bind_attribute(m, AttributeBinding("speed", Text("fast")))
         assert d.binding_value(m, "speed") == Text("fast")
 
     def test_marker_cannot_host(self):
-        d = new_diagram()
+        d = Diagram()
         marker = d.add_element(Element(kind=Kind.MARKER_0D))
         with pytest.raises(IllegalAttributeHost):
             d.bind_attribute(marker, AttributeBinding("color", Text("red")))
 
     def test_tube_cannot_host(self):
-        d = new_diagram()
+        d = Diagram()
         t = d.add_edge(Edge(kind=EdgeKind.TUBE))
         with pytest.raises(IllegalAttributeHost):
             d.bind_attribute(t, AttributeBinding("speed", Text("fast")))
 
     def test_unknown_owner(self):
-        d = new_diagram()
+        d = Diagram()
         with pytest.raises(UnknownOwner):
             d.bind_attribute("ghost", AttributeBinding("a", Scalar(1)))
         with pytest.raises(UnknownOwner):
             d.host_problem("ghost", "a")
 
     def test_host_problem_is_the_refusal_text(self):
-        d = new_diagram()
+        d = Diagram()
         fox = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE))
         mk = d.add_element(Element(kind=Kind.MARKER_0D))
         m = d.add_edge(Edge(kind=EdgeKind.MOTION))
@@ -322,12 +322,12 @@ class TestBindAttribute:
         assert d.bindings == ()
 
     def test_weight_dk_is_legal(self):
-        d = new_diagram()
+        d = Diagram()
         o = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE))
         d.bind_attribute(o, AttributeBinding("weight", Wildcard.DK))
 
     def test_conflicting_duplicate(self):
-        d = new_diagram()
+        d = Diagram()
         o = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE))
         d.bind_attribute(o, AttributeBinding("color", Text("red")))
         d.bind_attribute(o, AttributeBinding("color", Text("red")))  # identical ok
@@ -439,7 +439,7 @@ def test_kind_facts_table_has_one_row_per_kind_and_keeps_every_derived_fact():
 
 @pytest.mark.parametrize("bad", ["a b", "", "x.y", 'q"', "a\n", "é"])
 def test_ids_outside_identifier_syntax_are_rejected(bad):
-    d = new_diagram()
+    d = Diagram()
     with pytest.raises(InvalidId):
         d.add_element(Element(kind=Kind.CELL, id=bad))
     d.add_element(Element(kind=Kind.CELL, id="ok_1-2"))
@@ -453,7 +453,7 @@ def test_ids_outside_identifier_syntax_are_rejected(bad):
 class TestNamesTheDslCanWriteBack:
     @pytest.mark.parametrize("bad", ["a b", "", 'q"', "a=b", "a,b"])
     def test_attribute_names_are_keys(self, bad):
-        d = new_diagram()
+        d = Diagram()
         d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o1"))
         with pytest.raises(InvalidPayload):
             d.bind_attribute("o1", AttributeBinding(bad, Text("x")))
@@ -502,7 +502,7 @@ class TestFreshIds:
     @settings(max_examples=300, deadline=None, database=None)
     @given(_INSERTS)
     def test_fresh_ids_match_the_naive_probe(self, inserts):
-        d = new_diagram()
+        d = Diagram()
         for prefix, explicit, fails in inserts:
             if prefix == "n":
                 item = Element(kind=Kind.CELL, id=explicit)
@@ -525,7 +525,7 @@ class TestFreshIds:
                 assert item.id == expected
 
     def test_8000_fresh_inserts_take_under_a_second(self):
-        d = new_diagram()
+        d = Diagram()
         start = time.perf_counter()
         for _ in range(8000):
             d.add_element(Element(kind=Kind.CELL))
@@ -534,7 +534,7 @@ class TestFreshIds:
 
 
 def test_16000_binds_on_one_owner_take_under_half_a_second():
-    d = new_diagram()
+    d = Diagram()
     o = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE))
     start = time.perf_counter()
     for i in range(8000):
@@ -546,7 +546,7 @@ def test_16000_binds_on_one_owner_take_under_half_a_second():
 
 def test_queries_on_every_owner_of_a_4000_link_chain_take_under_half_a_second():
     # Each owner says nothing, so each query follows its one Relationship hop.
-    d = new_diagram()
+    d = Diagram()
     ids = [d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE)) for _ in range(4001)]
     for source, target in zip(ids, ids[1:]):
         d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source=source, target=target))
@@ -559,10 +559,11 @@ def test_queries_on_every_owner_of_a_4000_link_chain_take_under_half_a_second():
 
 # The binding index against a linear scan.  r1 is the Relationship hop that
 # resolve_query follows from o1 to o2; Scalar(1) and Scalar(1.0) are equal
-# values held by distinct objects.  append_binding also reaches owners that
-# bind_attribute refuses: a ghost, a 0D marker and the Relationship edge.
+# values held by distinct objects.  append_binding also reaches hosts that
+# bind_attribute refuses, a 0D marker and the Relationship edge; both refuse
+# a ghost.
 _OWNERS = ("o1", "o2", "m1")
-_UNCHECKED_OWNERS = ("ghost", "mk", "r1")
+_UNCHECKED_OWNERS = ("mk", "r1")
 _ATTRIBUTES = ("color", "speed")
 _BOUND = (Text("red"), Text("blue"), Scalar(1), Scalar(1.0), Wildcard.DK)
 _HOPS = {"o1": "o2"}
@@ -603,11 +604,11 @@ class BindingIndexMachine(RuleBasedStateMachine):
     """Writes through bind_attribute and append_binding, mirrored into a
     reference list, and after each one, bind_attribute, binding_value,
     conflicting_bindings and resolve_query compared with a scan of that
-    list."""
+    list, and the diagram's text parsed back."""
 
     def __init__(self):
         super().__init__()
-        self.d = new_diagram()
+        self.d = Diagram()
         for eid in ("o1", "o2"):
             self.d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
         self.d.add_element(Element(kind=Kind.MARKER_0D, id="mk"))
@@ -633,14 +634,20 @@ class BindingIndexMachine(RuleBasedStateMachine):
 
     @rule(pair=_ANY_PAIRS)
     def append_unchecked(self, pair):
-        """Any owner, host or value, conflicting ones included."""
+        """Any host or value, conflicting ones included."""
         self.d.append_binding(*pair)
         self.ref.append(pair)
 
     @rule(pair=st.tuples(st.sampled_from(_UNCHECKED_OWNERS), _BINDINGS))
     def bind_is_refused_where_append_is_not(self, pair):
-        with pytest.raises(UnknownOwner if pair[0] == "ghost" else IllegalAttributeHost):
+        with pytest.raises(IllegalAttributeHost):
             self.d.bind_attribute(*pair)
+
+    @rule(binding=_BINDINGS)
+    def both_refuse_a_ghost(self, binding):
+        for write in (self.d.bind_attribute, self.d.append_binding):
+            with pytest.raises(UnknownOwner):
+                write("ghost", binding)
 
     @invariant()
     def agrees_with_a_scan(self):
@@ -651,9 +658,8 @@ class BindingIndexMachine(RuleBasedStateMachine):
             for attribute in _ATTRIBUTES:
                 bound = _scan(self.ref, owner, attribute)
                 assert self.d.binding_value(owner, attribute) == (bound[0] if bound else None)
-                if owner != "ghost":
-                    answer = bound or _scan(self.ref, _HOPS.get(owner), attribute) or [Wildcard.DK]
-                    assert resolve_query(self.d, owner, attribute) == answer[0]
+                answer = bound or _scan(self.ref, _HOPS.get(owner), attribute) or [Wildcard.DK]
+                assert resolve_query(self.d, owner, attribute) == answer[0]
         for owner in _OWNERS:
             for attribute in _ATTRIBUTES:
                 for value in _BOUND:
@@ -666,13 +672,7 @@ class BindingIndexMachine(RuleBasedStateMachine):
                         probe_ref.append(pair)
         assert self.d.conflicting_bindings() == _conflicting_keys(self.ref)
         assert probe.conflicting_bindings() == _conflicting_keys(probe_ref)
-        # The parser refuses an owner that names nothing; every other
-        # diagram comes back equal.
-        if any(owner == "ghost" for owner, _ in self.ref):
-            with pytest.raises(ParseError, match="existing owner"):
-                parse(serialize(self.d))
-        else:
-            assert parse(serialize(self.d)) == self.d
+        assert parse(serialize(self.d)) == self.d
 
 
 BindingIndexMachine.TestCase.settings = settings(
@@ -684,7 +684,7 @@ TestBindingIndex = BindingIndexMachine.TestCase
 # The Relationship-hop index against a scan of a reference dict of the edges.
 # o1 and o5 are bound to nothing and the others to some attributes, so an
 # answer may come from the owner, from one of its hops in id order, or be DK.
-# put_edge also reaches a ghost endpoint, which hops may leave or point to.
+# An edge with a ghost endpoint is refused and leaves no hop.
 _ENDS = ("o1", "o2", "o3", "o4", "o5")
 _HOP_BINDINGS = (("o2", "color", Text("red")), ("o3", "color", Text("blue")),
                  ("o3", "speed", Scalar(1)), ("o4", "speed", Scalar(2)))
@@ -695,22 +695,26 @@ _EDGES = st.builds(
     st.sampled_from(_ENDS),
     st.sampled_from((*_ENDS, None)),
 )
+_ANY_END = st.sampled_from((*_ENDS, "ghost", None))
 _DANGLING_EDGES = st.builds(
-    lambda kind, source, target: Edge(kind=kind, source=source, target=target),
+    lambda kind, source, target, ghost_end: Edge(
+        kind=kind, **{"source": source, "target": target, ghost_end: "ghost"}
+    ),
     _EDGE_KINDS,
-    st.sampled_from((*_ENDS, "ghost", None)),
-    st.sampled_from((*_ENDS, "ghost", None)),
+    _ANY_END,
+    _ANY_END,
+    st.sampled_from(("source", "target")),
 )
 
 
 class HopIndexMachine(RuleBasedStateMachine):
-    """Writes through add_edge and put_edge, mirrored into a reference dict,
-    and after each one, relationship_hops, resolve_query and the new edges'
-    bindings compared with a scan."""
+    """Writes through add_edge, mirrored into a reference dict, and after
+    each one, relationship_hops, resolve_query and the new edges' bindings
+    compared with a scan, and the diagram's text parsed back."""
 
     def __init__(self):
         super().__init__()
-        self.d = new_diagram()
+        self.d = Diagram()
         for eid in _ENDS:
             self.d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
         for owner, attribute, value in _HOP_BINDINGS:
@@ -748,16 +752,16 @@ class HopIndexMachine(RuleBasedStateMachine):
             return
 
     @rule(edge=_DANGLING_EDGES)
-    def put_edge(self, edge):
-        edge.id = self._new_id()
-        self.ref[self.d.put_edge(edge)] = edge
+    def add_a_dangling_edge(self, edge):
+        with pytest.raises(UnknownEndpoint):
+            self.d.add_edge(edge)
 
     @precondition(lambda self: self.ref)
-    @rule(data=st.data(), edge=_DANGLING_EDGES)
-    def put_over_a_taken_id(self, data, edge):
+    @rule(data=st.data(), edge=_EDGES)
+    def add_over_a_taken_id(self, data, edge):
         edge.id = data.draw(st.sampled_from(list(self.ref)))
         with pytest.raises(DuplicateId):
-            self.d.put_edge(edge)
+            self.d.add_edge(edge)
 
     @invariant()
     def agrees_with_a_scan(self):
@@ -781,6 +785,7 @@ class HopIndexMachine(RuleBasedStateMachine):
                 bound_here = _scan(self.edge_bindings, eid, attribute)
                 assert self.d.binding_value(eid, attribute) == next(iter(bound_here), None)
         assert self.d.conflicting_bindings() == []
+        assert parse(serialize(self.d)) == self.d
 
 
 HopIndexMachine.TestCase.settings = settings(
@@ -794,7 +799,7 @@ class TestOneWriterPerContainer:
         # Hops indexed over r1 (Relationship a -> b) and m1.  Deleting r1 and
         # putting m1 back last once left relationship_hops("a") == ["r1"], and
         # resolve_query raised KeyError: 'r1'.  Now the first write is refused.
-        d = new_diagram()
+        d = Diagram()
         for eid in ("a", "b", "c"):
             d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
         d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="a", target="b", id="r1"))
@@ -812,15 +817,42 @@ class TestOneWriterPerContainer:
         assert d.relationship_hops("a") == ["r1"]
         assert resolve_query(d, "a", "color") is Wildcard.DK
 
-    def test_put_edge_indexes_a_relationship_whose_target_dangles(self):
-        d = new_diagram()
-        d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="a"))
-        d.put_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="a", target="ghost", id="r1"))
-        assert d.relationship_hops("a") == ["r1"]
-        assert resolve_query(d, "a", "color") is Wildcard.DK
-        with pytest.raises(DuplicateId):
-            d.put_edge(Edge(kind=EdgeKind.MOTION, id="r1"))
-        assert d.edges["r1"].kind is EdgeKind.RELATIONSHIP
+    @pytest.mark.parametrize("view", ["elements", "containment", "edges", "groups", "meta"])
+    def test_every_view_refuses_assignment_and_deletion(self, view):
+        d = Diagram()
+        d.add_element(Element(kind=Kind.AGGREGATION_BOX, id="box"))
+        d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="a"), parent="box")
+        d.add_edge(Edge(kind=EdgeKind.TIME, id="t"))
+        d.add_group(SplitTimeGroup(trunk="t", id="g"))
+        d.set_meta("title", "x")
+        before = copy.deepcopy(d)
+        key = next(iter(getattr(d, view)))
+        with pytest.raises(TypeError):
+            getattr(d, view)[key] = getattr(d, view)[key]
+        with pytest.raises(TypeError):
+            del getattr(d, view)[key]
+        with pytest.raises(AttributeError):
+            setattr(d, view, {})
+        assert d == before
+
+    def test_append_binding_refuses_an_owner_that_names_nothing(self):
+        # It once appended the pair, and the diagram's text did not parse.
+        d = _refusal_scene()
+        before = copy.deepcopy(d)
+        with pytest.raises(UnknownOwner):
+            d.append_binding("ghost", AttributeBinding("color", Text("red")))
+        assert d == before and d.binding_value("ghost", "color") is None
+        assert d.conflicting_bindings() == []
+
+    def test_set_meta_is_the_one_meta_writer(self):
+        d = Diagram()
+        d.set_meta("title", "first")
+        d.set_meta("title", "second")
+        assert dict(d.meta) == {"title": "second"}
+        for key in ("a b", "", "x=y", "é"):
+            with pytest.raises(ModelError, match="is not a key the DSL can write"):
+                d.set_meta(key, "x")
+        assert dict(d.meta) == {"title": "second"}
 
     def test_the_constructor_takes_no_containers(self):
         for name in ("elements", "containment", "edges", "groups", "bindings", "meta"):
@@ -828,7 +860,7 @@ class TestOneWriterPerContainer:
                 Diagram(**{name: {}})
 
     def test_copies_answer_like_the_original_and_stay_apart(self):
-        d = new_diagram()
+        d = Diagram()
         for eid in ("a", "b"):
             d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
         d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="a", target="b", id="r1"))
@@ -850,7 +882,7 @@ class TestOneWriterPerContainer:
 
 
 def _refusal_scene() -> Diagram:
-    d = new_diagram()
+    d = Diagram()
     for eid in ("o1", "o2"):
         d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
     d.add_element(Element(kind=Kind.CELL, id="c1"))
@@ -898,6 +930,10 @@ class TestRefusedWritesLeaveNoTrace:
             pytest.param(
                 lambda d, g: d.add_group(g), SplitTimeGroup("r0", ("ghost",), ""),
                 UnknownMember, id="split-time-branch",
+            ),
+            pytest.param(
+                lambda d, g: d.add_group(g), StateDiagramGroup(states=("o1",), marker="o 1"),
+                InvalidId, id="group-marker",
             ),
         ],
     )

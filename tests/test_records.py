@@ -152,9 +152,9 @@ SAMPLES = [
     ),
     (
         grammar.Violation, True, ("code", "ids", "message"),
-        (ViolationCode.UNKNOWN_REF, ("n1", "n2"), "no such id"),
-        "Violation(code=<ViolationCode.UNKNOWN_REF: 'UNKNOWN_REF'>, ids=('n1', 'n2'), "
-        "message='no such id')",
+        (ViolationCode.BOX_NESTING, ("n1", "n2"), "looser box"),
+        "Violation(code=<ViolationCode.BOX_NESTING: 'BOX_NESTING'>, ids=('n1', 'n2'), "
+        "message='looser box')",
         ("message", "other"),
     ),
     (
@@ -356,7 +356,7 @@ def test_copies_compare_equal(sample, clone):
 
 
 def _diagram():
-    d = model.new_diagram()
+    d = model.Diagram()
     d.add_element(model.Element(Kind.PHYSICAL_OBJECT_CIRCLE, model.GenericPayload("fox"), id="n1"))
     d.bind_attribute("n1", model.AttributeBinding("color", Text("red")))
     return d
@@ -377,7 +377,7 @@ def test_diagram_repr_shows_its_public_and_stored_fields():
 def test_diagram_equality_hash_and_construction():
     a, b = _diagram(), _diagram()
     assert a == b and not a != b
-    b.meta["title"] = "t"
+    b.set_meta("title", "t")
     assert a != b and not a == b
     assert model.Diagram.__eq__(a, object()) is NotImplemented
     with pytest.raises(TypeError):

@@ -10,12 +10,12 @@ from tumbug.dsl import parse, serialize
 from tumbug.grammar import validate
 from tumbug.model import (
     AttributeBinding,
+    Diagram,
     Edge,
     EdgeKind,
     Element,
     GenericPayload,
     Kind,
-    new_diagram,
 )
 from tumbug import svg
 from tumbug.svg import InvalidDiagram, RenderOptions, render
@@ -25,7 +25,7 @@ from conftest import random_diagram
 
 
 def fox_diagram():
-    d = new_diagram()
+    d = Diagram()
     d.add_element(
         Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, payload=GenericPayload(label="fox"), id="o1")
     )
@@ -43,7 +43,7 @@ def test_fox_has_circle_and_three_texts():
 
 
 def test_empty_diagram_renders():
-    svg = render(new_diagram())
+    svg = render(Diagram())
     assert svg.startswith("<?xml")
     assert "<svg" in svg and svg.rstrip().endswith("</svg>")
 
@@ -58,7 +58,7 @@ def test_deterministic_output():
 
 
 def _bound_in_order(names):
-    d = new_diagram()
+    d = Diagram()
     for eid in ("o1", "o2"):
         d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
     d.add_edge(Edge(kind=EdgeKind.MOTION, source="o1", target="o2", id="m1"))
@@ -77,7 +77,7 @@ def test_equal_diagrams_render_alike():
 
 
 def test_invalid_diagram_refused():
-    d = new_diagram()
+    d = Diagram()
     d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o1"))
     d.add_edge(Edge(kind=EdgeKind.TIME, source="o1", id="t1"))
     with pytest.raises(InvalidDiagram) as err:
@@ -96,7 +96,7 @@ def test_every_element_id_appears_exactly_once():
 
 
 def test_time_arrow_conventions():
-    d = new_diagram()
+    d = Diagram()
     d.add_edge(Edge(kind=EdgeKind.TIME, id="t"))
     svg = render(d)
     assert ">0</text>" in svg  # the "now" tick label
@@ -104,13 +104,13 @@ def test_time_arrow_conventions():
 
 
 def test_float_canvas_sizes_render_the_integer_bytes():
-    d = new_diagram()
+    d = Diagram()
     d.add_edge(Edge(kind=EdgeKind.TIME, id="t"))
     assert render(d, RenderOptions(width=960.0, height=640.0)) == render(d)
 
 
 def test_data_circle_dotted_vs_solid():
-    d = new_diagram()
+    d = Diagram()
     d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="p"))
     d.add_element(Element(kind=Kind.DATA_OBJECT_CIRCLE, id="q"))
     svg = render(d)
@@ -121,7 +121,7 @@ def test_data_circle_dotted_vs_solid():
 
 
 def test_hatch_directions():
-    d = new_diagram()
+    d = Diagram()
     d.add_element(Element(kind=Kind.SENSOR_BAR, id="sb"))
     d.add_element(Element(kind=Kind.MARKER_2D, id="m2"))
     svg = render(d)
@@ -132,7 +132,7 @@ def test_hatch_directions():
 
 
 def test_relationship_marker_dotted_with_centered_arrowhead():
-    d = new_diagram()
+    d = Diagram()
     d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="a"))
     d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="b"))
     d.add_edge(Edge(kind=EdgeKind.RELATIONSHIP, source="a", target="b", id="r"))
@@ -143,7 +143,7 @@ def test_relationship_marker_dotted_with_centered_arrowhead():
 
 
 def test_verbatim_double_border_descriptive_single():
-    d = new_diagram()
+    d = Diagram()
     d.add_element(Element(kind=Kind.VERBATIM_BOX, id="v"))
     d.add_element(Element(kind=Kind.DESCRIPTIVE_BOX, id="dsc"))
     svg = render(d)
@@ -159,7 +159,7 @@ def test_options_validation():
 
 
 def test_zoom_box_pair_draws_two_panes():
-    d = new_diagram()
+    d = Diagram()
     d.add_element(Element(kind=Kind.ZOOM_BOX_PAIR, id="z"))
     svg = render(d)
     chunk = svg[svg.index('id="z"') :].split("</g>")[0]
@@ -167,7 +167,7 @@ def test_zoom_box_pair_draws_two_panes():
 
 
 def test_color_coding_is_optional():
-    d = new_diagram()
+    d = Diagram()
     d.add_element(
         Element(
             kind=Kind.PHYSICAL_OBJECT_CIRCLE,
@@ -182,7 +182,7 @@ def test_color_coding_is_optional():
 
 
 def test_positions_honored_inside_verbatim():
-    d = new_diagram()
+    d = Diagram()
     d.add_element(Element(kind=Kind.VERBATIM_BOX, id="v"))
     from tumbug.model import Position
 
@@ -197,7 +197,7 @@ def test_positions_honored_inside_verbatim():
 def test_deep_containment_chain_renders():
     # Deeper than Python's recursion limit: layout walks with explicit stacks.
     depth = 2000
-    d = new_diagram()
+    d = Diagram()
     d.add_element(Element(kind=Kind.AGGREGATION_BOX, id="b0"))
     for i in range(1, depth):
         d.add_element(Element(kind=Kind.AGGREGATION_BOX, id=f"b{i}"), parent=f"b{i - 1}")
@@ -214,7 +214,7 @@ def test_deep_containment_chain_renders():
 def test_deep_containment_validates_and_renders_in_linear_time():
     # Walking every element up to its root made a 4,000-deep chain take
     # seconds; the cycle rule and the draw order now visit each element once.
-    d = new_diagram()
+    d = Diagram()
     d.add_element(Element(kind=Kind.AGGREGATION_BOX, id="b0"))
     for i in range(1, 4000):
         d.add_element(Element(kind=Kind.AGGREGATION_BOX, id=f"b{i}"), parent=f"b{i - 1}")
@@ -262,7 +262,7 @@ def test_each_distinct_number_is_formatted_once_per_render(monkeypatch):
 
 
 def test_a_refused_render_enables_the_collector_again():
-    d = new_diagram()
+    d = Diagram()
     d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o1"))
     d.add_edge(Edge(kind=EdgeKind.TIME, source="o1", id="t1"))
     with pytest.raises(InvalidDiagram):
