@@ -46,7 +46,6 @@ from typing import Mapping
 
 from . import FrozenRecord, gc_paused, list_items
 from .model import (
-    ID_RE,
     AttributeBinding,
     CAPayload,
     CorrelationBoxPayload,
@@ -65,8 +64,6 @@ from .model import (
     StateDiagramGroup,
     SwirlyArrayPayload,
     Kind,
-    UnknownMember,
-    UnknownOwner,
     payload_type,
 )
 from .values import (
@@ -332,14 +329,13 @@ def _list(key: str, attribute: str, show, read, collect=tuple, empty=None):
     )
 
 
-_SLOT_RE = re.compile(r"([A-Za-z0-9_-]+):([A-Za-z0-9_-]+)\.(.+)")
-
-
 def _slot(at: int, part: str) -> SlotSpec:
-    m = _SLOT_RE.fullmatch(part)
-    if not m:
-        raise _Fault(at, "slot as name:element.attribute", part)
-    return SlotSpec(*m.groups())
+    name, _, rest = part.partition(":")
+    element, _, attribute = rest.partition(".")
+    try:
+        return SlotSpec(name, element, attribute)
+    except ModelError as exc:
+        raise _Fault(at, "slot as name:element.attribute", part) from exc
 
 
 def _marker(at: int, part: str) -> tuple[str, str]:
@@ -492,11 +488,12 @@ def parse(text: str | bytes) -> Diagram:
             raise _locate(lineno, line, 0, "record keyword", words[0])
         bucket.append((lineno, line, words))
 
-    # A _Fault names a word of the record being built; each loop below binds
-    # that record's lineno and line, so the handler can locate the word.
-    # The diagram's views are live, so each is read once.
+    # A _Fault names a word of the record being built, and a writer's
+    # refusal names an id; each loop below binds that record's lineno, line
+    # and words, so the handlers can locate the word.  The diagram's views
+    # are live, so each is read once.
     d = Diagram()
-    elements, edges, meta = d.elements, d.edges, d.meta
+    elements, meta = d.elements, d.meta
     try:
         for lineno, line, words in buckets["meta"]:
             if len(words) != 2:
@@ -518,22 +515,15 @@ def parse(text: str | bytes) -> Diagram:
             if pairs:
                 stray = sorted(pairs)[0]
                 raise _Fault(pairs[stray][0], f"no {stray!r} key on {kind.value}", stray)
-            try:
-                d.add_element(Element(kind=kind, payload=payload, position=position, id=eid))
-            except ModelError as exc:
-                raise _Fault(1, "insertable element", str(exc)) from exc
+            d.add_element(Element(kind=kind, payload=payload, position=position, id=eid))
 
         for lineno, line, words in buckets["contain"]:
             if len(words) != 3:
                 raise _Fault(0, "contain <child> <parent>", "record shape")
-            child, parent = _require_ref(words, 1, elements), _require_ref(words, 2, elements)
-            try:
-                d.contain(child, parent)
-            except ModelError as exc:
-                raise _Fault(1, "legal containment", str(exc)) from exc
+            d.contain(words[1], words[2])
 
         for lineno, line, words in buckets["edge"]:
-            _parse_edge(d, elements, words)
+            _parse_edge(d, words)
 
         for lineno, line, words in buckets["group"]:
             _parse_group(d, elements, words)
@@ -545,10 +535,6 @@ def parse(text: str | bytes) -> Diagram:
         for lineno, line, words in buckets["attr"]:
             if len(words) != 3:
                 raise _Fault(0, "attr <owner> <attribute>=<value>", "record shape")
-            owner = words[1]
-            if owner not in elements and owner not in edges:
-                _require_id(words, 1)
-                raise _Fault(1, "existing owner", owner)
             binding = shared.get(words[2])
             if binding is None:
                 name, _, raw = words[2].partition("=")
@@ -560,11 +546,36 @@ def parse(text: str | bytes) -> Diagram:
                 except ModelError as exc:
                     raise _Fault(2, "legal binding", str(exc)) from exc
             # Hosting legality and conflicts are the validator's concern.
-            d.append_binding(owner, binding)
+            d.append_binding(words[1], binding)
     except _Fault as fault:
         raise _locate(lineno, line, *fault.args) from fault.__cause__
+    except ModelError as exc:
+        found = str(exc)
+        raise _locate(lineno, line, _naming(words, found), _REFUSED[words[0]], found) from exc
 
     return d
+
+
+# What each record's writer expects, for a refusal that no _Fault places.
+_REFUSED = {
+    "elem": "insertable element",
+    "contain": "legal containment",
+    "edge": "insertable edge",
+    "group": "insertable group",
+    "attr": "existing owner",
+}
+
+
+def _naming(words: tuple[str, ...], name: str) -> int:
+    """The first word from word 1 on that names ``name``, the id a writer
+    refused: the whole word, the value of a key=value word, or one item of
+    that value's list.  Word 1 if none does, as for a refusal that names
+    no id."""
+    for at in range(1, len(words)):
+        _, sep, value = words[at].partition("=")
+        if words[at] == name or (sep and (value == name or name in list_items(value))):
+            return at
+    return 1
 
 
 def _locate(lineno: int, line: str, at: int, expected: str, found: str) -> ParseError:
@@ -575,30 +586,14 @@ def _locate(lineno: int, line: str, at: int, expected: str, found: str) -> Parse
     return ParseError(SourceSpan(lineno, word.start() + 1, word.end()), expected, found)
 
 
-def _require_id(words: tuple[str, ...], at: int) -> str:
-    if not ID_RE.fullmatch(words[at]):
-        raise _Fault(at, "identifier", words[at])
-    return words[at]
-
-
-def _require_ref(words: tuple[str, ...], at: int, known: Mapping) -> str:
-    """The id at word ``at`` of a reference.  A key of ``known`` passed the
-    model's id check when it was claimed, so only a word that names nothing
-    there is checked, where and as _require_id checks it."""
-    if words[at] not in known:
-        _require_id(words, at)
-    return words[at]
-
-
 def _record_head(words: tuple[str, ...], kinds: dict, shape: str, expected: str) -> tuple:
     """The id and kind of an elem, edge or group record."""
     if len(words) < 3:
         raise _Fault(0, shape, "end of record")
-    eid = _require_id(words, 1)
     kind = kinds.get(words[2])
     if kind is None:
         raise _Fault(2, expected, words[2])
-    return eid, kind
+    return words[1], kind
 
 
 def _split_pair(words: tuple[str, ...], at: int, quoted: bool) -> tuple[str, str]:
@@ -646,13 +641,13 @@ def _number_pair(at: int, text: str, expected: str) -> tuple[float, float]:
     return _parse_number(at, parts[0]), _parse_number(at, parts[1])
 
 
-def _parse_edge(d: Diagram, elements: Mapping[str, Element], words: tuple[str, ...]) -> None:
+def _parse_edge(d: Diagram, words: tuple[str, ...]) -> None:
     eid, kind = _record_head(words, _EDGE_KINDS, "edge <id> <Kind> [src] -> [dst]", "edge kind")
     source = target = None
     n = len(words)
     at = 3
     if at < n and words[at] != "->" and "=" not in words[at]:
-        source = _require_ref(words, at, elements)
+        source = words[at]
         at += 1
     if at >= n or words[at] != "->":
         if at < n:
@@ -660,20 +655,17 @@ def _parse_edge(d: Diagram, elements: Mapping[str, Element], words: tuple[str, .
         raise _Fault(n - 1, "'->'", "end of record")
     at += 1
     if at < n and "=" not in words[at]:
-        target = _require_ref(words, at, elements)
+        target = words[at]
         at += 1
     pairs = _read_pairs(words, at, quoted=True, only="role")
     role = pairs["role"][1] if pairs else None
-    try:
-        d.add_edge(Edge(kind=kind, source=source, target=target, role=role, id=eid))
-    except (ModelError, ValueError) as exc:
-        raise _Fault(1, "insertable edge", str(exc)) from exc
+    d.add_edge(Edge(kind=kind, source=source, target=target, role=role, id=eid))
 
 
 def _parse_group(d: Diagram, elements: Mapping[str, Element], words: tuple[str, ...]) -> None:
     gid, cls = _record_head(words, _GROUP_KINDS, "group <id> <Kind>", "group kind")
     pairs = _read_pairs(words, 3, quoted=False)
-    spots = dict(pairs)  # _decode consumes pairs
+    probs = pairs.get("probs")  # _decode consumes pairs
     fields = _decode(_CODEC[cls], pairs)
     if cls is StateDiagramGroup:
         # A member that names an element is a state; any other, a tube.
@@ -685,23 +677,9 @@ def _parse_group(d: Diagram, elements: Mapping[str, Element], words: tuple[str, 
         raise _Fault(pairs[stray][0], f"{words[2]} group key", stray)
     try:
         group = cls(id=gid, **fields)
-    except (ModelError, ValueError) as exc:
-        raise _Fault(1, "legal probabilities", str(exc)) from exc
-    try:
-        d.add_group(group)
-    except (UnknownMember, UnknownOwner) as exc:
-        # The fault is at the first word that names the missing id: the
-        # owner word for an owner, else a members, trunk or junction word.
-        (missing,) = exc.args
-        keys = ("owner",) if isinstance(exc, UnknownOwner) else ("members", "trunk", "junction")
-        at = min(
-            spots[key][0]
-            for key in keys
-            if key in spots and missing in (spots[key][1], *list_items(spots[key][1]))
-        )
-        raise _Fault(at, "existing member id", missing) from exc
-    except ModelError as exc:
-        raise _Fault(1, "insertable group", str(exc)) from exc
+    except ModelError as exc:  # only a split-time group's probabilities are refused
+        raise _Fault(probs[0], "legal probabilities", str(exc)) from exc
+    d.add_group(group)
 
 
 # --------------------------------------------------------------------------

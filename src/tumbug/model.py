@@ -220,6 +220,11 @@ ID_RE = re.compile(r"[A-Za-z0-9_-]+")
 _RESERVED_PROP_KEYS = frozenset({"label", "pos", "size"})
 
 
+def _optional_text(s: str | None) -> str | None:
+    """An optional text field: None, or a text that values.legal_text passes."""
+    return s if s is None else legal_text(s)
+
+
 class GenericPayload(Record):
     """Payload for ordinary elements: a label plus free-form properties."""
 
@@ -230,7 +235,7 @@ class GenericPayload(Record):
             if key in _RESERVED_PROP_KEYS or not KEY_RE.fullmatch(key):
                 raise InvalidPayload(f"illegal property key {key!r}")
             legal_text(text)
-        self.label = legal_text(label)
+        self.label = _optional_text(label)
         self.props = props
 
     def __eq__(self, other):  # the inherited method, spelled out for speed (see tumbug.Record)
@@ -306,7 +311,7 @@ class CAPayload(Record):
         self.forced = forced
         self.detected = detected
         self.open_ended = open_ended
-        self.label = legal_text(label)
+        self.label = _optional_text(label)
 
 
 MOTIVATION_LEVELS = ("automaton", "physical", "emotional", "intellectual")
@@ -330,8 +335,8 @@ class MotivationTrianglePayload(Record):
         # frozenset already forbids two markers in the same cell; reject the
         # sneaky path of passing a collection with duplicates pre-merged away.
         self.markers = frozenset(markers)
-        self.robinson = legal_text(robinson)
-        self.label = legal_text(label)
+        self.robinson = _optional_text(robinson)
+        self.label = _optional_text(label)
 
 
 ROBINSON_CATEGORIES = (
@@ -364,9 +369,9 @@ class RobinsonIconPayload(Record):
             raise InvalidPayload("cathected target requires the Cathected category")
         self.active = frozenset(active)
         self.valence = valence
-        self.subnode = legal_text(subnode)
-        self.cathected_target = legal_text(cathected_target)
-        self.label = legal_text(label)
+        self.subnode = _optional_text(subnode)
+        self.cathected_target = _optional_text(cathected_target)
+        self.label = _optional_text(label)
 
 
 class SwirlyArrayPayload(Record):
@@ -389,7 +394,7 @@ class SwirlyArrayPayload(Record):
             raise InvalidPayload(f"active cells not in array: {sorted(missing)}")
         self.cells = cells
         self.active = frozenset(active)
-        self.label = legal_text(label)
+        self.label = _optional_text(label)
 
 
 class KindFacts(FrozenRecord):
@@ -705,7 +710,7 @@ class Diagram:
         if requested is None:
             return self._fresh_id(prefix)
         if not ID_RE.fullmatch(requested):
-            raise InvalidId(f"{requested!r} is not an identifier")
+            raise InvalidId(requested)
         if self._taken(requested):
             raise DuplicateId(requested)
         return requested
@@ -725,9 +730,7 @@ class Diagram:
             if parent not in self._elements:
                 raise UnknownParent(parent)
             if self._elements[parent].kind not in CONTAINER_KINDS:
-                raise ParentNotContainer(
-                    f"{parent} is a {self._elements[parent].kind.value}, not a container"
-                )
+                raise ParentNotContainer(parent)
             self._containment[eid] = parent
         element.id = eid
         self._elements[eid] = element
@@ -774,7 +777,7 @@ class Diagram:
                 raise UnknownOwner(group.owner)
             # The DSL writes the marker bare, so it must read back as one word.
             if group.marker and not ID_RE.fullmatch(group.marker):
-                raise InvalidId(f"marker {group.marker!r} is not an identifier")
+                raise InvalidId(group.marker)
         else:
             for tid in (group.trunk, *group.branches):
                 if tid not in self._edges:

@@ -69,12 +69,12 @@ class IllegalText(ValueError):
     """A text holding a character that SVG or UTF-8 cannot carry."""
 
 
-def legal_text(s: str | None) -> str | None:
+def legal_text(s: str) -> str:
     """s, unless it holds a character of _ILLEGAL_TEXT_RE: the one check of
     every text field (labels, properties, Text values, meta values).  No such
     character is printable, so most texts pass on str.isprintable alone; a
-    value that is no str raises TypeError."""
-    if s is None or str.isprintable(s):
+    value that is no str, None included, raises TypeError."""
+    if str.isprintable(s):
         return s
     bad = _ILLEGAL_TEXT_RE.search(s)
     if bad is not None:

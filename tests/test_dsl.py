@@ -210,6 +210,16 @@ class TestWholeTokenPatterns:
             parse('elem c1 CorrelationBox slots="a:o1.w\\n"\n')
         assert (err.value.expected, err.value.found) == ("slot as name:element.attribute", "a:o1.w\n")
 
+    @pytest.mark.parametrize("slot", ["a:n$1.w", "a:n1.w$", "a.n1:w", "a:n1", ":n1.w", "a:.w"])
+    def test_a_malformed_slot_faults_at_the_slots_word(self, slot):
+        # SlotSpec alone decides what a slot is, whichever part it refuses.
+        with pytest.raises(ParseError) as err:
+            parse(f'elem c1 CorrelationBox slots="{slot}"\n')
+        span = SourceSpan(1, 24, 31 + len(slot))
+        assert (err.value.span, err.value.expected, err.value.found) == (
+            span, "slot as name:element.attribute", slot
+        )
+
     @pytest.mark.parametrize(
         "record", ['elem v VerbatimBox pos="1,2\\n"', 'elem s SwirlyArray cells="c:1:2\\n"']
     )
@@ -332,32 +342,30 @@ class TestGroupRecords:
                 "group g SplitTime members=t1 junction=x probs=z",
                 2, "trunk= and junction=", "missing keys",
             ),
-            # The model finds an unknown member, owner, trunk or junction; the
-            # fault is at the word that names it, a member before the owner.
-            ("group g StateDiagram members=s1,ghost", 3, "existing member id", "ghost"),
+            # The model refuses an unknown member, owner, trunk or junction; the
+            # fault is at the first word that names it, whatever key holds it.
+            ("group g StateDiagram members=s1,ghost", 3, "insertable group", "ghost"),
             (
                 "group g StateDiagram marker=s1 owner=ghost members=ghost",
-                5, "existing member id", "ghost",
+                4, "insertable group", "ghost",
             ),
-            ("group g StateDiagram members=s1 owner=ghost", 4, "existing member id", "ghost"),
+            ("group g StateDiagram members=s1 owner=ghost", 4, "insertable group", "ghost"),
             (
                 "group g StateDiagram members=s1 marker=ghost owner=ghost",
-                5, "existing member id", "ghost",
+                4, "insertable group", "ghost",
             ),
-            ("group g SplitTime members=ghost trunk=t0 junction=x", 3, "existing member id", "ghost"),
-            ("group g SplitTime members=t1,ghost trunk=t0 junction=x", 3, "existing member id", "ghost"),
-            ("group g SplitTime members=t1 trunk=ghost junction=x", 4, "existing member id", "ghost"),
-            ("group g SplitTime junction=o9 trunk=t0 members=t1", 3, "existing member id", "o9"),
-            ("group g SplitTime members=t1 trunk= junction=x", 4, "existing member id", ""),
+            ("group g SplitTime members=ghost trunk=t0 junction=x", 3, "insertable group", "ghost"),
+            ("group g SplitTime members=t1,ghost trunk=t0 junction=x", 3, "insertable group", "ghost"),
+            ("group g SplitTime members=t1 trunk=ghost junction=x", 4, "insertable group", "ghost"),
+            ("group g SplitTime junction=o9 trunk=t0 members=t1", 3, "insertable group", "o9"),
+            ("group g SplitTime members=t1 trunk= junction=x", 4, "insertable group", ""),
             # A stray key comes before any member.
             (
                 "group g StateDiagram zz=1 marker=s1 owner=ghost members=ghost",
                 3, "StateDiagram group key", "zz",
             ),
-            (
-                "group g StateDiagram members=s1 marker=a,b",
-                1, "insertable group", "marker 'a,b' is not an identifier",
-            ),
+            ("group g StateDiagram members=s1 marker=a,b", 4, "insertable group", "a,b"),
+            ("group s1 StateDiagram members=ghost", 1, "insertable group", "s1"),
             ("group s1 StateDiagram members=s2", 1, "insertable group", "s1"),
             ("group g StateDiagram members=s1 color=red", 4, "StateDiagram group key", "color"),
             ("group g StateDiagram members=s1 zz=1 aa=2", 5, "StateDiagram group key", "aa"),
@@ -376,11 +384,11 @@ class TestGroupRecords:
             ),
             (
                 "group g SplitTime members=t1,t2 trunk=t0 junction=x probs=0.9,0.9",
-                1, "legal probabilities", "branch probabilities sum to 1.8, not 1",
+                6, "legal probabilities", "branch probabilities sum to 1.8, not 1",
             ),
             (
                 "group g SplitTime members=t1 trunk=t0 junction=x probs=",
-                1, "legal probabilities", "one probability per branch required",
+                6, "legal probabilities", "one probability per branch required",
             ),
             ("group g StateDiagram members", 3, 'key="value"', "members"),
             ("group g StateDiagram members=s1 members=s2", 4, "unique key", "members"),
@@ -1145,6 +1153,12 @@ class TestTextLegality:
             with pytest.raises(IllegalText):
                 _TEXT_FIELDS[field](f"a{char}b")
         _TEXT_FIELDS[field]("a\t\n\r\x7f\x85\ufffdb")
+
+    @pytest.mark.parametrize("field", ["prop", "Text", "meta"])
+    def test_a_required_text_field_refuses_none(self, field):
+        # serialize has no text to write for it.
+        with pytest.raises(TypeError):
+            _TEXT_FIELDS[field](None)
 
     def test_a_control_character_label_never_reaches_the_svg(self):
         # Such a label once rendered SVG that XML parsers refuse.

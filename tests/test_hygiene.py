@@ -184,6 +184,24 @@ def test_only_the_model_names_the_abstract_requirements():
     assert _users(lambda n: isinstance(n, ast.Constant) and n.value in names) == ["model.py"]
 
 
+def _reads(name: str):
+    def predicate(node) -> bool:
+        return getattr(node, "id", None) == name or getattr(node, "attr", None) == name
+
+    return predicate
+
+
+def test_only_the_model_checks_ids():
+    # The Diagram's writers and SlotSpec check every id; parse places what
+    # they refuse instead of checking ids again.
+    assert _users(_reads("ID_RE")) == ["model.py"]
+
+
+def test_id_check_sees_a_stray_read():
+    nodes = list(ast.walk(ast.parse("ID_RE.fullmatch(w)\nmodel.ID_RE.match(w)\nID = 1\n")))
+    assert sum(map(_reads("ID_RE"), nodes)) == 2
+
+
 def test_owner_checks_see_a_call_and_a_constant():
     tree = ast.parse("from x import m\nm.can_host(k)\nvalue_literal(v)\nA = 'AnyBox'\n")
     nodes = list(ast.walk(tree))

@@ -893,55 +893,58 @@ def _refusal_scene() -> Diagram:
 
 class TestRefusedWritesLeaveNoTrace:
     """A checked writer checks everything before its first write: a refused
-    call leaves the diagram, its indices and the caller's id as they were."""
+    call leaves the diagram, its indices and the caller's id as they were.
+    Each refusal carries the one id it refuses, and nothing else."""
 
     @pytest.mark.parametrize(
-        "write, item, refusal",
+        "write, item, refusal, refused",
         [
             pytest.param(
                 lambda d, e: d.add_edge(e), Edge(kind=EdgeKind.MOTION, source="ghost"),
-                UnknownEndpoint, id="edge-endpoint",
+                UnknownEndpoint, "ghost", id="edge-endpoint",
             ),
             pytest.param(
                 lambda d, e: d.add_edge(e), Edge(kind=EdgeKind.MOTION, source="ghost", id="o2"),
-                DuplicateId, id="edge-duplicate-before-endpoint",
+                DuplicateId, "o2", id="edge-duplicate-before-endpoint",
             ),
             pytest.param(
                 lambda d, e: d.add_edge(e), Edge(kind=EdgeKind.MOTION, source="ghost", id="a b"),
-                InvalidId, id="edge-invalid-before-endpoint",
+                InvalidId, "a b", id="edge-invalid-before-endpoint",
             ),
             pytest.param(
                 lambda d, el: d.add_element(el, parent="ghost"),
-                Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE), UnknownParent, id="element-parent",
+                Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE), UnknownParent, "ghost",
+                id="element-parent",
             ),
             pytest.param(
                 lambda d, el: d.add_element(el, parent="c1"),
-                Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE), ParentNotContainer,
+                Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE), ParentNotContainer, "c1",
                 id="element-container",
             ),
             pytest.param(
                 lambda d, g: d.add_group(g), StateDiagramGroup(states=("o1", "ghost")),
-                UnknownMember, id="group-member",
+                UnknownMember, "ghost", id="group-member",
             ),
             pytest.param(
                 lambda d, g: d.add_group(g), StateDiagramGroup(states=("o1",), owner="ghost"),
-                UnknownOwner, id="group-owner",
+                UnknownOwner, "ghost", id="group-owner",
             ),
             pytest.param(
                 lambda d, g: d.add_group(g), SplitTimeGroup("r0", ("ghost",), ""),
-                UnknownMember, id="split-time-branch",
+                UnknownMember, "ghost", id="split-time-branch",
             ),
             pytest.param(
                 lambda d, g: d.add_group(g), StateDiagramGroup(states=("o1",), marker="o 1"),
-                InvalidId, id="group-marker",
+                InvalidId, "o 1", id="group-marker",
             ),
         ],
     )
-    def test_refusal(self, write, item, refusal):
+    def test_refusal(self, write, item, refusal, refused):
         d = _refusal_scene()
         before, requested = copy.deepcopy(d), item.id
-        with pytest.raises(refusal):
+        with pytest.raises(refusal) as err:
             write(d, item)
+        assert err.value.args == (refused,)
         assert d == before and item.id == requested
         for owner in ("o1", "o2", "r0", "a1"):
             assert d.relationship_hops(owner) == before.relationship_hops(owner)

@@ -213,7 +213,7 @@ def _outcome(text: str) -> str:
     return serialize(d) + "\n".join(str(v) for v in validate(d))
 
 
-PARSE_OUTCOMES_SHA256 = "cde2d1cdf7e65dbedda9a67872b00254a809e4e02bac9850f2422c70ccd3c90c"
+PARSE_OUTCOMES_SHA256 = "863c4a0121683db10904a67d0db6868fc7249702187f7d40ab46eae38f4dc7ac"
 
 
 def test_parse_outcomes_of_seeded_documents():
@@ -232,29 +232,37 @@ _REFERENCE_SCENE = "elem o1 PhysicalObjectCircle\nelem b AggregationBox\nedge t1
 @pytest.mark.parametrize(
     "record, at, expected, found",
     [
-        ("attr o$1 w=1", 1, "identifier", "o$1"),
+        ("attr o$1 w=1", 1, "existing owner", "o$1"),
         ("attr ghost w=1", 1, "existing owner", "ghost"),
-        ("contain o$1 b", 1, "identifier", "o$1"),
+        ("contain o$1 b", 1, "legal containment", "o$1"),
         ("contain ghost b", 1, "legal containment", "ghost"),
         ("contain t1 b", 1, "legal containment", "t1"),
-        ("contain o1 o$1", 2, "identifier", "o$1"),
-        ("contain o1 ghost", 1, "legal containment", "ghost"),
-        ("contain o1 t1", 1, "legal containment", "t1"),
-        ("contain o$1 p$2", 1, "identifier", "o$1"),
-        ("contain ghost p$2", 2, "identifier", "p$2"),
-        ("edge e1 Motion o$1 -> o1", 3, "identifier", "o$1"),
-        ("edge e1 Motion ghost -> o1", 1, "insertable edge", "ghost"),
-        ("edge e1 Motion t1 -> o1", 1, "insertable edge", "t1"),
-        ("edge e1 Motion o1 -> o$1", 5, "identifier", "o$1"),
-        ("edge e1 Motion o1 -> ghost", 1, "insertable edge", "ghost"),
-        ("edge e1 Motion o1 -> t1", 1, "insertable edge", "t1"),
-        ("edge e1 Motion ghost -> o$1", 5, "identifier", "o$1"),
+        ("contain o1 o$1", 2, "legal containment", "o$1"),
+        ("contain o1 ghost", 2, "legal containment", "ghost"),
+        ("contain o1 t1", 2, "legal containment", "t1"),
+        ("contain o$1 p$2", 1, "legal containment", "o$1"),
+        ("contain ghost p$2", 1, "legal containment", "ghost"),
+        ("edge e1 Motion o$1 -> o1", 3, "insertable edge", "o$1"),
+        ("edge e1 Motion ghost -> o1", 3, "insertable edge", "ghost"),
+        ("edge e1 Motion t1 -> o1", 3, "insertable edge", "t1"),
+        ("edge e1 Motion o1 -> o$1", 5, "insertable edge", "o$1"),
+        ("edge e1 Motion o1 -> ghost", 5, "insertable edge", "ghost"),
+        ("edge e1 Motion o1 -> t1", 5, "insertable edge", "t1"),
+        ("edge e1 Motion ghost -> o$1", 3, "insertable edge", "ghost"),
+        ("edge o1 Motion o$1 -> b", 1, "insertable edge", "o1"),
+        ("elem o$1 Cell", 1, "insertable element", "o$1"),
+        ("group g StateDiagram members=o1 marker=a,b", 4, "insertable group", "a,b"),
+        (
+            "group g SplitTime members=t1 trunk=t1 junction=b probs=0.5",
+            6, "legal probabilities", "branch probabilities sum to 0.5, not 1",
+        ),
     ],
 )
 def test_reference_faults(record, at, expected, found):
-    # A reference that resolves is a valid id; one that does not is checked
-    # as an id first, so a malformed id and one that names nothing (or names
-    # an edge where an element is meant) keep these spans and texts.
+    # The model checks every id and reference; parse places its refusal at
+    # the first word from word 1 on that names the refused id, so a
+    # malformed id, one that names nothing and one that names an edge where
+    # an element is meant each fault at their own word.
     with pytest.raises(ParseError) as err:
         parse(_REFERENCE_SCENE + record + "\n")
     start = sum(len(word) + 1 for word in record.split()[:at]) + 1
