@@ -298,8 +298,7 @@ def _error_line(exc: Exception) -> str:
     return f"error: {type(exc).__name__}: {exc}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    return run(argv)
+main = run
 
 
 if __name__ == "__main__":

@@ -650,16 +650,18 @@ def _parse_edge(d: Diagram, words: tuple[str, ...]) -> None:
         source = words[at]
         at += 1
     if at >= n or words[at] != "->":
-        if at < n:
-            raise _Fault(at, "'->'", words[at])
-        raise _Fault(n - 1, "'->'", "end of record")
+        raise _Fault(min(at, n - 1), "'->'", words[at] if at < n else "end of record")
     at += 1
     if at < n and "=" not in words[at]:
         target = words[at]
         at += 1
     pairs = _read_pairs(words, at, quoted=True, only="role")
-    role = pairs["role"][1] if pairs else None
-    d.add_edge(Edge(kind=kind, source=source, target=target, role=role, id=eid))
+    at, role = pairs.get("role", (None, None))
+    try:
+        edge = Edge(kind=kind, source=source, target=target, role=role, id=eid)
+    except ModelError as exc:  # only a role is refused
+        raise _Fault(at, "insertable edge", str(exc)) from exc
+    d.add_edge(edge)
 
 
 def _parse_group(d: Diagram, elements: Mapping[str, Element], words: tuple[str, ...]) -> None:

@@ -189,10 +189,9 @@ def _arrow_shapes(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
 
 
 def _attribute_hosts(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
-    for owner, binding in d.bindings:
-        problem = d.host_problem(owner, binding.attribute)
-        if problem is not None:
-            yield Violation(ViolationCode.ATTR_HOST_ILLEGAL, (owner,), problem)
+    refused = sorted((o, b.attribute) for o, b in d.bindings if d.host_problem(o, b.attribute))
+    for owner, attribute in refused:  # serialize's order; owner and attribute fix the message
+        yield Violation(ViolationCode.ATTR_HOST_ILLEGAL, (owner,), d.host_problem(owner, attribute))
 
 
 def _attribute_conflicts(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
@@ -337,7 +336,7 @@ def validate(d: Diagram, table: LegalityTable | None = None) -> list[Violation]:
     ``RULES``, in order, against ``table`` (default: the shipped one).
 
     Returns violations as data; an empty list means the diagram is clean.
-    Pure and deterministic: equal diagrams yield equal violation lists.
+    Pure: equal diagrams, whatever order built them, yield equal lists.
     """
     table = table if table is not None else default_legality()
     return [violation for rule in RULES for violation in rule(d, table)]

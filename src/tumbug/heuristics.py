@@ -67,10 +67,6 @@ _MET_BY: dict[str, set[Kind | EdgeKind]] = {
 }
 
 
-def _known_kind(name: str) -> bool:
-    return name in _MET_BY
-
-
 class Rule(FrozenRecord):
     def __init__(
         self,
@@ -81,7 +77,7 @@ class Rule(FrozenRecord):
         mandatory_cues: frozenset[str],  # cue words that promote advisory kinds
     ):
         for name in mandatory | advisory:
-            if not _known_kind(name):
+            if name not in _MET_BY:
                 raise RuleSetError(f"rule {index}: unknown kind {name!r}")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "tag", tag)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+from collections import Counter
 from types import MappingProxyType
 from typing import Mapping
 
@@ -617,8 +618,8 @@ class Diagram:
 
     ``elements``, ``containment`` (child -> parent), ``edges``, ``groups``
     and ``meta`` are read-only mappings, and ``bindings`` a tuple of (owner,
-    binding) pairs, an ordered multiset.  Each read builds a new view, so a
-    caller reads one into a local once per call, not once per record.
+    binding) pairs: a multiset, in the order written.  Each read builds a new
+    view, so a caller reads one into a local once per call, not per record.
 
     Only the writers below change a diagram.  None overwrites an id, and
     each refuses an id that names nothing, a parent that is no container, a
@@ -627,15 +628,15 @@ class Diagram:
     refuses a host that cannot carry the attribute and a conflicting value;
     ``append_binding`` keeps both, so the parser and callers can build
     diagrams that :func:`tumbug.grammar.validate` reports.  The writers keep
-    private indices of the first value per (owner, attribute), of the keys
-    bound to two values, and of Relationship edges by source.  A record
-    changed in place after it is stored (an Edge's endpoints or kind, an
-    Element's kind or payload, a group's fields) is outside this contract,
-    and the indices do not follow it.
+    private indices of the value per (owner, attribute) that serialize writes
+    first, of the keys bound to two values, and of Relationship edges by
+    source.  A record changed in place after it is stored (an Edge's
+    endpoints or kind, an Element's kind or payload, a group's fields) is
+    outside this contract, and the indices do not follow it.
 
     Equality is structural and order-insensitive: two diagrams built by
     different insertion orders compare equal when their dicts are equal and
-    they hold the same bindings in any order.
+    they hold the same multiset of bindings.
     """
 
     def __init__(self):
@@ -648,10 +649,10 @@ class Diagram:
         # Per id prefix, where the next _fresh_id probe starts.  No method frees
         # an id, so the smallest free one never goes down and probing resumes.
         self._fresh_from: dict[str, int] = {}
-        # The first value bound per (owner, attribute); in order, the keys also
-        # bound to another; and each source's Relationship edge ids.
+        # Per (owner, attribute), the value that serialize writes first; the
+        # keys bound to two values; and each source's Relationship edge ids.
         self._first: dict[tuple[str, str], Value] = {}
-        self._conflicting: dict[tuple[str, str], None] = {}
+        self._conflicting: set[tuple[str, str]] = set()
         self._hops: dict[str | None, list[str]] = {}
 
     def __repr__(self) -> str:  # the indices are left out
@@ -688,11 +689,9 @@ class Diagram:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Diagram):
             return NotImplemented
-        dicts = lambda d: (d._elements, d._containment, d._edges, d._groups, d._meta)
-        key = lambda ob: (ob[0], ob[1].attribute, repr(ob[1].value))
-        return dicts(self) == dicts(other) and (
-            sorted(self._bindings, key=key) == sorted(other._bindings, key=key)
-        )
+        mine = (self._elements, self._containment, self._edges, self._groups, self._meta)
+        theirs = (other._elements, other._containment, other._edges, other._groups, other._meta)
+        return mine == theirs and Counter(self._bindings) == Counter(other._bindings)
 
     # -- id allocation ----------------------------------------------------
 
@@ -815,8 +814,11 @@ class Diagram:
     def _append(self, owner: str, binding: AttributeBinding) -> None:
         self._bindings.append((owner, binding))
         key = (owner, binding.attribute)
-        if _differ(self._first.setdefault(key, binding.value), binding.value):
-            self._conflicting[key] = None
+        first = self._first.setdefault(key, binding.value)
+        if _differ(first, binding.value):
+            from .dsl import value_literal  # serialize writes the least literal first
+            self._conflicting.add(key)
+            self._first[key] = min(first, binding.value, key=value_literal)
 
     # -- integrity checks, shared with grammar.validate --------------------
 
@@ -838,12 +840,12 @@ class Diagram:
         return [b for o, b in self._bindings if o == owner]
 
     def binding_value(self, owner: str, attribute: str) -> Value | None:
-        """The first value bound to owner's attribute, or None."""
+        """The value of owner's attribute that serialize writes first, or None."""
         return self._first.get((owner, attribute))
 
     def conflicting_bindings(self) -> list[tuple[str, str]]:
-        """Each (owner, attribute) bound to two values, in the order found."""
-        return list(self._conflicting)
+        """Each (owner, attribute) bound to two different values, sorted."""
+        return sorted(self._conflicting)
 
     def relationship_hops(self, owner: str) -> list[str]:
         """The sorted ids of the Relationship edges leaving owner."""

@@ -7,8 +7,8 @@ scanning, only the model touches a Diagram's storage, dsl reads and writes
 every codec row through one loop each, dsl spells a word once and reads
 words through one splitter, each attribute refusal is raised in one place,
 only tumbug.gc_paused switches the cyclic collector, the model methods that
-perfbench traces exist, no module imports dataclasses, and the package
-version is the project's."""
+perfbench traces exist, no module imports dataclasses, only values.fmt_num
+reads a repr, and the package version is the project's."""
 
 import ast
 import importlib
@@ -178,6 +178,13 @@ def test_render_takes_binding_literals_from_the_dsl():
     assert "svg.py" not in _users(_calls("value_literal"))
 
 
+def test_only_the_number_printer_calls_repr():
+    # Equal values can have different reprs (-0.0 and 0.0, 1 and 1.0), so a
+    # repr is no key to order or compare values by; values.fmt_num alone
+    # reads one, for the shortest round-tripping decimal.
+    assert _users(_calls("repr")) == ["values.py"]
+
+
 def test_only_the_model_names_the_abstract_requirements():
     # KIND_FACTS says which kinds meet AnyBox and AnyMarker.
     names = {"AnyBox", "AnyMarker"}
@@ -280,14 +287,13 @@ def _scans(function: ast.AST, names=("edges", "bindings")) -> list[str]:
 
 
 def test_queries_and_the_conflict_rule_read_the_model_indices():
-    # Diagram.relationship_hops and Diagram.conflicting_bindings read indices
-    # kept on each write; a scan here costs a pass over the diagram per call.
+    # Diagram.relationship_hops, binding_value and conflicting_bindings read
+    # indices kept on each write; a scan here costs a pass over the diagram
+    # per call.
     tree = ast.parse((SRC / "grammar.py").read_text(encoding="utf-8"))
     functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    assert {name: _scans(functions[name]) for name in ("resolve_query", "_attribute_conflicts")} == {
-        "resolve_query": [],
-        "_attribute_conflicts": [],
-    }
+    names = ("resolve_query", "_attribute_conflicts", "_attend_rings")
+    assert {name: _scans(functions[name]) for name in names} == {name: [] for name in names}
 
 
 def test_no_module_calls_the_scanning_queries():

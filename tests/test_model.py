@@ -43,7 +43,7 @@ from tumbug.model import (
     UnknownParent,
     payload_type,
 )
-from tumbug.dsl import ParseError, parse, serialize
+from tumbug.dsl import ParseError, parse, serialize, value_literal
 from tumbug.grammar import resolve_query
 from tumbug.values import Scalar, Text, Wildcard
 
@@ -432,7 +432,7 @@ def test_kind_facts_table_has_one_row_per_kind_and_keeps_every_derived_fact():
         grammar.scova_classify("Gizmo")
 
     candidates = set(PARENT_SCOVA) | set(PARENT_ALIASES) | {"AnyBox", "AnyMarker"}
-    accepted = {name for name in candidates if heuristics._known_kind(name)}
+    accepted = {name for name in candidates if name in heuristics._MET_BY}
     assert accepted == PARENT_REQUIREMENT_NAMES
     assert "PathwayTube" not in accepted and "RelationshipMarker" not in accepted
 
@@ -573,7 +573,9 @@ _ANY_PAIRS = st.tuples(st.sampled_from(_OWNERS + _UNCHECKED_OWNERS), _BINDINGS)
 
 
 def _scan(ref: list, owner: str | None, attribute: str) -> list:
-    return [b.value for o, b in ref if o == owner and b.attribute == attribute]
+    """The values bound to owner's attribute, in the order serialize writes them."""
+    bound = [b.value for o, b in ref if o == owner and b.attribute == attribute]
+    return sorted(bound, key=value_literal)
 
 
 def _conflicts(ref: list, owner: str, binding: AttributeBinding) -> bool:
@@ -581,14 +583,8 @@ def _conflicts(ref: list, owner: str, binding: AttributeBinding) -> bool:
 
 
 def _conflicting_keys(ref: list) -> list[tuple[str, str]]:
-    """Each (owner, attribute) bound to two values, in the order found."""
-    first, found = {}, []
-    for owner, binding in ref:
-        key = (owner, binding.attribute)
-        if key in first and first[key] != binding.value and key not in found:
-            found.append(key)
-        first.setdefault(key, binding.value)
-    return found
+    """Each (owner, attribute) bound to two different values, sorted."""
+    return sorted({(owner, b.attribute) for owner, b in ref if _conflicts(ref, owner, b)})
 
 
 def _refused(d: Diagram, owner: str, binding: AttributeBinding) -> bool:
