@@ -187,7 +187,15 @@ def _split(line: str, lineno: int) -> tuple[str, ...]:
     """The words of a line before its comment, split by C-level calls unless
     the line has a ``#`` or the whole-line pattern refuses it."""
     if "#" not in line:
-        if '"' not in line:
+        # Split at the quotes, the odd parts are the quoted bodies.  With no
+        # backslash in a body, each quote closes the one before it; so if the
+        # quotes are even and no body holds whitespace, the words are
+        # exactly str.split's.
+        if '"' not in line or (
+            len(parts := line.split('"')) % 2
+            and "\\" not in (quoted := "".join(parts[1::2]))
+            and (not quoted or quoted.split() == [quoted])
+        ):
             return tuple(line.split())
         if _WORDS_RE.fullmatch(line):
             return tuple(_WORD_RE.findall(line))

@@ -546,8 +546,11 @@ class Edge(Record):
         role: str | None = None,  # Force only: "exerts" or "acted-upon"
         id: str | None = None,
     ):
-        if role is not None and role not in ("exerts", "acted-upon"):
-            raise InvalidPayload(f"unknown force role {role!r}")
+        if role is not None:
+            if role not in ("exerts", "acted-upon"):
+                raise InvalidPayload(f"unknown force role {role!r}")
+            if kind is not EdgeKind.FORCE:
+                raise InvalidPayload(f"force role {role!r} on a {kind.value} edge")
         self.kind = kind
         self.source = source
         self.target = target

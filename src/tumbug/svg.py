@@ -177,23 +177,14 @@ def _layout(
     for eid in reversed(order):  # contents first
         sizes[eid] = measure(eid)
 
-    # Layer roots by non-time arrow topology, sources leftmost.  The
-    # relaxation runs in edge-id order: on a cycle the result depends on
-    # that order, so it is part of the output format.
-    layer: dict[str, int] = {r: 0 for r in roots}
-    root_arrows = []
-    for eid, edge in sorted(d.edges.items()):
+    # Layer roots by non-time arrow topology, sources leftmost.
+    top = set(roots)
+    arrows = []
+    for _, edge in sorted(d.edges.items()):
         src, dst = edge.source, edge.target
-        if edge.kind is not EdgeKind.TIME and src in layer and dst in layer and src != dst:
-            root_arrows.append((src, dst))
-    for _ in range(len(roots)):
-        changed = False
-        for src, dst in root_arrows:
-            if layer[dst] < layer[src] + 1:
-                layer[dst] = layer[src] + 1
-                changed = True
-        if not changed:
-            break
+        if edge.kind is not EdgeKind.TIME and src in top and dst in top and src != dst:
+            arrows.append((src, dst))
+    layer = _layers(roots, arrows)
 
     boxes: dict[str, _Box] = {}
     left_margin = 90.0
@@ -229,6 +220,40 @@ def _layout(
     return boxes, order
 
 
+def _layers(roots: list[str], arrows: list[tuple[str, str]]) -> dict[str, int]:
+    """Each root's layer, given the arrows between roots in edge-id order:
+    its longest path from a source, found in topological order (Kahn 1962).
+    A cycle leaves roots unplaced; then layers come from at most len(roots)
+    relaxation passes in edge-id order, from zero.  On a cycle that result
+    depends on the edge order, so it is part of the output format."""
+    layer = dict.fromkeys(roots, 0)
+    targets: dict[str, list[str]] = {}
+    indegree = dict.fromkeys(roots, 0)
+    for src, dst in arrows:
+        targets.setdefault(src, []).append(dst)
+        indegree[dst] += 1
+    ready = [r for r in roots if not indegree[r]]
+    while ready:
+        src = ready.pop()
+        for dst in targets.get(src, ()):
+            layer[dst] = max(layer[dst], layer[src] + 1)
+            indegree[dst] -= 1
+            if not indegree[dst]:
+                ready.append(dst)
+    if not any(indegree.values()):
+        return layer
+    layer = dict.fromkeys(roots, 0)
+    for _ in range(len(roots)):
+        changed = False
+        for src, dst in arrows:
+            if layer[dst] < layer[src] + 1:
+                layer[dst] = layer[src] + 1
+                changed = True
+        if not changed:
+            break
+    return layer
+
+
 @gc_paused
 def render(d: Diagram, options: RenderOptions | None = None) -> str:
     """Render a valid diagram to an SVG document string."""
@@ -239,10 +264,17 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     num = _Numbers()
 
     # Each owner's escaped attribute lines, in serialize's order (attribute,
-    # then value literal) so that equal diagrams render alike.
+    # then value literal) so that equal diagrams render alike.  Each distinct
+    # attribute line and label is escaped once per render; ids need no
+    # escaping, since the model holds each to ID_RE.
+    escaped: dict[str, str] = {}
     by_owner: dict[str, list[str]] = {}
     for owner, attribute, literal in binding_literals(d):
-        by_owner.setdefault(owner, []).append(_esc(f"{attribute} = {literal}"))
+        text = f"{attribute} = {literal}"
+        line = escaped.get(text)
+        if line is None:
+            line = escaped[text] = _esc(text)
+        by_owner.setdefault(owner, []).append(line)
     boxes, parents_first = _layout(d, by_owner)
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append(
@@ -268,7 +300,7 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     stroke = 'stroke="black" stroke-width="1.5"'
     for i, eid in enumerate(d.edges_of_kind(EdgeKind.TIME)):
         x = 28 + i * 34
-        out.append(f'<g id="{_esc(eid)}" class="edge time-arrow">')
+        out.append(f'<g id="{eid}" class="edge time-arrow">')
         out.append(_line(num, x, top, x, bottom, stroke + _TIP))
         out.append(_line(num, x - 6, zero_y, x + 6, zero_y, stroke))
         out.append(f'<text x="{x + 9}" y="{num[zero_y + 4]}">0</text>')
@@ -281,7 +313,11 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
     for eid in parents_first:
         depth[eid] = depth[containment.get(eid)] + 1
     for eid in sorted(elements, key=lambda e: (depth[e], e)):
-        out.extend(_render_element(num, elements[eid], boxes[eid], by_owner.get(eid, []), options))
+        out.extend(
+            _render_element(
+                num, escaped, eid, elements[eid], boxes[eid], by_owner.get(eid, []), options
+            )
+        )
 
     # A solitary arrow is placed by its ordinal among all edges, Time included.
     for ordinal, (eid, edge) in enumerate(sorted(d.edges.items()), 1):
@@ -305,6 +341,8 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
 
 def _render_element(
     num: _Numbers,
+    escaped: dict[str, str],
+    eid: str,
     el: Element,
     box: _Box,
     attr_lines: list[str],
@@ -312,7 +350,7 @@ def _render_element(
 ) -> list[str]:
     kind = el.kind
     shape = KIND_FACTS[kind].shape
-    out = [f'<g id="{_esc(el.id)}" class="elem kind-{kind.value}">']
+    out = [f'<g id="{eid}" class="elem kind-{kind.value}">']
     fill = "none"
     if options.color and shape == "circle":
         role = getattr(el.payload, "props", {}).get("role")
@@ -361,10 +399,8 @@ def _render_element(
         for i, cat in enumerate(ROBINSON_CATEGORIES):
             filled = "black" if cat in active else "white"
             out.append(_circle(num, *_hex_corner(box, i), 5, f'fill="{filled}" stroke="black"'))
-        out.append(
-            f'<text x="{num[cx - 4]}" y="{num[cy + 4]}">'
-            f"{_esc(getattr(el.payload, 'valence', '+'))}</text>"
-        )
+        valence = getattr(el.payload, "valence", "+")  # "+" or "-": nothing to escape
+        out.append(f'<text x="{num[cx - 4]}" y="{num[cy + 4]}">{valence}</text>')
     elif shape == "cells":
         out.append(_rect(num, x, y, w, h, 'fill="none" stroke="black" stroke-dasharray="1,2"'))
         active = getattr(el.payload, "active", frozenset())
@@ -403,7 +439,10 @@ def _render_element(
     label = el.label
     if label:
         ly = y + FONT_SIZE + 2 if shape == "box" else cy + FONT_SIZE / 3
-        out.append(f'<text x="{num[x + 6]}" y="{num[ly]}" class="label">{_esc(label)}</text>')
+        text = escaped.get(label)
+        if text is None:
+            text = escaped[label] = _esc(label)
+        out.append(f'<text x="{num[x + 6]}" y="{num[ly]}" class="label">{text}</text>')
 
     # Attribute lines hang under the element.
     ay = y + h + FONT_SIZE
@@ -458,7 +497,7 @@ def _render_edge(
     attr_lines: list[str],
 ) -> list[str]:
     style, centered_arrow = _EDGE_STYLE[edge.kind]
-    out = [f'<g id="{_esc(eid)}" class="edge kind-{edge.kind.value}">']
+    out = [f'<g id="{eid}" class="edge kind-{edge.kind.value}">']
     a = None if edge.source is None else boxes[edge.source]
     b = None if edge.target is None else boxes[edge.target]
     if a is not None and edge.source == edge.target:  # self loop

@@ -848,6 +848,55 @@ class TestTokenizer:
         assert outcome == (Diagram() if span is None else (span, expected, found))
 
 
+def _pattern_split(line: str, lineno: int) -> tuple[str, ...]:
+    """_split with no str.split path: on a line without ``#``, the
+    whole-line pattern and findall; else, or where the pattern refuses the
+    line, the general path."""
+    if "#" not in line and dsl._WORDS_RE.fullmatch(line):
+        return tuple(dsl._WORD_RE.findall(line))
+    if line.lstrip().startswith("#"):
+        return ()
+    end = dsl._WORDS_RE.match(line).end()
+    if end < len(line) and line[end] != "#":
+        raise ParseError(SourceSpan(lineno, end + 1, len(line)), "closing quote", "end of line")
+    return tuple(dsl._WORD_RE.findall(line, 0, end))
+
+
+# Quotes, backslashes, comment marks, separators on which a quoted body may
+# or may not hold whitespace (tab, \x0b, \x0c, the information separator
+# \x1f, the ideographic space) and the characters of key=value,list words.
+_LEXER_ALPHABET = '"\\# \t\x0b\x0c\x1f\u3000=,ab'
+
+
+class TestSplitPaths:
+    @settings(max_examples=3000, deadline=None, database=None)
+    @given(st.text(alphabet=_LEXER_ALPHABET, max_size=24))
+    def test_split_agrees_with_the_patterns(self, line):
+        # The str.split path must give the words, and every fault the same
+        # span, as the two word patterns.
+        assert _tokenize_outcome(dsl._split, line) == _tokenize_outcome(_pattern_split, line)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            'elem o00001 PhysicalObjectCircle label="fox"',
+            'attr o00001 color="cup"',
+            'meta k="" w=a"b"c"d"e',
+            'elem x Cell label=\\"a"',
+            '\u3000a="b"\x1fc=""\t',
+        ],
+    )
+    def test_quoted_bodies_without_whitespace_read_no_pattern(self, monkeypatch, line):
+        class Refusing:
+            def __getattr__(self, name):
+                raise AssertionError(f"a pattern read {line!r}")
+
+        expected = _pattern_split(line, 1)
+        monkeypatch.setattr(dsl, "_WORD_RE", Refusing())
+        monkeypatch.setattr(dsl, "_WORDS_RE", Refusing())
+        assert dsl._split(line, 1) == expected == tuple(line.split())
+
+
 def _generated_text(n_boxes: int) -> str:
     """A clean document of ten elements per box that uses every record
     keyword and value literal, with quoted strings both with and without

@@ -5,10 +5,11 @@ and caches, the shipped tables are read through tumbug.read_table, each rule
 below has its one owner, queries read the model's indices instead of
 scanning, only the model touches a Diagram's storage, dsl reads and writes
 every codec row through one loop each, dsl spells a word once and reads
-words through one splitter, each attribute refusal is raised in one place,
-only tumbug.gc_paused switches the cyclic collector, the model methods that
-perfbench traces exist, no module imports dataclasses, only values.fmt_num
-reads a repr, and the package version is the project's."""
+words through one splitter, svg escapes text and never an id, each
+attribute refusal is raised in one place, only tumbug.gc_paused switches the
+cyclic collector, the model methods that perfbench traces exist, no module
+imports dataclasses, only values.fmt_num reads a repr, and the package
+version is the project's."""
 
 import ast
 import importlib
@@ -207,6 +208,28 @@ def test_only_the_model_checks_ids():
 def test_id_check_sees_a_stray_read():
     nodes = list(ast.walk(ast.parse("ID_RE.fullmatch(w)\nmodel.ID_RE.match(w)\nID = 1\n")))
     assert sum(map(_reads("ID_RE"), nodes)) == 2
+
+
+def _escaped(tree: ast.AST) -> list[str]:
+    """The source of each argument passed to _esc, sorted."""
+    return sorted(
+        ast.unparse(arg)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_esc"
+        for arg in node.args
+    )
+
+
+def test_render_escapes_text_and_never_an_id():
+    # The model holds every id to ID_RE, which has nothing to escape; render
+    # escapes only an attribute line and a label, each once per render.
+    tree = ast.parse((SRC / "svg.py").read_text(encoding="utf-8"))
+    assert _escaped(tree) == ["label", "text"]
+
+
+def test_escape_check_sees_an_id():
+    tree = ast.parse("f'<g id={_esc(eid)}>'\n_esc(el.id)\nesc(x)\n")
+    assert _escaped(tree) == ["eid", "el.id"]
 
 
 def test_owner_checks_see_a_call_and_a_constant():

@@ -181,6 +181,13 @@ class TestPayloadInvariants:
         with pytest.raises(InvalidPayload):
             Edge(kind=EdgeKind.FORCE, role="pushes")
 
+    @pytest.mark.parametrize("kind", [k for k in EdgeKind if k is not EdgeKind.FORCE])
+    def test_only_a_force_edge_takes_a_role(self, kind):
+        Edge(kind=kind)
+        for role in ("exerts", "acted-upon"):
+            with pytest.raises(InvalidPayload, match=f"on a {kind.value} edge"):
+                Edge(kind=kind, role=role)
+
     def test_position_extent_all_or_nothing(self):
         from tumbug.model import Position
 

@@ -213,7 +213,7 @@ def _outcome(text: str) -> str:
     return serialize(d) + "\n".join(str(v) for v in validate(d))
 
 
-PARSE_OUTCOMES_SHA256 = "6ac930d6d905a20fb2dbc40dae44de2333722c7f784da26ab4cfe42f9be5b968"
+PARSE_OUTCOMES_SHA256 = "5c61dbd376b293f5ce850249b7ccd0763106d257e392f1af5c1dcde61946eeff"
 
 
 def test_parse_outcomes_of_seeded_documents():
@@ -251,6 +251,10 @@ _REFERENCE_SCENE = "elem o1 PhysicalObjectCircle\nelem b AggregationBox\nedge t1
         ("edge e1 Motion ghost -> o$1", 3, "insertable edge", "ghost"),
         ("edge o1 Motion o$1 -> b", 1, "insertable edge", "o1"),
         ('edge f Force o1 -> b role="pushes"', 6, "insertable edge", "unknown force role 'pushes'"),
+        (
+            'edge g Tube o1 -> b role="acted-upon"',
+            6, "insertable edge", "force role 'acted-upon' on a Tube edge",
+        ),
         ("elem o$1 Cell", 1, "insertable element", "o$1"),
         ("group g StateDiagram members=o1 marker=a,b", 4, "insertable group", "a,b"),
         (
@@ -264,7 +268,7 @@ def test_reference_faults(record, at, expected, found):
     # the first word from word 1 on that names the refused id, so a
     # malformed id, one that names nothing and one that names an edge where
     # an element is meant each fault at their own word.  An unknown force
-    # role faults at its role= word.
+    # role, and a force role on any edge but a Force, fault at the role= word.
     with pytest.raises(ParseError) as err:
         parse(_REFERENCE_SCENE + record + "\n")
     start = sum(len(word) + 1 for word in record.split()[:at]) + 1

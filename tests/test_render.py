@@ -3,10 +3,12 @@ import inspect
 import random
 import re
 import time
+import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tumbug.dsl import parse, serialize
+from tumbug.dsl import parse, serialize, value_literal
 from tumbug.grammar import validate
 from tumbug.model import (
     AttributeBinding,
@@ -15,13 +17,17 @@ from tumbug.model import (
     EdgeKind,
     Element,
     GenericPayload,
+    InvalidPayload,
     Kind,
+    RobinsonIconPayload,
 )
 from tumbug import svg
 from tumbug.svg import InvalidDiagram, RenderOptions, render
 from tumbug.values import Text
 
 from conftest import random_diagram
+
+_SVG = "{http://www.w3.org/2000/svg}"
 
 
 def fox_diagram():
@@ -224,6 +230,61 @@ def test_deep_containment_validates_and_renders_in_linear_time():
     assert time.perf_counter() - start < 0.5
 
 
+def _relaxed_layers(roots, arrows):
+    """Root layering as it was before topological order: at most len(roots)
+    relaxation passes over the arrows in edge-id order, from zero."""
+    layer = dict.fromkeys(roots, 0)
+    for _ in range(len(roots)):
+        changed = False
+        for src, dst in arrows:
+            if layer[dst] < layer[src] + 1:
+                layer[dst] = layer[src] + 1
+                changed = True
+        if not changed:
+            break
+    return layer
+
+
+@st.composite
+def _root_graphs(draw):
+    """Roots and the arrows between them in edge-id order: acyclic when every
+    arrow runs up a hidden rank, else any arrows, duplicates included."""
+    n = draw(st.integers(1, 12))
+    roots = [f"r{i:02d}" for i in range(n)]
+    rank = draw(st.permutations(roots))
+    pairs = st.tuples(st.sampled_from(roots), st.sampled_from(roots)).filter(lambda p: p[0] != p[1])
+    arrows = draw(st.lists(pairs, max_size=3 * n)) if n > 1 else []
+    if draw(st.booleans()):
+        arrows = [tuple(sorted(p, key=rank.index)) for p in arrows]
+    return roots, draw(st.permutations(arrows))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_root_graphs())
+def test_root_layers_are_the_relaxations(graph):
+    # On an acyclic root graph, longest-path layering in topological order
+    # gives what the relaxation gives; on a cyclic one, the relaxation runs.
+    roots, arrows = graph
+    assert svg._layers(roots, arrows) == _relaxed_layers(roots, arrows)
+
+
+def test_root_layering_of_a_reversed_id_chain_is_linear():
+    # Edge ids that run against the chain made the relaxation take one pass
+    # per root: 4,000 roots took seconds.
+    n = 4000
+    d = Diagram()
+    for i in range(n):
+        d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=f"c{i:05d}"))
+    for i in range(n - 1):
+        source, target = f"c{i:05d}", f"c{i + 1:05d}"
+        d.add_edge(Edge(kind=EdgeKind.CAUSATION, source=source, target=target, id=f"k{n - i:05d}"))
+    start = time.perf_counter()
+    out = render(d)
+    assert time.perf_counter() - start < 0.75
+    xs = [float(x) for x in re.findall(r'<g id="c\d+" [^>]*>\n<ellipse cx="([^"]+)"', out)]
+    assert len(xs) == n and all(a < b for a, b in zip(xs, xs[1:]))
+
+
 def test_render_runs_with_the_collector_paused(monkeypatch):
     # Render builds the markup of every element and frees little of it, so
     # the cyclic collector is paused while it runs, validate included.
@@ -285,3 +346,37 @@ def test_render_signature_and_name_are_unchanged():
     assert (render.__name__, render.__module__) == ("render", "tumbug.svg")
     assert render.__doc__ == "Render a valid diagram to an SVG document string."
     assert render.__wrapped__ is not render
+
+
+def test_ids_are_written_as_they_are_and_text_is_escaped():
+    # The model holds every id to ID_RE, so render writes ids as they are
+    # and escapes only text: labels and attribute lines.  A Robinson valence
+    # is "+" or "-".
+    ids = ["Az09", "a_b-C", "-_9", "0", "ZZ_z-9"]
+    label, note = 'fox & "cat" <dog>', 'a<b & c>"d"'
+    d = Diagram()
+    circle, icon = GenericPayload(label=label), RobinsonIconPayload(label=note, valence="-")
+    d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, payload=circle, id=ids[0]))
+    d.add_element(Element(kind=Kind.ROBINSON_ICON, payload=icon, id=ids[1]))
+    d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=ids[3]))
+    d.add_edge(Edge(kind=EdgeKind.MOTION, source=ids[0], target=ids[3], id=ids[2]))
+    d.add_edge(Edge(kind=EdgeKind.TIME, id=ids[4]))
+    d.bind_attribute(ids[0], AttributeBinding("color", Text(note)))
+    d.bind_attribute(ids[2], AttributeBinding("speed", Text(label)))
+    with pytest.raises(InvalidPayload):
+        RobinsonIconPayload(valence="&")
+
+    out = render(d)
+    root = ET.fromstring(out.encode("utf-8"))
+    groups = {g.get("id"): g for g in root.iter(f"{_SVG}g")}
+    assert set(ids) <= set(groups)
+    for eid in ids:
+        assert out.count(f'<g id="{eid}" ') == 1
+    color, speed = f"color = {value_literal(Text(note))}", f"speed = {value_literal(Text(label))}"
+    assert [t.text for t in groups[ids[0]].iter(f"{_SVG}text")] == [label, color]
+    assert [t.text for t in groups[ids[1]].iter(f"{_SVG}text")] == ["-", note]
+    assert [t.text for t in groups[ids[2]].iter(f"{_SVG}text")] == [speed]
+    for text in (label, note, color, speed):
+        escaped = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        assert ">" + escaped.replace('"', "&quot;") + "</text>" in out
+    assert not re.search(r"&(?!amp;|lt;|gt;|quot;)", out)
