@@ -124,8 +124,12 @@ class _Fault(Exception):
     and ``found``; parse raises it as a ParseError at that word's span."""
 
 
+def _escape(m: re.Match) -> str:
+    return _ESCAPES[m.group()]
+
+
 def _quote(s: str) -> str:
-    return '"' + _ESCAPE_RE.sub(lambda m: _ESCAPES[m.group()], s) + '"'
+    return '"' + _ESCAPE_RE.sub(_escape, s) + '"'
 
 
 def _unquote(at: int, raw: str) -> str:
@@ -424,6 +428,8 @@ _CODEC = {
         _list("probs", "probabilities", fmt_num, _parse_number, empty=""),
     ),
 }
+# The rows of each element kind's payload class.
+_ROWS = {kind: _CODEC[payload_type(kind)] for kind in Kind}
 # The keys a group record must hold, each with its fault at the kind word.
 _REQUIRED = {
     "members": ("members=<id,...>", "no members key"),
@@ -469,6 +475,8 @@ _KINDS = {k.value: k for k in Kind}
 _EDGE_KINDS = {k.value: k for k in EdgeKind}
 _GROUP_KIND = {StateDiagramGroup: GroupKind.STATE_DIAGRAM, SplitTimeGroup: GroupKind.SPLIT_TIME}
 _GROUP_KINDS = {k.value: cls for cls, k in _GROUP_KIND.items()}  # the classes by name
+# And the DSL name of every kind: reading .value costs seven lookups here.
+_NAMES = {k: k.value for kinds in (Kind, EdgeKind, GroupKind) for k in kinds}
 
 
 @gc_paused
@@ -515,9 +523,8 @@ def parse(text: str | bytes) -> Diagram:
             eid, kind = _record_head(words, _KINDS, "elem <id> <Kind>", "element kind")
             pairs = _read_pairs(words, 3, quoted=True)
             position = _take_position(pairs)
-            ptype = payload_type(kind)
             try:
-                payload = ptype(**_decode(_CODEC[ptype], pairs))
+                payload = payload_type(kind)(**_decode(_ROWS[kind], pairs))
             except (ModelError, ValueError) as exc:
                 raise _Fault(2, "well-formed payload", str(exc)) from exc
             if pairs:
@@ -706,19 +713,27 @@ def serialize(d: Diagram) -> str:
     """Canonical text for a diagram; stable across runs and insert orders.
     The text of every diagram parses back to an equal diagram."""
     lines = [f"meta {key}={_quote(value)}" for key, value in sorted(d.meta.items())]
+    # Labels and values repeat, so each distinct element pair text is quoted
+    # once per call.  A plain dict: a miss costs one get and one store.
+    quoted: dict[str, str] = {}
     elements = d.elements
     for eid in sorted(elements):
         el = elements[eid]
-        pairs = _encode(el.payload, _CODEC[payload_type(el.kind)])
+        pairs = _encode(el.payload, _ROWS[el.kind])
         if el.position is not None:
             pairs["pos"] = f"{fmt_num(el.position.x)},{fmt_num(el.position.y)}"
             if el.position.w is not None and el.position.h is not None:
                 pairs["size"] = f"{fmt_num(el.position.w)},{fmt_num(el.position.h)}"
-        parts = [f"{k}={_quote(v)}" for k, v in sorted(pairs.items())]
-        lines.append(" ".join(["elem", eid, el.kind.value] + parts))
+        parts = ["elem", eid, _NAMES[el.kind]]
+        for key, text in sorted(pairs.items()):
+            q = quoted.get(text)
+            if q is None:
+                q = quoted[text] = _quote(text)
+            parts.append(f"{key}={q}")
+        lines.append(" ".join(parts))
     lines.extend(f"contain {child} {parent}" for child, parent in sorted(d.containment.items()))
     for eid, e in sorted(d.edges.items()):
-        parts = ["edge", eid, e.kind.value]
+        parts = ["edge", eid, _NAMES[e.kind]]
         if e.source is not None:
             parts.append(e.source)
         parts.append("->")
@@ -729,6 +744,6 @@ def serialize(d: Diagram) -> str:
         lines.append(" ".join(parts))
     for gid, g in sorted(d.groups.items()):
         parts = [f"{k}={v}" for k, v in _encode(g, _CODEC[type(g)]).items()]
-        lines.append(" ".join(["group", gid, _GROUP_KIND[type(g)].value, *parts]))
+        lines.append(" ".join(["group", gid, _NAMES[_GROUP_KIND[type(g)]], *parts]))
     lines.extend(f"attr {owner} {attr}={literal}" for owner, attr, literal in binding_literals(d))
     return "\n".join(lines) + ("\n" if lines else "")

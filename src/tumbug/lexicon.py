@@ -332,9 +332,15 @@ def _plain_cell(token: str) -> Cell:
     return Cell(token)
 
 
+def _modal_table_text(text: str) -> ModalTable:
+    return ModalTable.from_table(load_table_text(text))
+
+
 def load_default_modal_table() -> ModalTable:
-    """A new ModalTable of the table in ``tables_dir()``, read once per directory."""
-    return ModalTable.from_table(read_table(tables_dir(), "modal_verbs.tbl", load_table_text))
+    """A new ModalTable of the table in ``tables_dir()``, read and built once
+    per directory; each call gets its own rows dict."""
+    built = read_table(tables_dir(), "modal_verbs.tbl", _modal_table_text)
+    return ModalTable(dict(built.rows))
 
 
 # Defined last: reading the shipped table needs load_table_text.

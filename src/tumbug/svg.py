@@ -49,6 +49,11 @@ HATCH_SPACING = 6  # between the hatch lines of sensor bars and 2D markers
 _TIP = ' marker-end="url(#arrowhead)"'  # an arrowhead at the end of a line
 
 
+# The class text of each element's and edge's <g>, per kind: reading an
+# Enum's .value costs seven lookups here.
+_ELEM_CLASS = {k: f"elem kind-{k.value}" for k in Kind}
+_EDGE_CLASS = {k: f"edge kind-{k.value}" for k in EdgeKind}
+
 # Grammatical-role hues, used only when options.color is on.
 _ROLE_COLORS = {"subject": "#d8ecff", "direct": "#ffe0cc", "indirect": "#e4ffd8"}
 
@@ -350,7 +355,7 @@ def _render_element(
 ) -> list[str]:
     kind = el.kind
     shape = KIND_FACTS[kind].shape
-    out = [f'<g id="{eid}" class="elem kind-{kind.value}">']
+    out = [f'<g id="{eid}" class="{_ELEM_CLASS[kind]}">']
     fill = "none"
     if options.color and shape == "circle":
         role = getattr(el.payload, "props", {}).get("role")
@@ -497,7 +502,7 @@ def _render_edge(
     attr_lines: list[str],
 ) -> list[str]:
     style, centered_arrow = _EDGE_STYLE[edge.kind]
-    out = [f'<g id="{eid}" class="edge kind-{edge.kind.value}">']
+    out = [f'<g id="{eid}" class="{_EDGE_CLASS[edge.kind]}">']
     a = None if edge.source is None else boxes[edge.source]
     b = None if edge.target is None else boxes[edge.target]
     if a is not None and edge.source == edge.target:  # self loop

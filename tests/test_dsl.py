@@ -513,6 +513,65 @@ class TestSerializeCanonical:
             text = serialize(step)
             assert serialize(parse(text)) == text
 
+    def test_one_text_is_written_alike_in_every_field(self):
+        # serialize quotes each distinct pair text once per call; the text
+        # of a label, a prop and a meta value, and a CA binding's literal
+        # (itself quoted text), must each keep its own field's form.
+        raw = 'a"b\\c\nd\te\u2028f'
+        written = '"a\\"b\\\\c\\nd\\te\\u2028f"'
+        literal = '"\\"a\\\\\\"b\\\\\\\\c\\\\nd\\\\te\\\\u2028f\\""'
+        d = Diagram()
+        d.set_meta("title", raw)
+        d.add_element(Element(
+            kind=Kind.PHYSICAL_OBJECT_CIRCLE, payload=GenericPayload(raw, {"note": raw}), id="o",
+        ))
+        d.add_element(Element(
+            kind=Kind.CA_AGGREGATION_BOX,
+            payload=CAPayload(
+                forced=(AttributeBinding("f", Text(raw)),),
+                detected=(AttributeBinding("t", Text(raw)),),
+                label=raw,
+            ),
+            id="ca",
+        ))
+        for owner in ("ca", "o"):
+            d.append_binding(owner, AttributeBinding("said", Text(raw)))
+        text = serialize(d)
+        assert text.splitlines() == [
+            f"meta title={written}",
+            f"elem ca CAAggregationBox detected.t={literal} forced.f={literal} label={written}",
+            f"elem o PhysicalObjectCircle label={written} note={written}",
+            f"attr ca said={written}",
+            f"attr o said={written}",
+        ]
+        assert parse(text) == d
+        assert serialize(parse(text)) == text
+
+    def test_every_kind_is_written_by_its_name(self):
+        from test_pins import EVERY_KIND_SCENE
+
+        split = "group g2 SplitTime members=loop,solitary trunk=time junction=k14 probs=0.25,0.75\n"
+        scene = EVERY_KIND_SCENE.replace("attr k0", split + "attr k0", 1)
+        d = parse(scene)
+        assert {el.kind for el in d.elements.values()} == set(Kind)
+        assert {e.kind for e in d.edges.values()} == set(EdgeKind)
+        assert {type(g) for g in d.groups.values()} == {StateDiagramGroup, SplitTimeGroup}
+        text = serialize(d)
+        assert text == scene
+        lines = text.splitlines()
+        kinds = {
+            "elem": [el.kind for _, el in sorted(d.elements.items())],
+            "edge": [e.kind for _, e in sorted(d.edges.items())],
+            "group": [
+                GroupKind.STATE_DIAGRAM if isinstance(g, StateDiagramGroup) else GroupKind.SPLIT_TIME
+                for _, g in sorted(d.groups.items())
+            ],
+        }
+        for record, expected in kinds.items():
+            words = [line.split()[2] for line in lines if line.startswith(record + " ")]
+            assert words == [kind.value for kind in expected]
+        assert parse(text) == d
+
 
 class TestRoundTripProperty:
     def test_100_random_diagrams(self):

@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from tumbug.model import (
@@ -678,9 +678,17 @@ class BindingIndexMachine(RuleBasedStateMachine):
         assert parse(serialize(self.d)) == self.d
 
 
-BindingIndexMachine.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=25, deadline=None, database=None
+# Each step's invariant deep-copies the diagram and probes 30 binds, so
+# shrinking a failing run took minutes.  Without the shrink phase a failure
+# reports the steps as they were drawn, in seconds.
+_MACHINE_SETTINGS = settings(
+    max_examples=60,
+    stateful_step_count=25,
+    deadline=None,
+    database=None,
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
 )
+BindingIndexMachine.TestCase.settings = _MACHINE_SETTINGS
 TestBindingIndex = BindingIndexMachine.TestCase
 
 
@@ -791,9 +799,7 @@ class HopIndexMachine(RuleBasedStateMachine):
         assert parse(serialize(self.d)) == self.d
 
 
-HopIndexMachine.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=25, deadline=None, database=None
-)
+HopIndexMachine.TestCase.settings = _MACHINE_SETTINGS
 TestHopIndex = HopIndexMachine.TestCase
 
 
