@@ -428,8 +428,9 @@ _CODEC = {
         _list("probs", "probabilities", fmt_num, _parse_number, empty=""),
     ),
 }
-# The rows of each element kind's payload class.
-_ROWS = {kind: _CODEC[payload_type(kind)] for kind in Kind}
+# Each element kind's payload class, and that class's rows.
+_PAYLOADS = {kind: payload_type(kind) for kind in Kind}
+_ROWS = {kind: _CODEC[cls] for kind, cls in _PAYLOADS.items()}
 # The keys a group record must hold, each with its fault at the kind word.
 _REQUIRED = {
     "members": ("members=<id,...>", "no members key"),
@@ -479,6 +480,32 @@ _GROUP_KINDS = {k.value: cls for cls, k in _GROUP_KIND.items()}  # the classes b
 _NAMES = {k: k.value for kinds in (Kind, EdgeKind, GroupKind) for k in kinds}
 
 
+def _lines(text: str) -> dict[str, list[tuple[int, str, tuple[str, ...]]]]:
+    """The records of a text by keyword, each as (lineno, line, words).
+    Every line is split before any record is built, so a syntax fault
+    anywhere is reported before a fault in a record on an earlier line.  A
+    record holds str and int only, so the cyclic GC stops tracking it."""
+    # Split at the quotes, the odd parts are the quoted bodies.  With no
+    # ``#`` and no backslash in the text, and even quotes whose bodies hold
+    # no whitespace, no body spans a line break (one is whitespace), so
+    # _split gives every line str.split's words: decided once per text.
+    parts = text.split('"') if "#" not in text and "\\" not in text else ()
+    quoted = "".join(parts[1::2])
+    plain = len(parts) % 2 == 1 and (not quoted or quoted.split() == [quoted])
+    buckets: dict[str, list[tuple[int, str, tuple[str, ...]]]] = {
+        key: [] for key in ("meta", "elem", "contain", "edge", "group", "attr")
+    }
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        words = tuple(line.split()) if plain else _split(line, lineno)
+        if not words:
+            continue
+        bucket = buckets.get(words[0])
+        if bucket is None:
+            raise _locate(lineno, line, 0, "record keyword", words[0])
+        bucket.append((lineno, line, words))
+    return buckets
+
+
 @gc_paused
 def parse(text: str | bytes) -> Diagram:
     """Parse DSL text into a diagram; raises ParseError at the first fault."""
@@ -487,22 +514,7 @@ def parse(text: str | bytes) -> Diagram:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(SourceSpan(1, 1, 1), "UTF-8 text", "invalid bytes") from exc
-
-    # Every line is split before any record is built, so a syntax fault
-    # anywhere is reported before a fault in a record on an earlier line.
-    # A record (lineno, line, words) holds str and int only, so the cyclic GC
-    # stops tracking it.
-    buckets: dict[str, list[tuple[int, str, tuple[str, ...]]]] = {
-        key: [] for key in ("meta", "elem", "contain", "edge", "group", "attr")
-    }
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        words = _split(line, lineno)
-        if not words:
-            continue
-        bucket = buckets.get(words[0])
-        if bucket is None:
-            raise _locate(lineno, line, 0, "record keyword", words[0])
-        bucket.append((lineno, line, words))
+    buckets = _lines(text)
 
     # A _Fault names a word of the record being built, and a writer's
     # refusal names an id; each loop below binds that record's lineno, line
@@ -519,12 +531,19 @@ def parse(text: str | bytes) -> Diagram:
                 raise _Fault(1, "unique meta key", key)
             d.set_meta(key, value)
 
+        # Pair words repeat, so each distinct one is decoded once: a quoted
+        # word (an elem's, an edge's role) to its key and text, a group's to
+        # its key and raw value.  Only a word that decoded goes in, so a bad
+        # word faults on each line that holds it.  Both dicts die with the
+        # parse.
+        decoded: dict[str, tuple[str, str]] = {}
+        bare: dict[str, tuple[str, str]] = {}
         for lineno, line, words in buckets["elem"]:
             eid, kind = _record_head(words, _KINDS, "elem <id> <Kind>", "element kind")
-            pairs = _read_pairs(words, 3, quoted=True)
+            pairs = _read_pairs(words, 3, decoded, quoted=True)
             position = _take_position(pairs)
             try:
-                payload = payload_type(kind)(**_decode(_ROWS[kind], pairs))
+                payload = _PAYLOADS[kind](**_decode(_ROWS[kind], pairs))
             except (ModelError, ValueError) as exc:
                 raise _Fault(2, "well-formed payload", str(exc)) from exc
             if pairs:
@@ -538,10 +557,10 @@ def parse(text: str | bytes) -> Diagram:
             d.contain(words[1], words[2])
 
         for lineno, line, words in buckets["edge"]:
-            _parse_edge(d, words)
+            _parse_edge(d, words, decoded)
 
         for lineno, line, words in buckets["group"]:
-            _parse_group(d, elements, words)
+            _parse_group(d, elements, words, bare)
 
         # Equal attr words share one binding: it and its value are frozen.
         # Only a word that built a binding goes in, and the dict dies with
@@ -621,14 +640,22 @@ def _split_pair(words: tuple[str, ...], at: int, quoted: bool) -> tuple[str, str
 
 
 def _read_pairs(
-    words: tuple[str, ...], start: int, quoted: bool, only: str | None = None
+    words: tuple[str, ...],
+    start: int,
+    decoded: dict[str, tuple[str, str]],
+    quoted: bool,
+    only: str | None = None,
 ) -> dict[str, tuple[int, str]]:
     """The key=value words of an elem, edge or group record from ``start`` on,
     by key, each with its index.  A key may come once, and when ``only`` is
-    given no other key."""
+    given no other key.  ``decoded`` holds each word already split, and
+    takes each word that splits."""
     pairs: dict[str, tuple[int, str]] = {}
     for at in range(start, len(words)):
-        key, value = _split_pair(words, at, quoted)
+        pair = decoded.get(words[at])
+        if pair is None:
+            pair = decoded[words[at]] = _split_pair(words, at, quoted)
+        key, value = pair
         if key in pairs:
             raise _Fault(at, "unique key", key)
         if only is not None and key != only:
@@ -656,7 +683,7 @@ def _number_pair(at: int, text: str, expected: str) -> tuple[float, float]:
     return _parse_number(at, parts[0]), _parse_number(at, parts[1])
 
 
-def _parse_edge(d: Diagram, words: tuple[str, ...]) -> None:
+def _parse_edge(d: Diagram, words: tuple[str, ...], decoded: dict[str, tuple[str, str]]) -> None:
     eid, kind = _record_head(words, _EDGE_KINDS, "edge <id> <Kind> [src] -> [dst]", "edge kind")
     source = target = None
     n = len(words)
@@ -670,8 +697,9 @@ def _parse_edge(d: Diagram, words: tuple[str, ...]) -> None:
     if at < n and "=" not in words[at]:
         target = words[at]
         at += 1
-    pairs = _read_pairs(words, at, quoted=True, only="role")
-    at, role = pairs.get("role", (None, None))
+    role = None
+    if at < n:  # what is left is key=value words, of which only role= is read
+        at, role = _read_pairs(words, at, decoded, quoted=True, only="role")["role"]
     try:
         edge = Edge(kind=kind, source=source, target=target, role=role, id=eid)
     except ModelError as exc:  # only a role is refused
@@ -679,9 +707,14 @@ def _parse_edge(d: Diagram, words: tuple[str, ...]) -> None:
     d.add_edge(edge)
 
 
-def _parse_group(d: Diagram, elements: Mapping[str, Element], words: tuple[str, ...]) -> None:
+def _parse_group(
+    d: Diagram,
+    elements: Mapping[str, Element],
+    words: tuple[str, ...],
+    decoded: dict[str, tuple[str, str]],
+) -> None:
     gid, cls = _record_head(words, _GROUP_KINDS, "group <id> <Kind>", "group kind")
-    pairs = _read_pairs(words, 3, quoted=False)
+    pairs = _read_pairs(words, 3, decoded, quoted=False)
     probs = pairs.get("probs")  # _decode consumes pairs
     fields = _decode(_CODEC[cls], pairs)
     if cls is StateDiagramGroup:

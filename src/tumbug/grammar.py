@@ -189,8 +189,9 @@ def _arrow_shapes(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
 
 
 def _attribute_hosts(d: Diagram, table: LegalityTable) -> Iterator[Violation]:
-    refused = sorted((o, b.attribute) for o, b in d.bindings if d.host_problem(o, b.attribute))
-    for owner, attribute in refused:  # serialize's order; owner and attribute fix the message
+    """One violation per binding on a host that cannot carry it, in
+    serialize's order; owner and attribute fix the message."""
+    for owner, attribute in d.misplaced_bindings():
         yield Violation(ViolationCode.ATTR_HOST_ILLEGAL, (owner,), d.host_problem(owner, attribute))
 
 

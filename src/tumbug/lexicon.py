@@ -193,6 +193,13 @@ class ModalTable(Record):
                 raise TableFormatError(f"unknown modal concepts: {sorted(stray)}")
         self.rows = rows
 
+    def copy(self) -> "ModalTable":
+        """A table with its own rows dict of this table's rows, which passed
+        the checks when this table was built, so they are not run again."""
+        table = object.__new__(ModalTable)
+        table.rows = dict(self.rows)
+        return table
+
     @classmethod
     def from_table(cls, table: "TableData") -> "ModalTable":
         stray = set(table.attributes) - set(MODAL_CONCEPTS)
@@ -338,9 +345,8 @@ def _modal_table_text(text: str) -> ModalTable:
 
 def load_default_modal_table() -> ModalTable:
     """A new ModalTable of the table in ``tables_dir()``, read and built once
-    per directory; each call gets its own rows dict."""
-    built = read_table(tables_dir(), "modal_verbs.tbl", _modal_table_text)
-    return ModalTable(dict(built.rows))
+    per directory and checked then; each call gets its own rows dict."""
+    return read_table(tables_dir(), "modal_verbs.tbl", _modal_table_text).copy()
 
 
 # Defined last: reading the shipped table needs load_table_text.

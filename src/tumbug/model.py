@@ -632,10 +632,11 @@ class Diagram:
     ``append_binding`` keeps both, so the parser and callers can build
     diagrams that :func:`tumbug.grammar.validate` reports.  The writers keep
     private indices of the value per (owner, attribute) that serialize writes
-    first, of the keys bound to two values, and of Relationship edges by
-    source.  A record changed in place after it is stored (an Edge's
-    endpoints or kind, an Element's kind or payload, a group's fields) is
-    outside this contract, and the indices do not follow it.
+    first, of the keys bound to two values, of the bindings on hosts that
+    cannot carry them, and of Relationship edges by source.  A record
+    changed in place after it is stored (an Edge's endpoints or kind, an
+    Element's kind or payload, a group's fields) is outside this contract,
+    and the indices do not follow it.
 
     Equality is structural and order-insensitive: two diagrams built by
     different insertion orders compare equal when their dicts are equal and
@@ -657,6 +658,8 @@ class Diagram:
         self._first: dict[tuple[str, str], Value] = {}
         self._conflicting: set[tuple[str, str]] = set()
         self._hops: dict[str | None, list[str]] = {}
+        # (owner, attribute) per binding on a host that cannot carry it.
+        self._misplaced: list[tuple[str, str]] = []
 
     def __repr__(self) -> str:  # the indices are left out
         return (
@@ -810,8 +813,11 @@ class Diagram:
         cannot carry the attribute, and the value may conflict with one
         already bound.  Raises ``UnknownOwner`` if owner names no element or
         edge."""
-        if owner not in self._elements and owner not in self._edges:
+        host = self._elements.get(owner) or self._edges.get(owner)
+        if host is None:
             raise UnknownOwner(owner)
+        if not can_host(host.kind):
+            self._misplaced.append((owner, binding.attribute))
         self._append(owner, binding)
 
     def _append(self, owner: str, binding: AttributeBinding) -> None:
@@ -845,6 +851,11 @@ class Diagram:
     def binding_value(self, owner: str, attribute: str) -> Value | None:
         """The value of owner's attribute that serialize writes first, or None."""
         return self._first.get((owner, attribute))
+
+    def misplaced_bindings(self) -> list[tuple[str, str]]:
+        """(owner, attribute) per binding whose owner cannot carry the
+        attribute, sorted; only append_binding keeps such a binding."""
+        return sorted(self._misplaced)
 
     def conflicting_bindings(self) -> list[tuple[str, str]]:
         """Each (owner, attribute) bound to two different values, sorted."""

@@ -8,6 +8,7 @@ import re
 import sys
 import time
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -954,6 +955,113 @@ class TestSplitPaths:
         monkeypatch.setattr(dsl, "_WORD_RE", Refusing())
         monkeypatch.setattr(dsl, "_WORDS_RE", Refusing())
         assert dsl._split(line, 1) == expected == tuple(line.split())
+
+
+def _lines_split_per_line(text: str):
+    """dsl._lines with every line split by dsl._split, whatever the text: the
+    reference for the one plain-split decision per text."""
+    buckets = {key: [] for key in ("meta", "elem", "contain", "edge", "group", "attr")}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        words = dsl._split(line, lineno)
+        if not words:
+            continue
+        if words[0] not in buckets:
+            raise dsl._locate(lineno, line, 0, "record keyword", words[0])
+        buckets[words[0]].append((lineno, line, words))
+    return buckets
+
+
+def _parse_outcome(text: str):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return (exc.span, exc.expected, exc.found)
+
+
+# Every line break str.splitlines knows is whitespace, and so are \xa0 and
+# \u3000; the pieces put record words among them.
+_PLAIN_ALPHABET = '"\\#=abl \t\r\n\x0b\x1c\x85\xa0\u3000'
+_PLAIN_PIECES = st.one_of(
+    st.text(alphabet=_PLAIN_ALPHABET, max_size=4),
+    st.sampled_from(
+        [
+            "elem ", "o1 ", "o2 ", "Cell ", "PhysicalObjectCircle ", "attr ", "w=", "1",
+            "edge t1 Force o1 -> ", "edge t2 Tube -> ", "role=", '"exerts"', "contain o1 o2",
+            "meta k=", "label=", '"a"', '""', "\n",
+        ]
+    ),
+)
+
+
+class TestPlainTexts:
+    """A text with no ``#`` and no backslash, whose quotes are even and
+    whose quoted bodies hold no whitespace, is split with str.split line by
+    line; that decision is taken once per text."""
+
+    @settings(max_examples=1500, deadline=None, database=None)
+    @given(st.lists(_PLAIN_PIECES, max_size=30).map("".join))
+    def test_parse_agrees_with_a_split_per_line(self, text):
+        expected = _parse_outcome(text)
+        with mock.patch.object(dsl, "_lines", _lines_split_per_line):
+            assert _parse_outcome(text) == expected
+
+    @pytest.mark.parametrize(
+        "text, plain",
+        [
+            ('elem o1 Cell label="a"\nattr o1 w="b"\n', True),
+            ("elem o1 Cell\n", True),
+            ('elem o1 Cell label="a b"\n', False),
+            ('elem o1 Cell label="a\x85b"\n', False),
+            ('elem o1 Cell label="a\\tb"\n', False),
+            ('elem o1 Cell label="a"\n# note\n', False),
+            ('elem o1 Cell label="a\n', False),
+        ],
+    )
+    def test_only_a_plain_text_skips_the_per_line_split(self, text, plain):
+        real, calls = dsl._split, []
+
+        def split(line, lineno):
+            calls.append(lineno)
+            return real(line, lineno)
+
+        with mock.patch.object(dsl, "_split", split):
+            _parse_outcome(text)
+        assert (not calls) == plain
+
+    @pytest.mark.parametrize(
+        "word, expected, found",
+        [
+            ('label="\\q"', "known escape", "\\q"),
+            ('label="a\x01"', "legal text", None),
+            ('a/b="x"', 'key="value"', 'a/b="x"'),
+            ("label=x", "quoted string", "x"),
+        ],
+    )
+    def test_a_bad_elem_word_on_two_lines_faults_at_the_first(self, word, expected, found):
+        text = f"meta k=\"v\"\nelem o1 Cell {word}\nelem o2 Cell {word}\n"
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.span == SourceSpan(2, 14, 13 + len(word))
+        assert err.value.expected == expected
+        if found is not None:
+            assert err.value.found == found
+
+    @pytest.mark.parametrize(
+        "text, span",
+        [
+            ('elem o1 Cell label="a"\nelem o2 Cell label="a" label="a"\n', (2, 24, 32)),
+            ('elem o1 Cell label="a"\nelem o2 Cell label="b" label="a"\n', (2, 24, 32)),
+            (
+                'edge t1 Force -> role="exerts"\nedge t2 Force -> role="exerts" role="exerts"\n',
+                (2, 32, 44),
+            ),
+        ],
+    )
+    def test_a_duplicate_key_on_a_shared_word_faults_at_that_word(self, text, span):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        e = err.value
+        assert ((e.span.line, e.span.col_start, e.span.col_end), e.expected) == (span, "unique key")
 
 
 def _generated_text(n_boxes: int) -> str:

@@ -5,7 +5,8 @@ and caches, the shipped tables are read through tumbug.read_table, each rule
 below has its one owner, queries read the model's indices instead of
 scanning, only the model touches a Diagram's storage, dsl reads and writes
 every codec row through one loop each, dsl spells a word once and reads
-words through one splitter, svg escapes text and never an id, each
+words through one splitter, no dsl function writes to a module-level
+table, svg escapes text and never an id, each
 attribute refusal is raised in one place, only tumbug.gc_paused switches the
 cyclic collector, the model methods that perfbench traces exist, no module
 imports dataclasses, only values.fmt_num reads a repr, and the package
@@ -326,7 +327,7 @@ def test_no_module_calls_the_scanning_queries():
 
 _DIAGRAM_STORAGE = {
     "_elements", "_containment", "_edges", "_groups", "_bindings", "_meta",
-    "_first", "_conflicting", "_hops",
+    "_first", "_conflicting", "_hops", "_misplaced",
 }
 
 
@@ -456,6 +457,70 @@ def test_reader_check_sees_a_third_pattern():
     tree = ast.parse(source)
     assert _readers(tree, "_WORD") == ["_TOKEN_RE", "_WORDS_RE", "_WORD_RE"]
     assert _readers(tree, "_WORD_RE") == ["_split"]
+
+
+_TABLE_WRITES = ("setdefault", "update", "add")
+
+
+def _module_table_writes(tree: ast.Module) -> list[tuple[str, str]]:
+    """(function, name) for each module-level name that a function stores
+    into by subscript, setdefault, update or add, where the function binds
+    no name of its own of that spelling."""
+    module_names = {
+        t.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for t in getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(t, ast.Name)
+    }
+    found = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
+        own |= {
+            n.id for n in ast.walk(function) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+        }
+        for node in ast.walk(function):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                target = node.value
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _TABLE_WRITES:
+                target = node.func.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id in module_names - own:
+                found.add((function.name, target.id))
+    return sorted(found)
+
+
+def test_parse_tables_never_outlive_the_call():
+    # What parse shares between equal words (bindings, split pair words)
+    # lives in dicts local to the call: a module-level table would keep one
+    # parse's words alive and grow with every text parsed.
+    tree = ast.parse((SRC / "dsl.py").read_text(encoding="utf-8"))
+    assert _module_table_writes(tree) == []
+
+
+def test_table_write_check_sees_each_spelling():
+    source = (
+        "_SEEN = {}\n"
+        "_KEYS: set = set()\n"
+        "_ROWS = {}\n"
+        "_ROWS['a'] = 1\n"
+        "def store(word):\n"
+        "    _SEEN[word] = 1\n"
+        "    _SEEN.setdefault(word, 2)\n"
+        "def grow(words):\n"
+        "    _SEEN.update(words)\n"
+        "    _KEYS.add(words[0])\n"
+        "def local(word, _ROWS):\n"
+        "    _SEEN = {}\n"
+        "    _SEEN[word] = _ROWS[word] = 1\n"
+        "    return _ROWS.get(word)\n"
+    )
+    assert _module_table_writes(ast.parse(source)) == [
+        ("grow", "_KEYS"), ("grow", "_SEEN"), ("store", "_SEEN"),
+    ]
 
 
 def _raise_sites(tree: ast.AST, names: set[str]) -> list[tuple[str, str]]:

@@ -250,6 +250,24 @@ class TestModalTable:
         assert second is not first and second.rows == first.rows
         assert second.rows is not first.rows
 
+    def test_changing_one_default_tables_rows_leaves_the_next_calls_alone(self):
+        # The rows are checked once, when the shared table is built; each
+        # call copies them into a dict of its own.
+        first = load_default_modal_table()
+        rows = dict(first.rows)
+        key = next(iter(first.rows))
+        first.rows.pop(key)
+        first.rows[("must", "whim")] = first.rows[next(iter(first.rows))]
+        second = load_default_modal_table()
+        assert second.rows == rows and second.rows is not first.rows
+        assert second == ModalTable(rows)
+
+    def test_a_table_built_from_rows_still_checks_them(self):
+        rows = dict(load_default_modal_table().rows)
+        verb = next(verb for verb, _ in rows)
+        with pytest.raises(TableFormatError, match="missing verbs"):
+            ModalTable({key: row for key, row in rows.items() if key[0] != verb})
+
 
 class TestAttitudes:
     def test_each_core_attitude_in_exactly_one_category(self):

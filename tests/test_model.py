@@ -606,8 +606,8 @@ def _refused(d: Diagram, owner: str, binding: AttributeBinding) -> bool:
 class BindingIndexMachine(RuleBasedStateMachine):
     """Writes through bind_attribute and append_binding, mirrored into a
     reference list, and after each one, bind_attribute, binding_value,
-    conflicting_bindings and resolve_query compared with a scan of that
-    list, and the diagram's text parsed back."""
+    conflicting_bindings, misplaced_bindings and resolve_query compared with
+    a scan of that list, and the diagram's text parsed back."""
 
     def __init__(self):
         super().__init__()
@@ -675,7 +675,10 @@ class BindingIndexMachine(RuleBasedStateMachine):
                         probe_ref.append(pair)
         assert self.d.conflicting_bindings() == _conflicting_keys(self.ref)
         assert probe.conflicting_bindings() == _conflicting_keys(probe_ref)
-        assert parse(serialize(self.d)) == self.d
+        misplaced = sorted((o, b.attribute) for o, b in self.ref if self.d.host_problem(o, b.attribute))
+        assert self.d.misplaced_bindings() == probe.misplaced_bindings() == misplaced
+        back = parse(serialize(self.d))
+        assert back == self.d and back.misplaced_bindings() == misplaced
 
 
 # Each step's invariant deep-copies the diagram and probes 30 binds, so
