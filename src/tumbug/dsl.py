@@ -428,9 +428,8 @@ _CODEC = {
         _list("probs", "probabilities", fmt_num, _parse_number, empty=""),
     ),
 }
-# Each element kind's payload class, and that class's rows.
-_PAYLOADS = {kind: payload_type(kind) for kind in Kind}
-_ROWS = {kind: _CODEC[cls] for kind, cls in _PAYLOADS.items()}
+# The rows of each element kind's payload class.
+_ROWS = {kind: _CODEC[payload_type(kind)] for kind in Kind}
 # The keys a group record must hold, each with its fault at the kind word.
 _REQUIRED = {
     "members": ("members=<id,...>", "no members key"),
@@ -531,19 +530,17 @@ def parse(text: str | bytes) -> Diagram:
                 raise _Fault(1, "unique meta key", key)
             d.set_meta(key, value)
 
-        # Pair words repeat, so each distinct one is decoded once: a quoted
-        # word (an elem's, an edge's role) to its key and text, a group's to
-        # its key and raw value.  Only a word that decoded goes in, so a bad
-        # word faults on each line that holds it.  Both dicts die with the
-        # parse.
+        # Elem pair words and edge role words repeat, so each distinct one
+        # is decoded once, to its key and text.  Only a word that decoded
+        # goes in, so a bad word faults on each line that holds it.  The
+        # dict dies with the parse.
         decoded: dict[str, tuple[str, str]] = {}
-        bare: dict[str, tuple[str, str]] = {}
         for lineno, line, words in buckets["elem"]:
             eid, kind = _record_head(words, _KINDS, "elem <id> <Kind>", "element kind")
             pairs = _read_pairs(words, 3, decoded, quoted=True)
             position = _take_position(pairs)
             try:
-                payload = _PAYLOADS[kind](**_decode(_ROWS[kind], pairs))
+                payload = payload_type(kind)(**_decode(_ROWS[kind], pairs))
             except (ModelError, ValueError) as exc:
                 raise _Fault(2, "well-formed payload", str(exc)) from exc
             if pairs:
@@ -560,7 +557,7 @@ def parse(text: str | bytes) -> Diagram:
             _parse_edge(d, words, decoded)
 
         for lineno, line, words in buckets["group"]:
-            _parse_group(d, elements, words, bare)
+            _parse_group(d, elements, words)
 
         # Equal attr words share one binding: it and its value are frozen.
         # Only a word that built a binding goes in, and the dict dies with
@@ -707,14 +704,9 @@ def _parse_edge(d: Diagram, words: tuple[str, ...], decoded: dict[str, tuple[str
     d.add_edge(edge)
 
 
-def _parse_group(
-    d: Diagram,
-    elements: Mapping[str, Element],
-    words: tuple[str, ...],
-    decoded: dict[str, tuple[str, str]],
-) -> None:
+def _parse_group(d: Diagram, elements: Mapping[str, Element], words: tuple[str, ...]) -> None:
     gid, cls = _record_head(words, _GROUP_KINDS, "group <id> <Kind>", "group kind")
-    pairs = _read_pairs(words, 3, decoded, quoted=False)
+    pairs = _read_pairs(words, 3, {}, quoted=False)  # group words seldom repeat
     probs = pairs.get("probs")  # _decode consumes pairs
     fields = _decode(_CODEC[cls], pairs)
     if cls is StateDiagramGroup:

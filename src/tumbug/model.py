@@ -813,10 +813,7 @@ class Diagram:
         cannot carry the attribute, and the value may conflict with one
         already bound.  Raises ``UnknownOwner`` if owner names no element or
         edge."""
-        host = self._elements.get(owner) or self._edges.get(owner)
-        if host is None:
-            raise UnknownOwner(owner)
-        if not can_host(host.kind):
+        if self.host_problem(owner, binding.attribute) is not None:
             self._misplaced.append((owner, binding.attribute))
         self._append(owner, binding)
 
