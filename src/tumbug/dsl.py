@@ -187,22 +187,26 @@ _WORD_RE = re.compile(_WORD, re.DOTALL)
 _WORDS_RE = re.compile(rf"\s*(?:(?!#)(?:{_WORD})(?:\s+|\Z))*", re.DOTALL)
 
 
+def _plain(s: str) -> bool:
+    """Whether str.split gives the words of s, a line or a whole text.  The
+    odd parts of s split at the quotes are the quoted bodies; with no
+    backslash in a body each quote closes the one before, so with no ``#``,
+    even quotes and no whitespace in a body, the words are str.split's.  A
+    line break is whitespace, so each line of a plain text is plain."""
+    if "#" in s:
+        return False
+    if '"' not in s:
+        return True
+    parts = s.split('"')
+    quoted = "".join(parts[1::2])
+    return len(parts) % 2 == 1 and "\\" not in quoted and (not quoted or quoted.split() == [quoted])
+
+
 def _split(line: str, lineno: int) -> tuple[str, ...]:
-    """The words of a line before its comment, split by C-level calls unless
-    the line has a ``#`` or the whole-line pattern refuses it."""
-    if "#" not in line:
-        # Split at the quotes, the odd parts are the quoted bodies.  With no
-        # backslash in a body, each quote closes the one before it; so if the
-        # quotes are even and no body holds whitespace, the words are
-        # exactly str.split's.
-        if '"' not in line or (
-            len(parts := line.split('"')) % 2
-            and "\\" not in (quoted := "".join(parts[1::2]))
-            and (not quoted or quoted.split() == [quoted])
-        ):
-            return tuple(line.split())
-        if _WORDS_RE.fullmatch(line):
-            return tuple(_WORD_RE.findall(line))
+    """The words of a line before its comment, split by one C-level call
+    when the line is plain, else read with the word patterns."""
+    if _plain(line):
+        return tuple(line.split())
     if line.lstrip().startswith("#"):  # a whole-line comment: no pattern reads it
         return ()
     # The words run up to the comment or to the first token that no word
@@ -483,14 +487,9 @@ def _lines(text: str) -> dict[str, list[tuple[int, str, tuple[str, ...]]]]:
     """The records of a text by keyword, each as (lineno, line, words).
     Every line is split before any record is built, so a syntax fault
     anywhere is reported before a fault in a record on an earlier line.  A
-    record holds str and int only, so the cyclic GC stops tracking it."""
-    # Split at the quotes, the odd parts are the quoted bodies.  With no
-    # ``#`` and no backslash in the text, and even quotes whose bodies hold
-    # no whitespace, no body spans a line break (one is whitespace), so
-    # _split gives every line str.split's words: decided once per text.
-    parts = text.split('"') if "#" not in text and "\\" not in text else ()
-    quoted = "".join(parts[1::2])
-    plain = len(parts) % 2 == 1 and (not quoted or quoted.split() == [quoted])
+    record holds str and int only, so the cyclic GC stops tracking it.  A
+    plain text is split line by line with str.split: decided once per text."""
+    plain = _plain(text)
     buckets: dict[str, list[tuple[int, str, tuple[str, ...]]]] = {
         key: [] for key in ("meta", "elem", "contain", "edge", "group", "attr")
     }

@@ -728,14 +728,18 @@ class Diagram:
             raise ModelError(f"meta key {key!r} is not a key the DSL can write")
         self._meta[key] = legal_text(value)
 
+    def _check_parent(self, parent: str) -> None:
+        """Refuse a parent that is not a container element of this diagram."""
+        if parent not in self._elements:
+            raise UnknownParent(parent)
+        if self._elements[parent].kind not in CONTAINER_KINDS:
+            raise ParentNotContainer(parent)
+
     def add_element(self, element: Element, parent: str | None = None) -> str:
         """Insert an element, optionally inside a container, and return its id."""
         eid = self._claim_id(element.id, "n")
         if parent is not None:
-            if parent not in self._elements:
-                raise UnknownParent(parent)
-            if self._elements[parent].kind not in CONTAINER_KINDS:
-                raise ParentNotContainer(parent)
+            self._check_parent(parent)
             self._containment[eid] = parent
         element.id = eid
         self._elements[eid] = element
@@ -745,10 +749,7 @@ class Diagram:
         """Record child-inside-parent, rejecting cycles and non-containers."""
         if child not in self._elements:
             raise UnknownMember(child)
-        if parent not in self._elements:
-            raise UnknownParent(parent)
-        if self._elements[parent].kind not in CONTAINER_KINDS:
-            raise ParentNotContainer(parent)
+        self._check_parent(parent)
         # Walk up from the parent; reaching the child would close a loop.
         seen = parent
         while seen is not None:

@@ -129,11 +129,11 @@ def _leaf_size(el: Element) -> tuple[float, float]:
 
 def _layout(
     d: Diagram, by_owner: dict[str, list[str]]
-) -> tuple[dict[str, _Box], list[str]]:
+) -> tuple[dict[str, _Box], dict[str, int]]:
     """Assign a box to every element: explicit positions win, containers
     pack their children, top-level elements are layered left-to-right by
-    arrow topology.  Also returns the elements with every container before
-    its contents."""
+    arrow topology.  Also returns each element's containment depth (0 for
+    a top-level one), keyed with every container before its contents."""
     elements, containment = d.elements, d.containment
     children: dict[str, list[str]] = {}
     for child in sorted(containment):
@@ -173,13 +173,14 @@ def _layout(
 
     # Containers before their contents, depth first in child order, without
     # recursion: containment may nest deeper than Python's recursion limit.
-    order: list[str] = []
-    stack = roots[::-1]
+    depth: dict[str, int] = {}
+    stack = [(r, 0) for r in reversed(roots)]
     while stack:
-        eid = stack.pop()
-        order.append(eid)
-        stack.extend(reversed(children.get(eid, [])))
-    for eid in reversed(order):  # contents first
+        eid, level = stack.pop()
+        depth[eid] = level
+        if eid in children:
+            stack.extend([(k, level + 1) for k in reversed(children[eid])])
+    for eid in reversed(depth):  # contents first
         sizes[eid] = measure(eid)
 
     # Layer roots by non-time arrow topology, sources leftmost.
@@ -210,7 +211,7 @@ def _layout(
             widest = max(widest, boxes[r].w)
         col_x += widest + 64.0
 
-    for parent in order:
+    for parent in depth:
         pbox = boxes[parent]
         pad = 16.0
         x = pbox.x + pad
@@ -222,15 +223,16 @@ def _layout(
             else:
                 boxes[k] = _Box(x, pbox.y + pad + FONT_SIZE, kw, kh)
                 x += kw + pad
-    return boxes, order
+    return boxes, depth
 
 
 def _layers(roots: list[str], arrows: list[tuple[str, str]]) -> dict[str, int]:
     """Each root's layer, given the arrows between roots in edge-id order:
     its longest path from a source, found in topological order (Kahn 1962).
-    A cycle leaves roots unplaced; then layers come from at most len(roots)
-    relaxation passes in edge-id order, from zero.  On a cycle that result
-    depends on the edge order, so it is part of the output format."""
+    A cycle leaves roots unplaced; then layers come from len(roots)
+    relaxation passes in edge-id order, from zero (each pass raises a layer
+    on the cycle).  On a cycle that result depends on the edge order, so it
+    is part of the output format."""
     layer = dict.fromkeys(roots, 0)
     targets: dict[str, list[str]] = {}
     indegree = dict.fromkeys(roots, 0)
@@ -249,13 +251,9 @@ def _layers(roots: list[str], arrows: list[tuple[str, str]]) -> dict[str, int]:
         return layer
     layer = dict.fromkeys(roots, 0)
     for _ in range(len(roots)):
-        changed = False
         for src, dst in arrows:
             if layer[dst] < layer[src] + 1:
                 layer[dst] = layer[src] + 1
-                changed = True
-        if not changed:
-            break
     return layer
 
 
@@ -280,7 +278,7 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
         if line is None:
             line = escaped[text] = _esc(text)
         by_owner.setdefault(owner, []).append(line)
-    boxes, parents_first = _layout(d, by_owner)
+    boxes, depth = _layout(d, by_owner)
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{num[options.width]}" '
@@ -313,10 +311,7 @@ def render(d: Diagram, options: RenderOptions | None = None) -> str:
         out.append("</g>")
 
     # Drawn by containment depth, then id, so that contents paint over boxes.
-    elements, containment = d.elements, d.containment
-    depth: dict[str | None, int] = {None: -1}
-    for eid in parents_first:
-        depth[eid] = depth[containment.get(eid)] + 1
+    elements = d.elements
     for eid in sorted(elements, key=lambda e: (depth[e], e)):
         out.extend(
             _render_element(

@@ -201,6 +201,26 @@ class TestValueLiterals:
             with pytest.raises(ParseError):
                 parse(f"elem o1 PhysicalObjectCircle\nattr o1 a={bad}\n")
 
+    @pytest.mark.parametrize(
+        "record, span, expected, found",
+        [
+            ("attr o1 w=fuzzy[warm]", (9, 21), "fuzzy[name:lo,peak,hi]", "fuzzy[warm]"),
+            ("attr o1 w=5:1m", (9, 14), "unit tag", "1m"),
+            ("attr o1 w=range[1]", (9, 18), "range[lo,hi]", "[1]"),
+            ("attr o1 w=range[1,2,3]", (9, 22), "two range bounds", "[1,2,3]"),
+            (
+                'elem m MotivationTriangle markers="automaton"',
+                (27, 45), "marker as level:valence", "automaton",
+            ),
+        ],
+    )
+    def test_malformed_literal_faults_at_its_word(self, record, span, expected, found):
+        with pytest.raises(ParseError) as err:
+            parse(f"elem o1 PhysicalObjectCircle\n{record}\n")
+        assert (err.value.span, err.value.expected, err.value.found) == (
+            SourceSpan(2, *span), expected, found
+        )
+
 
 class TestWholeTokenPatterns:
     """A slot or number must match as a whole: a pattern ending in ``$`` would

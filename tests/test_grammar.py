@@ -140,6 +140,20 @@ class TestLegalityTable:
         with pytest.raises(ValueError):
             parse_legality("Nonsense L L L L")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("SolitaryArrow L L L", "expected '<Shape> L/I L/I L/I L/I', got 'SolitaryArrow L L L'"),
+            ("SolitaryArrow L L X L", "cell must be L or I, got 'X'"),
+        ],
+        ids=["field-count", "cell"],
+    )
+    def test_malformed_row_is_refused_by_name(self, text, message):
+        # A --legality file is the user's: the refusal says what is wrong.
+        with pytest.raises(ValueError) as err:
+            parse_legality(text)
+        assert str(err.value) == message
+
     def test_motion_self_loop_is_valid(self):
         # reflexive actions: a person washing themself
         d = Diagram()

@@ -140,6 +140,22 @@ def test_rule_file_errors():
         parse_rules("1 barrier Gizmo - -\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x barrier MotionArrow - -", "line 1: invalid literal for int() with base 10: 'x'"),
+        ("1 nope MotionArrow - -", "line 1: 'nope' is not a valid TriggerTag"),
+        ("1 barrier - - -\n2 barrier - - -", "line 2: duplicate rule for barrier"),
+    ],
+    ids=["index", "tag", "duplicate-tag"],
+)
+def test_malformed_rule_line_is_refused_by_line(text, message):
+    # A rule file under TUMBUG_TABLES is the user's: the refusal names its line.
+    with pytest.raises(RuleSetError) as err:
+        parse_rules(text)
+    assert str(err.value) == message
+
+
 def test_rules_reloadable_from_custom_file(tmp_path):
     source = (tmp_path / "rules.tbl")
     default_text = "\n".join(

@@ -5,9 +5,9 @@ and caches, the shipped tables are read through tumbug.read_table, each rule
 below has its one owner, queries read the model's indices instead of
 scanning, only the model touches a Diagram's storage, dsl reads and writes
 every codec row through one loop each, dsl spells a word once and reads
-words through one splitter, no dsl function writes to a module-level
-table, svg escapes text and never an id, each
-attribute refusal is raised in one place, only tumbug.gc_paused switches the
+words through one splitter decided by one plain-split test, no dsl
+function writes to a module-level table, svg escapes text and never an id,
+each attribute and parent refusal is raised in one place, only tumbug.gc_paused switches the
 cyclic collector, the model methods that perfbench traces exist, no module
 imports dataclasses, only values.fmt_num reads a repr, and the package
 version is the project's."""
@@ -459,6 +459,39 @@ def test_reader_check_sees_a_third_pattern():
     assert _readers(tree, "_WORD_RE") == ["_split"]
 
 
+def _quote_splits(tree: ast.AST) -> list[str]:
+    """The function of each call that splits at a double quote, sorted."""
+    return sorted(
+        owner
+        for owner, node in _owned_nodes(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) == "split"
+        and node.args
+        and getattr(node.args[0], "value", None) == '"'
+    )
+
+
+def test_one_predicate_decides_the_plain_split():
+    # dsl._plain alone decides when str.split gives the words of a line or
+    # of a whole text, so the per-text and per-line paths cannot drift.
+    tree = ast.parse((SRC / "dsl.py").read_text(encoding="utf-8"))
+    assert _quote_splits(tree) == ["_plain"]
+
+
+def test_quote_split_check_sees_a_stray_call():
+    source = (
+        "def _plain(s):\n"
+        "    return s.split('\"')\n"
+        "class Lexer:\n"
+        "    def words(self, line):\n"
+        "        return line.split('\"', 1)\n"
+        "PARTS = TEXT.split('\"')\n"
+        "def items(t):\n"
+        "    return t.split(',') + t.split() + t.partition('\"')\n"
+    )
+    assert _quote_splits(ast.parse(source)) == ["<module>", "Lexer.words", "_plain"]
+
+
 _TABLE_WRITES = ("setdefault", "update", "add")
 
 
@@ -523,23 +556,25 @@ def test_table_write_check_sees_each_spelling():
     ]
 
 
-def _raise_sites(tree: ast.AST, names: set[str]) -> list[tuple[str, str]]:
-    """(function, exception) for each raise of an exception in names, the
-    function dotted with its class ("<module>" at top level)."""
-    found = []
+def _owned_nodes(node: ast.AST, owner: str = "<module>"):
+    """(owner, node) for node and every node under it, the owner being the
+    function it is in, dotted with its class ("<module>" at top level)."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+    yield owner, node
+    for child in ast.iter_child_nodes(node):
+        yield from _owned_nodes(child, owner)
 
-    def visit(node, owner):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+
+def _raise_sites(tree: ast.AST, names: set[str]) -> list[tuple[str, str]]:
+    """(function, exception) for each raise of an exception in names."""
+    found = []
+    for owner, node in _owned_nodes(tree):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = getattr(node.exc, "func", node.exc)
             name = getattr(exc, "id", None) or getattr(exc, "attr", None)
             if name in names:
                 found.append((owner, name))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(tree, "<module>")
     return sorted(found)
 
 
@@ -553,6 +588,15 @@ def test_each_attribute_refusal_is_raised_in_one_place():
     assert _raise_sites(tree, _REFUSALS) == [
         ("Diagram.bind_attribute", "ConflictingDuplicate"),
         ("Diagram.bind_attribute", "IllegalAttributeHost"),
+    ]
+
+
+def test_each_parent_refusal_is_raised_in_one_place():
+    # add_element(parent=) and contain refuse a parent through one check.
+    tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    assert _raise_sites(tree, {"UnknownParent", "ParentNotContainer"}) == [
+        ("Diagram._check_parent", "ParentNotContainer"),
+        ("Diagram._check_parent", "UnknownParent"),
     ]
 
 

@@ -14,6 +14,7 @@ from tumbug.lexicon import (
     Lexicon,
     MODAL_CONCEPTS,
     MODAL_VERBS,
+    ModalRow,
     ModalTable,
     SchemaMismatch,
     TableFormatError,
@@ -300,6 +301,54 @@ class TestTableFormat:
             load_table_text("a\nword only\n")  # missing separators
         with pytest.raises(TableFormatError):
             load_table_text("")  # no header
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: load_table_text("a,,b\n"), TableFormatError, "line 1: empty attribute name"),
+            (
+                lambda: ModalTable.from_table(load_table_text("Ability\ncan|ability|DC\n")),
+                TableFormatError, "modal cell must be T, F, or (T); got 'DC'",
+            ),
+            (
+                lambda: ModalTable.from_table(
+                    load_table_text("Ability\ncan|ability|T\ncan|ability|F\n")
+                ),
+                TableFormatError, "duplicate modal row ('can', 'ability')",
+            ),
+            (
+                lambda: ModalTable(
+                    {
+                        **load_default_modal_table().rows,
+                        ("can", "vibe"): ModalRow("can", "vibe", frozenset({"Vibe"}), frozenset()),
+                    }
+                ),
+                TableFormatError, "unknown modal concepts: ['Vibe']",
+            ),
+            (
+                lambda: ConceptVector(("a", "b"), (Cell.T,)),
+                SchemaMismatch, "one cell per attribute required",
+            ),
+            (
+                lambda: ConceptVector(("a", "a"), (Cell.T, Cell.F)),
+                SchemaMismatch, "attribute names must be unique",
+            ),
+            (
+                lambda: Lexicon("en", {"x": vec("T", names=("a",)), "y": vec("T", names=("b",))}),
+                SchemaMismatch, "all lexicon entries must share one schema",
+            ),
+        ],
+        ids=[
+            "empty-header-name", "modal-dc-cell", "duplicate-modal-row", "unknown-concept",
+            "vector-length", "vector-names", "mixed-schemas",
+        ],
+    )
+    def test_malformed_table_is_refused_by_name(self, build, error, message):
+        # Tables under TUMBUG_TABLES and the match files are the user's: each
+        # refusal says what is wrong.
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == message
 
     def test_implied_cells_only_in_modal_tables(self):
         table = load_table_text("a\nword|gloss|(T)\n")

@@ -118,6 +118,44 @@ class TestWildcardMatching:
         assert wildcard_matches(Scalar(3, "kg"), Scalar(3, "kg")) is Match.YES
         assert wildcard_matches(Scalar(3, "kg"), Scalar(3, "m/s")) is Match.NO
 
+    @pytest.mark.parametrize(
+        "pattern, observed, expected",
+        [
+            # A concrete pattern needs a value to compare.
+            (Text("red"), None, Match.NO),
+            (Range(0, 2), None, Match.NO),
+            # A range or a ball holds scalars only.
+            (Range(0, 2), Text("1"), Match.NO),
+            (BallInRange(Range(0, 2)), Text("1"), Match.NO),
+            (BallInRange(Range(0, 2)), BallInRange(Range(0, 2)), Match.YES),
+            (BallInRange(Range(0, 2)), Scalar(3), Match.NO),
+            # A fuzzy label takes a scalar inside its support, or itself.
+            (FuzzyLabel("few", 0, 1, 3), Scalar(2), Match.YES),
+            (FuzzyLabel("few", 0, 1, 3), Scalar(3), Match.NO),
+            (FuzzyLabel("few", 0, 1, 3), Scalar(-1), Match.NO),
+            (FuzzyLabel("few", 0, 1, 3), FuzzyLabel("few", 0, 1, 3), Match.YES),
+            (FuzzyLabel("few", 0, 1, 3), FuzzyLabel("many", 0, 1, 3), Match.NO),
+            (FuzzyLabel("few", 0, 1, 3), Text("few"), Match.NO),
+        ],
+    )
+    def test_value_patterns(self, pattern, observed, expected):
+        assert wildcard_matches(pattern, observed) is expected
+
+    @pytest.mark.parametrize(
+        "r, x, inside",
+        [
+            (Range(0, 2), 0, True),
+            (Range(0, 2, False, True), 0, False),
+            (Range(0, 2), -1, False),
+            (Range(0, 2, True, False), 2, False),
+            (Range(0, 2, True, False), 3, False),
+            (Range(None, 2), -1e300, True),
+            (Range(0, None), 1e300, True),
+        ],
+    )
+    def test_range_ends(self, r, x, inside):
+        assert r.contains(x) is inside
+
     def test_dc_matches_every_value_variant(self):
         rng = random.Random(42)
         for _ in range(500):
@@ -217,6 +255,11 @@ class TestExpressions:
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZero):
             eval_expr(parse_expr("1 / x"), {"x": 0})
+
+    def test_unbound_slot_is_named(self):
+        with pytest.raises(UnboundSlots) as err:
+            eval_expr(parse_expr("a + b"), {"a": 1.0})
+        assert err.value.args == ("b",)
 
     def test_deep_nesting_rejected(self):
         with pytest.raises(ValueError):
