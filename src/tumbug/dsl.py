@@ -729,43 +729,77 @@ def _parse_group(d: Diagram, elements: Mapping[str, Element], words: tuple[str, 
 
 def binding_literals(d: Diagram) -> list[tuple[str, str, str]]:
     """``(owner, attribute, value literal)`` per binding, sorted: the order in
-    which serialize writes the bindings and render draws each owner's."""
-    return sorted((owner, b.attribute, value_literal(b.value)) for owner, b in d.bindings)
+    which serialize writes the bindings and render draws each owner's.
+
+    The diagram keeps the literal of each binding by its place in
+    ``d.bindings``, which only grows, so a call writes the literals of the
+    bindings added since the last.  Bindings share few values, so it keeps
+    one string per distinct literal a call writes.  It stores a new list in
+    place of extending the kept one, so two calls at once each read true
+    literals."""
+    bindings = d.bindings
+    known = d._written_literals
+    if len(known) < len(bindings):
+        shared: dict[str, str] = {}
+        fresh = [value_literal(b.value) for _, b in bindings[len(known):]]
+        known = d._written_literals = known + [shared.setdefault(s, s) for s in fresh]
+    return sorted([(owner, b.attribute, literal) for (owner, b), literal in zip(bindings, known)])
+
+
+def _element_line(eid: str, el: Element, quoted: dict[str, str]) -> str:
+    """The elem line of an element; ``quoted`` holds each pair text quoted."""
+    pairs = _encode(el.payload, _ROWS[el.kind])
+    if el.position is not None:
+        pairs["pos"] = f"{fmt_num(el.position.x)},{fmt_num(el.position.y)}"
+        if el.position.w is not None and el.position.h is not None:
+            pairs["size"] = f"{fmt_num(el.position.w)},{fmt_num(el.position.h)}"
+    parts = ["elem", eid, _NAMES[el.kind]]
+    for key, text in sorted(pairs.items()):
+        q = quoted.get(text)
+        if q is None:
+            q = quoted[text] = _quote(text)
+        parts.append(f"{key}={q}")
+    return " ".join(parts)
+
+
+def _edge_line(eid: str, e: Edge) -> str:
+    """The edge line of an edge."""
+    parts = ["edge", eid, _NAMES[e.kind]]
+    if e.source is not None:
+        parts.append(e.source)
+    parts.append("->")
+    if e.target is not None:
+        parts.append(e.target)
+    if e.role is not None:
+        parts.append(f"role={_quote(e.role)}")
+    return " ".join(parts)
 
 
 def serialize(d: Diagram) -> str:
     """Canonical text for a diagram; stable across runs and insert orders.
-    The text of every diagram parses back to an equal diagram."""
+    The text of every diagram parses back to an equal diagram.
+
+    The diagram keeps the line written for each element and edge id: no
+    writer replaces either, so a call encodes only the records added since
+    the last.  Containment, meta and group lines are written afresh."""
     lines = [f"meta {key}={_quote(value)}" for key, value in sorted(d.meta.items())]
+    written = d._written_lines
     # Labels and values repeat, so each distinct element pair text is quoted
     # once per call.  A plain dict: a miss costs one get and one store.
     quoted: dict[str, str] = {}
     elements = d.elements
     for eid in sorted(elements):
-        el = elements[eid]
-        pairs = _encode(el.payload, _ROWS[el.kind])
-        if el.position is not None:
-            pairs["pos"] = f"{fmt_num(el.position.x)},{fmt_num(el.position.y)}"
-            if el.position.w is not None and el.position.h is not None:
-                pairs["size"] = f"{fmt_num(el.position.w)},{fmt_num(el.position.h)}"
-        parts = ["elem", eid, _NAMES[el.kind]]
-        for key, text in sorted(pairs.items()):
-            q = quoted.get(text)
-            if q is None:
-                q = quoted[text] = _quote(text)
-            parts.append(f"{key}={q}")
-        lines.append(" ".join(parts))
+        line = written.get(eid)
+        if line is None:
+            line = written[eid] = _element_line(eid, elements[eid], quoted)
+        lines.append(line)
     lines.extend(f"contain {child} {parent}" for child, parent in sorted(d.containment.items()))
-    for eid, e in sorted(d.edges.items()):
-        parts = ["edge", eid, _NAMES[e.kind]]
-        if e.source is not None:
-            parts.append(e.source)
-        parts.append("->")
-        if e.target is not None:
-            parts.append(e.target)
-        if e.role is not None:
-            parts.append(f"role={_quote(e.role)}")
-        lines.append(" ".join(parts))
+    edges = d.edges
+    for eid in sorted(edges):
+        line = written.get(eid)
+        if line is None:
+            line = written[eid] = _edge_line(eid, edges[eid])
+        lines.append(line)
     for gid, g in sorted(d.groups.items()):
         parts = [f"{k}={v}" for k, v in _encode(g, _CODEC[type(g)]).items()]
         lines.append(" ".join(["group", gid, _NAMES[_GROUP_KIND[type(g)]], *parts]))

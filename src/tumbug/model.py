@@ -616,13 +616,20 @@ def _differ(a: Value, b: Value) -> bool:
     return a is not b and a != b
 
 
+# What Diagram._attach builds, and a copy or pickle of a diagram leaves out.
+_ATTACHED = frozenset({
+    "_elements_view", "_containment_view", "_edges_view", "_groups_view", "_meta_view",
+    "_written_lines", "_written_literals",
+})
+
+
 class Diagram:
     """The scene graph: elements, containment forest, edges, bindings.
 
     ``elements``, ``containment`` (child -> parent), ``edges``, ``groups``
-    and ``meta`` are read-only mappings, and ``bindings`` a tuple of (owner,
-    binding) pairs: a multiset, in the order written.  Each read builds a new
-    view, so a caller reads one into a local once per call, not per record.
+    and ``meta`` are read-only views, built once with the diagram and live:
+    each shows every later write.  ``bindings`` is a tuple of (owner,
+    binding) pairs, a multiset in the order written, copied on each read.
 
     Only the writers below change a diagram.  None overwrites an id, and
     each refuses an id that names nothing, a parent that is no container, a
@@ -637,6 +644,16 @@ class Diagram:
     changed in place after it is stored (an Edge's endpoints or kind, an
     Element's kind or payload, a group's fields) is outside this contract,
     and the indices do not follow it.
+
+    The diagram also holds what :mod:`tumbug.dsl` has written of it, which
+    only the dsl fills: the line of each element and edge that serialize
+    wrote, and the value literal of each binding.  No writer overwrites an
+    element or edge or removes a binding, so those texts stay true and live
+    as long as the diagram, and a save encodes only the records added since
+    the last; an in-place change to a stored record is not read again.
+    Containment, group and meta lines are written afresh on each save, as
+    ``contain`` moves a child and ``set_meta`` overwrites a value.  A copy
+    or pickle leaves the views and these texts out and starts without texts.
 
     Equality is structural and order-insensitive: two diagrams built by
     different insertion orders compare equal when their dicts are equal and
@@ -660,6 +677,27 @@ class Diagram:
         self._hops: dict[str | None, list[str]] = {}
         # (owner, attribute) per binding on a host that cannot carry it.
         self._misplaced: list[tuple[str, str]] = []
+        self._attach()
+
+    def _attach(self) -> None:
+        """Build what a copy leaves out: the views and the dsl's empty record
+        of what it wrote (the line per element and edge id, which share one
+        namespace, and the literal per binding, in binding order)."""
+        self._elements_view = MappingProxyType(self._elements)
+        self._containment_view = MappingProxyType(self._containment)
+        self._edges_view = MappingProxyType(self._edges)
+        self._groups_view = MappingProxyType(self._groups)
+        self._meta_view = MappingProxyType(self._meta)
+        self._written_lines: dict[str, str] = {}
+        self._written_literals: list[str] = []
+
+    def __getstate__(self) -> dict:
+        # A view neither pickles nor deep-copies; the written texts are not state.
+        return {k: v for k, v in self.__dict__.items() if k not in _ATTACHED}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._attach()
 
     def __repr__(self) -> str:  # the indices are left out
         return (
@@ -670,23 +708,23 @@ class Diagram:
 
     @property
     def elements(self) -> Mapping[str, Element]:
-        return MappingProxyType(self._elements)
+        return self._elements_view
 
     @property
     def containment(self) -> Mapping[str, str]:
-        return MappingProxyType(self._containment)
+        return self._containment_view
 
     @property
     def edges(self) -> Mapping[str, Edge]:
-        return MappingProxyType(self._edges)
+        return self._edges_view
 
     @property
     def groups(self) -> Mapping[str, Group]:
-        return MappingProxyType(self._groups)
+        return self._groups_view
 
     @property
     def meta(self) -> Mapping[str, str]:
-        return MappingProxyType(self._meta)
+        return self._meta_view
 
     @property
     def bindings(self) -> tuple[tuple[str, AttributeBinding], ...]:

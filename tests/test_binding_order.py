@@ -4,9 +4,9 @@ same.  Serialize's order (owner, attribute, value literal) is the one order
 that any reader sees, so of two values bound to one key, every reader takes
 the one that serialize writes first.
 
-The four tests of the known breaks come first, then a property test over
-two insertion orders of one diagram, then a bounded mutation fuzzer over
-serialized text.
+The four tests of the known breaks come first, then a conflicting value
+appended after a save, then a property test over two insertion orders of
+one diagram, then a bounded mutation fuzzer over serialized text.
 """
 
 from __future__ import annotations
@@ -102,6 +102,22 @@ def test_an_attend_ring_reads_the_moved_element_in_one_order():
     assert parse(swapped) == parse(_ATTENDED)
     for text in (_ATTENDED, swapped):
         assert [(v.code.value, v.ids) for v in validate(parse(text))] == [("ATTR_CONFLICT", ("m",))]
+
+
+# -- a conflicting value appended after a save -------------------------------
+
+
+def test_a_conflicting_append_after_a_save_is_written_least_first():
+    # serialize keeps the literal of each binding it wrote, but sorts every
+    # binding on each save: the later, lesser value comes first.
+    d = parse("elem a PhysicalObjectCircle\nattr a x=5\n")
+    assert serialize(d).endswith("attr a x=5\n")
+    d.append_binding("a", AttributeBinding("x", Scalar(1)))
+    saved = serialize(d)
+    assert saved.endswith("attr a x=1\nattr a x=5\n")
+    assert saved == serialize(parse(saved))
+    assert resolve_query(d, "a", "x") == Scalar(1)
+    assert [(v.code.value, v.ids) for v in validate(d)] == [("ATTR_CONFLICT", ("a",))]
 
 
 # -- two insertion orders of one diagram --------------------------------------

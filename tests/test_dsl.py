@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import sys
+import threading
 import time
 import xml.etree.ElementTree as ET
 from unittest import mock
@@ -594,6 +595,105 @@ class TestSerializeCanonical:
         assert parse(text) == d
 
 
+def _saved_scene() -> Diagram:
+    """Two boxes, an object in the first, a Motion edge, a binding and a
+    title, saved once."""
+    d = Diagram()
+    d.set_meta("title", "first")
+    for box in ("b1", "b2"):
+        d.add_element(Element(kind=Kind.AGGREGATION_BOX, id=box))
+    d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="o"), parent="b1")
+    d.add_edge(Edge(kind=EdgeKind.MOTION, source="o", id="m"))
+    d.bind_attribute("o", AttributeBinding("w", Scalar(1)))
+    serialize(d)
+    return d
+
+
+class TestSavesAfterASave:
+    """serialize keeps the line of each element and edge, and the literal of
+    each binding, that it wrote; what a writer changes after a save is still
+    written.  A copy keeps no lines, so its text is the reference."""
+
+    def test_a_moved_child_is_written_in_its_new_box(self):
+        d = _saved_scene()
+        d.contain("o", "b2")
+        text = serialize(d)
+        assert "contain o b2" in text.splitlines() and "contain o b1" not in text
+        assert text == serialize(copy.deepcopy(d)) and parse(text) == d
+
+    def test_an_overwritten_meta_value_is_written(self):
+        d = _saved_scene()
+        d.set_meta("title", "second")
+        text = serialize(d)
+        assert text.splitlines()[0] == 'meta title="second"'
+        assert text == serialize(copy.deepcopy(d)) and parse(text) == d
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))], ids=["deepcopy", "pickle"]
+    )
+    def test_a_copy_that_grows_after_a_save_writes_its_own_records(self, clone):
+        d = _saved_scene()
+        saved = serialize(d)
+        twin = clone(d)
+        assert serialize(twin) == saved
+        # Both grow records of the same ids, each with its own text.
+        for diagram, label in ((d, "mine"), (twin, "theirs")):
+            payload = GenericPayload(label=label)
+            diagram.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, payload=payload, id="a"))
+            diagram.add_edge(Edge(kind=EdgeKind.MOTION, source="a", target="o", id="e"))
+            diagram.bind_attribute("a", AttributeBinding("w", Text(label)))
+        twin.add_edge(Edge(kind=EdgeKind.MOTION, source="o", target="a", id="f"))
+        for diagram, label in ((d, "mine"), (twin, "theirs")):
+            text = serialize(diagram)
+            assert f'elem a PhysicalObjectCircle label="{label}"' in text.splitlines()
+            assert f'attr a w="{label}"' in text.splitlines()
+            assert text == serialize(copy.deepcopy(diagram)) and parse(text) == diagram
+        assert "edge f Motion o -> a" in serialize(twin) and "edge f" not in serialize(d)
+
+    def test_equal_literals_written_in_one_call_are_kept_as_one_string(self):
+        # A diagram keeps the literals written of it, and bindings share few
+        # values, so equal literals are kept once.
+        d = Diagram()
+        for eid in ("a", "b"):
+            d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=eid))
+            d.append_binding(eid, AttributeBinding("w", Scalar(1.5, "kg")))
+        first, second = (literal for _, _, literal in dsl.binding_literals(d))
+        assert first == second == "1.5:kg" and first is second
+
+    def test_saves_of_one_diagram_at_once_each_write_the_whole_text(self):
+        # Each round grows the diagram, then eight threads save it at once
+        # with a short switch interval.  A fill that grew one kept list of
+        # literals and indexed it by length could give a thread a literal of
+        # another binding.
+        d = Diagram()
+        texts: list[str] = []
+
+        def save(barrier):
+            barrier.wait(timeout=10)
+            texts.append(serialize(d))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for round_ in range(12):
+                for i in range(round_ * 25, round_ * 25 + 25):
+                    eid = d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=f"o{i}"))
+                    for attribute in ("v", "w"):
+                        d.append_binding(eid, AttributeBinding(attribute, Scalar(i)))
+                expected = serialize(copy.deepcopy(d))
+                barrier = threading.Barrier(8)
+                threads = [threading.Thread(target=save, args=(barrier,)) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert texts == [expected] * 8
+                texts.clear()
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestRoundTripProperty:
     def test_100_random_diagrams(self):
         rng = random.Random(2024)
@@ -1014,9 +1114,10 @@ _PLAIN_PIECES = st.one_of(
 
 
 class TestPlainTexts:
-    """A text with no ``#`` and no backslash, whose quotes are even and
-    whose quoted bodies hold no whitespace, is split with str.split line by
-    line; that decision is taken once per text."""
+    """A text with no ``#``, whose quotes are even and whose quoted bodies
+    hold no whitespace and no backslash, is split with str.split line by
+    line; that decision is taken once per text.  A backslash outside the
+    quotes leaves a text plain."""
 
     @settings(max_examples=1500, deadline=None, database=None)
     @given(st.lists(_PLAIN_PIECES, max_size=30).map("".join))
@@ -1033,6 +1134,8 @@ class TestPlainTexts:
             ('elem o1 Cell label="a b"\n', False),
             ('elem o1 Cell label="a\x85b"\n', False),
             ('elem o1 Cell label="a\\tb"\n', False),
+            ("elem o1 Cell label=a\\b\n", True),
+            ('elem o1 Cell label="a"\nattr o1 w=a\\b\n', True),
             ('elem o1 Cell label="a"\n# note\n', False),
             ('elem o1 Cell label="a\n', False),
         ],

@@ -3,7 +3,9 @@ exports agree with the modules, no module imports a name it never uses or a
 private name of another module, only the package spells its data directory
 and caches, the shipped tables are read through tumbug.read_table, each rule
 below has its one owner, queries read the model's indices instead of
-scanning, only the model touches a Diagram's storage, dsl reads and writes
+scanning, only the model touches a Diagram's storage, the Diagram owns
+its save memo and only dsl fills it, never by growing a list in place,
+dsl reads and writes
 every codec row through one loop each, dsl spells a word once and reads
 words through one splitter decided by one plain-split test, no dsl
 function writes to a module-level table, svg escapes text and never an id,
@@ -352,6 +354,90 @@ def test_only_the_model_touches_the_diagram_storage(path):
 def test_storage_check_sees_a_read_and_a_write():
     source = "d._edges['e'] = e\nn = len(d._bindings)\n_hops = {}\nd.edges\n"
     assert _storage_reads(ast.parse(source)) == ["_bindings", "_edges"]
+
+
+# What dsl has written of a diagram: the line per element and edge id, and
+# the literal per binding.
+_SAVE_MEMO = {"_written_lines", "_written_literals"}
+_LIST_GROWTH = {"append", "extend", "insert"}
+
+
+def _memo_reaches(tree: ast.AST) -> list[tuple[str, str]]:
+    """(function, name) for each read or write of the save memo."""
+    return sorted({
+        (owner, n.attr)
+        for owner, n in _owned_nodes(tree)
+        if isinstance(n, ast.Attribute) and n.attr in _SAVE_MEMO
+    })
+
+
+def _memo_grown_in_place(tree: ast.AST) -> list[str]:
+    """The functions that append to, extend, insert into or ``+=`` the save
+    memo, through its attribute or through a name bound to it."""
+    found = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        aliases = {
+            t.id
+            for n in ast.walk(function)
+            if isinstance(n, ast.Assign) and getattr(n.value, "attr", None) in _SAVE_MEMO
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+
+        def is_memo(node) -> bool:
+            return getattr(node, "attr", None) in _SAVE_MEMO or getattr(node, "id", None) in aliases
+
+        for n in ast.walk(function):
+            if isinstance(n, ast.AugAssign) and is_memo(n.target):
+                found.add(function.name)
+            elif isinstance(n, ast.Call) and getattr(n.func, "attr", None) in _LIST_GROWTH:
+                if is_memo(n.func.value):
+                    found.add(function.name)
+    return sorted(found)
+
+
+def test_the_diagram_owns_the_save_memo_and_only_the_dsl_reaches_it():
+    # Diagram builds the memo and leaves it out of a copy or pickle; only
+    # dsl.serialize and dsl.binding_literals fill it.  A fill stores a new
+    # list instead of growing the kept one, so two saves at once each read
+    # true literals; a list grown in place and indexed by length would not.
+    reaches = {
+        p.name: _memo_reaches(ast.parse(p.read_text(encoding="utf-8")))
+        for p in [*SRC.glob("*.py"), *TESTS.glob("*.py")]
+    }
+    assert {name: {owner for owner, _ in found} for name, found in reaches.items() if found} == {
+        "model.py": {"Diagram._attach"},
+        "dsl.py": {"binding_literals", "serialize"},
+    }
+    assert _memo_grown_in_place(ast.parse((SRC / "dsl.py").read_text(encoding="utf-8"))) == []
+    assert _SAVE_MEMO <= vars(Diagram()).keys()
+
+
+def test_memo_checks_see_a_stray_read_and_a_growth():
+    source = (
+        "def fill(d, fresh):\n"
+        "    known = d._written_literals\n"
+        "    known.extend(fresh)\n"
+        "    d._written_literals += fresh\n"
+        "    d._written_literals.append(fresh[0])\n"
+        "def store(d, eid, line):\n"
+        "    written = d._written_lines\n"
+        "    written[eid] = line\n"
+        "    d._written_literals = [*d._written_literals, line]\n"
+        "class Diagram:\n"
+        "    def peek(self):\n"
+        "        return self._written_lines\n"
+    )
+    tree = ast.parse(source)
+    assert _memo_reaches(tree) == [
+        ("Diagram.peek", "_written_lines"),
+        ("fill", "_written_literals"),
+        ("store", "_written_lines"),
+        ("store", "_written_literals"),
+    ]
+    assert _memo_grown_in_place(tree) == ["fill"]
 
 
 def test_the_traced_model_methods_exist():

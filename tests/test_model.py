@@ -32,6 +32,7 @@ from tumbug.model import (
     MotivationTrianglePayload,
     ParentNotContainer,
     PayloadMismatch,
+    Position,
     RobinsonIconPayload,
     SlotSpec,
     SplitTimeGroup,
@@ -44,7 +45,7 @@ from tumbug.model import (
     payload_type,
 )
 from tumbug.dsl import ParseError, parse, serialize, value_literal
-from tumbug.grammar import resolve_query
+from tumbug.grammar import resolve_query, validate
 from tumbug.values import Scalar, Text, Wildcard
 
 from conftest import random_diagram
@@ -804,6 +805,138 @@ class HopIndexMachine(RuleBasedStateMachine):
 
 HopIndexMachine.TestCase.settings = _MACHINE_SETTINGS
 TestHopIndex = HopIndexMachine.TestCase
+
+
+# Writer calls logged as data, so that each replay builds its records afresh.
+# serialize keeps the line of each element and edge and the literal of each
+# binding it wrote; a diagram it never saw keeps nothing, so a replay of the
+# log on a fresh diagram, a deep copy and a pickle round trip are references.
+_SAVED_KINDS = (Kind.PHYSICAL_OBJECT_CIRCLE, Kind.AGGREGATION_BOX, Kind.MARKER_0D)
+_SAVED_EDGE_KINDS = (EdgeKind.MOTION, EdgeKind.RELATIONSHIP)
+_LABELS = (None, "a", "a b", 'q"\\')
+_POSITIONS = (None, Position(1, 2), Position(1.5, -2, 3, 4))
+_CLONES = {"deepcopy": copy.deepcopy, "pickle": lambda d: pickle.loads(pickle.dumps(d))}
+
+
+def _make(d: Diagram, call: tuple) -> None:
+    """Make one logged writer call on d."""
+    name, *args = call
+    if name == "add_element":
+        eid, kind, label, position, parent = args
+        payload = GenericPayload(label=label)
+        d.add_element(Element(kind=kind, payload=payload, position=position, id=eid), parent)
+    elif name == "add_edge":
+        eid, kind, source, target = args
+        d.add_edge(Edge(kind=kind, source=source, target=target, id=eid))
+    elif name == "add_group":
+        gid, states, tubes = args
+        d.add_group(StateDiagramGroup(states=states, tubes=tubes, id=gid))
+    elif name in ("bind_attribute", "append_binding"):
+        owner, attribute, value = args
+        getattr(d, name)(owner, AttributeBinding(attribute, value))
+    else:  # contain, set_meta
+        getattr(d, name)(*args)
+
+
+class SaveMachine(RuleBasedStateMachine):
+    """Writes through every writer, saves now and then, and after each step
+    the diagram's text compared with that of a fresh diagram built by
+    replaying the writes, and with those of a deep copy and a pickle round
+    trip.  A copy taken at a step gets every later write too, so a copy that
+    grows after a save is compared alike."""
+
+    def __init__(self):
+        super().__init__()
+        self.d = Diagram()
+        self.log: list[tuple] = []
+        self.twin: Diagram | None = None
+        self.made = 0
+        for box in ("b1", "b2"):  # so that a child can always move
+            self._write(("add_element", box, Kind.AGGREGATION_BOX, None, None, None))
+
+    def _write(self, call: tuple) -> None:
+        """Make call on d and, if d takes it, on the copy, and log it.  A
+        refused write leaves d as it was."""
+        try:
+            _make(self.d, call)
+        except (ConflictingDuplicate, ContainmentCycle, IllegalAttributeHost):
+            return
+        self.log.append(call)
+        if self.twin is not None:
+            _make(self.twin, call)
+
+    def _new_id(self, data) -> str:
+        # A drawn first letter, so a new record may sort before saved ones.
+        self.made += 1
+        return data.draw(st.sampled_from("amz")) + str(self.made)
+
+    def _boxes(self) -> list[str]:
+        return [i for i, el in self.d.elements.items() if el.kind is Kind.AGGREGATION_BOX]
+
+    @rule(data=st.data(), kind=st.sampled_from(_SAVED_KINDS), label=st.sampled_from(_LABELS),
+          position=st.sampled_from(_POSITIONS))
+    def add_element(self, data, kind, label, position):
+        parent = data.draw(st.sampled_from([None, *self._boxes()]))
+        self._write(("add_element", self._new_id(data), kind, label, position, parent))
+
+    @rule(data=st.data(), moved=st.booleans())
+    def contain(self, data, moved):
+        """Put an element in a box; a moved child is one already contained,
+        put in another box."""
+        children = self.d.containment if moved and self.d.containment else self.d.elements
+        child = data.draw(st.sampled_from(sorted(children)))
+        boxes = [b for b in self._boxes() if b != self.d.containment.get(child)]
+        self._write(("contain", child, data.draw(st.sampled_from(boxes))))
+
+    @rule(data=st.data(), kind=st.sampled_from(_SAVED_EDGE_KINDS))
+    def add_edge(self, data, kind):
+        ends = st.sampled_from([None, *sorted(self.d.elements)])
+        self._write(("add_edge", self._new_id(data), kind, data.draw(ends), data.draw(ends)))
+
+    @rule(data=st.data())
+    def add_group(self, data):
+        states = data.draw(st.lists(st.sampled_from(sorted(self.d.elements)), unique=True))
+        tubes = []
+        if self.d.edges:
+            tubes = data.draw(st.lists(st.sampled_from(sorted(self.d.edges)), unique=True))
+        self._write(("add_group", self._new_id(data), tuple(states), tuple(tubes)))
+
+    @rule(data=st.data(), checked=st.booleans(), attribute=st.sampled_from(_ATTRIBUTES),
+          value=st.sampled_from(_BOUND))
+    def bind(self, data, checked, attribute, value):
+        """bind_attribute, or append_binding, which keeps a conflicting value."""
+        owner = data.draw(st.sampled_from(sorted({*self.d.elements, *self.d.edges})))
+        writer = "bind_attribute" if checked else "append_binding"
+        self._write((writer, owner, attribute, value))
+
+    @rule(key=st.sampled_from(("title", "note")), value=st.sampled_from(("x", "y z", "")))
+    def set_meta(self, key, value):
+        self._write(("set_meta", key, value))
+
+    @rule()
+    def save(self):
+        assert isinstance(validate(self.d), list)
+        serialize(self.d)
+
+    @rule(how=st.sampled_from(sorted(_CLONES)))
+    def take_a_copy(self, how):
+        self.twin = _CLONES[how](self.d)
+
+    @invariant()
+    def writes_what_a_fresh_diagram_writes(self):
+        fresh = Diagram()
+        for call in self.log:
+            _make(fresh, call)
+        text = serialize(self.d)
+        assert text == serialize(fresh)
+        for clone in _CLONES.values():
+            assert serialize(clone(self.d)) == text
+        if self.twin is not None:
+            assert serialize(self.twin) == text
+
+
+SaveMachine.TestCase.settings = _MACHINE_SETTINGS
+TestSaves = SaveMachine.TestCase
 
 
 class TestOneWriterPerContainer:
