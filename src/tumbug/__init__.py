@@ -13,6 +13,7 @@ its module on first access (PEP 562), so a command loads only what it uses.
 import functools
 import gc
 import importlib
+import operator
 import os
 from pathlib import Path
 from typing import Callable, Iterator, ParamSpec, TypeVar
@@ -137,24 +138,36 @@ def list_items(text: str) -> tuple[str, ...]:
 
 
 class Record:
-    """Base of the package's records: each subclass's ``__init__`` sets its
-    fields, in order, as instance attributes and sets nothing else.  Two
-    records are equal when they are of one class with equal fields; the repr
-    is ``Name(field=value, ...)``.  A mutable record is unhashable.
+    """Base of the package's records.  A record's fields are the parameters
+    its class's ``__init__`` names, in order, found once when the class is
+    made; a class whose ``__init__`` names none keeps its parent's fields.
+    ``__init__`` sets each field as the attribute of its name and nothing
+    else.  Two records are equal when they are of one class with equal
+    fields; the repr is ``Name(field=value, ...)``; a mutable record is
+    unhashable.  These methods read the fields through one getter per class,
+    never through ``__dict__``, whose first read gives a record a dict of its
+    own and slows every later read of its fields."""
 
-    A record compared or hashed often spells these methods out over its
-    fields, as the hot ones do: reading ``self.__dict__`` gives the instance
-    a dict of its own, which costs memory and slows every later read of its
-    fields."""
+    _fields: tuple[str, ...] = ()
+    _field_values: Callable[["Record"], tuple] = staticmethod(lambda record: ())
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        code = getattr(cls.__init__, "__code__", None)  # none on object.__init__
+        names = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount] if code else ()
+        if names:
+            get = operator.attrgetter(*names)
+            cls._fields = names
+            cls._field_values = staticmethod(get if len(names) > 1 else lambda record: (get(record),))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self.__dict__ == other.__dict__
+            return self._field_values(self) == other._field_values(other)
         return NotImplemented
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
-        return f"{self.__class__.__qualname__}({fields})"
+        fields = zip(self._fields, self._field_values(self))
+        return f"{self.__class__.__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
 
 class FrozenRecordError(AttributeError):
@@ -166,7 +179,7 @@ class FrozenRecord(Record):
     ``__init__``, and never again; it hashes as the tuple of its fields."""
 
     def __hash__(self) -> int:
-        return hash(tuple(self.__dict__.values()))
+        return hash(self._field_values(self))
 
     def __setattr__(self, name: str, value) -> None:
         raise FrozenRecordError(f"cannot assign to field {name!r}")

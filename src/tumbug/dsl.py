@@ -733,16 +733,21 @@ def binding_literals(d: Diagram) -> list[tuple[str, str, str]]:
 
     The diagram keeps the literal of each binding by its place in
     ``d.bindings``, which only grows, so a call writes the literals of the
-    bindings added since the last.  Bindings share few values, so it keeps
-    one string per distinct literal a call writes.  It stores a new list in
-    place of extending the kept one, so two calls at once each read true
-    literals."""
+    bindings added since the last.  Bindings share few values, so a call
+    writes each distinct value once and keeps one string for equal values.
+    It stores a new list in place of extending the kept one, so two calls
+    at once each read true literals."""
     bindings = d.bindings
     known = d._written_literals
     if len(known) < len(bindings):
-        shared: dict[str, str] = {}
-        fresh = [value_literal(b.value) for _, b in bindings[len(known):]]
-        known = d._written_literals = known + [shared.setdefault(s, s) for s in fresh]
+        written: dict[Value, str] = {}
+        fresh = []
+        for _, b in bindings[len(known):]:
+            literal = written.get(b.value)
+            if literal is None:
+                literal = written[b.value] = value_literal(b.value)
+            fresh.append(literal)
+        known = d._written_literals = known + fresh
     return sorted([(owner, b.attribute, literal) for (owner, b), literal in zip(bindings, known)])
 
 

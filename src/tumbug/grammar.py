@@ -124,15 +124,6 @@ class Violation(FrozenRecord):
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "message", message)
 
-    # The inherited methods, spelled out for speed (see tumbug.Record).
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.code, self.ids, self.message) == (other.code, other.ids, other.message)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.code, self.ids, self.message))
-
     def __str__(self) -> str:
         return f"{self.code.value} {','.join(self.ids)} {self.message}"
 

@@ -181,9 +181,7 @@ class ModalConcepts(FrozenRecord):
 
 
 class ModalTable(Record):
-    def __init__(self, rows: dict[tuple[str, str], ModalRow] | None = None):
-        if rows is None:
-            rows = {}
+    def __init__(self, rows: dict[tuple[str, str], ModalRow]):
         missing = set(MODAL_VERBS) - {verb for verb, _ in rows}
         if missing:
             raise TableFormatError(f"modal table missing verbs: {sorted(missing)}")

@@ -183,15 +183,6 @@ class Position(FrozenRecord):
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "h", h)
 
-    # The inherited methods, spelled out for speed (see tumbug.Record).
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.x, self.y, self.w, self.h) == (other.x, other.y, other.w, other.h)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y, self.w, self.h))
-
 
 class AttributeBinding(FrozenRecord):
     """Attribute name paired with a value; at most one side may be DK."""
@@ -203,15 +194,6 @@ class AttributeBinding(FrozenRecord):
             raise InvalidPayload("attribute and value cannot both be DK")
         object.__setattr__(self, "attribute", attribute)
         object.__setattr__(self, "value", value)
-
-    # The inherited methods, spelled out for speed (see tumbug.Record).
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.attribute, self.value) == (other.attribute, other.value)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.attribute, self.value))
 
 
 # Identifier syntax of element, edge and group ids; keys (values.KEY_RE) may
@@ -238,11 +220,6 @@ class GenericPayload(Record):
             legal_text(text)
         self.label = _optional_text(label)
         self.props = props
-
-    def __eq__(self, other):  # the inherited method, spelled out for speed (see tumbug.Record)
-        if other.__class__ is self.__class__:
-            return (self.label, self.props) == (other.label, other.props)
-        return NotImplemented
 
 
 class SlotSpec(FrozenRecord):
@@ -520,13 +497,6 @@ class Element(Record):
         self.payload = payload
         self.position = position
         self.id = id
-
-    def __eq__(self, other):  # the inherited method, spelled out for speed (see tumbug.Record)
-        if other.__class__ is self.__class__:
-            return (self.kind, self.payload, self.position, self.id) == (
-                other.kind, other.payload, other.position, other.id
-            )
-        return NotImplemented
 
     @property
     def label(self) -> str | None:

@@ -102,28 +102,10 @@ class Scalar(FrozenRecord):
         object.__setattr__(self, "value", float(value))
         object.__setattr__(self, "unit", unit)
 
-    # The inherited methods, spelled out for speed (see tumbug.Record).
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value, self.unit) == (other.value, other.unit)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.unit))
-
 
 class Text(FrozenRecord):
     def __init__(self, value: str):
         object.__setattr__(self, "value", legal_text(value))
-
-    # The inherited methods, spelled out for speed (see tumbug.Record).
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.value,) == (other.value,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value,))
 
 
 class ExistenceLevel(FrozenRecord):

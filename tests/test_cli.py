@@ -153,6 +153,11 @@ class TestTemplate:
         assert run(["template", "arithmetic", "--roles", *roles]) == 2
         assert capsys.readouterr() == ("", err)
 
+    @pytest.mark.parametrize("terms", ["terms=men,mortal", "terms=a,b,c,d", "swap=true"])
+    def test_syllogism_without_three_terms_is_usage_error(self, terms, capsys):
+        assert run(["template", "barbara", "--roles", terms]) == 2
+        assert capsys.readouterr() == ("", "error: 'terms=a,b,c'\n")
+
     @pytest.mark.parametrize("step", ["0", "-1", "4", "9", "x"])
     def test_syllogism_step_outside_its_steps_is_usage_error(self, step, capsys):
         roles = ["terms=men,mortal,Socrates", f"step={step}"]
@@ -210,6 +215,13 @@ class TestMatch:
             == 0
         )
         assert capsys.readouterr().out == "lancer 2\njeter 1\n"
+
+    def test_context_table_without_rows_exits_two(self, tmp_path, capsys):
+        context = tmp_path / "empty.tbl"
+        context.write_text("Grasp,Motion\n", encoding="utf-8")
+        lexicon = str(tables_dir() / "throw_lexicon_fr.tbl")
+        assert run(["match", "--context", str(context), "--lexicon", lexicon]) == 2
+        assert capsys.readouterr() == ("", "context table has no rows\n")
 
 
 class TestModal:
@@ -271,6 +283,15 @@ class TestHeuristics:
         rc = main(["heuristics", "--tags", "causal-connective:because", str(fox_fixture)])
         assert rc == 1
         assert "missing: CausationArrow" in capsys.readouterr().out
+
+    def test_a_missing_advisory_block_is_listed_and_exits_zero(self, fox_fixture, capsys):
+        assert main(["heuristics", "--tags", "causal-connective", str(fox_fixture)]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines() == [
+            "mandatory: -", "advisory: CausationArrow", "satisfied: -", "missing: -",
+            "advisory-missing: CausationArrow",
+        ]
+        assert err == ""
 
 
 class TestTrace:

@@ -660,6 +660,23 @@ class TestSavesAfterASave:
         first, second = (literal for _, _, literal in dsl.binding_literals(d))
         assert first == second == "1.5:kg" and first is second
 
+    def test_a_fill_formats_each_distinct_value_once(self, monkeypatch):
+        # Equal values built apart, as a caller's bindings are, still share a literal.
+        formatted = []
+        monkeypatch.setattr(dsl, "value_literal", lambda v: formatted.append(v) or f"<{v}>")
+        values = [Scalar(1.5, "kg"), Text("red"), Wildcard.DK, Range(0, 1), Scalar(2)]
+        d = Diagram()
+        for i in range(40):
+            d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id=f"o{i}"))
+            value = copy.deepcopy(values[i % len(values)])
+            d.append_binding(f"o{i}", AttributeBinding("w", value))
+        literals = [literal for _, _, literal in dsl.binding_literals(d)]
+        assert sorted(formatted, key=repr) == sorted(values, key=repr)
+        assert len(literals) == 40 and len({id(s) for s in literals}) == len(values)
+        d.add_element(Element(kind=Kind.PHYSICAL_OBJECT_CIRCLE, id="p"))
+        d.append_binding("p", AttributeBinding("w", Text("red")))
+        assert len(dsl.binding_literals(d)) == 41 and len(formatted) == len(values) + 1
+
     def test_saves_of_one_diagram_at_once_each_write_the_whole_text(self):
         # Each round grows the diagram, then eight threads save it at once
         # with a short switch interval.  A fill that grew one kept list of

@@ -78,6 +78,18 @@ def test_check_against_throw_down_diagram():
     assert set(report.satisfied) == {"ForceArrow", "MotionArrow"}
 
 
+def test_check_reports_advisory_blocks_without_failing():
+    req = requirements_for({TriggerTag.CAUSAL_CONNECTIVE})
+    report = check(Diagram(), req)
+    assert report.ok and report.advisory_missing == ("CausationArrow",)
+    assert report.advisory_satisfied == ()
+    d = Diagram()
+    d.add_edge(Edge(kind=EdgeKind.CAUSATION, id="c"))
+    report = check(d, req)
+    assert report.ok and report.advisory_satisfied == ("CausationArrow",)
+    assert report.advisory_missing == ()
+
+
 def test_check_empty_diagram_misses_causation():
     req = requirements_for({Trigger(TriggerTag.CAUSAL_CONNECTIVE, "because")})
     report = check(Diagram(), req)

@@ -11,8 +11,9 @@ words through one splitter decided by one plain-split test, no dsl
 function writes to a module-level table, svg escapes text and never an id,
 each attribute and parent refusal is raised in one place, only tumbug.gc_paused switches the
 cyclic collector, the model methods that perfbench traces exist, no module
-imports dataclasses, only values.fmt_num reads a repr, and the package
-version is the project's."""
+imports dataclasses, only values.fmt_num reads a repr, records take their
+equality and hash from tumbug.Record, only a Diagram's copy reads an
+instance's __dict__, and the package version is the project's."""
 
 import ast
 import importlib
@@ -779,3 +780,87 @@ def test_collector_check_sees_a_stray_switch():
         ("gc_paused.paused", "disable"),
     ]
     assert [n.name for n in ast.walk(tree) if _paused(n)] == ["draw"]
+
+
+def _record_equality_methods(trees: list[ast.AST]) -> list[str]:
+    """'Class.method' for each __eq__ or __hash__ that a class of trees
+    derives from tumbug.Record, through classes of trees, defines."""
+    classes = [n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    bases = {
+        c.name: {getattr(b, "id", None) or getattr(b, "attr", None) for b in c.bases}
+        for c in classes
+    }
+    records, grown = set(), {"Record"}
+    while grown != records:
+        records = grown
+        grown = records | {name for name, of in bases.items() if of & records}
+    return sorted(
+        f"{c.name}.{name}"
+        for c in classes
+        if c.name in records - {"Record"}
+        for node in c.body
+        for name in {"__eq__", "__hash__"}
+        if getattr(node, "name", None) == name
+        or any(getattr(t, "id", None) == name for t in getattr(node, "targets", ()))
+    )
+
+
+def test_records_take_equality_and_hash_from_the_base():
+    # tumbug.Record.__eq__ and FrozenRecord.__hash__ are the one equality of
+    # records; copies spelled out per class gave it two implementations.
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    assert _record_equality_methods(trees) == ["FrozenRecord.__hash__"]
+
+
+def test_record_equality_check_sees_a_stray_definition():
+    base = "class Record:\n    def __eq__(self, o): ...\nclass FrozenRecord(Record): ...\n"
+    source = (
+        "class Scalar(tumbug.FrozenRecord):\n"
+        "    def __eq__(self, other): ...\n"
+        "class Money(Scalar):\n"
+        "    __hash__ = Scalar.__hash__\n"
+        "class Plain:\n"
+        "    def __eq__(self, other): ...\n"
+    )
+    assert _record_equality_methods([ast.parse(base), ast.parse(source)]) == [
+        "Money.__hash__", "Scalar.__eq__",
+    ]
+
+
+def _dict_reads(tree: ast.AST) -> list[str]:
+    """The function of each read of an object's __dict__."""
+    return sorted(
+        owner
+        for owner, node in _owned_nodes(tree)
+        if getattr(node, "attr", None) == "__dict__"
+        or isinstance(node, ast.Constant) and node.value == "__dict__"
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars"
+    )
+
+
+def test_only_the_diagram_copy_reads_an_instance_dict():
+    # Reading a record's __dict__ gives it a dict of its own, which costs
+    # memory and slows every later read of its fields; a Diagram's copy and
+    # pickle state is the one place that needs its attributes as a dict.
+    reads = {}
+    for path in sorted(SRC.glob("*.py")):
+        found = _dict_reads(ast.parse(path.read_text(encoding="utf-8")))
+        if found:
+            reads[path.name] = found
+    assert reads == {"model.py": ["Diagram.__getstate__", "Diagram.__setstate__"]}
+
+
+def test_dict_read_check_sees_each_spelling():
+    source = (
+        "class Record:\n"
+        "    def __eq__(self, other):\n"
+        "        return self.__dict__ == other.__dict__\n"
+        "    def __repr__(self):\n"
+        "        return repr(vars(self))\n"
+        "def fields(record):\n"
+        "    return getattr(record, '__dict__')\n"
+        "mapping = {}.get('__dict_')\n"
+    )
+    assert _dict_reads(ast.parse(source)) == [
+        "Record.__eq__", "Record.__eq__", "Record.__repr__", "fields",
+    ]

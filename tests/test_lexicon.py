@@ -91,6 +91,13 @@ class TestMatchCount:
             loosened = b.with_cell(rng.choice(names), Cell.DC)
             assert match_count(a, loosened) >= base
 
+    def test_get_reads_a_cell_by_attribute_name(self):
+        v = vec("T", "DC", "F", names=("x", "y", "z"))
+        assert [v.get(name) for name in ("z", "x", "y")] == [Cell.F, Cell.T, Cell.DC]
+        assert v.with_cell("y", Cell.T).get("y") is Cell.T
+        with pytest.raises(ValueError):
+            v.get("w")
+
     def test_schema_mismatch(self):
         with pytest.raises(SchemaMismatch):
             match_count(vec("T"), vec("T", "F"))
@@ -268,6 +275,13 @@ class TestModalTable:
         verb = next(verb for verb, _ in rows)
         with pytest.raises(TableFormatError, match="missing verbs"):
             ModalTable({key: row for key, row in rows.items() if key[0] != verb})
+
+    def test_a_table_needs_its_rows(self):
+        # No table without rows passes the check that every verb has one.
+        with pytest.raises(TypeError):
+            ModalTable()
+        with pytest.raises(TableFormatError, match="missing verbs"):
+            ModalTable({})
 
 
 class TestAttitudes:

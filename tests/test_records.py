@@ -6,7 +6,9 @@ dict."""
 
 import copy
 import enum
+import gc
 import importlib
+import inspect
 import pickle
 
 import pytest
@@ -386,3 +388,54 @@ def test_diagram_equality_hash_and_construction():
         model.Diagram({})
     for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert twin == a and repr(twin) == repr(a)
+
+
+def _record_classes() -> set[type]:
+    found, todo = set(), [tumbug.Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("tumbug"):
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+def _init_parameters(cls: type) -> tuple[str, ...]:
+    named = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    return tuple(p.name for p in params if p.kind in named)
+
+
+def test_the_fields_are_the_init_parameters_in_order():
+    for module in tumbug._EXPORTS:
+        importlib.import_module(f"tumbug.{module}")
+    classes = _record_classes()
+    assert len(classes) == 42
+    for cls in classes:
+        assert cls._fields == _init_parameters(cls), cls
+    assert tumbug.FrozenRecord._fields == ()
+    assert {s[0]: s[2] for s in SAMPLES} == {s[0]: s[0]._fields for s in SAMPLES}
+
+
+def test_a_class_whose_init_names_no_parameter_keeps_its_parents_fields():
+    class CountingSpan(SourceSpan):
+        def __init__(self, *args):
+            super().__init__(*args)
+
+    span = CountingSpan(3, 1, 4)
+    assert CountingSpan._fields == SourceSpan._fields == ("line", "col_start", "col_end")
+    assert repr(span).endswith("CountingSpan(line=3, col_start=1, col_end=4)")
+    assert span == CountingSpan(3, 1, 4) and span != CountingSpan(3, 1, 5)
+    assert span != SourceSpan(3, 1, 4) and hash(span) == hash((3, 1, 4))
+
+
+@pytest.mark.parametrize("sample", SAMPLES, ids=_ids)
+def test_equality_hash_and_repr_give_the_instance_no_dict_of_its_own(sample):
+    # CPython keeps an instance's fields in the object until something reads
+    # its __dict__, which then holds them; the collector sees either.
+    x, y = _build(sample), _build(sample)
+    held = [type(r) for r in gc.get_referents(x)]
+    assert x == y and not x != y and repr(x) == sample[4]
+    if sample[1]:
+        hash(x)
+    assert [type(r) for r in gc.get_referents(x)] == held

@@ -202,6 +202,8 @@ class TestAspects:
             AspectSpec("sometime", "simple")
         with pytest.raises(ValueError):
             AspectSpec("past", "gnomic")
+        with pytest.raises(ValueError, match="continuation"):
+            AspectSpec("past", "perfect-progressive", "pauses")
 
 
 class TestGroupIds:
@@ -328,6 +330,10 @@ class TestArithmetic:
         with pytest.raises(InvalidArithmetic):
             build_arithmetic(op, nums)
 
+    def test_no_inputs_is_a_missing_role(self):
+        with pytest.raises(MissingRole, match="at least one input"):
+            build_arithmetic("+", [])
+
     def test_zero_dividend_is_fine(self):
         assert build_arithmetic("/", [0, 2]).elements["out"].label == "0"
 
@@ -446,6 +452,22 @@ class TestRunTrace:
             build_flowchart("loop", stmts, {"body": ["S3", "S2"], "iterations": 2})
         with pytest.raises(EmptyProgram):
             build_flowchart("branch", stmts, {"then": ["S2"], "else": ["S3"], "take": "S3"})
+
+    @pytest.mark.parametrize(
+        "kind, schedule, message",
+        [
+            ("branch", {"then": ["S2"]}, "then/else statements"),
+            ("branch", {"then": ["S2"], "else": ["S9"]}, "then/else statements"),
+            ("branch", {"then": ["S1"], "else": ["S3"]}, "before and after the fork"),
+            ("branch", {"then": ["S2"], "else": ["S4"]}, "before and after the fork"),
+            ("fork", {}, "unknown flowchart kind 'fork'"),
+        ],
+        ids=["one-arm", "stray-arm", "no-fork", "no-join", "unknown-kind"],
+    )
+    def test_flowcharts_that_draw_no_program_are_rejected(self, kind, schedule, message):
+        for build in (build_flowchart, draw_flowchart):
+            with pytest.raises(EmptyProgram, match=message):
+                build(kind, ["S1", "S2", "S3", "S4"], schedule)
 
     @pytest.mark.parametrize(
         "arms",
